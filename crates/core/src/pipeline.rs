@@ -867,13 +867,18 @@ impl CertaintyEngine {
         // configured width is additionally capped at the machine's
         // parallelism: extra workers on fewer cores only add spawn
         // overhead (results are per-group and deterministic either way,
-        // so the cap cannot change bits).
+        // so the cap cannot change bits). The machine is asked only when
+        // there is a fan-out to cap: the query reads cgroup files, which
+        // costs more than a request whose groups all hit the ν-cache.
         let pending: Vec<usize> =
             results.iter().enumerate().filter_map(|(i, r)| r.is_none().then_some(i)).collect();
         stats.measured = pending.len();
-        // analyze: allow(nondet-source, reason = "worker-count cap affects scheduling only; per-group results are bit-identical at any width, tested by batch_matches_sequential_bitwise")
-        let parallelism = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
-        let threads = stats.threads.min(parallelism).min(pending.len().max(1));
+        let mut threads = stats.threads.min(pending.len().max(1));
+        if threads > 1 {
+            // analyze: allow(nondet-source, reason = "worker-count cap affects scheduling only; per-group results are bit-identical at any width, tested by batch_matches_sequential_bitwise")
+            let parallelism = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
+            threads = threads.min(parallelism);
+        }
         let mut traces: Vec<Option<RewriteTrace>> = vec![None; plan.groups.len()];
         if threads <= 1 {
             if !self.measure_pending_shared(plan, &pending, &mut results) {

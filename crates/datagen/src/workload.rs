@@ -29,6 +29,10 @@
 //! that generates it. CI's perf baseline (see `crates/bench`) leans on
 //! this: certainty values can be compared bit-for-bit across runs.
 
+/// The database content digest that pins generated data across
+/// runs and threads. One function, defined in `qarith-types` and shared
+/// with the serving layer (`qarith_serve::database_digest`).
+pub use qarith_types::database_digest;
 use qarith_types::Database;
 
 use crate::sales::{paper_queries, sales_database, SalesScale};
@@ -245,25 +249,6 @@ pub struct Workload {
     pub db: Database,
     /// The family's queries, in fixed order.
     pub queries: Vec<WorkloadQuery>,
-}
-
-/// A stable 64-bit digest of a database's full contents (relation names,
-/// schemas, and every tuple in insertion order), via FNV-1a over the
-/// display forms. Independent of process, thread, and host — used by the
-/// determinism tests and the CI perf baseline to pin generated data.
-pub fn database_digest(db: &Database) -> u64 {
-    let mut h = qarith_numeric::Fnv1a64::new();
-    for rel in db.relations() {
-        h.update(rel.schema().name().as_bytes());
-        h.update(b"|");
-        for col in rel.schema().columns() {
-            h.update(format!("{}:{:?};", col.name(), col.sort()).as_bytes());
-        }
-        for t in rel.tuples() {
-            h.update(format!("{t}\n").as_bytes());
-        }
-    }
-    h.finish()
 }
 
 #[cfg(test)]

@@ -56,6 +56,16 @@ impl Fnv1a64 {
     }
 }
 
+/// Absorbs formatted text, so a `Display` value streams its bytes
+/// straight into the digest (`write!(h, "{x}")`) with no intermediate
+/// `String`.
+impl std::fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,5 +84,13 @@ mod tests {
         h.update(b"foo");
         h.update(b"bar");
         assert_eq!(h.finish(), Fnv1a64::digest(b"foobar"));
+    }
+
+    #[test]
+    fn formatted_text_equals_its_bytes() {
+        use std::fmt::Write;
+        let mut h = Fnv1a64::new();
+        write!(h, "{}-{:?}", 42, "x").unwrap();
+        assert_eq!(h.finish(), Fnv1a64::digest(b"42-\"x\""));
     }
 }

@@ -11,6 +11,13 @@
 //! bit-pinning holds *per epoch* (the digest names which contents an
 //! answer was computed against).
 //!
+//! Building epoch N+1 costs what the batch touches. The writer's
+//! database is a clone of epoch N's, which shares every relation
+//! (copy-on-write, see [`Database`]), so the batch copies only the
+//! relations it changes; and [`Snapshot::next`] resumes epoch N's
+//! saved digest states ([`DatabaseDigest`]) from the first changed
+//! row, comparing rows by identity while epoch N is still alive.
+//!
 //! Per-relation version counters ride along so the plan cache can stay
 //! selective too: a prepared plan embeds candidates grounded against
 //! specific relations, so it remains valid exactly while those
@@ -19,7 +26,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use qarith_types::Database;
+use qarith_types::{Database, DatabaseDigest};
 
 /// One published epoch: an immutable database plus its identity.
 #[derive(Clone, Debug)]
@@ -29,14 +36,18 @@ pub struct Snapshot {
     /// The database as of this epoch. Shared, never mutated: the next
     /// epoch clones and replaces it.
     pub db: Arc<Database>,
-    /// Content digest of `db` ([`database_digest`]) — the bit-pinning
-    /// identity carried on replies and checked by the torture tests.
+    /// Content digest of `db` ([`qarith_types::database_digest`]) —
+    /// the bit-pinning identity carried on replies and checked by the
+    /// torture tests.
     pub digest: u64,
     /// Per-relation version counters, bumped when a batch touches the
     /// relation. Plan validity is keyed on these, not on the epoch:
     /// a write to `Orders` must not evict plans that only read
     /// `Market`.
     versions: HashMap<String, u64>,
+    /// The saved digest states of `db`, which the next epoch's digest
+    /// resumes from.
+    digest_states: DatabaseDigest,
 }
 
 impl Snapshot {
@@ -44,20 +55,25 @@ impl Snapshot {
     /// version 0).
     pub fn initial(db: Database) -> Snapshot {
         let versions = db.relations().iter().map(|r| (r.schema().name().to_string(), 0)).collect();
-        let digest = database_digest(&db);
-        Snapshot { epoch: 0, db: Arc::new(db), digest, versions }
+        let digest_states = DatabaseDigest::compute(&db, None);
+        let digest = digest_states.value();
+        Snapshot { epoch: 0, db: Arc::new(db), digest, versions, digest_states }
     }
 
     /// The successor snapshot: `db` is the already-mutated database,
     /// `touched` the relations the batch changed (their versions bump
-    /// by one; untouched relations keep theirs).
+    /// by one; untouched relations keep theirs). The digest resumes
+    /// from this snapshot's saved states wherever `db` still shares
+    /// this snapshot's rows, so a `db` cloned from `self.db` and then
+    /// mutated re-reads only the rows from its first change on.
     pub fn next(&self, db: Database, touched: &[String]) -> Snapshot {
         let mut versions = self.versions.clone();
         for name in touched {
             *versions.entry(name.clone()).or_insert(0) += 1;
         }
-        let digest = database_digest(&db);
-        Snapshot { epoch: self.epoch + 1, db: Arc::new(db), digest, versions }
+        let digest_states = DatabaseDigest::compute(&db, Some((&self.db, &self.digest_states)));
+        let digest = digest_states.value();
+        Snapshot { epoch: self.epoch + 1, db: Arc::new(db), digest, versions, digest_states }
     }
 
     /// The relation's current version (0 for names the database does
@@ -91,31 +107,10 @@ pub struct WriteOutcome {
     pub plans_invalidated: u64,
 }
 
-/// A stable 64-bit digest of a database's full contents (relation
-/// names, schemas, and every tuple in insertion order), via FNV-1a over
-/// the display forms. Bit-for-bit the same function as
-/// `qarith_datagen::database_digest` — re-implemented here so the
-/// serving layer does not depend on the data generator; a cross-crate
-/// test pins the two together.
-pub fn database_digest(db: &Database) -> u64 {
-    let mut h = qarith_numeric::Fnv1a64::new();
-    for rel in db.relations() {
-        h.update(rel.schema().name().as_bytes());
-        h.update(b"|");
-        for col in rel.schema().columns() {
-            h.update(format!("{}:{:?};", col.name(), col.sort()).as_bytes());
-        }
-        for t in rel.tuples() {
-            h.update(format!("{t}\n").as_bytes());
-        }
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qarith_types::{Column, Relation, RelationSchema, Value, WriteBatch};
+    use qarith_types::{database_digest, Column, Relation, RelationSchema, Value, WriteBatch};
 
     fn db() -> Database {
         let mut db = Database::new();

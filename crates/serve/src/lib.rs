@@ -83,7 +83,12 @@ pub mod service;
 pub mod shard;
 
 pub use admission::{AdmissionGate, AdmissionPermit, AdmissionStats};
-pub use epoch::{database_digest, Snapshot, WriteOutcome};
+pub use epoch::{Snapshot, WriteOutcome};
 pub use error::ServeError;
 pub use service::{QueryResponse, QueryService, ServeConfig, ServiceStats};
 pub use shard::{ShardedCacheConfig, ShardedCacheStats, ShardedNuCache};
+
+/// The content digest that names an epoch's database
+/// ([`Snapshot::digest`], [`QueryResponse::db_digest`]). One function,
+/// defined in `qarith-types` and shared with `qarith-datagen`.
+pub use qarith_types::database_digest;

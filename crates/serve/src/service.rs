@@ -165,10 +165,11 @@ pub struct QueryResponse {
 ///    ν-cache: per-group cache lookup, measurement of the misses only.
 ///
 /// Writes ([`QueryService::apply`]) run beside reads: one writer at a
-/// time clones the current database, applies its [`WriteBatch`], and
-/// publishes the result as the next epoch with a single pointer swap —
-/// in-flight readers keep their pinned snapshot, so no request ever
-/// observes a half-applied batch.
+/// time clones the current database (copy-on-write, so only the
+/// relations the batch changes are copied), applies its
+/// [`WriteBatch`], and publishes the result as the next epoch with a
+/// single pointer swap — in-flight readers keep their pinned snapshot,
+/// so no request ever observes a half-applied batch.
 ///
 /// **Determinism.** For a fixed epoch (named by
 /// [`QueryResponse::db_digest`]) and fixed options, every request for

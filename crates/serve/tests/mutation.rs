@@ -12,8 +12,12 @@
 //!   asserted), and the survivors still *hit* with unchanged bits;
 //! * digest cross-pin — `qarith_serve::database_digest` and
 //!   `qarith_datagen::database_digest` are bit-for-bit the same
-//!   function (the serving layer re-implements it to avoid the
-//!   dependency; this test is the license for that duplication).
+//!   function (both re-export the one in `qarith-types`; this test
+//!   keeps a future private copy from diverging);
+//! * copy-on-write epochs — a write shares every relation it does not
+//!   change with the epoch before it, leaves that epoch's rows intact,
+//!   and its digest never re-reads the relations before the first one
+//!   it changed.
 
 use proptest::prelude::*;
 use qarith_core::afpras::{AfprasOptions, SampleCount};
@@ -21,7 +25,8 @@ use qarith_core::{BatchOptions, MeasureOptions, MethodChoice};
 use qarith_datagen::WorkloadScale;
 use qarith_serve::{database_digest, QueryResponse, QueryService, ServeConfig, ShardedCacheConfig};
 use qarith_types::{
-    Column, Database, NumNullId, Relation, RelationSchema, Value, WriteBatch, WriteOp,
+    Column, Database, DatabaseDigest, NumNullId, Relation, RelationSchema, Value, WriteBatch,
+    WriteOp,
 };
 
 /// Forced AFPRAS under a fixed seed, so certainty bits are sensitive to
@@ -190,6 +195,32 @@ proptest! {
     }
 }
 
+/// An update whose `old` tuple is present while its `new` tuple already
+/// is removes `old` and inserts nothing. It changed the database, so it
+/// must count as applied: a batch of only such updates would otherwise
+/// invalidate no plan and keep serving `old` as a candidate.
+#[test]
+fn an_update_onto_a_present_tuple_invalidates_like_any_change() {
+    let service = QueryService::new(proptest_db(), serve_config(0.25));
+    let sql = PROPTEST_SQL[0];
+    let ids = |r: &QueryResponse| -> Vec<String> {
+        r.answers.iter().map(|a| a.tuple.to_string()).collect()
+    };
+    assert!(ids(&service.query(sql).expect("warm")).contains(&"(1)".to_string()));
+
+    let mut batch = WriteBatch::new();
+    batch.update(
+        "R",
+        vec![Value::int(1), Value::num(10), Value::num(5)],
+        vec![Value::int(2), Value::NumNull(NumNullId(0)), Value::num(3)],
+    );
+    let outcome = service.apply(&batch).expect("well-typed batch");
+    assert_eq!((outcome.applied, outcome.noops), (1, 0));
+    assert_eq!(outcome.plans_invalidated, 1);
+    let after = service.query(sql).expect("post-write query");
+    assert!(!ids(&after).contains(&"(1)".to_string()), "stale candidate: {:?}", ids(&after));
+}
+
 // ---------------------------------------------------------------------
 // Satellite: invalidation selectivity on the medium sales database.
 // ---------------------------------------------------------------------
@@ -252,7 +283,22 @@ fn targeted_write_invalidates_selectively_and_survivors_still_hit() {
         "Orders",
         vec![Value::int(1 << 20), Value::int(7), Value::NumNull(NumNullId(1 << 20)), Value::num(1)],
     );
+    let epoch0 = service.snapshot().expect("epoch 0");
     let outcome = service.apply(&batch).expect("single-tuple insert");
+
+    // Copy-on-write: epoch 1 copied Orders alone and shares the other
+    // relations with epoch 0, which still holds its own rows.
+    let epoch1 = service.snapshot().expect("epoch 1");
+    for name in ["Products", "Orders", "Market"] {
+        let (old, new) = (relation_arc(&epoch0.db, name), relation_arc(&epoch1.db, name));
+        assert_eq!(std::sync::Arc::ptr_eq(old, new), name != "Orders", "{name}");
+    }
+    assert_eq!(
+        epoch1.db.relation("Orders").unwrap().len(),
+        epoch0.db.relation("Orders").unwrap().len() + 1
+    );
+    assert_eq!(epoch0.digest, database_digest(&epoch0.db), "epoch 0 is untouched");
+    assert_eq!(epoch1.digest, database_digest(&epoch1.db), "the resumed digest is the full one");
 
     assert_eq!(outcome.epoch, 1);
     assert_eq!((outcome.applied, outcome.noops), (1, 0));
@@ -295,4 +341,50 @@ fn targeted_write_invalidates_selectively_and_survivors_still_hit() {
             "{sql}: the inserted tuple is a candidate now"
         );
     }
+}
+
+/// The shared relation handle of `db` named `name`.
+fn relation_arc<'db>(db: &'db Database, name: &str) -> &'db std::sync::Arc<Relation> {
+    db.relations().iter().find(|r| r.schema().name() == name).expect("declared relation")
+}
+
+// ---------------------------------------------------------------------
+// Copy-on-write epochs on the sales database.
+// ---------------------------------------------------------------------
+
+/// `Market` comes last in the sales database, so a batch that writes
+/// only `Market` neither copies nor re-reads `Products` or `Orders`:
+/// the digest resumes at the end of `Orders` and reads `Market` alone.
+#[test]
+fn a_market_write_never_copies_or_rereads_products_or_orders() {
+    let db = qarith_datagen::sales::sales_database(&WorkloadScale::Tiny.params(), 2020);
+    let saved = DatabaseDigest::compute(&db, None);
+    let market = db.relation("Market").expect("sales has Market").tuples().to_vec();
+    let mut batch = WriteBatch::new();
+    batch
+        .update("Market", market[0].values().to_vec(), {
+            let mut new = market[0].values().to_vec();
+            new[1] = Value::NumNull(NumNullId(1 << 20));
+            new
+        })
+        .delete("Market", market[1].values().to_vec());
+
+    let mut next = db.clone();
+    let summary = next.apply_batch(&batch).expect("well-typed batch");
+    assert_eq!((summary.applied, summary.noops), (2, 0));
+    for name in ["Products", "Orders"] {
+        assert!(
+            std::sync::Arc::ptr_eq(relation_arc(&db, name), relation_arc(&next, name)),
+            "{name}"
+        );
+    }
+    let resumed = DatabaseDigest::compute(&next, Some((&db, &saved)));
+    assert_eq!(resumed.value(), database_digest(&next));
+    assert_eq!(resumed.rows_read(), next.relation("Market").unwrap().len());
+
+    // The same through the service: the published digest is the full
+    // digest of the shadow copy.
+    let service = QueryService::new(db, serve_config(0.25));
+    let outcome = service.apply(&batch).expect("well-typed batch");
+    assert_eq!(outcome.db_digest, database_digest(&next));
 }

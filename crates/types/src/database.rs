@@ -1,5 +1,6 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 use qarith_numeric::Rational;
 
@@ -12,9 +13,16 @@ use crate::value::{BaseNullId, BaseValue, NumNullId, Value};
 
 /// An incomplete database: a set of typed relations over constants and
 /// marked nulls.
+///
+/// Relations are shared copy-on-write: a clone costs one pointer per
+/// relation, and [`Database::relation_mut`] copies a relation only while
+/// another database still shares it. Mutating a clone therefore copies
+/// exactly the relations it writes to, and the ones it leaves alone
+/// stay shared with the original (`Arc::ptr_eq` on
+/// [`Database::relations`]).
 #[derive(Clone, Default)]
 pub struct Database {
-    relations: Vec<Relation>,
+    relations: Vec<Arc<Relation>>,
     by_name: HashMap<String, usize>,
 }
 
@@ -45,22 +53,23 @@ impl Database {
             return Err(TypeError::DuplicateRelation { relation: name });
         }
         self.by_name.insert(name, self.relations.len());
-        self.relations.push(relation);
+        self.relations.push(Arc::new(relation));
         Ok(())
     }
 
     /// Looks up a relation by name.
     pub fn relation(&self, name: &str) -> Option<&Relation> {
-        self.by_name.get(name).map(|&i| &self.relations[i])
+        self.by_name.get(name).map(|&i| &*self.relations[i])
     }
 
-    /// Mutable lookup.
+    /// Mutable lookup. Copies the relation first if another database
+    /// shares it (copy-on-write), so the sharer never sees the change.
     pub fn relation_mut(&mut self, name: &str) -> Option<&mut Relation> {
-        self.by_name.get(name).copied().map(move |i| &mut self.relations[i])
+        self.by_name.get(name).copied().map(move |i| Arc::make_mut(&mut self.relations[i]))
     }
 
-    /// All relations.
-    pub fn relations(&self) -> &[Relation] {
+    /// All relations, in the order they were added.
+    pub fn relations(&self) -> &[Arc<Relation>] {
         &self.relations
     }
 
@@ -170,7 +179,7 @@ impl Database {
     /// Summary statistics.
     pub fn stats(&self) -> DatabaseStats {
         DatabaseStats {
-            tuples: self.relations.iter().map(Relation::len).sum(),
+            tuples: self.relations.iter().map(|r| r.len()).sum(),
             base_nulls: self.base_nulls().len(),
             num_nulls: self.num_nulls().len(),
             relations: self.relations.len(),

@@ -28,12 +28,15 @@
 //!   distinct constants" reading used by naive evaluation and by the
 //!   bijective base valuations of Proposition 5.2;
 //! * [`WriteOp`], [`WriteBatch`] — tuple-level mutations (the serving
-//!   layer's epoch store applies these to evolve a live database).
+//!   layer's epoch store applies these to evolve a live database);
+//! * [`database_digest`], [`DatabaseDigest`] — the content digest that
+//!   names a database state, resumable after a write.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod database;
+mod digest;
 mod error;
 mod relation;
 mod schema;
@@ -43,6 +46,7 @@ mod value;
 mod write;
 
 pub use database::{Database, DatabaseStats};
+pub use digest::{database_digest, DatabaseDigest, DIGEST_SPAN};
 pub use error::TypeError;
 pub use relation::Relation;
 pub use schema::{Catalog, Column, RelationSchema, Sort};

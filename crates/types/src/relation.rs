@@ -10,7 +10,9 @@ use crate::value::Value;
 ///
 /// Tuples are kept in insertion order (deterministic evaluation and
 /// benchmarks) with a hash set alongside for set semantics — the model of
-/// §2 interprets relations as finite *sets*.
+/// §2 interprets relations as finite *sets*. The list and the set hold
+/// clones of one shared [`Tuple`] per row, so a row is stored once and
+/// cloning a relation copies no values.
 #[derive(Clone)]
 pub struct Relation {
     schema: RelationSchema,

@@ -1,21 +1,34 @@
 use std::fmt;
+use std::sync::Arc;
 
 use crate::value::Value;
 
 /// A database tuple: a fixed-width sequence of [`Value`]s.
 ///
-/// Tuples are immutable once built; the boxed-slice representation keeps
-/// them two words wide, which matters when relations hold hundreds of
-/// thousands of them.
+/// Tuples are immutable once built and stored as a shared slice
+/// (`Arc<[Value]>`): two words wide, which matters when relations hold
+/// hundreds of thousands of them, and a clone is a reference-count
+/// bump rather than a copy. A relation's row list and its set index
+/// therefore share one allocation per row, and a relation copied for
+/// a write shares every row it does not change with the original,
+/// which is how [`DatabaseDigest`](crate::DatabaseDigest) finds the
+/// rows a write left alone.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple {
-    values: Box<[Value]>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
     /// Builds a tuple from values.
-    pub fn new(values: impl Into<Box<[Value]>>) -> Tuple {
+    pub fn new(values: impl Into<Arc<[Value]>>) -> Tuple {
         Tuple { values: values.into() }
+    }
+
+    /// `true` iff both tuples are clones of one built tuple (pointer
+    /// identity, not value equality). Identity implies equality; the
+    /// converse fails for tuples built separately from equal values.
+    pub(crate) fn same_row(a: &Tuple, b: &Tuple) -> bool {
+        Arc::ptr_eq(&a.values, &b.values)
     }
 
     /// Width of the tuple.

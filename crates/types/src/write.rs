@@ -8,7 +8,9 @@
 //! inserting a present tuple and deleting an absent one are no-ops
 //! (counted, not errored — idempotent writes keep replay and
 //! generation simple), and an `UPDATE` whose `old` tuple is absent
-//! inserts nothing.
+//! inserts nothing. An `UPDATE` whose `old` tuple is present always
+//! counts as applied, even when `new` was already present: removing
+//! `old` alone changed the relation.
 //!
 //! Schemas are immutable: a write may only touch relations the
 //! database already declares (there is no DDL), so the catalog — and
@@ -16,7 +18,6 @@
 
 use crate::database::Database;
 use crate::error::TypeError;
-use crate::relation::Relation;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -112,29 +113,43 @@ pub struct WriteSummary {
 impl Database {
     /// Applies one mutation. Type checking happens before any change,
     /// so an `Err` leaves the database untouched; the `Ok` bool says
-    /// whether anything changed.
+    /// whether anything changed. The target relation is copied (if
+    /// shared, see [`Database::relation_mut`]) only when the op does
+    /// change it: a failing or no-op write leaves it shared.
     pub fn apply_write(&mut self, op: &WriteOp) -> Result<bool, TypeError> {
-        fn rel<'db>(db: &'db mut Database, name: &str) -> Result<&'db mut Relation, TypeError> {
-            db.relation_mut(name)
-                .ok_or_else(|| TypeError::UnknownRelation { relation: name.to_string() })
-        }
+        let name = op.relation();
+        let Some(current) = self.relation(name) else {
+            return Err(TypeError::UnknownRelation { relation: name.to_string() });
+        };
         match op {
-            WriteOp::Insert { relation, values } => {
-                rel(self, relation)?.insert(Tuple::new(values.clone()))
+            WriteOp::Insert { values, .. } => {
+                let tuple = Tuple::new(values.clone());
+                current.check_tuple(&tuple)?;
+                if current.contains(&tuple) {
+                    return Ok(false);
+                }
+                self.relation_mut(name).expect("looked up above").insert(tuple)
             }
-            WriteOp::Delete { relation, values } => {
-                Ok(rel(self, relation)?.remove(&Tuple::new(values.clone())))
+            WriteOp::Delete { values, .. } => {
+                let tuple = Tuple::new(values.clone());
+                if !current.contains(&tuple) {
+                    return Ok(false);
+                }
+                Ok(self.relation_mut(name).expect("looked up above").remove(&tuple))
             }
-            WriteOp::Update { relation, old, new } => {
-                let r = rel(self, relation)?;
+            WriteOp::Update { old, new, .. } => {
                 // Check the replacement first: a sort error must not
                 // leave the old tuple half-deleted.
-                r.check_tuple(&Tuple::new(new.clone()))?;
-                if r.remove(&Tuple::new(old.clone())) {
-                    r.insert(Tuple::new(new.clone()))
-                } else {
-                    Ok(false)
+                let new = Tuple::new(new.clone());
+                current.check_tuple(&new)?;
+                let old = Tuple::new(old.clone());
+                if !current.contains(&old) {
+                    return Ok(false);
                 }
+                let relation = self.relation_mut(name).expect("looked up above");
+                relation.remove(&old);
+                relation.insert(new)?;
+                Ok(true)
             }
         }
     }
@@ -142,6 +157,10 @@ impl Database {
     /// Applies a batch in order, atomically: the first error rolls the
     /// whole batch back (the database is restored to its pre-batch
     /// state), so callers never observe a partially-applied batch.
+    ///
+    /// The rollback copy is a [`Database::clone`], which shares every
+    /// relation; each relation the batch changes is then copied once,
+    /// on its first change, and the others stay shared.
     pub fn apply_batch(&mut self, batch: &WriteBatch) -> Result<WriteSummary, TypeError> {
         let before = self.clone();
         let mut summary = WriteSummary::default();
