@@ -14,6 +14,7 @@
 //! must fail the build, not silently relax it.
 
 use std::fmt;
+use std::path::Path;
 
 /// One class in the declared lock hierarchy. Classes are ranked by
 /// declaration order: a guard of class *i* may be acquired while
@@ -80,6 +81,24 @@ impl Config {
     /// The condvar rule a `.wait(..)` receiver chain matches, if any.
     pub fn condvar_of_chain(&self, chain: &[String]) -> Option<&CondvarRule> {
         self.condvars.iter().find(|r| r.wait.iter().any(|p| chain_matches(chain, p)))
+    }
+
+    /// Every `bit_pinned`, `clock_allowed` or `request_path` entry that
+    /// names no file or directory under `root`, as `key: entry`. A
+    /// stale entry (a module that moved) matches nothing, so its lint
+    /// would silently stop covering the code it was written for.
+    pub fn stale_scope_entries(&self, root: &Path) -> Vec<String> {
+        let scopes = [
+            ("bit_pinned", &self.bit_pinned),
+            ("clock_allowed", &self.clock_allowed),
+            ("request_path", &self.request_path),
+        ];
+        scopes
+            .into_iter()
+            .flat_map(|(key, entries)| entries.iter().map(move |entry| (key, entry)))
+            .filter(|(_, entry)| !root.join(entry).exists())
+            .map(|(key, entry)| format!("{key}: {entry}"))
+            .collect()
     }
 }
 

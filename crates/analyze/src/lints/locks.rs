@@ -1,9 +1,9 @@
 //! Lock-discipline lints against the declared hierarchy.
 //!
 //! `analyze.toml` declares the workspace's lock classes in outermost-
-//! first order (`AdmissionGate → PlanCache → ShardedNuCache shard →
-//! NuCache map`). Within one function body, this pass tracks which
-//! guards are held and flags:
+//! first order (`AdmissionGate → PlanCache → NuCacheDeltaIndex →
+//! NuCache shard`, among others). Within one function body, this pass
+//! tracks which guards are held and flags:
 //!
 //! * **`lock-order`** — acquiring a guard whose class rank is ≤ the
 //!   rank of any guard already held (equal rank included: two guards

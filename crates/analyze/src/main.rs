@@ -9,7 +9,8 @@
 //! [lint] message` diagnostics; `--json` additionally writes the
 //! machine-readable document CI uploads as an artifact. `--deny-all`
 //! (the CI mode) exits non-zero when any finding remains after pragma
-//! suppression.
+//! suppression. A configuration error, including a scope entry that
+//! names no file or directory under the root, exits 2.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -66,6 +67,15 @@ fn run() -> Result<usize, String> {
     let config_text = std::fs::read_to_string(&config_path)
         .map_err(|e| format!("reading {}: {e}", config_path.display()))?;
     let config = config::parse(&config_text).map_err(|e| e.to_string())?;
+    let stale = config.stale_scope_entries(&args.root);
+    if !stale.is_empty() {
+        return Err(format!(
+            "{}: scope entries name no file or directory under {}: {}",
+            config_path.display(),
+            args.root.display(),
+            stale.join(", ")
+        ));
+    }
 
     let files = if args.files.is_empty() {
         workspace_files(&args.root).map_err(|e| format!("walking {}: {e}", args.root.display()))?

@@ -119,6 +119,32 @@ fn without_deny_all_findings_report_but_exit_zero() {
 }
 
 #[test]
+fn a_scope_entry_naming_nothing_is_a_config_error() {
+    let root = corpus_root();
+    let text = std::fs::read_to_string(root.join("analyze.toml")).expect("corpus config");
+    let stale = text.replace(
+        r#"request_path = ["request"]"#,
+        r#"request_path = ["request", "request/moved.rs"]"#,
+    );
+    assert_ne!(stale, text, "the corpus config declares `request_path = [\"request\"]`");
+    let config_path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("stale_scope_analyze.toml");
+    std::fs::write(&config_path, stale).expect("config written");
+    let out = Command::new(env!("CARGO_BIN_EXE_qarith-analyze"))
+        .arg("--root")
+        .arg(&root)
+        .arg("--config")
+        .arg(&config_path)
+        .arg("--deny-all")
+        .arg(root.join("request/clean.rs"))
+        .output()
+        .expect("qarith-analyze runs");
+    std::fs::remove_file(&config_path).ok();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("request_path: request/moved.rs"), "{stderr}");
+}
+
+#[test]
 fn json_export_lists_every_finding() {
     let root = corpus_root();
     let json_path = root.join("../corpus_findings.json");

@@ -13,6 +13,8 @@ fn workspace_is_clean_under_the_checked_in_policy() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let text = std::fs::read_to_string(root.join("analyze.toml")).expect("checked-in analyze.toml");
     let cfg = config::parse(&text).expect("checked-in analyze.toml parses");
+    let stale = cfg.stale_scope_entries(&root);
+    assert!(stale.is_empty(), "analyze.toml scopes name missing paths: {stale:?}");
     let files = workspace_files(&root).expect("workspace walk");
     assert!(files.len() > 50, "walk found {} files — scope regressed?", files.len());
     let found = analyze_files(&root, &files, &cfg).expect("workspace readable");

@@ -38,11 +38,9 @@ fn per_query(c: &mut Criterion) {
             b.iter(|| harness.run_epsilon_batch(qi, EPSILON, SEED, SEQUENTIAL, None));
         });
         group.bench_with_input(BenchmarkId::new("batch_cold", &name), &qi, |b, &qi| {
-            b.iter(|| {
-                harness.run_epsilon_batch(qi, EPSILON, SEED, BATCH, Some(Arc::new(NuCache::new())))
-            });
+            b.iter(|| harness.run_epsilon_batch(qi, EPSILON, SEED, BATCH, Some(Arc::default())));
         });
-        let warm = Arc::new(NuCache::new());
+        let warm = Arc::new(NuCache::default());
         harness.run_epsilon_batch(qi, EPSILON, SEED, BATCH, Some(warm.clone()));
         group.bench_with_input(BenchmarkId::new("batch_warm", &name), &qi, |b, &qi| {
             b.iter(|| harness.run_epsilon_batch(qi, EPSILON, SEED, BATCH, Some(warm.clone())));
@@ -64,13 +62,13 @@ fn workload(c: &mut Criterion) {
     });
     group.bench_function("batch_cold", |b| {
         b.iter(|| {
-            let cache = Arc::new(NuCache::new());
+            let cache = Arc::new(NuCache::default());
             for &qi in &queries {
                 harness.run_epsilon_batch(qi, EPSILON, SEED, BATCH, Some(cache.clone()));
             }
         });
     });
-    let warm = Arc::new(NuCache::new());
+    let warm = Arc::new(NuCache::default());
     for &qi in &queries {
         harness.run_epsilon_batch(qi, EPSILON, SEED, BATCH, Some(warm.clone()));
     }

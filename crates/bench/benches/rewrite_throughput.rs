@@ -34,9 +34,7 @@ fn per_query(c: &mut Criterion) {
     for (qi, q) in harness.queries.iter().enumerate() {
         let name = q.name.replace(' ', "_");
         group.bench_with_input(BenchmarkId::new("batch", &name), &qi, |b, &qi| {
-            b.iter(|| {
-                harness.run_epsilon_batch(qi, EPSILON, SEED, BATCH, Some(Arc::new(NuCache::new())))
-            });
+            b.iter(|| harness.run_epsilon_batch(qi, EPSILON, SEED, BATCH, Some(Arc::default())));
         });
         group.bench_with_input(BenchmarkId::new("rewritten", &name), &qi, |b, &qi| {
             b.iter(|| {
@@ -45,7 +43,7 @@ fn per_query(c: &mut Criterion) {
                     EPSILON,
                     SEED,
                     BATCH,
-                    Some(Arc::new(NuCache::new())),
+                    Some(Arc::new(NuCache::default())),
                 )
             });
         });

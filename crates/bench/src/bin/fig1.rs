@@ -121,8 +121,8 @@ fn main() {
          rewrite_dim_after\n",
     );
     let epsilons = figure1_epsilons();
-    let cache = Arc::new(NuCache::new());
-    let rw_cache = Arc::new(NuCache::new());
+    let cache = Arc::new(NuCache::default());
+    let rw_cache = Arc::new(NuCache::default());
 
     for (qi, q) in harness.queries.iter().enumerate() {
         println!("Query: {}", q.name);
@@ -329,7 +329,7 @@ fn main() {
         // Cold workload-level comparison at the acceptance ε: fresh
         // caches for both configurations, all three queries back to back.
         let batch_start = std::time::Instant::now();
-        let cold = Arc::new(NuCache::new());
+        let cold = Arc::new(NuCache::default());
         for qi in 0..harness.queries.len() {
             harness.run_epsilon_batch(
                 qi,
@@ -341,7 +341,7 @@ fn main() {
         }
         let batch_time = secs(batch_start.elapsed());
         let rw_start = std::time::Instant::now();
-        let cold_rw = Arc::new(NuCache::new());
+        let cold_rw = Arc::new(NuCache::default());
         for qi in 0..harness.queries.len() {
             harness.run_epsilon_rewritten(
                 qi,

@@ -331,7 +331,7 @@ mod tests {
                 0.1,
                 7,
                 BatchOptions { threads: 4, dedup: true },
-                Some(Arc::new(NuCache::new())),
+                Some(Arc::new(NuCache::default())),
             );
             assert_eq!(sequential.estimates.len(), batch.estimates.len());
             for (s, b) in sequential.estimates.iter().zip(&batch.estimates) {

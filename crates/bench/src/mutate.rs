@@ -33,9 +33,10 @@
 
 use std::sync::Arc;
 
+use qarith_core::NuCacheConfig;
 use qarith_datagen::mutations::{sales_mutations, MutationShape};
 use qarith_datagen::{database_digest, QueryFamily};
-use qarith_serve::{QueryService, ServeConfig, ShardedCacheConfig};
+use qarith_serve::{QueryService, ServeConfig};
 use qarith_types::{Database, WriteBatch};
 
 use crate::serve::{
@@ -72,7 +73,7 @@ pub fn run_mutate_bench(config: &ServeBenchConfig) -> ServeBenchReport {
             db,
             ServeConfig {
                 options: serving_options(config.epsilon, config.seed),
-                cache: ShardedCacheConfig {
+                cache: NuCacheConfig {
                     shards: config.cache_shards,
                     budget_bytes: config.cache_budget_bytes,
                 },

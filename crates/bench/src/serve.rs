@@ -39,9 +39,9 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use qarith_core::afpras::{AfprasOptions, SampleCount};
-use qarith_core::{BatchOptions, MeasureOptions, MethodChoice};
+use qarith_core::{BatchOptions, MeasureOptions, MethodChoice, NuCacheConfig};
 use qarith_datagen::{database_digest, QueryFamily, WorkloadScale};
-use qarith_serve::{QueryResponse, QueryService, ServeConfig, ShardedCacheConfig};
+use qarith_serve::{QueryResponse, QueryService, ServeConfig};
 
 use crate::json::{parse, Json, JsonError};
 use crate::suite::{SCHEMA_NAME, SCHEMA_VERSION};
@@ -214,8 +214,8 @@ pub struct ServeBenchReport {
     /// Admission counters
     /// ([`qarith_serve::AdmissionStats::as_pairs`] names).
     pub admission: Vec<(String, u64)>,
-    /// Sharded ν-cache counters
-    /// ([`qarith_serve::ShardedCacheStats::as_pairs`] names).
+    /// ν-cache counters
+    /// ([`qarith_core::CacheStats::as_pairs`] names).
     pub cache: Vec<(String, u64)>,
     /// Wire-listener counters ([`qarith_net::NetStats::as_pairs`]
     /// names). Empty for in-process (`"serve"`) runs.
@@ -317,7 +317,7 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         db,
         ServeConfig {
             options: serving_options(config.epsilon, config.seed),
-            cache: ShardedCacheConfig {
+            cache: NuCacheConfig {
                 shards: config.cache_shards,
                 budget_bytes: config.cache_budget_bytes,
             },

@@ -188,7 +188,8 @@ pub struct ServingReport {
     pub queries: u64,
     /// Wall-clock seconds for the whole pass.
     pub seconds: f64,
-    /// ν-cache counters after the pass ([`qarith_core::CacheStats`]).
+    /// ν-cache hits, misses and entries after the pass
+    /// ([`qarith_core::CacheStats`]).
     pub cache: Vec<(String, u64)>,
 }
 
@@ -254,12 +255,12 @@ pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
     let db = qarith_datagen::sales::sales_database(&config.scale.params(), config.seed);
     let db_stats = db.stats();
     let db_digest = format!("{:#018x}", database_digest(&db));
-    let mut harnesses = Vec::with_capacity(config.families.len());
+    let mut harnesses: Vec<FamilyHarness> = Vec::with_capacity(config.families.len());
     for &family in &config.families {
         let spec = WorkloadSpec { scale: config.scale, family, seed: config.seed };
         let workload = qarith_datagen::Workload { spec, db: db.clone(), queries: family.queries() };
         let harness = Fig1Harness::from_workload(workload);
-        harnesses.push((family, harness, Arc::new(NuCache::new()), Arc::new(NuCache::new())));
+        harnesses.push((family, harness, Arc::default(), Arc::default()));
     }
 
     for (family, harness, batch_cache, rewrite_cache) in &harnesses {
@@ -289,7 +290,7 @@ pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
                         eps,
                         sample_seed,
                         config.batch(),
-                        Some(Arc::new(NuCache::new())),
+                        Some(Arc::new(NuCache::default())),
                     );
                     batch_secs = batch_secs.min(secs(cold.time));
                     let cold_rw = harness.run_epsilon_rewritten(
@@ -297,7 +298,7 @@ pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
                         eps,
                         sample_seed,
                         config.batch(),
-                        Some(Arc::new(NuCache::new())),
+                        Some(Arc::new(NuCache::default())),
                     );
                     rewrite_secs = rewrite_secs.min(secs(cold_rw.time));
                 }
@@ -421,8 +422,9 @@ fn serving_pass(config: &SuiteConfig, harnesses: &[FamilyHarness]) -> ServingRep
     let total_queries: usize = harnesses.iter().map(|(_, h, ..)| h.queries.len()).sum();
     let mut cache = [0u64; 3];
     for (_, _, batch_cache, _) in harnesses {
-        for (i, (_, v)) in batch_cache.stats().as_pairs().iter().enumerate() {
-            cache[i] += v;
+        let stats = batch_cache.stats();
+        for (total, v) in cache.iter_mut().zip([stats.hits, stats.misses, stats.entries]) {
+            *total += v;
         }
     }
     let names = ["hits", "misses", "entries"];

@@ -31,9 +31,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use qarith_core::NuCacheConfig;
 use qarith_datagen::{database_digest, QueryFamily};
 use qarith_net::{Decoded, NetClient, NetConfig, NetServer};
-use qarith_serve::{QueryService, ServeConfig, ShardedCacheConfig};
+use qarith_serve::{QueryService, ServeConfig};
 
 use crate::serve::{
     pairs, response_bits, serving_options, stage_latencies, LatencySummary, LoadMode,
@@ -70,7 +71,7 @@ pub fn run_wire_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         db,
         ServeConfig {
             options: serving_options(config.epsilon, config.seed),
-            cache: ShardedCacheConfig {
+            cache: NuCacheConfig {
                 shards: config.cache_shards,
                 budget_bytes: config.cache_budget_bytes,
             },

@@ -36,7 +36,7 @@ use crate::error::MeasureError;
 use crate::estimate::{CertaintyEstimate, Method};
 use crate::exact::{exact_applicable, try_exact};
 use crate::fpras::{fpras_estimate, FprasOptions};
-use crate::nucache::{CertaintyCache, NuCache};
+use crate::nucache::NuCache;
 use crate::zero_one::zero_one_measure;
 
 /// Which measure algorithm to use.
@@ -342,7 +342,7 @@ struct SharedSamplingCounters {
 #[derive(Clone, Debug, Default)]
 pub struct CertaintyEngine {
     options: MeasureOptions,
-    cache: Option<Arc<dyn CertaintyCache>>,
+    cache: Option<Arc<NuCache>>,
     shared_sampling: Arc<SharedSamplingCounters>,
 }
 
@@ -365,24 +365,11 @@ impl CertaintyEngine {
     }
 
     /// Attaches a persistent ν-cache, shared across batches (and across
-    /// engine clones). Cached values are bit-identical to fresh runs —
-    /// see [`crate::nucache`].
+    /// engine clones and any service holding the same `Arc`). Cached
+    /// values are bit-identical to fresh runs — see [`crate::nucache`].
     pub fn with_cache(mut self, cache: Arc<NuCache>) -> CertaintyEngine {
         self.cache = Some(cache);
         self
-    }
-
-    /// Attaches any [`CertaintyCache`] implementation — the hook
-    /// `qarith-serve` uses to substitute its bounded, sharded cache for
-    /// the unbounded [`NuCache`] on the serving path.
-    pub fn with_shared_cache(mut self, cache: Arc<dyn CertaintyCache>) -> CertaintyEngine {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// The attached ν-cache, if any.
-    pub fn cache(&self) -> Option<&dyn CertaintyCache> {
-        self.cache.as_deref()
     }
 
     /// The configured options.
@@ -698,30 +685,6 @@ impl CertaintyEngine {
     /// [`BatchPlan`] contains no measurements — execute it with
     /// [`CertaintyEngine::execute_plan`], as often as needed.
     pub fn prepare_batch(&self, candidates: Vec<CandidateAnswer>) -> BatchPlan {
-        self.prepare_batch_traced(candidates, None)
-    }
-
-    /// [`CertaintyEngine::prepare_batch`] with an optional stage sink:
-    /// when `sink` is given, the elapsed preparation time is recorded
-    /// under [`Stage::Prepare`]. Timing is **observational only** — the
-    /// duration flows into the sink and nowhere else, so the returned
-    /// plan is bit-identical with or without a sink (the sink is not
-    /// consulted, only written).
-    pub fn prepare_batch_traced(
-        &self,
-        candidates: Vec<CandidateAnswer>,
-        sink: Option<&mut (dyn StageSink + '_)>,
-    ) -> BatchPlan {
-        // analyze: allow(nondet-source, reason = "observational span timing: the instant flows only into the StageSink, never into plan or measurement state; read-back from pinned code is barred by the trace-flow lint")
-        let begun = sink.is_some().then(std::time::Instant::now);
-        let plan = self.prepare_batch_inner(candidates);
-        if let (Some(sink), Some(begun)) = (sink, begun) {
-            sink.record_stage(Stage::Prepare, observed_nanos(begun));
-        }
-        plan
-    }
-
-    fn prepare_batch_inner(&self, candidates: Vec<CandidateAnswer>) -> BatchPlan {
         // Groups: the work to measure (the structural canonical form
         // when dedup is on — bit-identical to the member formulas — or
         // the original formula verbatim when dedup is off; with
@@ -781,38 +744,28 @@ impl CertaintyEngine {
     /// The back half of [`CertaintyEngine::measure_batch`]: look every
     /// plan group up in the engine's ν-cache, measure the misses
     /// concurrently, publish fresh results, and rehydrate per-candidate
-    /// answers (cloned out of the plan, which remains reusable).
+    /// answers (cloned out of the plan, which remains reusable). The
+    /// ν-cache consultation, the measurement fan-out, and the
+    /// rehydration pass record their durations into `sink` under
+    /// [`Stage::NuLookup`], [`Stage::Measure`], and [`Stage::Rehydrate`].
     ///
     /// Estimates are **bit-identical** to
     /// [`CertaintyEngine::measure_batch`] over the same candidates with
     /// the same options — the plan *is* that call's front half — and
     /// therefore also to the plain sequential loop (see
     /// [`CertaintyEngine::measure_batch`]). Cache state only shifts
-    /// work between lookup and recomputation.
-    pub fn execute_plan(&self, plan: &BatchPlan) -> Result<BatchOutcome, MeasureError> {
-        self.execute_plan_traced(plan, None)
-    }
-
-    /// [`CertaintyEngine::execute_plan`] with an optional stage sink:
-    /// when `sink` is given, the ν-cache consultation, the measurement
-    /// fan-out, and the rehydration pass record their durations under
-    /// [`Stage::NuLookup`], [`Stage::Measure`], and
-    /// [`Stage::Rehydrate`]. Timing is **observational only**: the
-    /// sink is written, never read, so estimates stay bit-identical to
-    /// the untraced call (the determinism contract of
-    /// [`CertaintyEngine::execute_plan`] is unchanged).
-    pub fn execute_plan_traced(
+    /// work between lookup and recomputation, and timing is
+    /// observational only: the sink is written, never read.
+    pub fn execute_plan(
         &self,
         plan: &BatchPlan,
-        mut sink: Option<&mut (dyn StageSink + '_)>,
+        sink: &mut dyn StageSink,
     ) -> Result<BatchOutcome, MeasureError> {
-        let (results, stats) = self.run_plan(plan, sink.as_deref_mut());
+        let (results, stats) = self.run_plan(plan, Some(&mut *sink));
         // analyze: allow(nondet-source, reason = "observational span timing: the instant flows only into the StageSink, never into the rehydrated answers; read-back from pinned code is barred by the trace-flow lint")
-        let begun = sink.is_some().then(std::time::Instant::now);
+        let begun = std::time::Instant::now();
         let outcome = rehydrate(plan.candidates.iter().cloned(), &plan.slots, results, stats);
-        if let (Some(sink), Some(begun)) = (sink, begun) {
-            sink.record_stage(Stage::Rehydrate, observed_nanos(begun));
-        }
+        sink.record_stage(Stage::Rehydrate, observed_nanos(begun));
         outcome
     }
 
@@ -820,7 +773,7 @@ impl CertaintyEngine {
     /// misses, trace aggregation, cache publication. Returns per-group
     /// results (in plan group order) plus the filled-in stats. The
     /// optional sink receives the ν-lookup and measurement durations;
-    /// it is write-only (see [`CertaintyEngine::execute_plan_traced`]).
+    /// it is write-only (see [`CertaintyEngine::execute_plan`]).
     #[allow(clippy::type_complexity)]
     fn run_plan(
         &self,
@@ -849,8 +802,7 @@ impl CertaintyEngine {
                 (Some(cache), Some(key)) => cache.get(key, fingerprint),
                 _ => None,
             };
-            if let Some(mut est) = served {
-                est.cached = true;
+            if let Some(est) = served {
                 stats.cache_hits += 1;
                 results.push(Some(Ok(est)));
             } else {
@@ -1279,7 +1231,7 @@ mod tests {
     #[test]
     fn nu_cache_serves_across_batches() {
         let (a, b) = renamed_pair();
-        let cache = std::sync::Arc::new(NuCache::new());
+        let cache = std::sync::Arc::new(NuCache::default());
         let engine = CertaintyEngine::new(MeasureOptions {
             method: MethodChoice::Afpras,
             ..MeasureOptions::default()

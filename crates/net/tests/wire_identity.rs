@@ -202,10 +202,10 @@ fn metrics_scrape_works_alongside_query_traffic() {
             "qarith_sharded_cache_hits ",
             "qarith_batch_candidates ",
             "qarith_rewrite_groups ",
-            "qarith_nucache_hits 0",
         ] {
             assert!(body.contains(needle), "scrape missing `{needle}`:\n{body}");
         }
+        assert!(!body.contains("qarith_nucache_"), "scrape has a retired family:\n{body}");
         scrapes += 1;
     }
     assert_eq!(scrapes, 5, "five clean scrapes under load");

@@ -14,20 +14,20 @@
 //! `qarith-engine`, which it drives):
 //!
 //! * [`QueryService`] ([`service`]) — a thread-safe, long-lived handle
-//!   owning one loaded database and one [`CertaintyEngine`]; clients
-//!   submit SQL text from any number of threads.
+//!   owning one loaded database, one [`CertaintyEngine`], and the
+//!   engine's [`NuCache`]; clients submit SQL text from any number of
+//!   threads.
 //! * **Prepared plans** — parse → lower → ground → canonicalize/dedup
 //!   → rewrite runs **once per query template**, keyed by the
 //!   normalized SQL fingerprint of [`qarith_sql::fingerprint`]; repeat
 //!   traffic (however it spells whitespace, keyword case, aliases, or
 //!   literals) skips the whole front half and goes straight to
 //!   per-group ν lookup via [`CertaintyEngine::execute_plan`].
-//! * **A bounded, sharded ν-cache** ([`shard`]) — N independently
-//!   locked shards with per-shard LRU eviction under a configurable
-//!   memory budget, replacing the unbounded single-lock
-//!   [`NuCache`](qarith_core::NuCache) on the serving path (the
-//!   single-shot routes keep `NuCache`, bit-pinned). Eviction can only
-//!   cost recomputation, never change a certainty — see [`shard`].
+//! * **A bounded, sharded ν-cache** — the one [`NuCache`] of
+//!   `qarith-core`, sized by [`ServeConfig::cache`]: N independently
+//!   locked shards with per-shard LRU eviction under a memory budget.
+//!   Eviction can only cost recomputation, never change a certainty —
+//!   see [`qarith_core::nucache`].
 //! * **Admission control** ([`admission`]) — a max-in-flight gate, so
 //!   overload degrades to queueing instead of collapse.
 //! * **A live write path** ([`epoch`]) — `INSERT`/`DELETE`/`UPDATE`
@@ -72,6 +72,7 @@
 //!
 //! [`CertaintyEngine`]: qarith_core::CertaintyEngine
 //! [`CertaintyEngine::execute_plan`]: qarith_core::CertaintyEngine::execute_plan
+//! [`NuCache`]: qarith_core::NuCache
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,13 +81,11 @@ pub mod admission;
 pub mod epoch;
 mod error;
 pub mod service;
-pub mod shard;
 
 pub use admission::{AdmissionGate, AdmissionPermit, AdmissionStats};
 pub use epoch::{Snapshot, WriteOutcome};
 pub use error::ServeError;
 pub use service::{QueryResponse, QueryService, ServeConfig, ServiceStats};
-pub use shard::{ShardedCacheConfig, ShardedCacheStats, ShardedNuCache};
 
 /// The content digest that names an epoch's database
 /// ([`Snapshot::digest`], [`QueryResponse::db_digest`]). One function,

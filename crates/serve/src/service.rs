@@ -5,7 +5,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use qarith_core::{
-    AnswerWithCertainty, BatchPlan, BatchStats, CertaintyCache, CertaintyEngine, MeasureOptions,
+    AnswerWithCertainty, BatchPlan, BatchStats, CacheStats, CertaintyEngine, MeasureOptions,
+    NuCache, NuCacheConfig,
 };
 use qarith_engine::cq;
 use qarith_query::Formula;
@@ -15,7 +16,6 @@ use qarith_types::{Catalog, Database, WriteBatch, WriteOp};
 use crate::admission::{AdmissionGate, AdmissionStats};
 use crate::epoch::{Snapshot, WriteOutcome};
 use crate::error::ServeError;
-use crate::shard::{ShardedCacheConfig, ShardedCacheStats, ShardedNuCache};
 
 /// Configuration of a [`QueryService`].
 #[derive(Clone, Debug)]
@@ -29,8 +29,8 @@ pub struct ServeConfig {
     ///
     /// [`BatchOptions::threads`]: qarith_core::BatchOptions
     pub options: MeasureOptions,
-    /// Sharding and memory budget of the serving-path ν-cache.
-    pub cache: ShardedCacheConfig,
+    /// Sharding and memory budget of the service's ν-cache.
+    pub cache: NuCacheConfig,
     /// Admission-control cap on concurrently executing queries;
     /// arrivals beyond it queue (see [`crate::admission`]).
     pub max_in_flight: usize,
@@ -57,7 +57,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             options: MeasureOptions::default(),
-            cache: ShardedCacheConfig::default(),
+            cache: NuCacheConfig::default(),
             max_in_flight: 64,
             max_plans: 1024,
             slow_threshold_nanos: 0,
@@ -162,7 +162,7 @@ pub struct QueryResponse {
 ///    ([`CertaintyEngine::prepare_batch`]) and publish the plan;
 /// 5. **execute** — run the plan's back half
 ///    ([`CertaintyEngine::execute_plan`]) against the bounded sharded
-///    ν-cache: per-group cache lookup, measurement of the misses only.
+///    [`NuCache`]: per-group cache lookup, measurement of the misses only.
 ///
 /// Writes ([`QueryService::apply`]) run beside reads: one writer at a
 /// time clones the current database (copy-on-write, so only the
@@ -194,7 +194,7 @@ pub struct QueryService {
     epoch_writer: Mutex<()>,
     catalog: Catalog,
     engine: CertaintyEngine,
-    cache: Arc<ShardedNuCache>,
+    cache: Arc<NuCache>,
     plans: RwLock<HashMap<String, PlanEntry>>,
     max_plans: usize,
     plan_tick: AtomicU64,
@@ -324,9 +324,8 @@ impl QueryService {
     pub fn new(db: Database, config: ServeConfig) -> QueryService {
         let tracer = Tracer::new();
         tracer.set_slow_threshold(config.slow_threshold_nanos);
-        let cache = Arc::new(ShardedNuCache::new(config.cache));
-        let engine = CertaintyEngine::new(config.options)
-            .with_shared_cache(cache.clone() as Arc<dyn CertaintyCache>);
+        let cache = Arc::new(NuCache::new(config.cache));
+        let engine = CertaintyEngine::new(config.options).with_cache(cache.clone());
         let catalog = db.catalog();
         QueryService {
             snapshot: RwLock::new(Arc::new(Snapshot::initial(db))),
@@ -399,7 +398,7 @@ impl QueryService {
         // many epochs writers publish meanwhile.
         let snap = self.snapshot()?;
         let (plan, plan_cached) = self.plan_for(sql, &fingerprint, &snap, trace)?;
-        let outcome = self.engine.execute_plan_traced(&plan, Some(trace))?;
+        let outcome = self.engine.execute_plan(&plan, trace)?;
         self.totals.absorb(&outcome.stats);
         Ok(QueryResponse {
             answers: outcome.answers,
@@ -551,7 +550,8 @@ impl QueryService {
         // A poisoned plan-cache lock means an earlier request panicked
         // while publishing; the map may hold a half-finished update, so
         // fail this request cleanly rather than trusting it (the
-        // ν-cache, by contrast, can degrade to misses — see `shard`).
+        // ν-cache, by contrast, can degrade to misses — see
+        // `qarith_core::nucache`).
         fn poisoned<Guard>(_: std::sync::PoisonError<Guard>) -> ServeError {
             ServeError::LockPoisoned("plan cache")
         }
@@ -618,31 +618,29 @@ impl QueryService {
     /// catalog, generate candidates under the template's LIMIT
     /// semantics (folded into the executor options), prepare the
     /// batch. Returns the plan plus its relation-version dependencies
-    /// against `snap`. Both the SQL front (parse, lower, candidate
-    /// generation — "grounding") and the engine's batch preparation
-    /// accumulate into [`Stage::Prepare`]: together they are the
-    /// template-build cost a plan-cache hit saves.
+    /// against `snap`. One [`Stage::Prepare`] span covers both the SQL
+    /// front (parse, lower, candidate generation — "grounding") and the
+    /// engine's batch preparation: together they are the template-build
+    /// cost a plan-cache hit saves.
     fn build_plan(
         &self,
         sql: &str,
         snap: &Snapshot,
         trace: &mut RequestTrace,
     ) -> Result<(BatchPlan, Vec<(String, u64)>), ServeError> {
-        let (candidates, deps) = {
-            let _span = trace.span(Stage::Prepare);
-            let lowered = qarith_sql::compile(sql, &self.catalog)?;
-            let mut relations = BTreeSet::new();
-            collect_relations(lowered.query.body(), &mut relations);
-            let deps: Vec<(String, u64)> = relations
-                .into_iter()
-                .map(|rel| {
-                    let version = snap.version_of(&rel);
-                    (rel, version)
-                })
-                .collect();
-            (cq::execute(&lowered.query, &snap.db, &lowered.cq_options())?, deps)
-        };
-        Ok((self.engine.prepare_batch_traced(candidates, Some(trace)), deps))
+        let _span = trace.span(Stage::Prepare);
+        let lowered = qarith_sql::compile(sql, &self.catalog)?;
+        let mut relations = BTreeSet::new();
+        collect_relations(lowered.query.body(), &mut relations);
+        let deps: Vec<(String, u64)> = relations
+            .into_iter()
+            .map(|rel| {
+                let version = snap.version_of(&rel);
+                (rel, version)
+            })
+            .collect();
+        let candidates = cq::execute(&lowered.query, &snap.db, &lowered.cq_options())?;
+        Ok((self.engine.prepare_batch(candidates), deps))
     }
 
     /// The engine's options (fixed for the service's lifetime).
@@ -669,8 +667,8 @@ impl QueryService {
         }
     }
 
-    /// Counters of the bounded sharded ν-cache.
-    pub fn cache_stats(&self) -> ShardedCacheStats {
+    /// Counters of the service's ν-cache.
+    pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 

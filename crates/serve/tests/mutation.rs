@@ -21,9 +21,9 @@
 
 use proptest::prelude::*;
 use qarith_core::afpras::{AfprasOptions, SampleCount};
-use qarith_core::{BatchOptions, MeasureOptions, MethodChoice};
+use qarith_core::{BatchOptions, MeasureOptions, MethodChoice, NuCacheConfig};
 use qarith_datagen::WorkloadScale;
-use qarith_serve::{database_digest, QueryResponse, QueryService, ServeConfig, ShardedCacheConfig};
+use qarith_serve::{database_digest, QueryResponse, QueryService, ServeConfig};
 use qarith_types::{
     Column, Database, DatabaseDigest, NumNullId, Relation, RelationSchema, Value, WriteBatch,
     WriteOp,
@@ -49,7 +49,7 @@ fn paper_options(epsilon: f64, seed: u64) -> MeasureOptions {
 fn serve_config(epsilon: f64) -> ServeConfig {
     ServeConfig {
         options: paper_options(epsilon, 77),
-        cache: ShardedCacheConfig { shards: 4, budget_bytes: 64 << 20 },
+        cache: NuCacheConfig { shards: 4, budget_bytes: 64 << 20 },
         ..ServeConfig::default()
     }
 }

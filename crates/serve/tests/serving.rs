@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use qarith_core::afpras::{AfprasOptions, SampleCount};
-use qarith_core::{BatchOptions, MeasureOptions, MethodChoice};
+use qarith_core::{BatchOptions, MeasureOptions, MethodChoice, NuCacheConfig};
 use qarith_datagen::{QueryFamily, WorkloadScale};
-use qarith_serve::{QueryResponse, QueryService, ServeConfig, ShardedCacheConfig};
+use qarith_serve::{QueryResponse, QueryService, ServeConfig};
 use qarith_types::Database;
 
 fn tiny_db() -> Database {
@@ -46,7 +46,7 @@ fn paper_options(epsilon: f64, seed: u64) -> MeasureOptions {
 fn config_with_budget(budget_bytes: usize) -> ServeConfig {
     ServeConfig {
         options: paper_options(0.1, 77),
-        cache: ShardedCacheConfig { shards: 4, budget_bytes },
+        cache: NuCacheConfig { shards: 4, budget_bytes },
         ..ServeConfig::default()
     }
 }

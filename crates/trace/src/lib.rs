@@ -186,10 +186,10 @@ impl RequestId {
     }
 }
 
-/// A sink for per-stage durations. `qarith-core`'s traced pipeline
-/// entry points accept `Option<&mut dyn StageSink>` so the core crate
-/// records stage timings without depending on the full tracer surface;
-/// [`RequestTrace`] is the canonical implementation.
+/// A sink for per-stage durations. `qarith-core`'s
+/// `CertaintyEngine::execute_plan` takes a `&mut dyn StageSink`, so the
+/// core crate records stage timings without depending on the full
+/// tracer surface; [`RequestTrace`] is the canonical implementation.
 pub trait StageSink {
     /// Adds `nanos` to the running duration of `stage`.
     fn record_stage(&mut self, stage: Stage, nanos: u64);

@@ -184,7 +184,7 @@ proptest! {
             batch: BatchOptions { threads: 1, dedup: false },
             ..options.clone()
         });
-        let cache = std::sync::Arc::new(NuCache::new());
+        let cache = std::sync::Arc::new(NuCache::default());
         let batched = CertaintyEngine::new(MeasureOptions {
             batch: BatchOptions { threads: 4, dedup: true },
             ..options
@@ -254,32 +254,46 @@ fn batch_matches_sequential_on_the_sales_workload() {
 
     let db = sales_database(&SalesScale::tiny(), 2020);
     let catalog = sales_catalog();
-    for (name, sql) in paper_queries() {
-        let lowered = qarith::sql::compile(sql, &catalog).unwrap();
-        let candidates = cq::execute(&lowered.query, &db, &lowered.cq_options()).unwrap();
-        for method in [MethodChoice::Auto, MethodChoice::Afpras] {
-            let options = MeasureOptions { method, ..MeasureOptions::default() };
-            let sequential = CertaintyEngine::new(MeasureOptions {
-                batch: BatchOptions { threads: 1, dedup: false },
-                ..options.clone()
-            });
-            let batched = CertaintyEngine::new(MeasureOptions {
-                batch: BatchOptions { threads: 4, dedup: true },
-                ..options
-            })
-            .with_cache(std::sync::Arc::new(NuCache::new()));
+    // One shard with room for one entry (a sales entry accounts for
+    // about 230 bytes): nearly every insert evicts, so repeat runs mix
+    // hits with recomputation.
+    let starved = NuCacheConfig { shards: 1, budget_bytes: 384 };
+    for method in [MethodChoice::Auto, MethodChoice::Afpras] {
+        let options = MeasureOptions { method, ..MeasureOptions::default() };
+        let sequential = CertaintyEngine::new(MeasureOptions {
+            batch: BatchOptions { threads: 1, dedup: false },
+            ..options.clone()
+        });
+        let batched_options =
+            MeasureOptions { batch: BatchOptions { threads: 4, dedup: true }, ..options };
+        let starved_cache = std::sync::Arc::new(NuCache::new(starved));
+        let starved_engine =
+            CertaintyEngine::new(batched_options.clone()).with_cache(starved_cache.clone());
+        for (name, sql) in paper_queries() {
+            let lowered = qarith::sql::compile(sql, &catalog).unwrap();
+            let candidates = cq::execute(&lowered.query, &db, &lowered.cq_options()).unwrap();
+            let batched = CertaintyEngine::new(batched_options.clone())
+                .with_cache(std::sync::Arc::new(NuCache::default()));
             let s = sequential.measure_candidates(candidates.clone()).unwrap();
             let b = batched.measure_candidates(candidates.clone()).unwrap();
-            assert_eq!(s.len(), b.len());
-            for (x, y) in s.iter().zip(&b) {
-                assert_eq!(
-                    bits(&x.certainty),
-                    bits(&y.certainty),
-                    "{name} / {method:?} / {}",
-                    x.tuple
-                );
+            let starved_runs = [
+                starved_engine.measure_candidates(candidates.clone()).unwrap(),
+                starved_engine.measure_candidates(candidates.clone()).unwrap(),
+            ];
+            for answers in [&b, &starved_runs[0], &starved_runs[1]] {
+                assert_eq!(s.len(), answers.len());
+                for (x, y) in s.iter().zip(answers) {
+                    assert_eq!(
+                        bits(&x.certainty),
+                        bits(&y.certainty),
+                        "{name} / {method:?} / {}",
+                        x.tuple
+                    );
+                }
             }
         }
+        let stats = starved_cache.stats();
+        assert!(stats.evictions > 0, "{method:?}: the starved cache must evict: {stats:?}");
     }
 }
 

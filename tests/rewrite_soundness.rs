@@ -196,7 +196,7 @@ proptest! {
         formulas in prop::collection::vec(linear_formula(3), 1..5),
     ) {
         let eng = engine(MethodChoice::Auto, true)
-            .with_cache(std::sync::Arc::new(NuCache::new()));
+            .with_cache(std::sync::Arc::new(NuCache::default()));
         let candidates: Vec<CandidateAnswer> = formulas.iter().enumerate().map(|(i, f)| {
             CandidateAnswer {
                 tuple: Tuple::new(vec![Value::int(i as i64)]),
