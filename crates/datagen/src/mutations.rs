@@ -11,12 +11,19 @@
 //! `serve_bench --mutate` CI gate replays the exact same write
 //! workload every run.
 //!
-//! Every op is constructed to *apply* (never a no-op): inserts mint
-//! ids/keys from a fresh range far above anything the generator
+//! Every op is constructed to *apply*, with one rare exception: inserts
+//! mint ids/keys from a fresh range far above anything the generator
 //! produced, and deletes/updates consume distinct existing tuples
-//! tracked in a shadow working set. Callers can therefore predict the
-//! serving counters exactly: applying the stream to the database it
-//! was derived from yields `applied == total ops, noops == 0`.
+//! tracked in a shadow working set. The exception is a `Market` update
+//! that redraws the row's current `rrp` and `dis`, which replaces the
+//! tuple by itself, a no-op under set semantics. It needs a row whose
+//! current values an earlier update drew, so it shows up only in long
+//! streams: over 3,000 four-op batches on the medium database, the
+//! streams of perfbench's `write_mix` for seeds 1001–1003, 42 and 4242
+//! hold 0, 5, 2, 3 and 0 of them, the first at batch 1,500. Short
+//! streams, such as the 8-batch stream of `serve_bench --mutate` and of
+//! the tests below, hold none, and applying them to the database they
+//! were derived from yields `applied == total ops, noops == 0`.
 
 use qarith_types::{Database, NumNullId, Value, WriteBatch};
 use rand::rngs::StdRng;

@@ -1,8 +1,11 @@
 //! Join-based executor for conjunctive queries over incomplete databases.
 //!
 //! For a CQ `q(x̄) = ∃ȳ (R₁ ∧ … ∧ R_k ∧ eqs ∧ cmps)` the executor
-//! enumerates join homomorphisms with hash indexes on base-sort columns
-//! (base nulls join as fresh constants, per Proposition 5.2) and turns
+//! enumerates join homomorphisms in a greedy atom order, probing each
+//! relation's shared per-column index ([`qarith_types::ColumnIndex`],
+//! built once per relation version, not per query) on the first
+//! base-sort column that is bound when the atom is reached (base nulls
+//! join as fresh constants, per Proposition 5.2), and turns
 //! every numerical condition that is not decided by constants into a
 //! *residual* constraint atom over the null variables `z̄`. Each completed
 //! homomorphism yields one output row: a candidate tuple plus the
@@ -26,10 +29,10 @@ use std::sync::Arc;
 use qarith_constraints::{Atom, ConstraintOp, Polynomial, QfFormula};
 use qarith_numeric::Rational;
 use qarith_query::{Arg, BaseTerm, CompareOp, Formula, Ident, NumTerm, Query, TypedVar};
-use qarith_types::{Database, Sort, Tuple, Value};
+use qarith_types::{ColumnIndex, Database, Sort, Tuple, Value};
 
 use crate::domain::ActiveDomain;
-use crate::env::{null_var, term_to_polynomial, Bound, Env};
+use crate::env::{base_term_value, null_var, term_to_polynomial, Bound, Env};
 use crate::error::EngineError;
 use crate::ground::constraint_op;
 
@@ -161,14 +164,18 @@ fn decompose(f: &Formula, body: &mut CqBody) -> Result<(), EngineError> {
     }
 }
 
-/// A join-plan entry: one relation atom with a hash index on the base
-/// columns that are bound when this atom is probed.
+/// A join-plan entry: one relation atom, the base arguments that are
+/// bound when it is reached, and the relation's index on the first of
+/// them.
 struct PlannedAtom<'a> {
     args: Vec<Arg>,
-    key_cols: Vec<usize>,
-    index: HashMap<Vec<Value>, Vec<u32>>,
+    /// `(column, term)` for every constant base argument and every base
+    /// variable an earlier atom binds. Empty for a scan.
+    key: Vec<(usize, BaseTerm)>,
     tuples: &'a [Tuple],
-    all: Vec<u32>,
+    /// The relation's shared index on the first key column (`None` for
+    /// a scan).
+    index: Option<&'a ColumnIndex>,
 }
 
 /// A numerical comparison filter with its variable support, applied as
@@ -183,10 +190,10 @@ struct PlannedFilter {
 
 /// Union-find over base terms, used to turn top-level equality filters
 /// (`P.seg = M.seg`) into *shared variables*, so that equi-joins probe
-/// hash indexes instead of filtering cross products. This is what makes
-/// the 200K-tuple §9 workloads run in milliseconds: without it a
-/// three-table query with equality predicates enumerates the full cross
-/// product.
+/// the relations' column indexes instead of filtering cross products.
+/// This is what makes the 200K-tuple §9 workloads run in milliseconds:
+/// without it a three-table query with equality predicates enumerates
+/// the full cross product.
 struct Unifier {
     map: HashMap<Ident, BaseTerm>,
 }
@@ -324,6 +331,20 @@ pub fn execute(
         }
     }
     let dom = if uncovered.is_empty() { None } else { Some(ActiveDomain::collect(db, query, &[])) };
+    // Each uncovered variable with the active-domain values of its sort.
+    let uncovered: Vec<(Ident, &[Value])> = match &dom {
+        None => Vec::new(),
+        Some(dom) => uncovered
+            .into_iter()
+            .map(|v| {
+                let values = match v.sort {
+                    Sort::Base => dom.base(),
+                    Sort::Num => dom.num(),
+                };
+                (v.name, values)
+            })
+            .collect(),
+    };
 
     let mut exec = Executor {
         plan: &plan,
@@ -331,7 +352,6 @@ pub fn execute(
         applied: vec![false; filters.len()],
         head: &head,
         uncovered: &uncovered,
-        dom: dom.as_ref(),
         opts,
         env: Env::new(),
         residuals: Vec::new(),
@@ -350,7 +370,8 @@ pub fn execute(
                 break;
             }
         }
-        let state = candidates.remove(&key).expect("candidate recorded");
+        // Every key in `order` was recorded with its state.
+        let Some(state) = candidates.remove(&key) else { continue };
         let certain = state.certain;
         let derivations = state.disjuncts.len();
         let formula =
@@ -401,26 +422,22 @@ fn plan_join<'a>(body: &CqBody, db: &'a Database) -> Result<Vec<PlannedAtom<'a>>
         let relation = db
             .relation(&rel)
             .ok_or_else(|| EngineError::UnknownRelation { relation: rel.to_string() })?;
-        let key_cols: Vec<usize> = args
+        let key: Vec<(usize, BaseTerm)> = args
             .iter()
             .enumerate()
-            .filter(|(_, a)| match a {
-                Arg::Base(BaseTerm::Const(_)) => true,
-                Arg::Base(BaseTerm::Var(x)) => bound.contains(x),
-                Arg::Num(_) => false,
+            .filter_map(|(i, a)| match a {
+                Arg::Base(t @ BaseTerm::Const(_)) => Some((i, t.clone())),
+                Arg::Base(t @ BaseTerm::Var(x)) if bound.contains(x) => Some((i, t.clone())),
+                Arg::Base(BaseTerm::Var(_)) | Arg::Num(_) => None,
             })
-            .map(|(i, _)| i)
             .collect();
-
-        let mut index: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-        let mut all = Vec::with_capacity(relation.len());
-        for (i, t) in relation.tuples().iter().enumerate() {
-            all.push(i as u32);
-            if !key_cols.is_empty() {
-                let key: Vec<Value> = key_cols.iter().map(|&c| t.get(c).clone()).collect();
-                index.entry(key).or_default().push(i as u32);
-            }
-        }
+        let index = key
+            .first()
+            .map(|&(column, _)| {
+                let unindexable = || EngineError::Unindexable { relation: rel.to_string(), column };
+                relation.column_index(column).ok_or_else(unindexable)
+            })
+            .transpose()?;
 
         for a in &args {
             match a {
@@ -433,7 +450,7 @@ fn plan_join<'a>(body: &CqBody, db: &'a Database) -> Result<Vec<PlannedAtom<'a>>
                 _ => {}
             }
         }
-        plan.push(PlannedAtom { args, key_cols, index, tuples: relation.tuples(), all });
+        plan.push(PlannedAtom { args, key, tuples: relation.tuples(), index });
     }
     Ok(plan)
 }
@@ -472,8 +489,7 @@ struct Executor<'a> {
     filters: &'a [PlannedFilter],
     applied: Vec<bool>,
     head: &'a [HeadBinding],
-    uncovered: &'a [TypedVar],
-    dom: Option<&'a ActiveDomain>,
+    uncovered: &'a [(Ident, &'a [Value])],
     opts: &'a CqOptions,
     env: Env,
     residuals: Vec<Atom>,
@@ -488,49 +504,52 @@ impl<'a> Executor<'a> {
         if self.done {
             return Ok(());
         }
-        if depth == self.plan.len() {
+        let plan = self.plan;
+        let Some(atom) = plan.get(depth) else {
             return self.enumerate_uncovered(0);
-        }
-        let atom = &self.plan[depth];
-        let ids: Vec<u32> = if atom.key_cols.is_empty() {
-            atom.all.clone()
-        } else {
-            let mut key = Vec::with_capacity(atom.key_cols.len());
-            for &c in &atom.key_cols {
-                match &atom.args[c] {
-                    Arg::Base(BaseTerm::Const(v)) => key.push(Value::Base(v.clone())),
-                    Arg::Base(BaseTerm::Var(x)) => match self.env.get(x) {
-                        Some(Bound::Base(v)) => key.push(v.clone()),
-                        _ => return Err(EngineError::UnboundVariable { var: x.to_string() }),
-                    },
-                    Arg::Num(_) => unreachable!("numerical columns are never keys"),
-                }
-            }
-            match atom.index.get(&key) {
-                Some(v) => v.clone(),
-                None => return Ok(()),
-            }
         };
-        for id in ids {
+        let Some(index) = atom.index else {
+            for tuple in atom.tuples {
+                if self.done {
+                    break;
+                }
+                self.try_tuple(depth, atom, tuple)?;
+            }
+            return Ok(());
+        };
+        let mut key = Vec::with_capacity(atom.key.len());
+        for (column, term) in &atom.key {
+            key.push((*column, base_term_value(term, &self.env)?));
+        }
+        let Some((_, first)) = key.first() else { return Ok(()) };
+        // `rows` also lists rows whose value only shares `first`'s hash,
+        // and it checks no other key column. Keeping the rows that
+        // match the whole key visits exactly the rows, in the order, of
+        // a scan filtered by the key.
+        for &row in index.rows(first) {
             if self.done {
                 break;
             }
-            self.try_tuple(depth, id as usize)?;
+            let Some(tuple) = atom.tuples.get(row as usize) else { continue };
+            if key.iter().all(|(column, value)| tuple.values().get(*column) == Some(value)) {
+                self.try_tuple(depth, atom, tuple)?;
+            }
         }
         Ok(())
     }
 
-    fn try_tuple(&mut self, depth: usize, id: usize) -> Result<(), EngineError> {
-        let atom = &self.plan[depth];
-        let tuple = &atom.tuples[id];
-
+    fn try_tuple(
+        &mut self,
+        depth: usize,
+        atom: &PlannedAtom<'_>,
+        tuple: &Tuple,
+    ) -> Result<(), EngineError> {
         let mut bound_here: Vec<Ident> = Vec::new();
         let residual_mark = self.residuals.len();
         let mut applied_here: Vec<usize> = Vec::new();
         let mut ok = true;
 
-        for (col, arg) in atom.args.iter().enumerate() {
-            let cell = tuple.get(col);
+        for (arg, cell) in atom.args.iter().zip(tuple.values()) {
             match arg {
                 Arg::Base(BaseTerm::Const(v)) => {
                     if Value::Base(v.clone()) != *cell {
@@ -539,29 +558,32 @@ impl<'a> Executor<'a> {
                     }
                 }
                 Arg::Base(BaseTerm::Var(x)) => match self.env.get(x) {
-                    Some(Bound::Base(v)) => {
-                        if v != cell {
-                            ok = false;
-                            break;
-                        }
+                    Some(Bound::Base(v)) if v == cell => {}
+                    // A different value, or a numerical binding, which
+                    // no base cell equals.
+                    Some(_) => {
+                        ok = false;
+                        break;
                     }
-                    Some(Bound::Num(_)) => unreachable!("sort-checked"),
                     None => {
                         self.env.insert(x.clone(), Bound::Base(cell.clone()));
                         bound_here.push(x.clone());
                     }
                 },
-                Arg::Num(NumTerm::Var(x)) if !self.env.contains_key(x) => {
-                    self.env.insert(x.clone(), Bound::from_num_value(cell));
-                    bound_here.push(x.clone());
-                }
                 Arg::Num(t) => {
-                    let p = term_to_polynomial(t, &self.env)?;
-                    let pv = match cell {
-                        Value::Num(r) => Polynomial::constant(*r),
-                        Value::NumNull(nid) => Polynomial::var(null_var(*nid)),
-                        other => panic!("sort-checked numerical column holds {other}"),
+                    // A base cell in a numerical column equals no term.
+                    let Some(pv) = num_cell(cell) else {
+                        ok = false;
+                        break;
                     };
+                    if let NumTerm::Var(x) = t {
+                        if !self.env.contains_key(x) {
+                            self.env.insert(x.clone(), Bound::Num(pv));
+                            bound_here.push(x.clone());
+                            continue;
+                        }
+                    }
+                    let p = term_to_polynomial(t, &self.env)?;
                     let diff = p.checked_sub(&pv)?;
                     match diff.as_constant() {
                         Some(c) if c.is_zero() => {}
@@ -584,9 +606,7 @@ impl<'a> Executor<'a> {
 
         // Backtrack.
         self.residuals.truncate(residual_mark);
-        for i in applied_here {
-            self.applied[i] = false;
-        }
+        self.unapply(applied_here);
         for x in bound_here {
             self.env.remove(&x);
         }
@@ -597,12 +617,9 @@ impl<'a> Executor<'a> {
     /// Returns `false` if a filter is definitely violated. Residual atoms
     /// are pushed; `applied_here` records indices for backtracking.
     fn apply_ready_filters(&mut self, applied_here: &mut Vec<usize>) -> Result<bool, EngineError> {
-        for i in 0..self.filters.len() {
-            if self.applied[i] {
-                continue;
-            }
-            let pf = &self.filters[i];
-            if !pf.vars.iter().all(|x| self.env.contains_key(x)) {
+        let filters = self.filters;
+        for (i, (pf, applied)) in filters.iter().zip(self.applied.iter_mut()).enumerate() {
+            if *applied || !pf.vars.iter().all(|x| self.env.contains_key(x)) {
                 continue;
             }
             let p = term_to_polynomial(&pf.lhs, &self.env)?
@@ -613,14 +630,24 @@ impl<'a> Executor<'a> {
                 Some(false) => return Ok(false),
                 None => self.residuals.push(a),
             }
-            self.applied[i] = true;
+            *applied = true;
             applied_here.push(i);
         }
         Ok(true)
     }
 
+    /// Marks the filters `apply_ready_filters` applied as pending again.
+    fn unapply(&mut self, applied_here: Vec<usize>) {
+        for i in applied_here {
+            if let Some(applied) = self.applied.get_mut(i) {
+                *applied = false;
+            }
+        }
+    }
+
     fn enumerate_uncovered(&mut self, i: usize) -> Result<(), EngineError> {
-        if i == self.uncovered.len() {
+        let uncovered = self.uncovered;
+        let Some((name, values)) = uncovered.get(i) else {
             // All filters must be applied now (all variables bound).
             let mut applied_here = Vec::new();
             let residual_mark = self.residuals.len();
@@ -629,24 +656,16 @@ impl<'a> Executor<'a> {
                 self.emit_row()?;
             }
             self.residuals.truncate(residual_mark);
-            for idx in applied_here {
-                self.applied[idx] = false;
-            }
+            self.unapply(applied_here);
             return Ok(());
-        }
-        let v = self.uncovered[i].clone();
-        let dom = self.dom.expect("uncovered variables imply a domain");
-        let values: Vec<Value> = match v.sort {
-            Sort::Base => dom.base().to_vec(),
-            Sort::Num => dom.num().to_vec(),
         };
-        for value in values {
+        for value in *values {
             if self.done {
                 break;
             }
-            self.env.insert(v.name.clone(), Bound::from_value(&value));
+            self.env.insert(name.clone(), Bound::from_value(value));
             self.enumerate_uncovered(i + 1)?;
-            self.env.remove(&v.name);
+            self.env.remove(name);
         }
         Ok(())
     }
@@ -709,6 +728,15 @@ impl<'a> Executor<'a> {
     }
 }
 
+/// The symbolic form of a numerical cell (`None` for a base value).
+fn num_cell(cell: &Value) -> Option<Polynomial> {
+    match cell {
+        Value::Num(r) => Some(Polynomial::constant(*r)),
+        Value::NumNull(id) => Some(Polynomial::var(null_var(*id))),
+        Value::Base(_) | Value::BaseNull(_) => None,
+    }
+}
+
 /// Converts a head polynomial back into a value: constants and single null
 /// variables only (free variables are bound via relation columns or domain
 /// enumeration, so this always succeeds for validated queries).
@@ -719,7 +747,7 @@ fn poly_to_value(p: &Polynomial) -> Option<Value> {
     let mut terms = p.terms();
     if let (Some((m, c)), None) = (terms.next(), terms.next()) {
         if *c == Rational::ONE && m.degree() == 1 {
-            let (v, _) = m.factors()[0];
+            let &(v, _) = m.factors().first()?;
             return Some(Value::NumNull(qarith_types::NumNullId(v.0)));
         }
     }
@@ -1181,5 +1209,153 @@ mod unification_tests {
         assert_eq!(one.len(), 1);
         let many = execute(&q, &db, &CqOptions::with_candidate_limit(10)).unwrap();
         assert_eq!(many.len(), 2, "limit above candidate count returns all");
+    }
+}
+
+#[cfg(test)]
+mod index_tests {
+    use super::*;
+    use qarith_types::{BaseNullId, Column, NumNullId, Relation, RelationSchema, Valuation};
+
+    fn base_null(i: u32) -> Value {
+        Value::BaseNull(BaseNullId(i))
+    }
+
+    fn num_null(i: u32) -> Value {
+        Value::NumNull(NumNullId(i))
+    }
+
+    /// R and S over (a: base, c: base, x: num). R is the smaller, so
+    /// the planner reaches it first and probes S on the bound `a`, with
+    /// the constant on `c` as a second key column. Base nulls sit in
+    /// the join column on both sides.
+    fn keyed_db() -> Database {
+        let mut db = Database::new();
+        let rows = |name: &str, rows: Vec<[Value; 3]>| {
+            let schema = RelationSchema::new(
+                name,
+                vec![Column::base("a"), Column::base("c"), Column::num("x")],
+            )
+            .unwrap();
+            let mut r = Relation::empty(schema);
+            for row in rows {
+                r.insert_values(row.to_vec()).unwrap();
+            }
+            r
+        };
+        let k = || Value::str("k");
+        let j = || Value::str("j");
+        db.add_relation(rows(
+            "R",
+            vec![
+                [Value::int(1), k(), num_null(0)],
+                [Value::int(2), k(), Value::num(5)],
+                [base_null(0), k(), num_null(1)],
+                [Value::int(3), j(), Value::num(1)],
+            ],
+        ))
+        .unwrap();
+        db.add_relation(rows(
+            "S",
+            vec![
+                [Value::int(1), k(), Value::num(10)],
+                [Value::int(1), j(), num_null(2)],
+                [Value::int(2), k(), num_null(3)],
+                [base_null(0), k(), Value::num(7)],
+                [base_null(1), k(), Value::num(8)],
+                [Value::int(2), j(), Value::num(0)],
+                [Value::int(1), k(), num_null(4)],
+            ],
+        ))
+        .unwrap();
+        db
+    }
+
+    /// q(a) = ∃x,y R(a, "k", x) ∧ S(a, "k", y) ∧ x < y.
+    fn keyed_query(db: &Database) -> Query {
+        let atom = |name: &str, x: &str| {
+            Formula::rel(
+                name,
+                vec![
+                    Arg::Base(BaseTerm::var("a")),
+                    Arg::Base(BaseTerm::str("k")),
+                    Arg::Num(NumTerm::var(x)),
+                ],
+            )
+        };
+        Query::new(
+            vec![TypedVar::base("a")],
+            Formula::exists(
+                vec![TypedVar::num("x"), TypedVar::num("y")],
+                Formula::and(vec![
+                    atom("R", "x"),
+                    atom("S", "y"),
+                    Formula::cmp(NumTerm::var("x"), CompareOp::Lt, NumTerm::var("y")),
+                ]),
+            ),
+            &db.catalog(),
+        )
+        .unwrap()
+    }
+
+    /// Everything `execute` reports, candidate by candidate.
+    fn summary(answers: &[CandidateAnswer]) -> Vec<(Tuple, QfFormula, usize, bool, bool)> {
+        answers
+            .iter()
+            .map(|a| (a.tuple.clone(), (*a.formula).clone(), a.derivations, a.certain, a.truncated))
+            .collect()
+    }
+
+    /// Runs `query` on `db`, asserting the result equals the result on
+    /// a copy rebuilt from its rows (which holds no built index), under
+    /// exhaustive and row-`LIMIT` options. Returns the derivation count
+    /// of each candidate.
+    fn run_against_rebuilt(query: &Query, db: &Database) -> Vec<(Value, usize)> {
+        let rebuilt = db.apply(&Valuation::new());
+        for opts in [CqOptions::default(), CqOptions::with_limit(2)] {
+            let got = summary(&execute(query, db, &opts).unwrap());
+            assert_eq!(got, summary(&execute(query, &rebuilt, &opts).unwrap()), "{opts:?}");
+        }
+        execute(query, db, &CqOptions::default())
+            .unwrap()
+            .iter()
+            .map(|a| (a.tuple.get(0).clone(), a.derivations))
+            .collect()
+    }
+
+    #[test]
+    fn indexed_joins_match_a_rebuilt_database_through_in_place_changes() {
+        let mut db = keyed_db();
+        let q = keyed_query(&db);
+        // A constant plus a bound variable as S's key; ⊥0 joins ⊥0
+        // alone, and ⊥1 nothing.
+        assert_eq!(
+            run_against_rebuilt(&q, &db),
+            [(Value::int(1), 2), (Value::int(2), 1), (base_null(0), 1)]
+        );
+
+        // An append after S's index was built: 2 gains a derivation.
+        let s = db.relation_mut("S").unwrap();
+        s.insert_values(vec![Value::int(2), Value::str("k"), num_null(5)]).unwrap();
+        assert_eq!(
+            run_against_rebuilt(&q, &db),
+            [(Value::int(1), 2), (Value::int(2), 2), (base_null(0), 1)]
+        );
+
+        // A removal in the middle shifts every later row id.
+        let s = db.relation_mut("S").unwrap();
+        assert!(s.remove(&Tuple::new(vec![Value::int(1), Value::str("j"), num_null(2)])));
+        assert_eq!(
+            run_against_rebuilt(&q, &db),
+            [(Value::int(1), 2), (Value::int(2), 2), (base_null(0), 1)]
+        );
+
+        // And one that removes a derivation.
+        let s = db.relation_mut("S").unwrap();
+        assert!(s.remove(&Tuple::new(vec![Value::int(1), Value::str("k"), Value::num(10)])));
+        assert_eq!(
+            run_against_rebuilt(&q, &db),
+            [(Value::int(1), 1), (Value::int(2), 2), (base_null(0), 1)]
+        );
     }
 }

@@ -45,6 +45,14 @@ pub enum EngineError {
         /// The connective that broke conjunctivity.
         construct: &'static str,
     },
+    /// A relation's column index could not be built: the relation has
+    /// more rows than `u32` row ids address, or no such column.
+    Unindexable {
+        /// The relation.
+        relation: String,
+        /// The column a join wanted to probe.
+        column: usize,
+    },
     /// Exact arithmetic overflowed.
     Numeric(NumericError),
     /// Formula manipulation failed (e.g. DNF blowup in the CQ path).
@@ -74,6 +82,9 @@ impl fmt::Display for EngineError {
                 "the conjunctive-query executor cannot handle {construct}; \
                  use the generic grounding path"
             ),
+            EngineError::Unindexable { relation, column } => {
+                write!(f, "cannot index column {column} of relation {relation}")
+            }
             EngineError::Numeric(e) => write!(f, "numeric error: {e}"),
             EngineError::Formula(e) => write!(f, "formula error: {e}"),
         }

@@ -22,8 +22,10 @@
 //!   distinct constants under value equality, so no rewriting is needed).
 //! * [`cq`] — a join-based executor for conjunctive queries that produces
 //!   candidate answers together with their ground formulas *without* the
-//!   exponential quantifier expansion: output tuples come from hash joins
-//!   over the base columns, and numerical conditions involving nulls
+//!   exponential quantifier expansion: output tuples come from joins
+//!   that probe each relation's shared per-column index
+//!   ([`qarith_types::Relation::column_index`]) on the bound base
+//!   columns, and numerical conditions involving nulls
 //!   become residual constraint atoms (one conjunction per derivation,
 //!   disjoined per candidate). This is the path the §9 experiments use —
 //!   it plays the role Postgres played for the paper's authors.

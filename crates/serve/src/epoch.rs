@@ -95,7 +95,8 @@ pub struct WriteOutcome {
     pub db_digest: u64,
     /// Ops that changed the database.
     pub applied: u64,
-    /// Well-typed no-op ops (duplicate insert, absent delete/update).
+    /// Well-typed no-op ops (duplicate insert, absent delete/update,
+    /// update of a tuple onto itself).
     pub noops: u64,
     /// Distinct ν-cache group keys invalidated by this batch.
     pub invalidated_keys: u64,

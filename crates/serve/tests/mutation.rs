@@ -4,8 +4,12 @@
 //! * cold-rebuild bit-identity — after *any* sequence of committed
 //!   [`WriteBatch`]es (property-tested over inserts, deletes, and
 //!   updates, including ones that introduce fresh nulls), every query
-//!   answer from the long-lived service is bit-identical to a fresh
-//!   cold-cache service built on the final database state;
+//!   answer from the long-lived service, keyed joins included, is
+//!   bit-identical to a fresh cold-cache service built on the final
+//!   database state rebuilt from its rows (so it inherits no column
+//!   index);
+//! * an update of a tuple onto itself is a no-op: it invalidates no
+//!   plan and leaves the digest as it was;
 //! * invalidation selectivity — a targeted single-tuple write on the
 //!   medium sales database drops exactly the ν-cache keys grounded
 //!   against the touched relation, leaves survivors resident (counter-
@@ -25,8 +29,8 @@ use qarith_core::{BatchOptions, MeasureOptions, MethodChoice, NuCacheConfig};
 use qarith_datagen::WorkloadScale;
 use qarith_serve::{database_digest, QueryResponse, QueryService, ServeConfig};
 use qarith_types::{
-    Column, Database, DatabaseDigest, NumNullId, Relation, RelationSchema, Value, WriteBatch,
-    WriteOp,
+    Column, Database, DatabaseDigest, NumNullId, Relation, RelationSchema, Valuation, Value,
+    WriteBatch, WriteOp,
 };
 
 /// Forced AFPRAS under a fixed seed, so certainty bits are sensitive to
@@ -112,9 +116,15 @@ fn proptest_db() -> Database {
     db
 }
 
-/// Queries that mix certain and uncertain candidates over `R`.
-const PROPTEST_SQL: [&str; 2] =
-    ["SELECT R.id FROM R WHERE R.x > R.y", "SELECT R.id FROM R WHERE R.x + R.y >= 6"];
+/// Queries that mix certain and uncertain candidates over `R`. The
+/// last two probe `R`'s index on `id`: a constant key, and a self-join
+/// whose second atom is keyed on the id the first one bound.
+const PROPTEST_SQL: [&str; 4] = [
+    "SELECT R.id FROM R WHERE R.x > R.y",
+    "SELECT R.id FROM R WHERE R.x + R.y >= 6",
+    "SELECT R.x FROM R WHERE R.id = 3",
+    "SELECT A.id FROM R A, R B WHERE A.id = B.id AND A.x > B.y",
+];
 
 /// A numerical value: a small constant or a fresh-ish marked null. The
 /// tight domains make duplicate inserts, hitting deletes, and
@@ -146,10 +156,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// After every committed batch of an arbitrary sequence, the live
-    /// service (with whatever plan/ν-cache state its history left
-    /// behind) answers bit-identically to a cold-cache service built
-    /// from scratch on the current database — and both agree on the
-    /// epoch digest of a shadow copy mutated alongside.
+    /// service (with whatever plan/ν-cache state and column indexes its
+    /// history left behind) answers bit-identically to a cold-cache
+    /// service built from scratch on the current database, its
+    /// relations rebuilt from their rows — and both agree on the epoch
+    /// digest of a shadow copy mutated alongside.
     #[test]
     fn any_write_sequence_matches_a_cold_rebuild(
         batches in prop::collection::vec(prop::collection::vec(write_op(), 1..5), 1..4)
@@ -177,7 +188,7 @@ proptest! {
             );
             prop_assert_eq!(service.stats().epoch, epoch);
 
-            let cold = QueryService::new(shadow.clone(), serve_config(0.25));
+            let cold = QueryService::new(shadow.apply(&Valuation::new()), serve_config(0.25));
             for sql in PROPTEST_SQL {
                 let warm = service.query(sql).expect("warm query");
                 let fresh = cold.query(sql).expect("cold query");
@@ -219,6 +230,36 @@ fn an_update_onto_a_present_tuple_invalidates_like_any_change() {
     assert_eq!(outcome.plans_invalidated, 1);
     let after = service.query(sql).expect("post-write query");
     assert!(!ids(&after).contains(&"(1)".to_string()), "stale candidate: {:?}", ids(&after));
+}
+
+/// Replacing a tuple by itself changes nothing under set semantics, so
+/// it is a no-op: the row keeps its place in the relation, the digest
+/// stays, and no plan or ν entry is invalidated.
+#[test]
+fn an_update_onto_itself_invalidates_nothing() {
+    let service = QueryService::new(proptest_db(), serve_config(0.25));
+    let warm: Vec<_> = PROPTEST_SQL
+        .iter()
+        .map(|sql| response_fingerprint(&service.query(sql).expect("warm")))
+        .collect();
+    let before = service.snapshot().expect("epoch 0");
+
+    let row = vec![Value::int(2), Value::NumNull(NumNullId(0)), Value::num(3)];
+    let mut batch = WriteBatch::new();
+    batch.update("R", row.clone(), row);
+    let outcome = service.apply(&batch).expect("well-typed batch");
+    assert_eq!((outcome.applied, outcome.noops), (0, 1));
+    assert_eq!(outcome.plans_invalidated, 0);
+    assert_eq!(outcome.invalidated_keys, 0);
+    assert_eq!(outcome.db_digest, before.digest);
+
+    let after = service.snapshot().expect("epoch 1");
+    assert!(std::sync::Arc::ptr_eq(relation_arc(&before.db, "R"), relation_arc(&after.db, "R")));
+    for (sql, reference) in PROPTEST_SQL.iter().zip(&warm) {
+        let response = service.query(sql).expect("post-write query");
+        assert!(response.plan_cached, "{sql}: the plan survives");
+        assert_eq!(&response_fingerprint(&response), reference, "{sql}");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -22,6 +22,9 @@
 //! * [`Sort`], [`Column`], [`RelationSchema`], [`Catalog`] — typed schemas;
 //! * [`Tuple`], [`Relation`], [`Database`] — data, with type checking on
 //!   insertion;
+//! * [`ColumnIndex`] — a relation's lazily built index on one column,
+//!   shared by every reader of that relation version and dropped by its
+//!   next change (the CQ executor's join probes it);
 //! * [`Valuation`] — interpretations of nulls; applying a valuation yields
 //!   the complete database `v(D)`;
 //! * [`Database::bijective_base_valuation`] — the "nulls as fresh
@@ -48,7 +51,7 @@ mod write;
 pub use database::{Database, DatabaseStats};
 pub use digest::{database_digest, DatabaseDigest, DIGEST_SPAN};
 pub use error::TypeError;
-pub use relation::Relation;
+pub use relation::{ColumnIndex, Relation};
 pub use schema::{Catalog, Column, RelationSchema, Sort};
 pub use tuple::Tuple;
 pub use valuation::Valuation;

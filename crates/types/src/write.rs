@@ -8,9 +8,12 @@
 //! inserting a present tuple and deleting an absent one are no-ops
 //! (counted, not errored — idempotent writes keep replay and
 //! generation simple), and an `UPDATE` whose `old` tuple is absent
-//! inserts nothing. An `UPDATE` whose `old` tuple is present always
-//! counts as applied, even when `new` was already present: removing
-//! `old` alone changed the relation.
+//! inserts nothing. An `UPDATE` whose `new` tuple equals its `old` one
+//! is a no-op too: it leaves the relation as it was, row order
+//! included.
+//! Any other `UPDATE` whose `old` tuple is present counts as applied,
+//! even when `new` was already present: removing `old` alone changed
+//! the relation.
 //!
 //! Schemas are immutable: a write may only touch relations the
 //! database already declares (there is no DDL), so the catalog — and
@@ -39,7 +42,8 @@ pub enum WriteOp {
         values: Vec<Value>,
     },
     /// Replace `old` by `new` — a delete followed by an insert, with
-    /// the insert skipped when `old` was absent.
+    /// the insert skipped when `old` was absent. Replacing a tuple by
+    /// itself is a no-op: the row keeps its place.
     Update {
         /// Target relation name.
         relation: String,
@@ -106,7 +110,7 @@ pub struct WriteSummary {
     /// Ops that changed the database.
     pub applied: usize,
     /// Ops that were well-typed no-ops (duplicate insert, absent
-    /// delete/update).
+    /// delete/update, update of a tuple onto itself).
     pub noops: usize,
 }
 
@@ -143,7 +147,7 @@ impl Database {
                 let new = Tuple::new(new.clone());
                 current.check_tuple(&new)?;
                 let old = Tuple::new(old.clone());
-                if !current.contains(&old) {
+                if old == new || !current.contains(&old) {
                     return Ok(false);
                 }
                 let relation = self.relation_mut(name).expect("looked up above");

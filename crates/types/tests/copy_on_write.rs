@@ -7,15 +7,20 @@
 //! * isolation — a clone taken before a batch keeps its rows and its
 //!   digest, and relations the batch did not change stay shared
 //!   (`Arc::ptr_eq`) with it;
-//! * work — exact counts of the rows a resumed digest re-reads.
+//! * work — exact counts of the rows a resumed digest re-reads;
+//! * indexes — an epoch shares the built column indexes of every
+//!   relation it shares, and a changed relation gets a fresh one while
+//!   the old epoch keeps its own;
+//! * an update of a tuple onto itself changes nothing: no copy, no
+//!   digest change, the row keeps its place.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use qarith_types::{
-    database_digest, Column, Database, DatabaseDigest, NumNullId, Relation, RelationSchema, Value,
-    WriteBatch, WriteOp, DIGEST_SPAN,
+    database_digest, Column, ColumnIndex, Database, DatabaseDigest, NumNullId, Relation,
+    RelationSchema, Value, WriteBatch, WriteOp, DIGEST_SPAN,
 };
 
 /// Three relations in the sales database's order, each several digest
@@ -197,4 +202,54 @@ fn no_op_and_failed_batches_copy_nothing() {
         assert!(Arc::ptr_eq(old, new), "{} was copied", old.schema().name());
     }
     assert_eq!(resume(&db, &next).rows_read(), 0);
+}
+
+/// The built index of `name`'s key column.
+fn key_index<'db>(db: &'db Database, name: &str) -> &'db ColumnIndex {
+    db.relation(name).unwrap().column_index(0).unwrap()
+}
+
+#[test]
+fn epochs_share_the_indexes_of_the_relations_they_share() {
+    let db = database();
+    let built = ["Products", "Orders", "Market"].map(|name| key_index(&db, name));
+
+    // A Market write: the next epoch shares the built Products and
+    // Orders indexes, and Market's is built afresh.
+    let mut next = db.clone();
+    let mut batch = WriteBatch::new();
+    batch.insert("Market", row(1_000));
+    next.apply_batch(&batch).unwrap();
+    assert!(std::ptr::eq(key_index(&next, "Products"), built[0]));
+    assert!(std::ptr::eq(key_index(&next, "Orders"), built[1]));
+    assert!(!std::ptr::eq(key_index(&next, "Market"), built[2]));
+    assert_eq!(key_index(&next, "Market").rows(&Value::int(1_000)), [SIZES[2].1 as u32]);
+
+    // An Orders write: the new epoch indexes its own rows, and the
+    // epoch before it keeps the index it had, over its own rows.
+    let mut later = next.clone();
+    let mut batch = WriteBatch::new();
+    batch.delete("Orders", row(130));
+    later.apply_batch(&batch).unwrap();
+    assert!(std::ptr::eq(key_index(&next, "Orders"), built[1]));
+    assert!(!std::ptr::eq(key_index(&later, "Orders"), built[1]));
+    assert!(std::ptr::eq(key_index(&later, "Products"), built[0]));
+    assert_eq!(key_index(&next, "Orders").rows(&Value::int(131)), [131]);
+    assert_eq!(key_index(&later, "Orders").rows(&Value::int(131)), [130]);
+    assert!(key_index(&later, "Orders").rows(&Value::int(130)).is_empty());
+}
+
+#[test]
+fn an_update_onto_itself_is_a_no_op_that_copies_nothing() {
+    let db = database();
+    let mut next = db.clone();
+    let mut batch = WriteBatch::new();
+    batch.update("Orders", row(3), row(3));
+    let summary = next.apply_batch(&batch).unwrap();
+    assert_eq!((summary.applied, summary.noops), (0, 1));
+    assert_eq!(database_digest(&next), database_digest(&db));
+    assert_eq!(contents(&next), contents(&db), "the row keeps its place");
+    for (old, new) in db.relations().iter().zip(next.relations()) {
+        assert!(Arc::ptr_eq(old, new), "{} was copied", old.schema().name());
+    }
 }
