@@ -153,6 +153,29 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
+/// Every `acquire` pattern of a `[[lock.class]]` and `wait` pattern of a
+/// `[[lock.condvar]]` in `config` that no call in `files` (test code
+/// excluded, as for the lints) matches. A dead pattern — the call it
+/// was written for was renamed or removed — declares a lock the
+/// hierarchy no longer checks.
+pub fn dead_lock_patterns(files: &[PathBuf], config: &Config) -> io::Result<Vec<String>> {
+    let mut patterns: Vec<String> = config
+        .classes
+        .iter()
+        .flat_map(|class| class.acquire.iter())
+        .chain(config.condvars.iter().flat_map(|rule| rule.wait.iter()))
+        .cloned()
+        .collect();
+    for file in files {
+        let source = std::fs::read_to_string(file)?;
+        lints::locks::retain_unmatched(
+            &scan::strip_tests(&lexer::lex(&source).tokens),
+            &mut patterns,
+        );
+    }
+    Ok(patterns)
+}
+
 /// Analyzes a list of files on disk against `config`, reporting paths
 /// relative to `root`.
 pub fn analyze_files(root: &Path, files: &[PathBuf], config: &Config) -> io::Result<Vec<Finding>> {

@@ -1,9 +1,9 @@
 //! Lock-discipline lints against the declared hierarchy.
 //!
 //! `analyze.toml` declares the workspace's lock classes in outermost-
-//! first order (`AdmissionGate → PlanCache → NuCacheDeltaIndex →
-//! NuCache shard`, among others). Within one function body, this pass
-//! tracks which guards are held and flags:
+//! first order (`AdmissionGate → PlanCache → NuCache shard`, among
+//! others). Within one function body, this pass tracks which guards
+//! are held and flags:
 //!
 //! * **`lock-order`** — acquiring a guard whose class rank is ≤ the
 //!   rank of any guard already held (equal rank included: two guards
@@ -25,7 +25,7 @@
 //! can only flag an order that *looks* violating, never miss one the
 //! model sees, and a justified false positive carries a pragma.
 
-use crate::config::Config;
+use crate::config::{chain_matches, Config};
 use crate::findings::Finding;
 use crate::lexer::{Tok, Token};
 use crate::scan::{functions, is_call, receiver_chain};
@@ -171,6 +171,21 @@ fn check_body(file: &str, tokens: &[Token], config: &Config, out: &mut Vec<Findi
             _ => {}
         }
         i += 1;
+    }
+}
+
+/// Removes from `patterns` (dotted `acquire`/`wait` patterns of the
+/// config) every one that a guard-acquiring or condvar-wait call in
+/// `tokens` matches, by the receiver-chain rule the lints use.
+pub fn retain_unmatched(tokens: &[Token], patterns: &mut Vec<String>) {
+    for (i, token) in tokens.iter().enumerate().skip(1) {
+        let Tok::Ident(word) = &token.tok else { continue };
+        let method =
+            ACQUIRE_METHODS.contains(&word.as_str()) || WAIT_METHODS.contains(&word.as_str());
+        if method && is_call(tokens, i) && tokens[i - 1].tok == Tok::Punct('.') {
+            let chain = receiver_chain(tokens, i);
+            patterns.retain(|p| !chain_matches(&chain, p));
+        }
     }
 }
 
@@ -333,6 +348,18 @@ class = "Gate"
         let clean =
             "fn f(&self) { let plan = self.plan_for(sql); let s = self.shard_of(k).lock(); }";
         assert!(run(clean).is_empty());
+    }
+
+    #[test]
+    fn a_pattern_matches_only_its_own_method() {
+        let src = "fn f(&self) { let p = self.plans.read(); \
+                   let g = self.drained.wait_timeout(g, t); }";
+        let mut patterns: Vec<String> =
+            ["plans.read", "plans.write", "drained.wait", "drained.wait_timeout"]
+                .map(String::from)
+                .to_vec();
+        retain_unmatched(&lex(src).tokens, &mut patterns);
+        assert_eq!(patterns, ["plans.write", "drained.wait"]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::path::Path;
 
-use qarith_analyze::{analyze_files, config, workspace_files};
+use qarith_analyze::{analyze_files, config, dead_lock_patterns, workspace_files};
 
 #[test]
 fn workspace_is_clean_under_the_checked_in_policy() {
@@ -17,6 +17,8 @@ fn workspace_is_clean_under_the_checked_in_policy() {
     assert!(stale.is_empty(), "analyze.toml scopes name missing paths: {stale:?}");
     let files = workspace_files(&root).expect("workspace walk");
     assert!(files.len() > 50, "walk found {} files — scope regressed?", files.len());
+    let dead = dead_lock_patterns(&files, &cfg).expect("workspace readable");
+    assert!(dead.is_empty(), "analyze.toml lock patterns match no call: {dead:?}");
     let found = analyze_files(&root, &files, &cfg).expect("workspace readable");
     assert!(
         found.is_empty(),

@@ -314,13 +314,10 @@ fn print_summary(report: &ServeBenchReport) {
     }
     if report.kind == "mutate" {
         println!(
-            "writes: {} batches / {} ops → epoch {}; invalidation: {} ν-keys \
-             ({} entries), {} plans",
+            "writes: {} batches / {} ops → epoch {}; {} plans invalidated",
             counter(&report.service, "writes"),
             counter(&report.service, "write_ops"),
             counter(&report.service, "epoch"),
-            counter(&report.cache, "invalidations"),
-            counter(&report.cache, "invalidated_entries"),
             counter(&report.service, "plan_invalidations"),
         );
     }

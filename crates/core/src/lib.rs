@@ -76,8 +76,8 @@
 //!   parallel fan-out, [`CertaintyEngine::measure_batch`]);
 //! * [`nucache`] — the ν-cache: memoized, bit-identical measures keyed
 //!   by canonical formula and options fingerprint, sharded and bounded
-//!   by a byte budget, with the relation index a live database
-//!   invalidates through;
+//!   by a byte budget alone (a database write cannot make an entry
+//!   wrong, so none is dropped for one);
 //! * [`decompose`] — the rewrite pipeline's executor
 //!   (`MeasureOptions::rewrite`): `qarith-rewrite` simplifies and
 //!   splits formulas into variable-disjoint factors, whose asymptotic

@@ -32,18 +32,13 @@
 //!   through the workspace's `as_pairs` convention
 //!   ([`CacheStats::as_pairs`]), like every other stats block in
 //!   `BENCH_*.json`.
-//! * **Delta-aware invalidation** — a relation → group-key index
-//!   ([`NuCache::register`]), fed by the serving layer at plan-build
-//!   time, lets a committed write drop exactly the keys whose
-//!   grounding consulted a touched relation
-//!   ([`NuCache::invalidate_relations`]) instead of nuking the
-//!   cache. Like eviction, this is *hygiene, not correctness*: keys
-//!   are content-addressed canonical formulas, so an entry a write
-//!   logically supersedes is simply never looked up again by the new
-//!   grounding — invalidation reclaims its memory and keeps the
-//!   counters honest. Over-registration (a key filed under a relation
-//!   whose change doesn't affect it) is therefore sound too: it can
-//!   only cost recomputation, and so can a key the index forgets.
+//! * **Entries outlive writes** — a key is a canonical formula, not a
+//!   relation, so a database write cannot make a resident entry wrong:
+//!   a candidate's certainty is ν of its ground formula (Prop. 5.3),
+//!   and a write that changes a grounding changes the key it looks up.
+//!   The serving layer drops its plans on a write and keeps every
+//!   entry; keys no grounding produces any more age out under the
+//!   byte budget like any other cold entry.
 //!
 //! **Why eviction cannot change answers.** Evicting an entry only
 //! moves the next request for it from the lookup path to the recompute
@@ -52,7 +47,7 @@
 //! tests and `tests/method_consistency.rs` lock this in by forcing a
 //! tiny budget and comparing bits.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -63,10 +58,6 @@ use crate::estimate::CertaintyEstimate;
 /// point of the budget is a reliable *order of magnitude*, not
 /// allocator-exact accounting.
 const ENTRY_OVERHEAD_BYTES: usize = 96;
-
-/// The smallest delta-index size (relation → key memberships) at which
-/// [`NuCache::register`] sweeps out keys no shard holds.
-const DELTA_SWEEP_FLOOR: usize = 1024;
 
 /// Configuration of a [`NuCache`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,13 +93,6 @@ pub struct CacheStats {
     /// Number of shards (constant; exported so one stats block is
     /// self-describing).
     pub shards: u64,
-    /// Distinct group keys dropped by delta-aware invalidation since
-    /// creation (only keys that actually held entries count — draining
-    /// an already-evicted key is not an invalidation).
-    pub invalidations: u64,
-    /// Entries dropped by invalidation (≥ `invalidations`: one key may
-    /// hold several fingerprints).
-    pub invalidated_entries: u64,
 }
 
 impl CacheStats {
@@ -126,7 +110,7 @@ impl CacheStats {
     /// order — the machine-readable export `serve_bench` serializes
     /// into `BENCH_*.json`. Names are part of the JSON schema: renaming
     /// one is a baseline-breaking change.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 8] {
+    pub fn as_pairs(&self) -> [(&'static str, u64); 6] {
         [
             ("hits", self.hits),
             ("misses", self.misses),
@@ -134,8 +118,6 @@ impl CacheStats {
             ("evictions", self.evictions),
             ("resident_bytes", self.resident_bytes),
             ("shards", self.shards),
-            ("invalidations", self.invalidations),
-            ("invalidated_entries", self.invalidated_entries),
         ]
     }
 }
@@ -178,18 +160,6 @@ impl ShardInner {
         self.recency.insert(tick, (key.clone(), fingerprint));
     }
 
-    /// Drops every fingerprint stored under `key`, returning how many
-    /// entries that was (0 when the key is absent — evicted, or never
-    /// resident in this shard).
-    fn remove_key(&mut self, key: &str) -> usize {
-        let Some(by_fp) = self.map.remove(key) else { return 0 };
-        for entry in by_fp.values() {
-            self.recency.remove(&entry.tick);
-            self.resident_bytes -= entry.bytes;
-        }
-        by_fp.len()
-    }
-
     fn evict_to(&mut self, budget: usize) {
         while self.resident_bytes > budget {
             let Some((_, (key, fingerprint))) = self.recency.pop_first() else { break };
@@ -216,56 +186,6 @@ impl std::fmt::Debug for ShardInner {
     }
 }
 
-/// The delta index: relation name → group keys whose grounding
-/// consulted it. Keys are `Arc<str>` shared across relations.
-#[derive(Debug)]
-struct DeltaIndex {
-    by_relation: HashMap<String, HashSet<Arc<str>>>,
-    /// (relation, key) memberships across every set.
-    memberships: usize,
-    /// The size at which the next registration first sweeps out keys
-    /// no shard holds: twice the survivors of the last sweep, and at
-    /// least [`DELTA_SWEEP_FLOOR`].
-    sweep_at: usize,
-}
-
-impl Default for DeltaIndex {
-    fn default() -> Self {
-        DeltaIndex { by_relation: HashMap::new(), memberships: 0, sweep_at: DELTA_SWEEP_FLOOR }
-    }
-}
-
-impl DeltaIndex {
-    /// Removes every key registered under any of `touched` from every
-    /// relation's set, returning the keys.
-    fn drain(&mut self, touched: &[String]) -> BTreeSet<Arc<str>> {
-        let keys: BTreeSet<Arc<str>> =
-            touched.iter().filter_map(|rel| self.by_relation.remove(rel)).flatten().collect();
-        let mut memberships = 0;
-        // analyze: allow(hash-iteration, reason = "removing one key set from each relation's set, and counting what remains, is order-insensitive")
-        for set in self.by_relation.values_mut() {
-            for key in &keys {
-                set.remove(key);
-            }
-            memberships += set.len();
-        }
-        self.memberships = memberships;
-        keys
-    }
-
-    /// Keeps only the keys `resident` accepts and moves the mark.
-    fn sweep(&mut self, resident: impl Fn(&str) -> bool) {
-        let mut memberships = 0;
-        // analyze: allow(hash-iteration, reason = "a per-key residency filter and a count of survivors are order-insensitive")
-        for set in self.by_relation.values_mut() {
-            set.retain(|key| resident(key));
-            memberships += set.len();
-        }
-        self.memberships = memberships;
-        self.sweep_at = DELTA_SWEEP_FLOOR.max(2 * memberships);
-    }
-}
-
 /// A bounded, sharded, LRU-evicting memo table for `ν` results. See
 /// the module docs for the policy and its soundness argument.
 #[derive(Debug)]
@@ -274,15 +194,6 @@ pub struct NuCache {
     per_shard_budget: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// `NuCacheDeltaIndex` in the declared lock hierarchy — above the
-    /// shard locks, so registration may probe the shards while holding
-    /// it. [`NuCache::invalidate_relations`] drains the touched
-    /// relations' keys from every set, and registration sweeps out
-    /// keys the shards evicted, so the index stays proportional to the
-    /// cache it indexes.
-    delta: Mutex<DeltaIndex>,
-    invalidations: AtomicU64,
-    invalidated_entries: AtomicU64,
 }
 
 impl Default for NuCache {
@@ -301,9 +212,6 @@ impl NuCache {
             per_shard_budget: config.budget_bytes / shards,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            delta: Mutex::new(DeltaIndex::default()),
-            invalidations: AtomicU64::new(0),
-            invalidated_entries: AtomicU64::new(0),
         }
     }
 
@@ -369,77 +277,12 @@ impl NuCache {
         inner.evict_to(self.per_shard_budget);
     }
 
-    /// Files `group_keys` under each of `relations` in the delta
-    /// index. The serving layer calls this at plan-build time, when
-    /// both the plan's relation footprint and its group keys are in
-    /// hand. Once the index reaches its sweep mark, keys no shard holds
-    /// (evicted, or never measured) leave it first. Over-registration
-    /// and forgetting are both sound (see the module docs); so is a
-    /// poisoned index, which registers nothing — stale entries are
-    /// unreachable by construction.
-    pub fn register<'k>(&self, relations: &[String], group_keys: impl Iterator<Item = &'k str>) {
-        if relations.is_empty() {
-            return;
-        }
-        let keys: Vec<Arc<str>> = group_keys.map(Arc::from).collect();
-        if keys.is_empty() {
-            return;
-        }
-        let Ok(mut delta) = self.delta.lock() else { return };
-        if delta.memberships >= delta.sweep_at {
-            delta.sweep(|key| self.holds(key));
-        }
-        let delta = &mut *delta;
-        for relation in relations {
-            let set = delta.by_relation.entry(relation.clone()).or_default();
-            for key in &keys {
-                if set.insert(key.clone()) {
-                    delta.memberships += 1;
-                }
-            }
-        }
-    }
-
-    /// Drops every entry whose group key is registered under any of
-    /// `touched`, returning `(distinct keys dropped, entries
-    /// dropped)`. The drained keys leave every relation's set;
-    /// survivors (keys registered only under untouched relations) keep
-    /// their entries *and* their index membership.
-    pub fn invalidate_relations(&self, touched: &[String]) -> (u64, u64) {
-        if touched.is_empty() {
-            return (0, 0);
-        }
-        // Drain under the index lock, mutate shards after it is
-        // released (the hierarchy permits holding it, but the drain
-        // doesn't need to).
-        let keys = {
-            let Ok(mut delta) = self.delta.lock() else { return (0, 0) };
-            delta.drain(touched)
-        };
-        let mut dropped_keys = 0u64;
-        let mut dropped_entries = 0u64;
-        for key in keys {
-            let Ok(mut inner) = self.shard_of(&key).lock() else { continue };
-            let removed = inner.remove_key(&key);
-            drop(inner);
-            if removed > 0 {
-                dropped_keys += 1;
-                dropped_entries += removed as u64;
-            }
-        }
-        self.invalidations.fetch_add(dropped_keys, Ordering::Relaxed);
-        self.invalidated_entries.fetch_add(dropped_entries, Ordering::Relaxed);
-        (dropped_keys, dropped_entries)
-    }
-
     /// Current aggregate counters.
     pub fn stats(&self) -> CacheStats {
         let mut stats = CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             shards: self.shards.len() as u64,
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            invalidated_entries: self.invalidated_entries.load(Ordering::Relaxed),
             ..CacheStats::default()
         };
         for shard in &self.shards {
@@ -452,12 +295,6 @@ impl NuCache {
             stats.evictions += inner.evictions;
         }
         stats
-    }
-
-    /// Whether some shard holds an entry under `key` (a poisoned shard
-    /// holds nothing a lookup can reach).
-    fn holds(&self, key: &str) -> bool {
-        self.shard_of(key).lock().is_ok_and(|inner| inner.map.contains_key(key))
     }
 
     /// FNV-1a shard placement. Stability across processes is not
@@ -567,73 +404,5 @@ mod tests {
             }
         });
         assert_eq!(cache.stats().entries, 200);
-    }
-
-    #[test]
-    fn invalidation_is_selective_and_survivors_hit() {
-        let cache = NuCache::default();
-        for i in 0..4 {
-            cache.insert(key(i), 1, est(1, i as i128 + 1));
-        }
-        cache.register(&["Orders".to_string()], [key(0), key(1)].iter().map(String::as_str));
-        cache.register(&["Market".to_string()], [key(1), key(2)].iter().map(String::as_str));
-        // key(3) is unregistered: writes can never touch it.
-
-        let (keys, entries) = cache.invalidate_relations(&["Orders".to_string()]);
-        assert_eq!((keys, entries), (2, 2), "both Orders keys drop, nothing else");
-        assert!(cache.get(&key(0), 1).is_none());
-        assert!(cache.get(&key(1), 1).is_none(), "shared key drops with either relation");
-        assert!(cache.get(&key(2), 1).is_some(), "Market-only key survives");
-        assert!(cache.get(&key(3), 1).is_some(), "unregistered key survives");
-        let stats = cache.stats();
-        assert_eq!((stats.invalidations, stats.invalidated_entries), (2, 2));
-        assert_eq!(stats.entries, 2);
-
-        // Draining Market again only drops what is still resident:
-        // key(1) is gone, so only key(2) counts.
-        let (keys, entries) = cache.invalidate_relations(&["Market".to_string()]);
-        assert_eq!((keys, entries), (1, 1));
-        assert!(cache.get(&key(2), 1).is_none());
-        assert!(cache.get(&key(3), 1).is_some());
-    }
-
-    #[test]
-    fn invalidation_drops_a_key_from_every_relation() {
-        let cache = NuCache::default();
-        cache.insert(key(0), 1, est(1, 2));
-        let both = ["Orders".to_string(), "Market".to_string()];
-        cache.register(&both, [key(0)].iter().map(String::as_str));
-        assert_eq!(cache.invalidate_relations(&both[..1]), (1, 1));
-        let delta = cache.delta.lock().expect("index");
-        assert_eq!(delta.memberships, 0);
-        assert!(delta.by_relation.values().all(HashSet::is_empty), "{delta:?}");
-    }
-
-    #[test]
-    fn delta_index_is_bounded_by_the_cache_it_indexes() {
-        // Room for 4 entries; register-then-insert as a plan build and
-        // its first execution do, for 4× the sweep floor's worth of keys.
-        let config = NuCacheConfig { shards: 1, budget_bytes: 4 * NuCache::entry_bytes(&key(0)) };
-        let cache = NuCache::new(config);
-        let relations = ["Orders".to_string()];
-        for i in 0..4 * DELTA_SWEEP_FLOOR {
-            cache.register(&relations, [key(i)].iter().map(String::as_str));
-            cache.insert(key(i), 1, est(1, 2));
-        }
-        let resident = cache.stats().entries as usize;
-        let indexed = cache.delta.lock().expect("index").memberships;
-        assert!(
-            indexed <= DELTA_SWEEP_FLOOR.max(2 * resident),
-            "{indexed} keys indexed for {resident} resident entries"
-        );
-    }
-
-    #[test]
-    fn invalidating_unregistered_relations_is_a_noop() {
-        let cache = NuCache::default();
-        cache.insert(key(0), 1, est(1, 2));
-        assert_eq!(cache.invalidate_relations(&["Nothing".to_string()]), (0, 0));
-        assert_eq!(cache.invalidate_relations(&[]), (0, 0));
-        assert!(cache.get(&key(0), 1).is_some());
     }
 }

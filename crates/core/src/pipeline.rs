@@ -317,12 +317,6 @@ impl BatchPlan {
     pub fn groups(&self) -> usize {
         self.groups.len()
     }
-
-    /// The ν-cache keys of the plan's groups (`None` entries belong to
-    /// plans prepared with dedup off, which never share).
-    pub fn group_keys(&self) -> impl Iterator<Item = Option<&str>> {
-        self.groups.iter().map(|(_, k)| k.as_deref())
-    }
 }
 
 /// Accounting of the shared-sampling batch route (see

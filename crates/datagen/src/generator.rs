@@ -218,7 +218,7 @@ mod tests {
     fn serial_columns_are_sequential() {
         let rel = Generator::new(1).table(&spec());
         for (i, t) in rel.tuples().iter().enumerate() {
-            assert_eq!(t.get(0), &Value::int(i as i64));
+            assert_eq!(t.get(0), Some(&Value::int(i as i64)));
         }
     }
 
@@ -228,7 +228,7 @@ mod tests {
         let nulls: Vec<_> = rel
             .tuples()
             .iter()
-            .filter_map(|t| match t.get(2) {
+            .filter_map(|t| match &t.values()[2] {
                 Value::NumNull(id) => Some(*id),
                 _ => None,
             })
@@ -245,7 +245,7 @@ mod tests {
     fn decimals_have_bounded_denominator() {
         let rel = Generator::new(3).table(&spec());
         for t in rel.tuples() {
-            if let Value::Num(r) = t.get(2) {
+            if let Value::Num(r) = &t.values()[2] {
                 assert!(r.denom() <= 100, "scale-2 decimal, got {r}");
                 assert!(*r >= Rational::from_int(1) && *r <= Rational::from_int(10));
             }
@@ -266,14 +266,14 @@ mod tests {
         assert_eq!(db.relations().len(), 2);
         assert_eq!(db.relation("U").unwrap().len(), 10);
         // StrSerial yields unique keys.
-        assert_eq!(db.relation("U").unwrap().tuples()[3].get(0), &Value::str("k3"));
+        assert_eq!(db.relation("U").unwrap().tuples()[3].get(0), Some(&Value::str("k3")));
     }
 
     #[test]
     fn pool_strings_stay_in_pool() {
         let rel = Generator::new(5).table(&spec());
         for t in rel.tuples() {
-            if let Value::Base(b) = t.get(1) {
+            if let Value::Base(b) = &t.values()[1] {
                 let s = format!("{b}");
                 assert!(s == "\"s0\"" || s == "\"s1\"" || s == "\"s2\"", "unexpected segment {s}");
             }

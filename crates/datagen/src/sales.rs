@@ -266,7 +266,7 @@ mod tests {
     fn market_segments_are_unique_keys() {
         let db = sales_database(&SalesScale::tiny(), 5);
         let m = db.relation("Market").unwrap();
-        let mut segs: Vec<String> = m.tuples().iter().map(|t| format!("{}", t.get(0))).collect();
+        let mut segs: Vec<String> = m.tuples().iter().map(|t| t.values()[0].to_string()).collect();
         let before = segs.len();
         segs.sort();
         segs.dedup();

@@ -772,21 +772,21 @@ mod tests {
             Value::int(1),
             Value::str("toys"),
             Value::num(10),
-            Value::decimal("0.8"),
+            Value::decimal("0.8").unwrap(),
         ])
         .unwrap();
         p.insert_values(vec![
             Value::int(2),
             Value::str("toys"),
             Value::NumNull(NumNullId(0)),
-            Value::decimal("0.7"),
+            Value::decimal("0.7").unwrap(),
         ])
         .unwrap();
         p.insert_values(vec![
             Value::int(3),
             Value::str("games"),
             Value::num(30),
-            Value::decimal("0.9"),
+            Value::decimal("0.9").unwrap(),
         ])
         .unwrap();
         db.add_relation(p).unwrap();
@@ -857,12 +857,12 @@ mod tests {
         // "toys": product 1 gives 10·0.8 = 8 ≤ 9·1 = 9 with no nulls —
         // certain. (Product 2 contributes a null-dependent derivation, but
         // one certain derivation suffices.)
-        let toys = answers.iter().find(|a| a.tuple.get(0) == &Value::str("toys")).unwrap();
+        let toys = answers.iter().find(|a| a.tuple.get(0) == Some(&Value::str("toys"))).unwrap();
         assert!(toys.certain, "toys should be certain");
         assert_eq!(*toys.formula, QfFormula::True);
 
         // "games": 30·0.9 = 27 ≤ z1·1 — a genuine residual constraint.
-        let games = answers.iter().find(|a| a.tuple.get(0) == &Value::str("games")).unwrap();
+        let games = answers.iter().find(|a| a.tuple.get(0) == Some(&Value::str("games"))).unwrap();
         assert!(!games.certain);
         assert_eq!(games.derivations, 1);
         // z1 ≥ 27 ⇒ satisfied at 30, violated at 20. The formula is over
@@ -955,9 +955,9 @@ mod tests {
         // Tuple 1: 3 = 3 certain. Tuple 2: 3 ≠ 4 pruned. Tuple 3: residual
         // 5 = ⊤0.
         assert_eq!(answers.len(), 2);
-        let a1 = answers.iter().find(|a| a.tuple.get(0) == &Value::int(1)).unwrap();
+        let a1 = answers.iter().find(|a| a.tuple.get(0) == Some(&Value::int(1))).unwrap();
         assert!(a1.certain);
-        let a3 = answers.iter().find(|a| a.tuple.get(0) == &Value::int(3)).unwrap();
+        let a3 = answers.iter().find(|a| a.tuple.get(0) == Some(&Value::int(3))).unwrap();
         assert!(!a3.certain);
         assert!(a3.formula.eval_f64(&[5.0]));
         assert!(!a3.formula.eval_f64(&[4.0]));
@@ -982,7 +982,7 @@ mod tests {
         )
         .unwrap();
         let answers = execute(&q, &db, &CqOptions::default()).unwrap();
-        let tuples: Vec<&Value> = answers.iter().map(|a| a.tuple.get(0)).collect();
+        let tuples: Vec<&Value> = answers.iter().map(|a| &a.tuple.values()[0]).collect();
         assert!(tuples.contains(&&Value::NumNull(NumNullId(0))));
         assert!(tuples.contains(&&Value::num(9)));
         assert!(answers.iter().all(|a| a.certain));
@@ -1124,9 +1124,9 @@ mod unification_tests {
         let answers = execute(&q, &db, &CqOptions::default()).unwrap();
         // a=1: 10 > 5 certain. a=2: ⊤0 > 7 residual. a=3: no S row.
         assert_eq!(answers.len(), 2);
-        let a1 = answers.iter().find(|a| a.tuple.get(0) == &Value::int(1)).unwrap();
+        let a1 = answers.iter().find(|a| a.tuple.get(0) == Some(&Value::int(1))).unwrap();
         assert!(a1.certain);
-        let a2 = answers.iter().find(|a| a.tuple.get(0) == &Value::int(2)).unwrap();
+        let a2 = answers.iter().find(|a| a.tuple.get(0) == Some(&Value::int(2))).unwrap();
         assert!(!a2.certain);
         assert!(a2.formula.eval_f64(&[8.0]));
         assert!(!a2.formula.eval_f64(&[6.0]));
@@ -1159,7 +1159,7 @@ mod unification_tests {
         let mut got: Vec<Value> = execute(&q, &db, &CqOptions::default())
             .unwrap()
             .into_iter()
-            .map(|a| a.tuple.get(0).clone())
+            .map(|a| a.tuple.values()[0].clone())
             .collect();
         got.sort();
         assert_eq!(got, vec![Value::int(1), Value::int(2)]);
@@ -1186,7 +1186,7 @@ mod unification_tests {
         .unwrap();
         let answers = execute(&q, &db, &CqOptions::default()).unwrap();
         assert_eq!(answers.len(), 1);
-        assert_eq!(answers[0].tuple.get(0), &Value::int(2));
+        assert_eq!(answers[0].tuple.get(0), Some(&Value::int(2)));
     }
 
     #[test]
@@ -1311,7 +1311,7 @@ mod index_tests {
     /// exhaustive and row-`LIMIT` options. Returns the derivation count
     /// of each candidate.
     fn run_against_rebuilt(query: &Query, db: &Database) -> Vec<(Value, usize)> {
-        let rebuilt = db.apply(&Valuation::new());
+        let rebuilt = db.apply(&Valuation::new()).unwrap();
         for opts in [CqOptions::default(), CqOptions::with_limit(2)] {
             let got = summary(&execute(query, db, &opts).unwrap());
             assert_eq!(got, summary(&execute(query, &rebuilt, &opts).unwrap()), "{opts:?}");
@@ -1319,7 +1319,7 @@ mod index_tests {
         execute(query, db, &CqOptions::default())
             .unwrap()
             .iter()
-            .map(|a| (a.tuple.get(0).clone(), a.derivations))
+            .map(|a| (a.tuple.values()[0].clone(), a.derivations))
             .collect()
     }
 

@@ -152,7 +152,7 @@ mod tests {
         assert!(dom.base().contains(&Value::BaseNull(qarith_types::BaseNullId(0))));
         assert!(dom.num().contains(&Value::num(3)));
         assert!(dom.num().contains(&Value::NumNull(qarith_types::NumNullId(0))));
-        assert!(dom.num().contains(&Value::decimal("2.5")));
+        assert!(dom.num().contains(&Value::decimal("2.5").unwrap()));
         assert!(dom.num().contains(&Value::num(99)));
         assert_eq!(dom.base().len(), 2);
         assert_eq!(dom.num().len(), 4);

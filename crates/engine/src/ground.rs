@@ -65,8 +65,7 @@ pub fn ground(query: &Query, db: &Database, candidate: &Tuple) -> Result<QfFormu
         });
     }
     let mut env = Env::new();
-    for (i, v) in query.free_vars().iter().enumerate() {
-        let value = candidate.get(i);
+    for (i, (v, value)) in query.free_vars().iter().zip(candidate.values()).enumerate() {
         if value.sort() != v.sort {
             return Err(EngineError::CandidateSort { position: i, expected: v.sort });
         }
@@ -117,8 +116,7 @@ fn translate(
             let mut disjuncts = Vec::new();
             'tuples: for t in rel.tuples() {
                 let mut conj = Vec::new();
-                for (i, e) in evaled.iter().enumerate() {
-                    let cell = t.get(i);
+                for (e, cell) in evaled.iter().zip(t.values()) {
                     match e {
                         Evaled::Base(v) => {
                             if v != cell {
@@ -396,14 +394,14 @@ mod tests {
             Value::str("id1"),
             Value::str("s"),
             Value::num(10),
-            Value::decimal("0.8"),
+            Value::decimal("0.8").unwrap(),
         ])
         .unwrap();
         p.insert_values(vec![
             Value::str("id2"),
             Value::str("s"),
             Value::NumNull(NumNullId(1)),
-            Value::decimal("0.7"),
+            Value::decimal("0.7").unwrap(),
         ])
         .unwrap();
         db.add_relation(p).unwrap();

@@ -168,8 +168,7 @@ fn rel_match(rel: &Relation, args: &[Arg], env: &Env) -> Result<bool, EngineErro
         });
     }
     'tuples: for t in rel.tuples() {
-        for (i, e) in evaled.iter().enumerate() {
-            let cell = t.get(i);
+        for (e, cell) in evaled.iter().zip(t.values()) {
             let matched = match e {
                 Evaled::Base(v) => v == cell,
                 Evaled::Num(p) => {
@@ -248,8 +247,7 @@ pub fn holds_for_candidate(
         });
     }
     let mut env = Env::new();
-    for (i, v) in query.free_vars().iter().enumerate() {
-        let value = candidate.get(i);
+    for (i, (v, value)) in query.free_vars().iter().zip(candidate.values()).enumerate() {
         if value.sort() != v.sort {
             return Err(EngineError::CandidateSort { position: i, expected: v.sort });
         }

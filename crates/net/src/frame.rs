@@ -55,11 +55,11 @@
 //! numerical constants, `B:<id>`/`N:<id>` for base/numerical marked
 //! nulls — a write may introduce fresh nulls, which is how an
 //! incomplete database stays incomplete as it evolves. The ack is a
-//! header-only reply naming the epoch the batch published and what it
-//! invalidated:
+//! header-only reply naming the epoch the batch published and how many
+//! cached plans it dropped (a write drops no ν-cache entry):
 //!
 //! ```text
-//! qarith-reply/1 ok kind=write epoch=<n> db=<16 hex> applied=<n> noops=<n> inv_keys=<n> inv_entries=<n> inv_plans=<n> rid=<epoch-hex>-<seq>\n
+//! qarith-reply/1 ok kind=write epoch=<n> db=<16 hex> applied=<n> noops=<n> inv_plans=<n> rid=<epoch-hex>-<seq>\n
 //! ```
 //!
 //! # Response payload
@@ -413,10 +413,6 @@ pub struct WriteAck {
     pub applied: u64,
     /// Well-typed no-op ops.
     pub noops: u64,
-    /// Distinct ν-cache group keys invalidated.
-    pub invalidated_keys: u64,
-    /// ν-cache entries dropped.
-    pub invalidated_entries: u64,
     /// Cached plans dropped.
     pub plans_invalidated: u64,
     /// The server-minted request id, absent from pre-tracing servers.
@@ -426,15 +422,9 @@ pub struct WriteAck {
 /// Encodes a write acknowledgement from a committed [`WriteOutcome`].
 pub fn encode_write_ack(outcome: &WriteOutcome, request_id: qarith_trace::RequestId) -> String {
     format!(
-        "{REPLY_MAGIC} ok kind=write epoch={} db={:016x} applied={} noops={} inv_keys={} \
-         inv_entries={} inv_plans={} rid={request_id}\n",
-        outcome.epoch,
-        outcome.db_digest,
-        outcome.applied,
-        outcome.noops,
-        outcome.invalidated_keys,
-        outcome.invalidated_entries,
-        outcome.plans_invalidated,
+        "{REPLY_MAGIC} ok kind=write epoch={} db={:016x} applied={} noops={} inv_plans={} \
+         rid={request_id}\n",
+        outcome.epoch, outcome.db_digest, outcome.applied, outcome.noops, outcome.plans_invalidated,
     )
 }
 
@@ -600,8 +590,6 @@ pub fn decode_reply(payload: &[u8]) -> Result<Decoded, String> {
             db_digest: get("db")?,
             applied: get("applied")?,
             noops: get("noops")?,
-            invalidated_keys: get("inv_keys")?,
-            invalidated_entries: get("inv_entries")?,
             plans_invalidated: get("inv_plans")?,
             request_id,
         }));
@@ -837,9 +825,8 @@ mod tests {
             db_digest: 0xdead_beef_0123_4567,
             applied: 3,
             noops: 1,
-            invalidated_keys: 2,
-            invalidated_entries: 5,
             plans_invalidated: 1,
+            ..WriteOutcome::default()
         };
         let rid = qarith_trace::RequestId::parse("68959c1f-7").expect("rid");
         let encoded = encode_write_ack(&outcome, rid);
@@ -848,7 +835,6 @@ mod tests {
                 assert_eq!(ack.epoch, 4);
                 assert_eq!(ack.db_digest, 0xdead_beef_0123_4567);
                 assert_eq!((ack.applied, ack.noops), (3, 1));
-                assert_eq!((ack.invalidated_keys, ack.invalidated_entries), (2, 5));
                 assert_eq!(ack.plans_invalidated, 1);
                 assert_eq!(ack.request_id, Some(rid));
             }

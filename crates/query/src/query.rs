@@ -84,8 +84,8 @@ impl Query {
                         actual: args.len(),
                     });
                 }
-                for (i, arg) in args.iter().enumerate() {
-                    let expected = schema.sort_of(i);
+                for (i, (arg, column)) in args.iter().zip(schema.columns()).enumerate() {
+                    let expected = column.sort();
                     if arg.sort() != expected {
                         return Err(QueryError::ArgSortMismatch {
                             relation: relation.to_string(),

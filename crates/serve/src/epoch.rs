@@ -85,8 +85,10 @@ impl Snapshot {
 }
 
 /// What one committed [`WriteBatch`](qarith_types::WriteBatch) did —
-/// the new epoch's identity plus invalidation accounting, surfaced on
-/// the wire as the `qarith-write/1` ack frame.
+/// the new epoch's identity plus the plans it dropped, surfaced on the
+/// wire as the `qarith-write/1` ack frame. A write drops no ν-cache
+/// entry: entries are keyed by canonical formula, which no write can
+/// make wrong (see [`qarith_core::nucache`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WriteOutcome {
     /// The epoch the batch published.
@@ -98,11 +100,11 @@ pub struct WriteOutcome {
     /// Well-typed no-op ops (duplicate insert, absent delete/update,
     /// update of a tuple onto itself).
     pub noops: u64,
-    /// Distinct ν-cache group keys invalidated by this batch.
+    /// Always 0, since a write drops no ν-cache key. It stays only
+    /// because the repository benchmark (`perfbench/`) still reads it;
+    /// the benchmark change that retires its
+    /// `serve.invalidated_keys_per_write` metric deletes it.
     pub invalidated_keys: u64,
-    /// ν-cache entries dropped (≥ keys: one key may hold several
-    /// fingerprints).
-    pub invalidated_entries: u64,
     /// Cached plans dropped because they depended on a touched
     /// relation.
     pub plans_invalidated: u64,

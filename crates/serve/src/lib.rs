@@ -33,14 +33,14 @@
 //! * **A live write path** ([`epoch`]) — `INSERT`/`DELETE`/`UPDATE`
 //!   batches ([`qarith_types::WriteBatch`]) applied through an
 //!   epoch-versioned snapshot store: writers build epoch N+1 aside
-//!   while readers keep epoch N, a committed batch invalidates only
-//!   the ν-cache keys and plans whose grounding touched the changed
-//!   relations, and every response names the epoch digest its answers
-//!   are pinned to.
+//!   while readers keep epoch N, a committed batch drops only the
+//!   plans whose grounding read a changed relation (ν-cache entries
+//!   are content-addressed, so they outlive every write), and every
+//!   response names the epoch digest its answers are pinned to.
 //!
 //! Every layer exports counters through the workspace's `as_pairs`
 //! convention; `serve_bench` (crate `qarith-bench`) serializes them
-//! next to p50/p95/p99 latency percentiles into the schema-v2
+//! next to p50/p95/p99 latency percentiles into the schema-v4
 //! `BENCH_*.json` artifact that CI gates.
 //!
 //! ```

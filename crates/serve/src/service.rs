@@ -174,12 +174,12 @@ pub struct QueryResponse {
 /// **Determinism.** For a fixed epoch (named by
 /// [`QueryResponse::db_digest`]) and fixed options, every request for
 /// a template returns bit-identical answers, regardless of client
-/// concurrency, plan-cache state, or ν-cache eviction and invalidation
-/// history: plans are deterministic functions of (template, relation
-/// contents), and measurements are deterministic functions of (group,
-/// options) — see [`qarith_core::nucache`]. The mutation tests lock
-/// this in by comparing against cold-cache rebuilds on the final
-/// state.
+/// concurrency, plan-cache state, ν-cache eviction, or the writes that
+/// came before: plans are deterministic functions of (template,
+/// relation contents), and measurements are deterministic functions of
+/// (group, options) — see [`qarith_core::nucache`]. That is why a write
+/// drops plans but no ν entry. The mutation tests lock this in by
+/// comparing against cold-cache rebuilds after every write.
 #[derive(Debug)]
 pub struct QueryService {
     /// The current epoch, behind the `EpochStore` lock (see
@@ -278,15 +278,17 @@ impl BatchTotals {
 /// embeds candidates generated from specific relation contents, so it
 /// is reusable exactly while every relation in `deps` still has the
 /// version it had at build time; a hit on a stale plan is treated as a
-/// miss and the entry replaced. `last_used` is an atomic so hits can
-/// refresh it under the read lock (the common path never takes the
-/// write lock).
+/// miss, and the rebuild replaces the entry if it is the fresher one.
+/// `last_used` is an atomic so hits can refresh it under the read lock
+/// (the common path never takes the write lock).
 #[derive(Debug)]
 struct PlanEntry {
     plan: Arc<BatchPlan>,
     /// The relations the template reads, with their versions at build
     /// time ([`Snapshot::version_of`]).
     deps: Vec<(String, u64)>,
+    /// The epoch of the snapshot the plan was built on.
+    epoch: u64,
     last_used: AtomicU64,
 }
 
@@ -427,8 +429,10 @@ impl QueryService {
     }
 
     /// [`QueryService::apply`] under a caller-owned trace: epoch
-    /// construction records into [`Stage::WriteApply`], cache and plan
-    /// invalidation into [`Stage::Invalidate`].
+    /// construction records into [`Stage::WriteApply`], plan
+    /// invalidation into [`Stage::Invalidate`]. The ν-cache keeps every
+    /// entry: a key names a canonical formula, which no write can make
+    /// wrong.
     ///
     /// Writes bypass the admission gate — they serialize on the epoch
     /// writer lock instead, and gating them behind query traffic would
@@ -448,7 +452,7 @@ impl QueryService {
             let summary = db.apply_batch(batch).map_err(ServeError::Write)?;
             // Conservative footprint: every relation the batch names.
             // A batch of pure no-ops changed nothing, so it bumps no
-            // versions (and therefore invalidates nothing), but still
+            // versions (and therefore drops no plan), but still
             // publishes an epoch so every committed write has one.
             let touched: Vec<String> = if summary.applied > 0 {
                 let names: BTreeSet<&str> = batch.ops.iter().map(WriteOp::relation).collect();
@@ -460,13 +464,11 @@ impl QueryService {
             self.publish(next.clone())?;
             (next, summary, touched)
         };
-        let (invalidated_keys, invalidated_entries, plans_invalidated) = {
+        let plans_invalidated = {
             let _span = trace.span(Stage::Invalidate);
-            let plans_invalidated = self.sweep_plans(&touched)?;
-            self.plan_invalidations.fetch_add(plans_invalidated, Ordering::Relaxed);
-            let (keys, entries) = self.cache.invalidate_relations(&touched);
-            (keys, entries, plans_invalidated)
+            self.sweep_plans(&touched)?
         };
+        self.plan_invalidations.fetch_add(plans_invalidated, Ordering::Relaxed);
         self.writes.fetch_add(1, Ordering::Relaxed);
         self.write_ops.fetch_add(batch.ops.len() as u64, Ordering::Relaxed);
         Ok(WriteOutcome {
@@ -474,8 +476,7 @@ impl QueryService {
             db_digest: next.digest,
             applied: summary.applied as u64,
             noops: summary.noops as u64,
-            invalidated_keys,
-            invalidated_entries,
+            invalidated_keys: 0,
             plans_invalidated,
         })
     }
@@ -538,8 +539,10 @@ impl QueryService {
     /// for one fingerprint each build (plans are deterministic given
     /// the relation contents, so copies built against one snapshot are
     /// interchangeable); the first publication wins and the rest adopt
-    /// it — unless its versions are stale for this request's snapshot,
-    /// in which case the fresher build replaces it.
+    /// it. When the resident plan is not current for this request's
+    /// snapshot, the fresher of the two stays: a build on a newer epoch
+    /// replaces the resident plan, and a build on an older epoch serves
+    /// its own request without being published.
     fn plan_for(
         &self,
         sql: &str,
@@ -567,8 +570,8 @@ impl QueryService {
                 }
                 // Stale: a write bumped one of the plan's relations
                 // after the eager sweep raced past this entry, or this
-                // reader pinned a newer snapshot than the builder's.
-                // Fall through to a rebuild against our snapshot.
+                // reader and the builder pinned different epochs. Fall
+                // through to a rebuild against our snapshot.
             }
         }
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
@@ -576,42 +579,44 @@ impl QueryService {
         // are the expensive half, and other templates must keep flowing.
         let (built, deps) = self.build_plan(sql, snap, trace)?;
         let built = Arc::new(built);
-        // Register the plan's group keys in the delta index before
-        // publication, so a write landing between the two still finds
-        // them.
-        let relations: Vec<String> = deps.iter().map(|(rel, _)| rel.clone()).collect();
-        self.cache.register(&relations, built.group_keys().flatten());
         let tick = self.plan_tick.fetch_add(1, Ordering::Relaxed);
         let _span = trace.span(Stage::PlanLookup);
         let mut plans = self.plans.write().map_err(poisoned)?;
-        let stale = plans.get(fingerprint).is_some_and(|entry| !entry.current(snap));
-        if stale {
+        if let Some(entry) = plans.get(fingerprint) {
+            if entry.current(snap) {
+                return Ok((entry.plan.clone(), false));
+            }
+            if entry.epoch > snap.epoch {
+                // The resident plan serves newer readers; ours serves
+                // this request alone.
+                return Ok((built, false));
+            }
             // Lazy invalidation: the resident plan predates a write.
             // Replace it with ours (counted alongside the eager
             // sweep's removals).
             plans.remove(fingerprint);
             self.plan_invalidations.fetch_add(1, Ordering::Relaxed);
         }
-        if !plans.contains_key(fingerprint) {
-            // Evict least-recently-used templates down to cap − 1. The
-            // O(n) scan is fine: it runs only on publication, which is
-            // already the expensive (plan-building) path, and n ≤ cap.
-            while plans.len() >= self.max_plans {
-                let victim = plans
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                    .map(|(k, _)| k.clone());
-                let Some(victim) = victim else { break };
-                plans.remove(&victim);
-                self.plan_evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        // Evict least-recently-used templates down to cap − 1. The
+        // O(n) scan is fine: it runs only on publication, which is
+        // already the expensive (plan-building) path, and n ≤ cap.
+        while plans.len() >= self.max_plans {
+            let victim = plans
+                .iter()
+                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
+                .map(|(k, _)| k.clone());
+            let Some(victim) = victim else { break };
+            plans.remove(&victim);
+            self.plan_evictions.fetch_add(1, Ordering::Relaxed);
         }
-        let plan = plans
-            .entry(fingerprint.to_string())
-            .or_insert_with(|| PlanEntry { plan: built, deps, last_used: AtomicU64::new(tick) })
-            .plan
-            .clone();
-        Ok((plan, false))
+        let entry = PlanEntry {
+            plan: built.clone(),
+            deps,
+            epoch: snap.epoch,
+            last_used: AtomicU64::new(tick),
+        };
+        plans.insert(fingerprint.to_string(), entry);
+        Ok((built, false))
     }
 
     /// The front half, template-granular: parse + lower against the
@@ -687,7 +692,7 @@ impl QueryService {
     }
 
     /// A snapshot of every per-stage latency histogram (admission wait
-    /// through write apply and invalidate, plus the end-to-end total),
+    /// through write apply and plan invalidation, plus the end-to-end total),
     /// in [`Stage::ALL`] order. This is the `/metrics` histogram
     /// source and the schema-v4 BENCH per-stage summary source.
     pub fn latency_stats(&self) -> LatencyStats {
@@ -715,5 +720,52 @@ impl QueryService {
     /// The slow-query capture threshold currently in force.
     pub fn slow_threshold(&self) -> u64 {
         self.tracer.slow_threshold()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qarith_types::{Column, NumNullId, Relation, RelationSchema, Value};
+
+    fn db() -> Database {
+        let schema =
+            RelationSchema::new("R", vec![Column::base("id"), Column::num("x"), Column::num("y")])
+                .expect("schema");
+        let mut r = Relation::empty(schema);
+        r.insert_values(vec![Value::int(1), Value::NumNull(NumNullId(0)), Value::num(3)])
+            .expect("row");
+        let mut db = Database::new();
+        db.add_relation(r).expect("relation");
+        db
+    }
+
+    /// A reader still pinned to an older epoch builds its own plan, but
+    /// must not publish it over the plan a newer reader published.
+    #[test]
+    fn an_older_reader_does_not_evict_a_newer_plan() {
+        let service = QueryService::new(db(), ServeConfig::default());
+        let sql = "SELECT R.id FROM R WHERE R.x > R.y";
+        let fingerprint = qarith_sql::sql_fingerprint(sql).expect("fingerprint");
+        service.query(sql).expect("epoch 0 query");
+        let epoch0 = service.snapshot().expect("epoch 0");
+
+        let mut batch = WriteBatch::new();
+        batch.insert("R", vec![Value::int(2), Value::NumNull(NumNullId(1)), Value::num(4)]);
+        service.apply(&batch).expect("insert");
+        assert_eq!(service.stats().plan_invalidations, 1, "the write drops the epoch-0 plan");
+        assert!(!service.query(sql).expect("epoch 1 build").plan_cached);
+        assert!(service.query(sql).expect("epoch 1 hit").plan_cached);
+
+        let mut trace = service.begin_trace();
+        let (old_plan, cached) =
+            service.plan_for(sql, &fingerprint, &epoch0, &mut trace).expect("epoch 0 plan");
+        assert!(!cached);
+        assert_eq!(old_plan.candidates(), 1, "built on epoch 0's one row");
+        assert_eq!(service.stats().plan_invalidations, 1, "the epoch-1 plan stays resident");
+
+        let after = service.query(sql).expect("epoch 1 query");
+        assert!(after.plan_cached, "the next epoch-1 reader still hits");
+        assert_eq!(after.answers.len(), 2);
     }
 }

@@ -3,17 +3,19 @@
 //!
 //! * cold-rebuild bit-identity — after *any* sequence of committed
 //!   [`WriteBatch`]es (property-tested over inserts, deletes, and
-//!   updates, including ones that introduce fresh nulls), every query
-//!   answer from the long-lived service, keyed joins included, is
+//!   updates, including ones that introduce fresh nulls, under forced
+//!   AFPRAS, rewritten `Auto`, and forced FPRAS), every query answer
+//!   from the long-lived service, keyed joins included, is
 //!   bit-identical to a fresh cold-cache service built on the final
 //!   database state rebuilt from its rows (so it inherits no column
-//!   index);
+//!   index and no ν entry);
 //! * an update of a tuple onto itself is a no-op: it invalidates no
 //!   plan and leaves the digest as it was;
-//! * invalidation selectivity — a targeted single-tuple write on the
-//!   medium sales database drops exactly the ν-cache keys grounded
-//!   against the touched relation, leaves survivors resident (counter-
-//!   asserted), and the survivors still *hit* with unchanged bits;
+//! * ν entries outlive writes — a targeted single-tuple write on the
+//!   medium sales database drops exactly the plans grounded against
+//!   the touched relation and no ν-cache entry; the rebuilt plans
+//!   measure nothing and answer like a cold service on the new epoch,
+//!   and the untouched plans still *hit* with unchanged bits;
 //! * digest cross-pin — `qarith_serve::database_digest` and
 //!   `qarith_datagen::database_digest` are bit-for-bit the same
 //!   function (both re-export the one in `qarith-types`; this test
@@ -56,6 +58,22 @@ fn serve_config(epsilon: f64) -> ServeConfig {
         cache: NuCacheConfig { shards: 4, budget_bytes: 64 << 20 },
         ..ServeConfig::default()
     }
+}
+
+/// The measurement regimes the cold-rebuild property runs under, one
+/// per kind of ν-cache key a write must not make wrong: forced AFPRAS
+/// (asymptotic keys), `Auto` with rewriting on (the exact routes, and
+/// the `ra:`/`rs:` keys of rewritten groups), and forced FPRAS
+/// (structural keys).
+fn proptest_configs() -> [ServeConfig; 3] {
+    let afpras = serve_config(0.25);
+    let mut auto = afpras.clone();
+    auto.options.method = MethodChoice::Auto;
+    auto.options.rewrite.enabled = true;
+    let mut fpras = afpras.clone();
+    fpras.options.method = MethodChoice::Fpras;
+    fpras.options = fpras.options.with_epsilon(0.25);
+    [afpras, auto, fpras]
 }
 
 /// μ-relevant response content (`cached`/`plan_cached` are provenance,
@@ -156,51 +174,57 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// After every committed batch of an arbitrary sequence, the live
-    /// service (with whatever plan/ν-cache state and column indexes its
+    /// service (with whatever plans, ν entries and column indexes its
     /// history left behind) answers bit-identically to a cold-cache
     /// service built from scratch on the current database, its
     /// relations rebuilt from their rows — and both agree on the epoch
-    /// digest of a shadow copy mutated alongside.
+    /// digest of a shadow copy mutated alongside. The same sequence runs
+    /// under each of [`proptest_configs`].
     #[test]
     fn any_write_sequence_matches_a_cold_rebuild(
         batches in prop::collection::vec(prop::collection::vec(write_op(), 1..5), 1..4)
     ) {
-        let service = QueryService::new(proptest_db(), serve_config(0.25));
-        let mut shadow = proptest_db();
+        for config in proptest_configs() {
+            let method = config.options.method;
+            let service = QueryService::new(proptest_db(), config.clone());
+            let mut shadow = proptest_db();
 
-        // Warm the caches on epoch 0 so later batches have something
-        // to invalidate.
-        for sql in PROPTEST_SQL {
-            service.query(sql).expect("warmup query");
-        }
-
-        for (i, ops) in batches.iter().enumerate() {
-            let batch = WriteBatch::of(ops.clone());
-            let outcome = service.apply(&batch).expect("well-typed batch");
-            shadow.apply_batch(&batch).expect("shadow apply");
-
-            let epoch = (i + 1) as u64;
-            prop_assert_eq!(outcome.epoch, epoch, "epochs are consecutive");
-            prop_assert_eq!(
-                outcome.db_digest,
-                database_digest(&shadow),
-                "published digest names the shadow's contents"
-            );
-            prop_assert_eq!(service.stats().epoch, epoch);
-
-            let cold = QueryService::new(shadow.apply(&Valuation::new()), serve_config(0.25));
+            // Warm the caches on epoch 0, so every later batch meets
+            // resident plans and ν entries.
             for sql in PROPTEST_SQL {
-                let warm = service.query(sql).expect("warm query");
-                let fresh = cold.query(sql).expect("cold query");
+                service.query(sql).expect("warmup query");
+            }
+
+            for (i, ops) in batches.iter().enumerate() {
+                let batch = WriteBatch::of(ops.clone());
+                let outcome = service.apply(&batch).expect("well-typed batch");
+                shadow.apply_batch(&batch).expect("shadow apply");
+
+                let epoch = (i + 1) as u64;
+                prop_assert_eq!(outcome.epoch, epoch, "epochs are consecutive");
                 prop_assert_eq!(
-                    response_fingerprint(&warm),
-                    response_fingerprint(&fresh),
-                    "batch {}: live service diverged from a cold rebuild for {}",
-                    i,
-                    sql
+                    outcome.db_digest,
+                    database_digest(&shadow),
+                    "published digest names the shadow's contents"
                 );
-                prop_assert_eq!(warm.epoch, epoch);
-                prop_assert_eq!(warm.db_digest, database_digest(&shadow));
+                prop_assert_eq!(service.stats().epoch, epoch);
+
+                let rebuilt = shadow.apply(&Valuation::new()).expect("rows keep their sorts");
+                let cold = QueryService::new(rebuilt, config.clone());
+                for sql in PROPTEST_SQL {
+                    let warm = service.query(sql).expect("warm query");
+                    let fresh = cold.query(sql).expect("cold query");
+                    prop_assert_eq!(
+                        response_fingerprint(&warm),
+                        response_fingerprint(&fresh),
+                        "{:?}, batch {}: live service diverged from a cold rebuild for {}",
+                        method,
+                        i,
+                        sql
+                    );
+                    prop_assert_eq!(warm.epoch, epoch);
+                    prop_assert_eq!(warm.db_digest, database_digest(&shadow));
+                }
             }
         }
     }
@@ -234,7 +258,7 @@ fn an_update_onto_a_present_tuple_invalidates_like_any_change() {
 
 /// Replacing a tuple by itself changes nothing under set semantics, so
 /// it is a no-op: the row keeps its place in the relation, the digest
-/// stays, and no plan or ν entry is invalidated.
+/// stays, and no plan is invalidated.
 #[test]
 fn an_update_onto_itself_invalidates_nothing() {
     let service = QueryService::new(proptest_db(), serve_config(0.25));
@@ -250,7 +274,6 @@ fn an_update_onto_itself_invalidates_nothing() {
     let outcome = service.apply(&batch).expect("well-typed batch");
     assert_eq!((outcome.applied, outcome.noops), (0, 1));
     assert_eq!(outcome.plans_invalidated, 0);
-    assert_eq!(outcome.invalidated_keys, 0);
     assert_eq!(outcome.db_digest, before.digest);
 
     let after = service.snapshot().expect("epoch 1");
@@ -263,13 +286,13 @@ fn an_update_onto_itself_invalidates_nothing() {
 }
 
 // ---------------------------------------------------------------------
-// Satellite: invalidation selectivity on the medium sales database.
+// ν entries outlive writes, on the medium sales database.
 // ---------------------------------------------------------------------
 
 /// Orders templates whose candidates are uncertain by construction
 /// (`q` is drawn from 1..=50, so only null-`q` tuples can satisfy the
 /// predicates). The sampling route groups by the *asymptotic* key, in
-/// which constants and scales vanish — so the four templates here are
+/// which constants and scales vanish — so the templates here are
 /// distinguished by comparison operator and coefficient sign, which
 /// the key provably preserves, minting one distinct ν-cache group key
 /// per template.
@@ -290,7 +313,7 @@ const MARKET_SQL: [&str; 2] = [
 ];
 
 #[test]
-fn targeted_write_invalidates_selectively_and_survivors_still_hit() {
+fn targeted_write_drops_its_plans_and_keeps_every_nu_entry() {
     let db = qarith_datagen::sales::sales_database(&WorkloadScale::Medium.params(), 2020);
     let service = QueryService::new(db, serve_config(0.1));
 
@@ -312,7 +335,6 @@ fn targeted_write_invalidates_selectively_and_survivors_still_hit() {
 
     let before = service.cache_stats();
     assert!(before.entries >= 2, "both relations left resident ν entries: {before:?}");
-    assert_eq!(before.invalidations, 0);
     let plans_before = service.stats().plans;
     assert_eq!(plans_before, 4, "four templates, four plans");
 
@@ -343,24 +365,12 @@ fn targeted_write_invalidates_selectively_and_survivors_still_hit() {
 
     assert_eq!(outcome.epoch, 1);
     assert_eq!((outcome.applied, outcome.noops), (1, 0));
-    assert!(outcome.invalidated_keys >= 1, "Orders keys must drop: {outcome:?}");
     assert_eq!(outcome.plans_invalidated, 2, "exactly the two Orders plans drop");
+    assert_eq!(service.stats().plans, plans_before - 2);
+    assert_eq!(service.cache_stats().entries, before.entries, "a write drops no ν entry");
 
-    // Counter-asserted selectivity: the survivors are exactly the
-    // resident entries the write did not claim, and there are some.
-    let after = service.cache_stats();
-    assert_eq!(after.invalidations, outcome.invalidated_keys);
-    assert_eq!(after.invalidated_entries, outcome.invalidated_entries);
-    assert_eq!(
-        after.entries,
-        before.entries - outcome.invalidated_entries,
-        "invalidation dropped exactly what it counted"
-    );
-    assert!(after.entries > 0, "Market entries survive a write to Orders: {after:?}");
-    assert_eq!(service.stats().plans, plans_before - outcome.plans_invalidated);
-
-    // Survivors still hit — same plan, same resident ν entries, same
-    // bits as before the write.
+    // The untouched templates still hit — same plan, same resident ν
+    // entries, same bits as before the write.
     for (sql, reference) in MARKET_SQL.iter().zip(&market_reference) {
         let hits_before = service.cache_stats().hits;
         let response = service.query(sql).expect("survivor query");
@@ -372,7 +382,11 @@ fn targeted_write_invalidates_selectively_and_survivors_still_hit() {
     }
 
     // The touched templates rebuild against epoch 1 and see the new
-    // tuple (its null `q` makes it one more uncertain candidate).
+    // tuple (its null `q` makes it one more uncertain candidate). Its
+    // ground formula has the group key of a resident entry, so the
+    // rebuilt plans measure nothing, and they answer bit for bit like a
+    // service that never saw epoch 0.
+    let cold = QueryService::new(Database::clone(&epoch1.db), serve_config(0.1));
     for sql in ORDERS_SQL {
         let response = service.query(sql).expect("rebuilt query");
         assert!(!response.plan_cached, "{sql}: Orders plans were invalidated");
@@ -380,6 +394,13 @@ fn targeted_write_invalidates_selectively_and_survivors_still_hit() {
         assert!(
             response.answers.iter().any(|a| a.tuple.to_string().contains(&(1 << 20).to_string())),
             "{sql}: the inserted tuple is a candidate now"
+        );
+        assert_eq!(response.stats.measured, 0, "{sql}: every group key is resident");
+        let fresh = cold.query(sql).expect("cold query");
+        assert_eq!(
+            response_fingerprint(&response),
+            response_fingerprint(&fresh),
+            "{sql}: bits equal a cold service on epoch 1"
         );
     }
 }

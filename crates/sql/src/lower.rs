@@ -117,19 +117,22 @@ impl Scope {
                     .iter()
                     .find(|(a, _)| a == alias)
                     .ok_or_else(|| SqlError::UnknownColumn { reference: col.to_string() })?;
-                let idx = schema
+                let sort = schema
                     .column_index(&col.column)
+                    .and_then(|idx| schema.sort_of(idx))
                     .ok_or_else(|| SqlError::UnknownColumn { reference: col.to_string() })?;
-                Ok((format!("{alias}.{}", col.column), schema.sort_of(idx)))
+                Ok((format!("{alias}.{}", col.column), sort))
             }
             None => {
                 let mut hit: Option<(String, Sort)> = None;
                 for (alias, schema) in &self.tables {
-                    if let Some(idx) = schema.column_index(&col.column) {
+                    if let Some(sort) =
+                        schema.column_index(&col.column).and_then(|idx| schema.sort_of(idx))
+                    {
                         if hit.is_some() {
                             return Err(SqlError::AmbiguousColumn { name: col.column.clone() });
                         }
-                        hit = Some((format!("{alias}.{}", col.column), schema.sort_of(idx)));
+                        hit = Some((format!("{alias}.{}", col.column), sort));
                     }
                 }
                 hit.ok_or_else(|| SqlError::UnknownColumn { reference: col.to_string() })

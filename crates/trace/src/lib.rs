@@ -81,8 +81,8 @@ pub enum Stage {
     /// Write path only: building and publishing the next epoch
     /// snapshot (clone, op application, digest, pointer swap).
     WriteApply,
-    /// Write path only: delta-aware ν-cache and plan invalidation
-    /// after an epoch swap.
+    /// Write path only: plan invalidation after an epoch swap (the
+    /// ν-cache keeps its entries across writes).
     Invalidate,
     /// End-to-end request time from `begin` to `finish`.
     Total,
@@ -141,7 +141,7 @@ impl Stage {
             Stage::FrameDecode => "wire request frame decode",
             Stage::FrameEncode => "wire reply frame encode",
             Stage::WriteApply => "building and publishing the next epoch snapshot",
-            Stage::Invalidate => "delta-aware nu-cache and plan invalidation after an epoch swap",
+            Stage::Invalidate => "plan invalidation after an epoch swap",
             Stage::Total => "end-to-end request time",
         }
     }

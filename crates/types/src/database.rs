@@ -59,13 +59,14 @@ impl Database {
 
     /// Looks up a relation by name.
     pub fn relation(&self, name: &str) -> Option<&Relation> {
-        self.by_name.get(name).map(|&i| &*self.relations[i])
+        self.by_name.get(name).and_then(|&i| self.relations.get(i)).map(Arc::as_ref)
     }
 
     /// Mutable lookup. Copies the relation first if another database
     /// shares it (copy-on-write), so the sharer never sees the change.
     pub fn relation_mut(&mut self, name: &str) -> Option<&mut Relation> {
-        self.by_name.get(name).copied().map(move |i| Arc::make_mut(&mut self.relations[i]))
+        let &i = self.by_name.get(name)?;
+        self.relations.get_mut(i).map(Arc::make_mut)
     }
 
     /// All relations, in the order they were added.
@@ -75,11 +76,8 @@ impl Database {
 
     /// The catalog induced by the stored relations.
     pub fn catalog(&self) -> Catalog {
-        let mut cat = Catalog::new();
-        for r in &self.relations {
-            cat.add(r.schema().clone()).expect("relation names are unique");
-        }
-        cat
+        let schemas = self.relations.iter().map(|r| r.schema().clone()).collect();
+        Catalog::indexed(schemas, self.by_name.clone())
     }
 
     /// All base nulls occurring in the database — `N_base(D)`.
@@ -127,22 +125,25 @@ impl Database {
     }
 
     /// Applies a (possibly partial) valuation to every stored tuple.
-    pub fn apply(&self, v: &Valuation) -> Database {
+    /// Fails with the first mapped tuple's type error, which no
+    /// valuation causes: it maps each null to a constant of the null's
+    /// sort.
+    pub fn apply(&self, v: &Valuation) -> Result<Database, TypeError> {
         let mut out = Database::new();
         for r in &self.relations {
             let mut nr = Relation::empty(r.schema().clone());
             for t in r.tuples() {
-                nr.insert(v.apply_tuple(t)).expect("valuation preserves sorts");
+                nr.insert(v.apply_tuple(t))?;
             }
-            out.add_relation(nr).expect("names preserved");
+            out.add_relation(nr)?;
         }
-        out
+        Ok(out)
     }
 
     /// Applies a valuation and checks the result is complete (no nulls
     /// remain) — `v(D)` for a full valuation.
     pub fn complete(&self, v: &Valuation) -> Result<Database, TypeError> {
-        let out = self.apply(v);
+        let out = self.apply(v)?;
         let mut leftover: Option<String> = None;
         out.visit_values(|val| {
             if leftover.is_none() && val.is_null() {
@@ -233,14 +234,14 @@ mod tests {
             Value::str("id1"),
             Value::str("s"),
             Value::num(10),
-            Value::decimal("0.8"),
+            Value::decimal("0.8").unwrap(),
         ])
         .unwrap();
         p.insert_values(vec![
             Value::str("id2"),
             Value::str("s"),
             Value::NumNull(NumNullId(1)),
-            Value::decimal("0.7"),
+            Value::decimal("0.7").unwrap(),
         ])
         .unwrap();
         db.add_relation(p).unwrap();
@@ -304,7 +305,7 @@ mod tests {
         assert_eq!(complete.stats().num_nulls, 0);
         // Tuples got rewritten.
         let c = complete.relation("Competition").unwrap();
-        assert_eq!(c.tuples()[0].get(2), &Value::num(12));
+        assert_eq!(c.tuples()[0].get(2), Some(&Value::num(12)));
     }
 
     #[test]
@@ -321,7 +322,7 @@ mod tests {
     fn apply_is_partial_and_nondestructive() {
         let db = intro_example();
         let v = Valuation::new().with_num(NumNullId(0), 42);
-        let applied = db.apply(&v);
+        let applied = db.apply(&v).unwrap();
         assert_eq!(applied.stats().num_nulls, 1); // ⊤1 remains
         assert_eq!(db.stats().num_nulls, 2); // original untouched
     }

@@ -94,8 +94,10 @@ impl DatabaseDigest {
                         Some(row) => {
                             earlier = None;
                             debug_assert_eq!(saved.states.len(), old.len() / DIGEST_SPAN + 1);
-                            let states = saved.states[..=row / DIGEST_SPAN].to_vec();
-                            out.hash_rows(relation, states)
+                            let span = row / DIGEST_SPAN;
+                            let states = &saved.states;
+                            // analyze: allow(panic-index, reason = "row <= old.len(), and `saved` holds a state for every span start up to old.len()")
+                            out.hash_rows(relation, states[..span].to_vec(), states[span])
                         }
                     }
                 }
@@ -129,20 +131,29 @@ impl DatabaseDigest {
         hasher.update(schema.name().as_bytes());
         hasher.update(b"|");
         for col in schema.columns() {
-            write!(hasher, "{}:{:?};", col.name(), col.sort()).expect("hashing text cannot fail");
+            // `Fnv1a64::write_str` never fails.
+            let _ = write!(hasher, "{}:{:?};", col.name(), col.sort());
         }
-        self.hash_rows(relation, vec![hasher])
+        self.hash_rows(relation, Vec::new(), hasher)
     }
 
-    /// Hashes the rows from the last of `states` on, saving a state
+    /// Hashes the rows from `states.len() * DIGEST_SPAN` on, starting
+    /// from `hasher`, the state before that row, and saving a state
     /// before every [`DIGEST_SPAN`]-th row.
-    fn hash_rows(&mut self, relation: &Relation, mut states: Vec<Fnv1a64>) -> RelationDigest {
-        let from = (states.len() - 1) * DIGEST_SPAN;
-        let mut hasher = *states.last().expect("a relation digest starts from a state");
+    fn hash_rows(
+        &mut self,
+        relation: &Relation,
+        mut states: Vec<Fnv1a64>,
+        mut hasher: Fnv1a64,
+    ) -> RelationDigest {
+        let from = states.len() * DIGEST_SPAN;
+        states.push(hasher);
+        // analyze: allow(panic-index, reason = "callers resume at a span start no later than the first changed row, which is at most the relation's length")
         let rows = &relation.tuples()[from..];
         for span in rows.chunks(DIGEST_SPAN) {
             for row in span {
-                writeln!(hasher, "{row}").expect("hashing text cannot fail");
+                // `Fnv1a64::write_str` never fails.
+                let _ = writeln!(hasher, "{row}");
             }
             if span.len() == DIGEST_SPAN {
                 states.push(hasher);

@@ -127,8 +127,8 @@ impl Relation {
                 actual: tuple.arity(),
             });
         }
-        for (i, v) in tuple.values().iter().enumerate() {
-            let expected = self.schema.sort_of(i);
+        for (i, (v, column)) in tuple.values().iter().zip(self.schema.columns()).enumerate() {
+            let expected = column.sort();
             if v.sort() != expected {
                 return Err(TypeError::SortMismatch {
                     relation: self.schema.name().to_string(),
@@ -244,7 +244,10 @@ mod tests {
     fn matching(r: &Relation, column: usize, value: &Value) -> Vec<u32> {
         let rows = r.column_index(column).unwrap().rows(value);
         assert!(rows.windows(2).all(|w| w[0] < w[1]), "ascending: {rows:?}");
-        rows.iter().copied().filter(|&i| r.tuples()[i as usize].get(column) == value).collect()
+        rows.iter()
+            .copied()
+            .filter(|&i| r.tuples()[i as usize].get(column) == Some(value))
+            .collect()
     }
 
     #[test]

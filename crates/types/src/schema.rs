@@ -98,9 +98,9 @@ impl RelationSchema {
         self.by_name.get(name).copied()
     }
 
-    /// Sort of the `i`-th column.
-    pub fn sort_of(&self, i: usize) -> Sort {
-        self.columns[i].sort()
+    /// Sort of the `i`-th column (`None` past the last column).
+    pub fn sort_of(&self, i: usize) -> Option<Sort> {
+        self.columns.get(i).map(Column::sort)
     }
 
     /// Number of base-sort columns.
@@ -140,6 +140,17 @@ impl Catalog {
         Catalog::default()
     }
 
+    /// A catalog over `relations`, with `by_name` mapping each relation's
+    /// name to its position. The caller guarantees the names are unique
+    /// and the positions in bounds, as a [`crate::Database`]'s own
+    /// index does.
+    pub(crate) fn indexed(
+        relations: Vec<RelationSchema>,
+        by_name: HashMap<String, usize>,
+    ) -> Catalog {
+        Catalog { relations, by_name }
+    }
+
     /// Adds a relation schema; names must be unique.
     pub fn add(&mut self, schema: RelationSchema) -> Result<(), TypeError> {
         if self.by_name.contains_key(schema.name()) {
@@ -152,7 +163,7 @@ impl Catalog {
 
     /// Looks up a relation schema by name.
     pub fn get(&self, name: &str) -> Option<&RelationSchema> {
-        self.by_name.get(name).map(|&i| &self.relations[i])
+        self.by_name.get(name).and_then(|&i| self.relations.get(i))
     }
 
     /// All relation schemas.
@@ -181,8 +192,9 @@ mod tests {
         assert_eq!(s.num_arity(), 2);
         assert_eq!(s.column_index("rrp"), Some(2));
         assert_eq!(s.column_index("nope"), None);
-        assert_eq!(s.sort_of(0), Sort::Base);
-        assert_eq!(s.sort_of(3), Sort::Num);
+        assert_eq!(s.sort_of(0), Some(Sort::Base));
+        assert_eq!(s.sort_of(3), Some(Sort::Num));
+        assert_eq!(s.sort_of(4), None);
     }
 
     #[test]

@@ -41,9 +41,9 @@ impl Tuple {
         &self.values
     }
 
-    /// The `i`-th value.
-    pub fn get(&self, i: usize) -> &Value {
-        &self.values[i]
+    /// The `i`-th value (`None` past the last one).
+    pub fn get(&self, i: usize) -> Option<&Value> {
+        self.values.get(i)
     }
 
     /// `true` iff any component is a null.
@@ -54,11 +54,6 @@ impl Tuple {
     /// A new tuple with each value transformed by `f`.
     pub fn map(&self, f: impl FnMut(&Value) -> Value) -> Tuple {
         Tuple { values: self.values.iter().map(f).collect() }
-    }
-
-    /// Projects onto the given column positions.
-    pub fn project(&self, cols: &[usize]) -> Tuple {
-        Tuple { values: cols.iter().map(|&i| self.values[i].clone()).collect() }
     }
 }
 
@@ -96,17 +91,11 @@ mod tests {
     fn basics() {
         let t = Tuple::new(vec![Value::int(1), Value::str("a"), Value::num(3)]);
         assert_eq!(t.arity(), 3);
-        assert_eq!(t.get(0), &Value::int(1));
+        assert_eq!(t.get(0), Some(&Value::int(1)));
+        assert_eq!(t.get(3), None);
         assert!(!t.has_nulls());
         let n = Tuple::new(vec![Value::NumNull(NumNullId(0))]);
         assert!(n.has_nulls());
-    }
-
-    #[test]
-    fn projection() {
-        let t = Tuple::new(vec![Value::int(1), Value::int(2), Value::int(3)]);
-        assert_eq!(t.project(&[2, 0]), Tuple::new(vec![Value::int(3), Value::int(1)]));
-        assert_eq!(t.project(&[]), Tuple::new(vec![]));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use qarith_numeric::Rational;
+use qarith_numeric::{NumericError, Rational};
 
 /// Identifier of a base-type marked null `⊥ᵢ`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -121,11 +121,11 @@ impl Value {
 
     /// Numerical constant from a decimal literal.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on malformed literals; intended for tests and examples.
-    pub fn decimal(s: &str) -> Value {
-        Value::Num(Rational::parse_decimal(s).expect("valid decimal literal"))
+    /// The [`Rational::parse_decimal`] error of a malformed literal.
+    pub fn decimal(s: &str) -> Result<Value, NumericError> {
+        Rational::parse_decimal(s).map(Value::Num)
     }
 
     /// The sort of this value.
@@ -207,7 +207,8 @@ mod tests {
 
     #[test]
     fn decimal_constructor() {
-        assert_eq!(Value::decimal("0.7").as_num().unwrap(), Rational::new(7, 10));
+        assert_eq!(Value::decimal("0.7").unwrap().as_num().unwrap(), Rational::new(7, 10));
+        assert!(Value::decimal("0.7x").is_err());
         assert_eq!(Value::num(3).as_num().unwrap(), Rational::from_int(3));
         assert_eq!(Value::int(3).as_num(), None);
     }
@@ -216,7 +217,7 @@ mod tests {
     fn display() {
         assert_eq!(Value::int(5).to_string(), "5");
         assert_eq!(Value::str("gadgets").to_string(), "\"gadgets\"");
-        assert_eq!(Value::decimal("0.5").to_string(), "1/2");
+        assert_eq!(Value::decimal("0.5").unwrap().to_string(), "1/2");
         assert_eq!(Value::BaseNull(BaseNullId(3)).to_string(), "⊥3");
         assert_eq!(Value::NumNull(NumNullId(1)).to_string(), "⊤1");
     }

@@ -122,9 +122,8 @@ impl Database {
     /// change it: a failing or no-op write leaves it shared.
     pub fn apply_write(&mut self, op: &WriteOp) -> Result<bool, TypeError> {
         let name = op.relation();
-        let Some(current) = self.relation(name) else {
-            return Err(TypeError::UnknownRelation { relation: name.to_string() });
-        };
+        let unknown = || TypeError::UnknownRelation { relation: name.to_string() };
+        let current = self.relation(name).ok_or_else(unknown)?;
         match op {
             WriteOp::Insert { values, .. } => {
                 let tuple = Tuple::new(values.clone());
@@ -132,14 +131,14 @@ impl Database {
                 if current.contains(&tuple) {
                     return Ok(false);
                 }
-                self.relation_mut(name).expect("looked up above").insert(tuple)
+                self.relation_mut(name).ok_or_else(unknown)?.insert(tuple)
             }
             WriteOp::Delete { values, .. } => {
                 let tuple = Tuple::new(values.clone());
                 if !current.contains(&tuple) {
                     return Ok(false);
                 }
-                Ok(self.relation_mut(name).expect("looked up above").remove(&tuple))
+                Ok(self.relation_mut(name).ok_or_else(unknown)?.remove(&tuple))
             }
             WriteOp::Update { old, new, .. } => {
                 // Check the replacement first: a sort error must not
@@ -150,7 +149,7 @@ impl Database {
                 if old == new || !current.contains(&old) {
                     return Ok(false);
                 }
-                let relation = self.relation_mut(name).expect("looked up above");
+                let relation = self.relation_mut(name).ok_or_else(unknown)?;
                 relation.remove(&old);
                 relation.insert(new)?;
                 Ok(true)
@@ -266,7 +265,7 @@ mod tests {
         })
         .unwrap();
         let shown: Vec<String> =
-            d.relation("R").unwrap().tuples().iter().map(|t| t.get(0).to_string()).collect();
+            d.relation("R").unwrap().tuples().iter().map(|t| t.values()[0].to_string()).collect();
         assert_eq!(shown, ["1", "3"], "survivors keep their relative order");
     }
 }

@@ -44,14 +44,14 @@ fn build_database() -> Database {
         Value::str("id1"),
         Value::str("s"),
         Value::num(10),
-        Value::decimal("0.8"),
+        Value::decimal("0.8").unwrap(),
     ])
     .unwrap();
     p.insert_values(vec![
         Value::str("id2"),
         Value::str("s"),
         Value::NumNull(NumNullId(1)), // ⊥′ (α′): unknown rrp
-        Value::decimal("0.7"),
+        Value::decimal("0.7").unwrap(),
     ])
     .unwrap();
     db.add_relation(p).unwrap();

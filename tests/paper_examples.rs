@@ -110,14 +110,14 @@ fn v1_intro_query_grounded_measure() {
         Value::str("id1"),
         Value::str("s"),
         Value::num(10),
-        Value::decimal("0.8"),
+        Value::decimal("0.8").unwrap(),
     ])
     .unwrap();
     p.insert_values(vec![
         Value::str("id2"),
         Value::str("s"),
         Value::NumNull(NumNullId(1)),
-        Value::decimal("0.7"),
+        Value::decimal("0.7").unwrap(),
     ])
     .unwrap();
     db.add_relation(p).unwrap();

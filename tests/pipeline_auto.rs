@@ -76,7 +76,7 @@ fn both_routes_agree_on_equivalent_queries() {
     // Seller c: 30 < 20 never holds — excluded from both result sets.
     let collect = |answers: &[qarith::core::AnswerWithCertainty]| {
         let mut v: Vec<(String, Option<Rational>)> =
-            answers.iter().map(|a| (a.tuple.get(0).to_string(), a.certainty.exact)).collect();
+            answers.iter().map(|a| (a.tuple.values()[0].to_string(), a.certainty.exact)).collect();
         v.sort();
         v
     };
@@ -119,7 +119,7 @@ fn min_certainty_boundary_is_exclusive_on_both_routes() {
     for (query, route) in [(&cq, "conjunctive"), (&fo, "enumerated")] {
         let at_half = engine.answers_auto(query, &db, 0.5).unwrap();
         assert_eq!(at_half.len(), 1, "{route}: μ = 1/2 is excluded at min_certainty = 1/2");
-        assert_eq!(at_half[0].tuple.get(0).to_string(), "\"a\"");
+        assert_eq!(at_half[0].tuple.values()[0].to_string(), "\"a\"");
 
         let below_half = engine.answers_auto(query, &db, 0.4999).unwrap();
         assert_eq!(below_half.len(), 2, "{route}: μ = 1/2 passes a threshold just below");
@@ -127,7 +127,7 @@ fn min_certainty_boundary_is_exclusive_on_both_routes() {
         // μ = 0 candidates (seller c) stay excluded even at 0.0.
         let at_zero = engine.answers_auto(query, &db, 0.0).unwrap();
         assert!(
-            at_zero.iter().all(|a| a.tuple.get(0).to_string() != "\"c\""),
+            at_zero.iter().all(|a| a.tuple.values()[0].to_string() != "\"c\""),
             "{route}: impossible answers are excluded at min_certainty = 0.0"
         );
     }
@@ -158,7 +158,7 @@ fn universal_queries_route_through_enumeration() {
     // ranges over sellers with no failing offer trivially — but every
     // base value in the domain is a seller here.
     let mut by_seller: Vec<(String, f64)> =
-        answers.iter().map(|a| (a.tuple.get(0).to_string(), a.certainty.value)).collect();
+        answers.iter().map(|a| (a.tuple.values()[0].to_string(), a.certainty.value)).collect();
     by_seller.sort_by(|x, y| x.0.cmp(&y.0));
     assert_eq!(by_seller.len(), 2);
     assert_eq!(by_seller[0].0, "\"a\"");
