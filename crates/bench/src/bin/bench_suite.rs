@@ -1,52 +1,37 @@
 //! The multi-scale workload suite: every query family through the
 //! sequential, batch, and rewritten measurement pipelines at a fixed ε
-//! ladder, emitting the schema-versioned `BENCH_4.json` perf artifact
-//! plus a human summary table, and optionally gating against a
-//! checked-in baseline (the CI `perf-smoke` job).
+//! ladder, printing a human summary table and writing the `suite` bench
+//! document (`qarith_bench::doc`).
 //!
 //! ```text
 //! cargo run --release -p qarith-bench --bin bench_suite -- \
 //!     [--scale tiny|small|medium|paper] [--seed N] \
 //!     [--families sales,range,division] [--epsilons 0.1,0.05,0.02] \
 //!     [--threads N] [--reps N] [--serving-threads N] [--serving-passes N] \
-//!     [--out PATH] [--check-baseline] [--baseline PATH] [--tolerance F]
+//!     [--out PATH]
 //! ```
 //!
-//! `--check-baseline` loads the baseline JSON (default:
-//! `crates/bench/baselines/BENCH_<scale>.json`), re-verifies every
-//! certainty bit for bit, compares per-pipeline wall-time totals with a
-//! relative tolerance (default 25 %), and exits non-zero on any
-//! failure. An intentional behavioral change (new generator, new
-//! sampling order, …) must regenerate the baseline in the same commit:
-//! run without `--check-baseline` and copy the fresh artifact over the
-//! checked-in one.
+//! The tiny-scale default configuration is what `bench_gate` checks
+//! against `crates/bench/baselines/BENCH_tiny.json`.
 
 use std::process::ExitCode;
 
-use qarith_bench::suite::{check_against_baseline, run_suite, SuiteConfig, SuiteReport};
+use qarith_bench::suite::{run_suite, SuiteConfig, SuiteReport};
 use qarith_datagen::{QueryFamily, WorkloadScale};
-
-/// Default output artifact name — the PR-4 slot of the `BENCH_*.json`
-/// trajectory (one artifact per perf-relevant PR).
-const DEFAULT_OUT: &str = "BENCH_4.json";
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("{msg}");
     eprintln!(
         "usage: bench_suite [--scale tiny|small|medium|paper] [--seed N] \
          [--families LIST] [--epsilons LIST] [--threads N] [--reps N] \
-         [--serving-threads N] [--serving-passes N] [--out PATH] [--check-baseline] \
-         [--baseline PATH] [--tolerance F]"
+         [--serving-threads N] [--serving-passes N] [--out PATH]"
     );
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let mut config = SuiteConfig::default_for(WorkloadScale::Tiny);
-    let mut out_path = DEFAULT_OUT.to_string();
-    let mut baseline_path: Option<String> = None;
-    let mut check_baseline = false;
-    let mut tolerance = 0.25f64;
+    let mut out_path = "BENCH_suite.json".to_string();
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -105,15 +90,6 @@ fn main() -> ExitCode {
                 Some(p) => out_path = p,
                 None => return usage("--out expects a path"),
             },
-            "--baseline" => match value() {
-                Some(p) => baseline_path = Some(p),
-                None => return usage("--baseline expects a path"),
-            },
-            "--check-baseline" => check_baseline = true,
-            "--tolerance" => match value().and_then(|v| v.parse().ok()) {
-                Some(t) if (0.0..10.0).contains(&t) => tolerance = t,
-                _ => return usage("--tolerance expects a fraction, e.g. 0.25"),
-            },
             other => return usage(&format!("unknown argument {other}")),
         }
         i += 1;
@@ -138,44 +114,9 @@ fn main() -> ExitCode {
     print_summary(&report);
     println!("suite completed in {:.3}s", started.elapsed().as_secs_f64());
 
-    std::fs::write(&out_path, report.to_json()).expect("write BENCH json");
+    std::fs::write(&out_path, report.doc().to_json()).expect("write BENCH json");
     println!("perf artifact written to {out_path}");
-
-    if !check_baseline {
-        return ExitCode::SUCCESS;
-    }
-    let baseline_path = baseline_path.unwrap_or_else(|| {
-        format!("{}/baselines/BENCH_{}.json", env!("CARGO_MANIFEST_DIR"), config.scale.name())
-    });
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("FAIL: cannot read baseline {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match SuiteReport::from_json(&baseline_text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("FAIL: cannot parse baseline {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let failures = check_against_baseline(&report, &baseline, tolerance);
-    if failures.is_empty() {
-        println!(
-            "baseline check PASSED against {baseline_path} \
-             (certainties bit-identical, wall time within {:.0}%)",
-            tolerance * 100.0
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("baseline check FAILED against {baseline_path}:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        ExitCode::FAILURE
-    }
+    ExitCode::SUCCESS
 }
 
 /// The human summary: per (family, query, ε) one row comparing the
@@ -188,7 +129,7 @@ fn print_summary(report: &SuiteReport) {
             "query", "ε·10³", "dirs", "seq (s)", "batch (s)", "rewrite (s)", "rw-spdup", "exact"
         );
         for q in &family.queries {
-            for eps in &report.epsilons {
+            for eps in &report.config.epsilons {
                 let find = |pipeline: &str| {
                     q.points.iter().find(|p| p.pipeline == pipeline && p.epsilon == *eps)
                 };
@@ -201,7 +142,7 @@ fn print_summary(report: &SuiteReport) {
                     .rewrite
                     .as_ref()
                     .and_then(|r| {
-                        let get = |k: &str| r.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
+                        let get = |k: &str| r.iter().find(|(n, _)| *n == k).map(|(_, v)| *v);
                         Some(format!("{}/{}", get("exact_factors")?, get("factors")?))
                     })
                     .unwrap_or_default();
@@ -220,13 +161,13 @@ fn print_summary(report: &SuiteReport) {
         }
     }
     if let Some(s) = &report.serving {
-        let hits = s.cache.iter().find(|(n, _)| n == "hits").map_or(0, |(_, v)| *v);
-        let misses = s.cache.iter().find(|(n, _)| n == "misses").map_or(0, |(_, v)| *v);
+        let hits = s.cache.iter().find(|(n, _)| *n == "hits").map_or(0, |(_, v)| *v);
+        let misses = s.cache.iter().find(|(n, _)| *n == "misses").map_or(0, |(_, v)| *v);
         println!(
             "\nwarm serving pass: {} clients × {} passes, {} queries at ε = {} \
              in {:.4}s ({:.0} q/s; ν-cache {hits} hits / {misses} misses)",
-            s.client_threads,
-            s.passes,
+            report.config.serving_threads,
+            report.config.serving_passes,
             s.queries,
             s.epsilon,
             s.seconds,

@@ -1,53 +1,36 @@
 //! The sampling-kernel microbench: the blocked AFPRAS hot loop (SoA
 //! direction blocks + lane-parallel evaluation) against the
 //! pre-blocking scalar reference, on the workload's compiled formulas,
-//! emitting the schema-versioned `BENCH_9.json` kernel artifact and
-//! optionally gating against a checked-in baseline (the CI
-//! `kernel-smoke` step).
+//! writing the `kernel` bench document (`qarith_bench::doc`).
 //!
 //! ```text
 //! cargo run --release -p qarith-bench --bin kernel_bench -- \
 //!     [--scale tiny|small|medium|paper] [--seed N] [--directions N] \
-//!     [--reps N] [--out PATH] [--check-baseline] [--baseline PATH] \
-//!     [--tolerance F]
+//!     [--reps N] [--out PATH]
 //! ```
 //!
-//! `--check-baseline` loads the baseline JSON (default:
-//! `crates/bench/baselines/KERNEL_<scale>.json`), re-verifies the hits
-//! digest and the allocs-per-sample pin exactly, compares directions/sec
-//! with a relative tolerance (default 25 %), and exits non-zero on any
-//! failure. The hit-count bit-identity between the blocked kernel and
-//! the scalar reference is asserted inside the run itself, so a gate
-//! pass certifies both throughput and bit-pinning. An intentional
-//! kernel change must regenerate the baseline in the same commit: run
-//! without `--check-baseline` and copy the fresh artifact over the
-//! checked-in one.
+//! The hit-count bit-identity between the blocked kernel and the scalar
+//! reference is asserted inside the run itself. The tiny-scale default
+//! configuration is what `bench_gate` checks against
+//! `crates/bench/baselines/KERNEL_tiny.json`.
 
 use std::process::ExitCode;
 
-use qarith_bench::kernel::{check_kernel_baseline, run_kernel, KernelConfig, KernelReport};
+use qarith_bench::kernel::{run_kernel, KernelConfig};
 use qarith_datagen::WorkloadScale;
-
-/// Default output artifact name — the PR-9 slot of the `BENCH_*.json`
-/// trajectory (one artifact per perf-relevant PR).
-const DEFAULT_OUT: &str = "BENCH_9.json";
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("{msg}");
     eprintln!(
         "usage: kernel_bench [--scale tiny|small|medium|paper] [--seed N] \
-         [--directions N] [--reps N] [--out PATH] [--check-baseline] \
-         [--baseline PATH] [--tolerance F]"
+         [--directions N] [--reps N] [--out PATH]"
     );
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let mut config = KernelConfig::default_for(WorkloadScale::Tiny);
-    let mut out_path = DEFAULT_OUT.to_string();
-    let mut baseline_path: Option<String> = None;
-    let mut check_baseline = false;
-    let mut tolerance = 0.25f64;
+    let mut out_path = "BENCH_kernel.json".to_string();
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -77,15 +60,6 @@ fn main() -> ExitCode {
             "--out" => match value() {
                 Some(p) => out_path = p,
                 None => return usage("--out expects a path"),
-            },
-            "--baseline" => match value() {
-                Some(p) => baseline_path = Some(p),
-                None => return usage("--baseline expects a path"),
-            },
-            "--check-baseline" => check_baseline = true,
-            "--tolerance" => match value().and_then(|v| v.parse().ok()) {
-                Some(t) if (0.0..10.0).contains(&t) => tolerance = t,
-                _ => return usage("--tolerance expects a fraction, e.g. 0.25"),
             },
             other => return usage(&format!("unknown argument {other}")),
         }
@@ -119,42 +93,7 @@ fn main() -> ExitCode {
         report.speedup, report.hits_digest, report.allocs_per_sample
     );
 
-    std::fs::write(&out_path, report.to_json()).expect("write kernel json");
+    std::fs::write(&out_path, report.doc().to_json()).expect("write kernel json");
     println!("perf artifact written to {out_path}");
-
-    if !check_baseline {
-        return ExitCode::SUCCESS;
-    }
-    let baseline_path = baseline_path.unwrap_or_else(|| {
-        format!("{}/baselines/KERNEL_{}.json", env!("CARGO_MANIFEST_DIR"), config.scale.name())
-    });
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("FAIL: cannot read baseline {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match KernelReport::from_json(&baseline_text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("FAIL: cannot parse baseline {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let failures = check_kernel_baseline(&report, &baseline, tolerance);
-    if failures.is_empty() {
-        println!(
-            "baseline check PASSED against {baseline_path} \
-             (digest + allocs pinned, throughput within {:.0}%)",
-            tolerance * 100.0
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("baseline check FAILED against {baseline_path}:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        ExitCode::FAILURE
-    }
+    ExitCode::SUCCESS
 }

@@ -1,24 +1,22 @@
 //! Load generator for the `qarith-serve` query service: replays the
 //! workload-suite queries from M client threads through one shared
-//! [`QueryService`], closed- or open-loop, and emits the schema-v4
-//! `"serve"` `BENCH_*.json` document with p50/p95/p99 latency,
-//! throughput, the per-stage latency summaries from the service
-//! tracer, and the plan/shard/admission counter blocks — optionally
-//! gated against a checked-in baseline (the CI `serve-smoke` step).
+//! [`QueryService`], closed- or open-loop, prints p50/p95/p99 latency,
+//! throughput, the per-stage latency summaries from the service tracer
+//! and the plan/shard/admission counters, and writes the `serve` bench
+//! document (`qarith_bench::doc`).
 //!
 //! With `--wire` the same load runs through real loopback sockets and
 //! the `qarith-net` framed protocol instead of in-process calls: every
 //! request crosses TCP, every reply is decoded and compared bit for
 //! bit against the sequential in-process reference, and the document
-//! kind becomes `"wire"` with a `net` counter block (the CI
-//! `net-smoke` step).
+//! kind becomes `"wire"` with a `net` counter block.
 //!
 //! With `--mutate` the bench exercises the *write* path instead: a
 //! deterministic stream of write batches is interleaved with template
 //! replays against the evolving epochs, the certainty digest is pinned
 //! on the epoch-0 reference pass, and the document kind becomes
-//! `"mutate"` (the CI `mutation-smoke` step; single-threaded driver,
-//! `--clients`/`--mode`/`--rate` are ignored).
+//! `"mutate"` (one client thread; `--clients`/`--mode`/`--rate`
+//! are ignored).
 //!
 //! ```text
 //! cargo run --release -p qarith-bench --bin serve_bench -- \
@@ -26,40 +24,21 @@
 //!     [--families sales,range,division] [--epsilon F] \
 //!     [--clients N] [--passes N] [--mode closed|open] [--rate QPS] \
 //!     [--reps N] [--cache-budget BYTES] [--cache-shards N] \
-//!     [--max-in-flight N] [--out PATH] [--check-baseline] \
-//!     [--baseline PATH] [--tolerance F]
+//!     [--max-in-flight N] [--out PATH]
 //! ```
 //!
-//! `--check-baseline` loads the baseline JSON (default:
-//! `crates/bench/baselines/SERVE_<scale>.json`, or
-//! `SERVE_WIRE_<scale>.json` under `--wire`, or
-//! `SERVE_MUTATE_<scale>.json` under `--mutate`), re-verifies the
-//! certainty digest bit for bit, and compares p95 latency with a
-//! relative tolerance (default 25 %); any failure exits non-zero. An
-//! intentional behavioral change must regenerate the baseline in the
-//! same commit: run without `--check-baseline` and copy the fresh
-//! artifact over the checked-in one.
+//! The tiny-scale default configuration of each kind is what
+//! `bench_gate` checks against `crates/bench/baselines/SERVE_tiny.json`,
+//! `SERVE_WIRE_tiny.json` and `SERVE_MUTATE_tiny.json`.
 //!
 //! [`QueryService`]: qarith_serve::QueryService
 
 use std::process::ExitCode;
 
 use qarith_bench::mutate::run_mutate_bench;
-use qarith_bench::serve::{
-    check_serve_baseline, run_serve_bench, LoadMode, ServeBenchConfig, ServeBenchReport,
-};
+use qarith_bench::serve::{run_serve_bench, LoadMode, ServeBenchConfig, ServeBenchReport};
 use qarith_bench::wire::run_wire_bench;
 use qarith_datagen::{QueryFamily, WorkloadScale};
-
-/// Default output artifact name — the PR-5 slot of the `BENCH_*.json`
-/// trajectory (one artifact per perf-relevant PR).
-const DEFAULT_OUT: &str = "BENCH_5.json";
-
-/// Default output artifact name under `--wire` — the PR-7 slot.
-const DEFAULT_WIRE_OUT: &str = "BENCH_7.json";
-
-/// Default output artifact name under `--mutate` — the PR-10 slot.
-const DEFAULT_MUTATE_OUT: &str = "BENCH_10.json";
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("{msg}");
@@ -67,8 +46,7 @@ fn usage(msg: &str) -> ExitCode {
         "usage: serve_bench [--wire | --mutate] [--scale tiny|small|medium|paper] [--seed N] \
          [--families LIST] [--epsilon F] [--clients N] [--passes N] \
          [--mode closed|open] [--rate QPS] [--reps N] [--cache-budget BYTES] \
-         [--cache-shards N] [--max-in-flight N] [--out PATH] \
-         [--check-baseline] [--baseline PATH] [--tolerance F]"
+         [--cache-shards N] [--max-in-flight N] [--out PATH]"
     );
     ExitCode::from(2)
 }
@@ -78,9 +56,6 @@ fn main() -> ExitCode {
     let mut wire = false;
     let mut mutate = false;
     let mut out_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut check_baseline = false;
-    let mut tolerance = 0.25f64;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -149,15 +124,6 @@ fn main() -> ExitCode {
                 Some(p) => out_path = Some(p),
                 None => return usage("--out expects a path"),
             },
-            "--baseline" => match value() {
-                Some(p) => baseline_path = Some(p),
-                None => return usage("--baseline expects a path"),
-            },
-            "--check-baseline" => check_baseline = true,
-            "--tolerance" => match value().and_then(|v| v.parse().ok()) {
-                Some(t) if (0.0..10.0).contains(&t) => tolerance = t,
-                _ => return usage("--tolerance expects a fraction, e.g. 0.25"),
-            },
             other => return usage(&format!("unknown argument {other}")),
         }
         i += 1;
@@ -204,69 +170,14 @@ fn main() -> ExitCode {
     };
     print_summary(&report);
 
-    let out_path = out_path.unwrap_or_else(|| {
-        if wire {
-            DEFAULT_WIRE_OUT
-        } else if mutate {
-            DEFAULT_MUTATE_OUT
-        } else {
-            DEFAULT_OUT
-        }
-        .to_string()
-    });
-    std::fs::write(&out_path, report.to_json()).expect("write BENCH json");
+    let out_path = out_path.unwrap_or_else(|| format!("BENCH_{}.json", report.kind));
+    std::fs::write(&out_path, report.doc().to_json()).expect("write BENCH json");
     println!("perf artifact written to {out_path}");
-
-    if !check_baseline {
-        return ExitCode::SUCCESS;
-    }
-    let baseline_path = baseline_path.unwrap_or_else(|| {
-        format!(
-            "{}/baselines/SERVE_{}{}.json",
-            env!("CARGO_MANIFEST_DIR"),
-            if wire {
-                "WIRE_"
-            } else if mutate {
-                "MUTATE_"
-            } else {
-                ""
-            },
-            config.scale.name()
-        )
-    });
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("FAIL: cannot read baseline {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match ServeBenchReport::from_json(&baseline_text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("FAIL: cannot parse baseline {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let failures = check_serve_baseline(&report, &baseline, tolerance);
-    if failures.is_empty() {
-        println!(
-            "baseline check PASSED against {baseline_path} \
-             (certainty digest bit-identical, p95 within {:.0}%)",
-            tolerance * 100.0
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("baseline check FAILED against {baseline_path}:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        ExitCode::FAILURE
-    }
+    ExitCode::SUCCESS
 }
 
-fn counter(block: &[(String, u64)], name: &str) -> u64 {
-    block.iter().find(|(k, _)| k == name).map_or(0, |(_, v)| *v)
+fn counter(block: &[(&str, u64)], name: &str) -> u64 {
+    block.iter().find(|(k, _)| *k == name).map_or(0, |(_, v)| *v)
 }
 
 fn print_summary(report: &ServeBenchReport) {

@@ -1,11 +1,14 @@
 //! Shared harness for the paper's evaluation (§9, Figure 1), the
 //! ablation studies listed in DESIGN.md, the multi-scale workload
-//! suite ([`suite`], bin `bench_suite`), and the serving load
-//! generator ([`serve`], bin `serve_bench`).
+//! suite ([`suite`], bin `bench_suite`), the serving load generator
+//! ([`serve`], bin `serve_bench`), and the sampling-kernel microbench
+//! ([`kernel`], bin `kernel_bench`). Each of those runs reports the one
+//! bench document of [`doc`]; the `bench_gate` bin runs them all and
+//! checks each against its baseline under `baselines/`.
 //!
 //! Layering: the top of the workspace — above `qarith-core`,
-//! `qarith-serve`, and `qarith-datagen`; nothing depends on it. Its
-//! baselines under `baselines/` are what CI's perf jobs gate against.
+//! `qarith-serve`, and `qarith-datagen`; only the `qarith-analyze` dev
+//! tool depends on it, for its JSON kernel.
 //!
 //! The paper's pipeline was: Postgres evaluates the SQL query naively and
 //! emits candidate tuples plus compact constraint formulas; a
@@ -34,6 +37,7 @@ use qarith_datagen::{QueryFamily, WorkloadSpec};
 use qarith_engine::cq::{self, CandidateAnswer};
 use qarith_types::Database;
 
+pub mod doc;
 pub mod json;
 pub mod kernel;
 pub mod mutate;

@@ -1,8 +1,8 @@
 //! Mutation load against the `qarith-serve` write path — the engine
-//! behind `serve_bench --mutate` and the CI `mutation-smoke` step.
+//! behind `serve_bench --mutate`.
 //!
-//! [`run_mutate_bench`] reuses the [`crate::serve`] report shape
-//! (document kind `"mutate"`) and measures the *live database* cycle:
+//! [`run_mutate_bench`] reuses the [`crate::serve`] report (document
+//! kind `"mutate"`) and measures the *live database* cycle:
 //! a deterministic stream of write batches
 //! ([`qarith_datagen::mutations::sales_mutations`]) interleaved with
 //! full replays of the query-template population against the evolving
@@ -22,29 +22,31 @@
 //!    correctness failure, not a measurement.
 //!
 //! The certainty digest is pinned on an epoch-0 reference pass over
-//! the template population *before* any mutation, so the CI gate
-//! ([`crate::serve::check_serve_baseline`]) keeps its bit-exactness
-//! property: the mutation stream is deterministic, the epoch-0
-//! answers are deterministic, and p95 (pooled write + query
+//! the template population *before* any mutation, so the gate keeps
+//! its bit-exactness property: the mutation stream is deterministic,
+//! the epoch-0 answers are deterministic, and p95 (pooled write + query
 //! latencies) is gated with the usual tolerance.
 //!
 //! The driver is single-threaded by design: concurrency is the epoch
 //! torture test's job (`crates/serve/tests/epoch_torture.rs`); this
-//! bench wants attributable latencies for the write path itself.
+//! bench wants attributable latencies for the write path itself. Each
+//! repetition also rebuilds a pristine service, so the reported
+//! service, admission and ν-cache counters — plan hits, misses and
+//! invalidations, ν hits and misses — repeat exactly and are gated as
+//! counters: a write that drops one plan too many fails the gate before
+//! it shows in any timing.
 
 use std::sync::Arc;
 
-use qarith_core::NuCacheConfig;
 use qarith_datagen::mutations::{sales_mutations, MutationShape};
 use qarith_datagen::{database_digest, QueryFamily};
-use qarith_serve::{QueryService, ServeConfig};
+use qarith_serve::QueryService;
 use qarith_types::{Database, WriteBatch};
 
 use crate::serve::{
-    pairs, response_bits, serving_options, stage_latencies, LatencySummary, ServeBenchConfig,
+    response_bits, serving_config, stage_latencies, LatencySummary, ServeBenchConfig,
     ServeBenchReport,
 };
-use crate::suite::SCHEMA_VERSION;
 
 /// The mutation stream replayed each repetition: 8 batches of 4 ops.
 /// Small enough for a CI smoke step at tiny scale, large enough that
@@ -69,20 +71,7 @@ pub fn run_mutate_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         config.families.iter().flat_map(QueryFamily::queries).map(|q| q.sql).collect();
     assert!(!sql.is_empty(), "no query families configured");
 
-    let service_for = |db: Database| {
-        Arc::new(QueryService::new(
-            db,
-            ServeConfig {
-                options: serving_options(config.epsilon, config.seed),
-                cache: NuCacheConfig {
-                    shards: config.cache_shards,
-                    budget_bytes: config.cache_budget_bytes,
-                },
-                max_in_flight: config.max_in_flight,
-                ..ServeConfig::default()
-            },
-        ))
-    };
+    let service_for = |db: Database| Arc::new(QueryService::new(db, serving_config(config)));
 
     // Epoch-0 reference pass on a throwaway service: pins the certainty
     // digest the gate compares bit for bit. Mutations never touch it.
@@ -119,7 +108,6 @@ pub fn run_mutate_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         .collect();
 
     ServeBenchReport {
-        schema_version: SCHEMA_VERSION,
         kind: "mutate".to_string(),
         scale: config.scale.name().to_string(),
         seed: config.seed,
@@ -137,9 +125,9 @@ pub fn run_mutate_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         seconds,
         qps: requests_per_rep as f64 / seconds.max(1e-9),
         latency,
-        service: pairs(&service.stats().as_pairs()),
-        admission: pairs(&service.admission_stats().as_pairs()),
-        cache: pairs(&service.cache_stats().as_pairs()),
+        service: service.stats().as_pairs().to_vec(),
+        admission: service.admission_stats().as_pairs().to_vec(),
+        cache: service.cache_stats().as_pairs().to_vec(),
         net: Vec::new(),
         stages: stage_latencies(&service),
         certainty_digest: format!("{:#018x}", digest.finish()),
@@ -186,6 +174,7 @@ fn timed_rep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doc::BenchDoc;
     use qarith_datagen::WorkloadScale;
 
     fn tiny_config() -> ServeBenchConfig {
@@ -197,8 +186,8 @@ mod tests {
         let report = run_mutate_bench(&tiny_config());
         assert_eq!(report.kind, "mutate");
         assert_eq!(report.requests, (MUTATE_SHAPE.batches * (1 + 10)) as u64);
-        let counter = |block: &[(String, u64)], name: &str| {
-            block.iter().find(|(k, _)| k == name).map_or(0, |(_, v)| *v)
+        let counter = |block: &[(&str, u64)], name: &str| {
+            block.iter().find(|(k, _)| *k == name).map_or(0, |(_, v)| *v)
         };
         assert_eq!(counter(&report.service, "writes"), MUTATE_SHAPE.batches as u64);
         assert_eq!(counter(&report.service, "write_ops"), MUTATE_SHAPE.total_ops() as u64);
@@ -209,15 +198,16 @@ mod tests {
             let row = report.stages.iter().find(|s| s.stage == stage).expect("stage present");
             assert_eq!(row.count, MUTATE_SHAPE.batches as u64);
         }
-        let back = ServeBenchReport::from_json(&report.to_json()).expect("parse own output");
-        assert_eq!(back, report);
+        let doc = report.doc();
+        assert_eq!(BenchDoc::from_json(&doc.to_json()).expect("parse own output"), doc);
     }
 
+    /// Two runs agree on every gated value but the timing: the digests
+    /// and every service, admission and ν-cache counter.
     #[test]
-    fn certainty_digest_is_reproducible_and_epoch0_pinned() {
-        let a = run_mutate_bench(&tiny_config());
-        let b = run_mutate_bench(&tiny_config());
-        assert_eq!(a.certainty_digest, b.certainty_digest);
-        assert_eq!(a.db_digest, b.db_digest);
+    fn digests_and_counters_repeat_exactly() {
+        let a = run_mutate_bench(&tiny_config()).doc();
+        let b = run_mutate_bench(&tiny_config()).doc();
+        assert_eq!((&a.config, &a.pinned, &a.counters), (&b.config, &b.pinned, &b.counters));
     }
 }

@@ -24,27 +24,36 @@
 //!    ever adds latency — the same min-of-reps estimator the workload
 //!    suite uses for wall times).
 //!
-//! The result serializes into the schema-v4 `BENCH_*.json` document
-//! kind `"serve"` ([`ServeBenchReport::to_json`]);
-//! [`check_serve_baseline`] is the CI gate — certainty drift fails
-//! hard, p95 latency may regress at most the tolerance.
+//! [`ServeBenchReport::doc`] turns the result into the `serve` kind of
+//! the one bench document ([`crate::doc`]): the certainty digest is
+//! pinned, the service/admission/ν-cache counters are exact, and p95
+//! latency is the gated timing.
 //!
-//! [`crate::wire`] reuses this module's report shape for the
-//! `kind = "wire"` documents of `serve_bench --wire`, which drive the
+//! [`crate::wire`] and [`crate::mutate`] reuse this module's report
+//! for the `wire` documents of `serve_bench --wire`, which drive the
 //! same load through real loopback sockets and the `qarith-net` framed
-//! protocol and add a `net` counter block.
+//! protocol and add a `net` counter block, and for the `mutate`
+//! documents of `serve_bench --mutate`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use qarith_core::afpras::{AfprasOptions, SampleCount};
-use qarith_core::{BatchOptions, MeasureOptions, MethodChoice, NuCacheConfig};
+use qarith_core::NuCacheConfig;
 use qarith_datagen::{database_digest, QueryFamily, WorkloadScale};
 use qarith_serve::{QueryResponse, QueryService, ServeConfig};
 
-use crate::json::{parse, Json, JsonError};
-use crate::suite::{SCHEMA_NAME, SCHEMA_VERSION};
+use crate::doc::{counters, BenchDoc, Timing};
+use crate::json::Json;
+
+/// Relative slack written for the p95 latency. The gate reads the bound
+/// from the baseline, so this and [`P95_FLOOR_SECONDS`] seed newly
+/// recorded baselines.
+pub const P95_TOLERANCE: f64 = 0.15;
+
+/// Absolute slack of the gated p95 latency, in seconds: microsecond
+/// baselines would otherwise turn scheduler jitter into failures.
+pub const P95_FLOOR_SECONDS: f64 = 0.001;
 
 /// How clients generate load.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -164,13 +173,10 @@ impl LatencySummary {
     }
 }
 
-/// A full serving-load run: the schema-v4 `"serve"` document, or —
-/// when produced by [`crate::wire::run_wire_bench`] — the `"wire"`
-/// document measured through real sockets.
-#[derive(Clone, Debug, PartialEq)]
+/// A full serving-load run, as `serve_bench` prints it;
+/// [`ServeBenchReport::doc`] is its gated document.
+#[derive(Clone, Debug)]
 pub struct ServeBenchReport {
-    /// Schema version ([`SCHEMA_VERSION`]).
-    pub schema_version: u64,
     /// Document kind: `"serve"` (in-process), `"wire"` (through the
     /// `qarith-net` framed protocol over loopback sockets), or
     /// `"mutate"` (write batches interleaved with template replays —
@@ -210,31 +216,30 @@ pub struct ServeBenchReport {
     pub latency: LatencySummary,
     /// Service counters after the run
     /// ([`qarith_serve::ServiceStats::as_pairs`] names).
-    pub service: Vec<(String, u64)>,
+    pub service: Vec<(&'static str, u64)>,
     /// Admission counters
     /// ([`qarith_serve::AdmissionStats::as_pairs`] names).
-    pub admission: Vec<(String, u64)>,
+    pub admission: Vec<(&'static str, u64)>,
     /// ν-cache counters
     /// ([`qarith_core::CacheStats::as_pairs`] names).
-    pub cache: Vec<(String, u64)>,
+    pub cache: Vec<(&'static str, u64)>,
     /// Wire-listener counters ([`qarith_net::NetStats::as_pairs`]
     /// names). Empty for in-process (`"serve"`) runs.
-    pub net: Vec<(String, u64)>,
+    pub net: Vec<(&'static str, u64)>,
     /// Per-stage latency summaries from the service tracer, covering
     /// the run's full lifetime (reference pass + every repetition).
-    /// Stages with zero observations are omitted. Informational — the
-    /// gate does not compare them.
+    /// Stages with zero observations are omitted.
     pub stages: Vec<StageLatency>,
     /// FNV-1a digest over every reference-pass certainty bit, hex —
     /// the quantity the CI gate pins.
     pub certainty_digest: String,
 }
 
-/// One stage row of the schema-v4 `stages` block: observation count
+/// One stage row of the `stages` info block: observation count
 /// and p50/p95/p99 in seconds. The quantiles are bucket upper bounds
 /// from the tracer's ~2× log-bucketed histograms, so they over-report
 /// by at most one octave.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct StageLatency {
     /// Stage wire name (`qarith_trace::Stage::name`).
     pub stage: String,
@@ -266,22 +271,17 @@ pub(crate) fn stage_latencies(service: &QueryService) -> Vec<StageLatency> {
         .collect()
 }
 
-/// Paper-style engine options for serving: forced AFPRAS, the §8
-/// `m = ⌈ε⁻²⌉` prescription, per-request fan-out 1, dedup on. The
-/// sampling seed derives from the generation seed exactly like the
-/// workload suite's (`seed ^ 0xF1616`), so suite and serving runs at
-/// equal config sample identically.
-pub(crate) fn serving_options(epsilon: f64, seed: u64) -> MeasureOptions {
-    MeasureOptions {
-        method: MethodChoice::Afpras,
-        afpras: AfprasOptions {
-            epsilon,
-            samples: SampleCount::Paper,
-            seed: seed ^ 0xF1616,
-            ..AfprasOptions::default()
+/// The service every serving run measures: the paper's serving regime
+/// ([`ServeConfig::paper_afpras`]) with the run's cache and admission
+/// settings.
+pub(crate) fn serving_config(config: &ServeBenchConfig) -> ServeConfig {
+    ServeConfig {
+        cache: NuCacheConfig {
+            shards: config.cache_shards,
+            budget_bytes: config.cache_budget_bytes,
         },
-        batch: BatchOptions { threads: 1, dedup: true },
-        ..MeasureOptions::default()
+        max_in_flight: config.max_in_flight,
+        ..ServeConfig::paper_afpras(config.epsilon, config.seed)
     }
 }
 
@@ -313,21 +313,10 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         config.families.iter().flat_map(QueryFamily::queries).map(|q| q.sql).collect();
     assert!(!sql.is_empty(), "no query families configured");
 
-    let service = Arc::new(QueryService::new(
-        db,
-        ServeConfig {
-            options: serving_options(config.epsilon, config.seed),
-            cache: NuCacheConfig {
-                shards: config.cache_shards,
-                budget_bytes: config.cache_budget_bytes,
-            },
-            max_in_flight: config.max_in_flight,
-            // The workload population is 9 templates; the default cap
-            // never evicts here, which keeps the timed phase pure
-            // plan-hit serving.
-            ..ServeConfig::default()
-        },
-    ));
+    // The workload population is 9 templates; the default plan cap
+    // never evicts here, which keeps the timed phase pure plan-hit
+    // serving.
+    let service = Arc::new(QueryService::new(db, serving_config(config)));
 
     // Sequential reference pass: pins the expected bits, warms the plan
     // cache, and feeds the ν-cache exactly once per group.
@@ -364,7 +353,6 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         .collect();
 
     ServeBenchReport {
-        schema_version: SCHEMA_VERSION,
         kind: "serve".to_string(),
         scale: config.scale.name().to_string(),
         seed: config.seed,
@@ -382,17 +370,13 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         seconds,
         qps: requests_per_rep as f64 / seconds.max(1e-9),
         latency,
-        service: pairs(&service.stats().as_pairs()),
-        admission: pairs(&service.admission_stats().as_pairs()),
-        cache: pairs(&service.cache_stats().as_pairs()),
+        service: service.stats().as_pairs().to_vec(),
+        admission: service.admission_stats().as_pairs().to_vec(),
+        cache: service.cache_stats().as_pairs().to_vec(),
         net: Vec::new(),
         stages: stage_latencies(&service),
         certainty_digest: format!("{:#018x}", digest.finish()),
     }
-}
-
-pub(crate) fn pairs(p: &[(&'static str, u64)]) -> Vec<(String, u64)> {
-    p.iter().map(|(k, v)| ((*k).to_string(), *v)).collect()
 }
 
 /// One timed repetition: all clients through the shared service,
@@ -490,350 +474,78 @@ fn timed_rep(
     (all_latencies, seconds)
 }
 
-// ---------------------------------------------------------------------
-// JSON serialization
-// ---------------------------------------------------------------------
-
-fn counters_to_json(pairs: &[(String, u64)]) -> Json {
-    Json::Obj(pairs.iter().map(|(k, v)| (k.clone(), Json::num_u64(*v))).collect())
-}
-
-fn counters_from_json(v: &Json, what: &str) -> Result<Vec<(String, u64)>, String> {
-    match v {
-        Json::Obj(pairs) => pairs
-            .iter()
-            .map(|(k, v)| {
-                v.as_u64()
-                    .map(|n| (k.clone(), n))
-                    .ok_or_else(|| format!("{what}.{k}: expected a counter"))
-            })
-            .collect(),
-        _ => Err(format!("{what}: expected an object")),
-    }
-}
-
 impl ServeBenchReport {
-    /// Serializes to the pretty-printed `BENCH_*.json` document (kind
-    /// `"serve"` or `"wire"`).
-    pub fn to_json(&self) -> String {
-        Json::obj([
-            ("schema", Json::str(SCHEMA_NAME)),
-            ("schema_version", Json::num_u64(self.schema_version)),
-            ("kind", Json::str(&self.kind)),
-            ("scale", Json::str(&self.scale)),
-            ("seed", Json::num_u64(self.seed)),
-            ("epsilon", Json::Num(self.epsilon)),
-            ("clients", Json::num_u64(self.clients)),
-            ("passes", Json::num_u64(self.passes)),
-            ("mode", Json::str(&self.mode)),
-            ("rate", Json::Num(self.rate)),
-            ("reps", Json::num_u64(self.reps)),
-            (
-                "db",
-                Json::obj([
-                    ("tuples", Json::num_u64(self.db_tuples)),
-                    ("num_nulls", Json::num_u64(self.db_num_nulls)),
-                    ("digest", Json::str(&self.db_digest)),
-                ]),
-            ),
-            ("templates", Json::num_u64(self.templates)),
-            ("requests", Json::num_u64(self.requests)),
-            ("seconds", Json::Num(self.seconds)),
-            ("qps", Json::Num(self.qps)),
-            (
-                "latency",
-                Json::obj([
-                    ("p50", Json::Num(self.latency.p50)),
-                    ("p95", Json::Num(self.latency.p95)),
-                    ("p99", Json::Num(self.latency.p99)),
-                    ("max", Json::Num(self.latency.max)),
-                ]),
-            ),
-            ("service", counters_to_json(&self.service)),
-            ("admission", counters_to_json(&self.admission)),
-            ("cache", counters_to_json(&self.cache)),
-            ("net", counters_to_json(&self.net)),
-            (
-                "stages",
-                Json::Obj(
-                    self.stages
-                        .iter()
-                        .map(|s| {
-                            (
-                                s.stage.clone(),
-                                Json::obj([
-                                    ("count", Json::num_u64(s.count)),
-                                    ("p50", Json::Num(s.p50)),
-                                    ("p95", Json::Num(s.p95)),
-                                    ("p99", Json::Num(s.p99)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            ("certainty_digest", Json::str(&self.certainty_digest)),
-        ])
-        .pretty()
-    }
-
-    /// Parses a document produced by [`ServeBenchReport::to_json`].
-    /// Rejects unknown schema names, future versions, and kinds other
-    /// than `"serve"` / `"wire"` / `"mutate"`. The `net` block is
-    /// optional on parse (v2 serve documents predate it).
-    pub fn from_json(text: &str) -> Result<ServeBenchReport, String> {
-        let doc = parse(text).map_err(|e: JsonError| e.to_string())?;
-        let schema = req_str(&doc, "schema")?;
-        if schema != SCHEMA_NAME {
-            return Err(format!("unknown schema `{schema}` (expected `{SCHEMA_NAME}`)"));
+    /// The run as a document of its kind (`serve`, `wire` or `mutate`):
+    ///
+    /// * `config` — scale, seed, ε, clients, passes, load mode, rate,
+    ///   reps;
+    /// * `pinned` — the database and certainty digests;
+    /// * `counters` — database size, templates, requests per rep, and
+    ///   the service, admission, ν-cache (and, over the wire, `net`)
+    ///   blocks. Every gated run warms all plans and ν entries before
+    ///   its timed phase (and `mutate` is single-threaded), so these
+    ///   repeat exactly under any client count;
+    /// * `timings` — `p95` latency, lower is better within
+    ///   [`P95_TOLERANCE`] or [`P95_FLOOR_SECONDS`], whichever is wider;
+    /// * `info` — wall seconds, q/s, p50/p99/max, and the stage rows.
+    pub fn doc(&self) -> BenchDoc {
+        let mut work = vec![
+            ("db_tuples".to_string(), Json::num_u64(self.db_tuples)),
+            ("db_num_nulls".to_string(), Json::num_u64(self.db_num_nulls)),
+            ("templates".to_string(), Json::num_u64(self.templates)),
+            ("requests".to_string(), Json::num_u64(self.requests)),
+            ("service".to_string(), counters(&self.service)),
+            ("admission".to_string(), counters(&self.admission)),
+            ("cache".to_string(), counters(&self.cache)),
+        ];
+        if self.kind == "wire" {
+            work.push(("net".to_string(), counters(&self.net)));
         }
-        let schema_version = req_u64(&doc, "schema_version")?;
-        if schema_version > SCHEMA_VERSION {
-            return Err(format!(
-                "schema version {schema_version} is newer than this binary's {SCHEMA_VERSION}"
-            ));
+        let stages = self.stages.iter().map(|s| {
+            let row = Json::obj([
+                ("count", Json::num_u64(s.count)),
+                ("p50", Json::Num(s.p50)),
+                ("p95", Json::Num(s.p95)),
+                ("p99", Json::Num(s.p99)),
+            ]);
+            (s.stage.clone(), row)
+        });
+        BenchDoc {
+            kind: self.kind.clone(),
+            config: Json::obj([
+                ("scale", Json::str(&self.scale)),
+                ("seed", Json::num_u64(self.seed)),
+                ("epsilon", Json::Num(self.epsilon)),
+                ("clients", Json::num_u64(self.clients)),
+                ("passes", Json::num_u64(self.passes)),
+                ("mode", Json::str(&self.mode)),
+                ("rate", Json::Num(self.rate)),
+                ("reps", Json::num_u64(self.reps)),
+            ]),
+            pinned: Json::obj([
+                ("db_digest", Json::str(&self.db_digest)),
+                ("certainty_digest", Json::str(&self.certainty_digest)),
+            ]),
+            counters: Json::Obj(work),
+            timings: vec![(
+                "p95".to_string(),
+                Timing::lower(self.latency.p95, P95_TOLERANCE, P95_FLOOR_SECONDS),
+            )],
+            info: Json::obj([
+                ("seconds", Json::Num(self.seconds)),
+                ("qps", Json::Num(self.qps)),
+                ("p50", Json::Num(self.latency.p50)),
+                ("p99", Json::Num(self.latency.p99)),
+                ("max", Json::Num(self.latency.max)),
+                ("stages", Json::obj(stages)),
+            ]),
         }
-        let kind = req_str(&doc, "kind")?;
-        if kind != "serve" && kind != "wire" && kind != "mutate" {
-            return Err(format!("document kind `{kind}` is not a serve report"));
-        }
-        let db = doc.get("db").ok_or("missing field `db`")?;
-        let latency = doc.get("latency").ok_or("missing field `latency`")?;
-        Ok(ServeBenchReport {
-            schema_version,
-            kind,
-            scale: req_str(&doc, "scale")?,
-            seed: req_u64(&doc, "seed")?,
-            epsilon: req_f64(&doc, "epsilon")?,
-            clients: req_u64(&doc, "clients")?,
-            passes: req_u64(&doc, "passes")?,
-            mode: req_str(&doc, "mode")?,
-            rate: req_f64(&doc, "rate")?,
-            reps: req_u64(&doc, "reps")?,
-            db_tuples: req_u64(db, "tuples")?,
-            db_num_nulls: req_u64(db, "num_nulls")?,
-            db_digest: req_str(db, "digest")?,
-            templates: req_u64(&doc, "templates")?,
-            requests: req_u64(&doc, "requests")?,
-            seconds: req_f64(&doc, "seconds")?,
-            qps: req_f64(&doc, "qps")?,
-            latency: LatencySummary {
-                p50: req_f64(latency, "p50")?,
-                p95: req_f64(latency, "p95")?,
-                p99: req_f64(latency, "p99")?,
-                max: req_f64(latency, "max")?,
-            },
-            service: counters_from_json(doc.get("service").ok_or("missing `service`")?, "service")?,
-            admission: counters_from_json(
-                doc.get("admission").ok_or("missing `admission`")?,
-                "admission",
-            )?,
-            cache: counters_from_json(doc.get("cache").ok_or("missing `cache`")?, "cache")?,
-            net: match doc.get("net") {
-                Some(v) => counters_from_json(v, "net")?,
-                None => Vec::new(),
-            },
-            // v3 documents predate the stages block.
-            stages: match doc.get("stages") {
-                Some(Json::Obj(rows)) => rows
-                    .iter()
-                    .map(|(stage, v)| {
-                        Ok(StageLatency {
-                            stage: stage.clone(),
-                            count: req_u64(v, "count")?,
-                            p50: req_f64(v, "p50")?,
-                            p95: req_f64(v, "p95")?,
-                            p99: req_f64(v, "p99")?,
-                        })
-                    })
-                    .collect::<Result<Vec<StageLatency>, String>>()?,
-                Some(_) => return Err("stages: expected an object".to_string()),
-                None => Vec::new(),
-            },
-            certainty_digest: req_str(&doc, "certainty_digest")?,
-        })
     }
-}
-
-fn req_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field `{key}`"))
-}
-
-fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key).and_then(Json::as_u64).ok_or_else(|| format!("missing integer field `{key}`"))
-}
-
-fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key).and_then(Json::as_f64).ok_or_else(|| format!("missing number field `{key}`"))
-}
-
-// ---------------------------------------------------------------------
-// Baseline gate
-// ---------------------------------------------------------------------
-
-/// Compares a fresh serving run against a checked-in baseline. Returns
-/// the list of failures (empty ⇒ gate passes).
-///
-/// * **Configuration** must match exactly (scale, seed, ε, clients,
-///   passes, mode, request count, template count, database digest): a
-///   mismatch means the runs measure different things.
-/// * **Certainties** are pinned through the reference-pass digest —
-///   any bit of drift fails (an intentional change must re-pin the
-///   baseline in the same commit).
-/// * **p95 latency** may regress at most `tolerance` (relative), with
-///   a 1 ms absolute floor so microsecond-scale baselines don't turn
-///   scheduler jitter into failures. Throughput and the counter blocks
-///   are informational: plan/ν-cache race outcomes under concurrency
-///   are not deterministic, so they are not gated.
-pub fn check_serve_baseline(
-    fresh: &ServeBenchReport,
-    baseline: &ServeBenchReport,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    let mut cfg = |name: &str, a: String, b: String| {
-        if a != b {
-            failures.push(format!("config mismatch: {name} is {a}, baseline has {b}"));
-        }
-    };
-    cfg("schema_version", fresh.schema_version.to_string(), baseline.schema_version.to_string());
-    cfg("kind", fresh.kind.clone(), baseline.kind.clone());
-    cfg("scale", fresh.scale.clone(), baseline.scale.clone());
-    cfg("seed", fresh.seed.to_string(), baseline.seed.to_string());
-    cfg("epsilon", format!("{:?}", fresh.epsilon), format!("{:?}", baseline.epsilon));
-    cfg("clients", fresh.clients.to_string(), baseline.clients.to_string());
-    cfg("passes", fresh.passes.to_string(), baseline.passes.to_string());
-    cfg("mode", fresh.mode.clone(), baseline.mode.clone());
-    // The open-loop target rate shapes the load the latencies were
-    // measured under; comparing across rates would gate p95 against a
-    // baseline from a different experiment.
-    cfg("rate", format!("{:?}", fresh.rate), format!("{:?}", baseline.rate));
-    cfg("requests", fresh.requests.to_string(), baseline.requests.to_string());
-    cfg("templates", fresh.templates.to_string(), baseline.templates.to_string());
-    cfg("db.digest", fresh.db_digest.clone(), baseline.db_digest.clone());
-    if !failures.is_empty() {
-        return failures;
-    }
-
-    if fresh.certainty_digest != baseline.certainty_digest {
-        failures.push(format!(
-            "certainty drift: digest {} vs baseline {} — served answers changed bits",
-            fresh.certainty_digest, baseline.certainty_digest
-        ));
-    }
-    let allowed = (baseline.latency.p95 * (1.0 + tolerance)).max(baseline.latency.p95 + 0.001);
-    if fresh.latency.p95 > allowed {
-        failures.push(format!(
-            "p95 latency regressed: {:.6}s vs baseline {:.6}s (+{:.0}% > {:.0}% tolerance)",
-            fresh.latency.p95,
-            baseline.latency.p95,
-            100.0 * (fresh.latency.p95 / baseline.latency.p95.max(1e-12) - 1.0),
-            100.0 * tolerance
-        ));
-    }
-    failures
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_report() -> ServeBenchReport {
-        ServeBenchReport {
-            schema_version: SCHEMA_VERSION,
-            kind: "serve".into(),
-            scale: "tiny".into(),
-            seed: 2020,
-            epsilon: 0.02,
-            clients: 4,
-            passes: 3,
-            mode: "closed".into(),
-            rate: 0.0,
-            reps: 3,
-            db_tuples: 200,
-            db_num_nulls: 47,
-            db_digest: "0x75dc0786674255e7".into(),
-            templates: 9,
-            requests: 120,
-            seconds: 0.5,
-            qps: 240.0,
-            latency: LatencySummary { p50: 0.001, p95: 0.004, p99: 0.009, max: 0.02 },
-            service: vec![("queries".into(), 130)],
-            admission: vec![("admitted".into(), 130)],
-            cache: vec![("hits".into(), 100), ("evictions".into(), 0)],
-            net: vec![],
-            stages: vec![StageLatency {
-                stage: "total".into(),
-                count: 130,
-                p50: 0.001024,
-                p95: 0.004096,
-                p99: 0.008192,
-            }],
-            certainty_digest: "0x0123456789abcdef".into(),
-        }
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let report = tiny_report();
-        let back = ServeBenchReport::from_json(&report.to_json()).expect("parse own output");
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn suite_parser_rejects_serve_documents_and_vice_versa() {
-        let serve = tiny_report().to_json();
-        assert!(crate::suite::SuiteReport::from_json(&serve)
-            .unwrap_err()
-            .contains("not a suite report"));
-    }
-
-    #[test]
-    fn identical_reports_pass_the_gate() {
-        let report = tiny_report();
-        assert_eq!(check_serve_baseline(&report, &report, 0.25), Vec::<String>::new());
-    }
-
-    #[test]
-    fn certainty_drift_fails_the_gate() {
-        let baseline = tiny_report();
-        let mut fresh = baseline.clone();
-        fresh.certainty_digest = "0xdeadbeefdeadbeef".into();
-        let failures = check_serve_baseline(&fresh, &baseline, 0.25);
-        assert!(failures.iter().any(|f| f.contains("certainty drift")), "{failures:?}");
-    }
-
-    #[test]
-    fn p95_gate_tolerates_and_fails() {
-        let baseline = tiny_report();
-        let mut fresh = baseline.clone();
-        fresh.latency.p95 = baseline.latency.p95 * 1.2;
-        assert_eq!(check_serve_baseline(&fresh, &baseline, 0.25), Vec::<String>::new());
-        fresh.latency.p95 = baseline.latency.p95 * 1.6;
-        let failures = check_serve_baseline(&fresh, &baseline, 0.25);
-        assert!(failures.iter().any(|f| f.contains("p95 latency regressed")), "{failures:?}");
-    }
-
-    #[test]
-    fn microsecond_baselines_get_the_absolute_floor() {
-        let mut baseline = tiny_report();
-        baseline.latency.p95 = 2e-5;
-        let mut fresh = baseline.clone();
-        fresh.latency.p95 = 9e-4; // 45×, but within the 1 ms floor
-        assert_eq!(check_serve_baseline(&fresh, &baseline, 0.25), Vec::<String>::new());
-    }
-
-    #[test]
-    fn config_mismatch_fails_fast() {
-        let baseline = tiny_report();
-        let mut fresh = baseline.clone();
-        fresh.clients = 16;
-        let failures = check_serve_baseline(&fresh, &baseline, 0.25);
-        assert!(failures.iter().any(|f| f.contains("clients")), "{failures:?}");
-    }
 
     #[test]
     fn percentiles_are_nearest_rank() {

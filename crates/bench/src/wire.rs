@@ -31,16 +31,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use qarith_core::NuCacheConfig;
 use qarith_datagen::{database_digest, QueryFamily};
 use qarith_net::{Decoded, NetClient, NetConfig, NetServer};
-use qarith_serve::{QueryService, ServeConfig};
+use qarith_serve::QueryService;
 
 use crate::serve::{
-    pairs, response_bits, serving_options, stage_latencies, LatencySummary, LoadMode,
-    ServeBenchConfig, ServeBenchReport,
+    response_bits, serving_config, stage_latencies, LatencySummary, LoadMode, ServeBenchConfig,
+    ServeBenchReport,
 };
-use crate::suite::SCHEMA_VERSION;
 
 /// One reply reduced to its μ-relevant bits, in the same shape
 /// [`crate::serve::response_bits`] produces for in-process responses.
@@ -67,18 +65,7 @@ pub fn run_wire_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         config.families.iter().flat_map(QueryFamily::queries).map(|q| q.sql).collect();
     assert!(!sql.is_empty(), "no query families configured");
 
-    let service = Arc::new(QueryService::new(
-        db,
-        ServeConfig {
-            options: serving_options(config.epsilon, config.seed),
-            cache: NuCacheConfig {
-                shards: config.cache_shards,
-                budget_bytes: config.cache_budget_bytes,
-            },
-            max_in_flight: config.max_in_flight,
-            ..ServeConfig::default()
-        },
-    ));
+    let service = Arc::new(QueryService::new(db, serving_config(config)));
 
     // Sequential in-process reference pass: pins the expected bits and
     // the digest, warms the plan cache. Identical to the in-process
@@ -129,7 +116,6 @@ pub fn run_wire_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         .collect();
 
     ServeBenchReport {
-        schema_version: SCHEMA_VERSION,
         kind: "wire".to_string(),
         scale: config.scale.name().to_string(),
         seed: config.seed,
@@ -147,10 +133,10 @@ pub fn run_wire_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         seconds,
         qps: requests_per_rep as f64 / seconds.max(1e-9),
         latency,
-        service: pairs(&service.stats().as_pairs()),
-        admission: pairs(&service.admission_stats().as_pairs()),
-        cache: pairs(&service.cache_stats().as_pairs()),
-        net: pairs(&net.as_pairs()),
+        service: service.stats().as_pairs().to_vec(),
+        admission: service.admission_stats().as_pairs().to_vec(),
+        cache: service.cache_stats().as_pairs().to_vec(),
+        net: net.as_pairs().to_vec(),
         stages: stage_latencies(service),
         certainty_digest: format!("{:#018x}", digest.finish()),
     }
@@ -238,7 +224,8 @@ fn wire_timed_rep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::{check_serve_baseline, run_serve_bench};
+    use crate::doc::{check, BenchDoc};
+    use crate::serve::run_serve_bench;
     use qarith_datagen::WorkloadScale;
 
     fn tiny_config() -> ServeBenchConfig {
@@ -261,8 +248,7 @@ mod tests {
         assert_eq!(wire.requests, 20);
         // The net block closed its books: every request framed in got
         // exactly one reply framed out, and nothing is still open.
-        let net: std::collections::HashMap<&str, u64> =
-            wire.net.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        let net: std::collections::HashMap<&str, u64> = wire.net.iter().copied().collect();
         assert_eq!(net["frames_in"], wire.requests);
         assert_eq!(net["frames_out"], wire.requests);
         assert_eq!(net["protocol_errors"], 0);
@@ -280,8 +266,8 @@ mod tests {
         assert_eq!(stage("frame_encode").count, wire.requests);
         assert!(stage("total").count >= wire.requests, "reference pass also counts");
 
-        let back = ServeBenchReport::from_json(&wire.to_json()).expect("parse own output");
-        assert_eq!(back, wire);
+        let doc = wire.doc();
+        assert_eq!(BenchDoc::from_json(&doc.to_json()).expect("parse own output"), doc);
 
         // Same config in-process: identical certainty digest — the
         // wire carries exactly the bits the service produced.
@@ -290,7 +276,7 @@ mod tests {
 
         // The gate refuses to compare a wire run against a serve
         // baseline: they measure different paths.
-        let failures = check_serve_baseline(&wire, &serve, 0.25);
+        let failures = check(&doc, &serve.doc());
         assert!(failures.iter().any(|f| f.contains("kind")), "{failures:?}");
     }
 

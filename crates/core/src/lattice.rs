@@ -9,7 +9,8 @@
 //!
 //! This module provides the finite-radius lattice ratio (by exact
 //! enumeration, feasible in small dimension) so the convergence claim
-//! can be *tested*, which `tests/` and the experiments do. Enumeration
+//! can be *tested*: `tests/lattice_oracle.rs` checks the exact
+//! evaluators against it at growing radius. Enumeration
 //! is exponential in the dimension — this is a validation tool, not an
 //! approximation algorithm (the AFPRAS already covers that role for both
 //! models, by the equality of the limits).

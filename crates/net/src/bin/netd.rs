@@ -11,8 +11,7 @@
 //! ```
 //!
 //! Defaults match `serve_bench`'s serving regime (seed 2020, ε 0.02,
-//! AFPRAS with the paper's `m = ⌈ε⁻²⌉` and the suite's sampling-seed
-//! derivation), so answers from a default `netd` are bit-comparable to
+//! [`ServeConfig::paper_afpras`]), so answers from a default `netd` are bit-comparable to
 //! the serve/wire benches at equal scale and seed. See the README's
 //! "Talk to it over the wire" quickstart for a netcat session and
 //! "Observing a running server" for the metrics/slow-log tour.
@@ -29,8 +28,6 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use qarith_core::afpras::{AfprasOptions, SampleCount};
-use qarith_core::{BatchOptions, MeasureOptions, MethodChoice};
 use qarith_datagen::WorkloadScale;
 use qarith_net::{NetConfig, NetServer};
 use qarith_serve::{QueryService, ServeConfig};
@@ -106,28 +103,12 @@ fn main() -> ExitCode {
     }
     let db = qarith_datagen::sales::sales_database(&scale.params(), seed);
 
-    // The serving regime of `serve_bench` (crates/bench/src/serve.rs):
-    // forced AFPRAS, the paper's m = ⌈ε⁻²⌉, and the workload suite's
-    // sampling-seed derivation (seed ^ 0xF1616), so suite, serve, and
-    // wire runs at equal config sample identically.
-    let options = MeasureOptions {
-        method: MethodChoice::Afpras,
-        afpras: AfprasOptions {
-            epsilon,
-            samples: SampleCount::Paper,
-            seed: seed ^ 0xF1616,
-            ..AfprasOptions::default()
-        },
-        batch: BatchOptions { threads: 1, dedup: true },
-        ..MeasureOptions::default()
-    };
     let service = Arc::new(QueryService::new(
         db,
         ServeConfig {
-            options,
             max_in_flight,
             slow_threshold_nanos: slow_threshold_ms.saturating_mul(1_000_000),
-            ..ServeConfig::default()
+            ..ServeConfig::paper_afpras(epsilon, seed)
         },
     ));
 

@@ -15,8 +15,6 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qarith_core::afpras::{AfprasOptions, SampleCount};
-use qarith_core::{BatchOptions, MeasureOptions, MethodChoice};
 use qarith_datagen::WorkloadScale;
 use qarith_net::{Decoded, ErrorKind, NetClient, NetConfig, NetServer, Request};
 use qarith_serve::{QueryService, ServeConfig};
@@ -25,21 +23,8 @@ const SQL: &str = "SELECT P.id FROM Products P";
 
 fn test_service(max_in_flight: usize) -> Arc<QueryService> {
     let db = qarith_datagen::sales::sales_database(&WorkloadScale::Tiny.params(), 2020);
-    let options = MeasureOptions {
-        method: MethodChoice::Afpras,
-        afpras: AfprasOptions {
-            epsilon: 0.1,
-            samples: SampleCount::Paper,
-            seed: 77 ^ 0xF1616,
-            ..AfprasOptions::default()
-        },
-        batch: BatchOptions { threads: 1, dedup: true },
-        ..MeasureOptions::default()
-    };
-    Arc::new(QueryService::new(
-        db,
-        ServeConfig { options, max_in_flight, ..ServeConfig::default() },
-    ))
+    let config = ServeConfig { max_in_flight, ..ServeConfig::paper_afpras(0.1, 77) };
+    Arc::new(QueryService::new(db, config))
 }
 
 fn fast_config() -> NetConfig {
@@ -195,6 +180,41 @@ fn drain_notifies_idle_connections() {
     assert!(outcome.drained && !outcome.forced, "{outcome:?}");
 }
 
+/// Whether the server end of `client`'s connection has read every byte
+/// the client wrote, from the kernel's socket table: the client's send
+/// queue is acknowledged (so the bytes reached the server's socket),
+/// and then the server socket holds no unread byte. Two reads of the
+/// table, in that order, so a segment still in flight cannot pass for
+/// one already read. Without `/proc/net/tcp` (not Linux) this reports
+/// `true`, and the caller's interleaving is left to the scheduler.
+fn server_read_everything(client: &TcpStream) -> bool {
+    let (near, far) = (
+        client.local_addr().expect("client address").port(),
+        client.peer_addr().expect("server address").port(),
+    );
+    // The (send, receive) queue sizes of the established socket whose
+    // local and remote ports are `local` and `remote`.
+    let queues = |local: u16, remote: u16| -> Option<(u64, u64)> {
+        let table = std::fs::read_to_string("/proc/net/tcp").ok()?;
+        let port =
+            |addr: &str| addr.rsplit(':').next().and_then(|p| u16::from_str_radix(p, 16).ok());
+        table.lines().skip(1).find_map(|line| {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let established = *fields.get(3)? == "01";
+            if !established || port(fields.get(1)?)? != local || port(fields.get(2)?)? != remote {
+                return None;
+            }
+            let (tx, rx) = fields.get(4)?.split_once(':')?;
+            Some((u64::from_str_radix(tx, 16).ok()?, u64::from_str_radix(rx, 16).ok()?))
+        })
+    };
+    if !std::path::Path::new("/proc/net/tcp").exists() {
+        return true;
+    }
+    queues(near, far).is_some_and(|(unacked, _)| unacked == 0)
+        && queues(far, near).is_some_and(|(_, unread)| unread == 0)
+}
+
 /// The shutdown deadline is enforced: a connection wedged mid-frame
 /// (header sent, payload withheld, generous read budget) cannot stall
 /// the drain past the caller's deadline plus the bounded force grace.
@@ -211,7 +231,13 @@ fn shutdown_deadline_forces_wedged_connections() {
 
     let mut wedged = TcpStream::connect(server.local_addr()).expect("connect");
     wedged.write_all(&128u32.to_be_bytes()).expect("header only");
-    wait_until("wedge registered", || server.stats().connections_active == 1);
+    // The wedge exists only once the server has read the header: before
+    // that the connection is idle, and a drain rightly closes it
+    // without forcing. `connections_active == 1` is no evidence of the
+    // read (the accept loop counts a connection before its thread
+    // reads), so wait on the kernel's own count of unread bytes.
+    wait_until("the server read the header", || server_read_everything(&wedged));
+    assert_eq!(server.stats().connections_active, 1);
 
     let started = Instant::now();
     let outcome = server.shutdown(Duration::from_millis(200));

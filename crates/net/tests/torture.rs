@@ -14,32 +14,15 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qarith_core::afpras::{AfprasOptions, SampleCount};
-use qarith_core::{BatchOptions, MeasureOptions, MethodChoice};
 use qarith_datagen::{QueryFamily, WorkloadScale};
 use qarith_net::frame::{self, HEADER_LEN};
 use qarith_net::{Decoded, ErrorKind, NetClient, NetConfig, NetServer, Request};
 use qarith_serve::{QueryService, ServeConfig};
 
-/// The serving regime of `serve_bench` at test-friendly parameters.
-fn test_options(epsilon: f64, seed: u64) -> MeasureOptions {
-    MeasureOptions {
-        method: MethodChoice::Afpras,
-        afpras: AfprasOptions {
-            epsilon,
-            samples: SampleCount::Paper,
-            seed: seed ^ 0xF1616,
-            ..AfprasOptions::default()
-        },
-        batch: BatchOptions { threads: 1, dedup: true },
-        ..MeasureOptions::default()
-    }
-}
-
 fn test_service() -> Arc<QueryService> {
     let db = qarith_datagen::sales::sales_database(&WorkloadScale::Tiny.params(), 2020);
-    let config = ServeConfig { options: test_options(0.1, 77), ..ServeConfig::default() };
-    Arc::new(QueryService::new(db, config))
+    // The serving regime of `netd` and `serve_bench` at test-friendly parameters.
+    Arc::new(QueryService::new(db, ServeConfig::paper_afpras(0.1, 77)))
 }
 
 /// Short deadlines so misbehavior resolves in test time, fast ticks so

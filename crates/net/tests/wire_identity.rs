@@ -10,8 +10,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qarith_core::afpras::{AfprasOptions, SampleCount};
-use qarith_core::{BatchOptions, MeasureOptions, MethodChoice};
 use qarith_datagen::{QueryFamily, WorkloadScale};
 use qarith_net::{scrape_metrics, Decoded, NetClient, NetConfig, NetServer};
 use qarith_serve::{QueryService, ServeConfig};
@@ -88,19 +86,7 @@ fn of_response(response: &qarith_serve::QueryResponse) -> Identity {
 
 fn start_server() -> NetServer {
     let db = qarith_datagen::sales::sales_database(&WorkloadScale::Tiny.params(), 2020);
-    let options = MeasureOptions {
-        method: MethodChoice::Afpras,
-        afpras: AfprasOptions {
-            epsilon: 0.1,
-            samples: SampleCount::Paper,
-            seed: 2020 ^ 0xF1616,
-            ..AfprasOptions::default()
-        },
-        batch: BatchOptions { threads: 1, dedup: true },
-        ..MeasureOptions::default()
-    };
-    let service =
-        Arc::new(QueryService::new(db, ServeConfig { options, ..ServeConfig::default() }));
+    let service = Arc::new(QueryService::new(db, ServeConfig::paper_afpras(0.1, 2020)));
     let config = NetConfig { tick: Duration::from_millis(2), ..NetConfig::default() };
     NetServer::start(service, config).expect("bind loopback")
 }

@@ -40,8 +40,8 @@
 //!
 //! Every layer exports counters through the workspace's `as_pairs`
 //! convention; `serve_bench` (crate `qarith-bench`) serializes them
-//! next to p50/p95/p99 latency percentiles into the schema-v4
-//! `BENCH_*.json` artifact that CI gates.
+//! next to p50/p95/p99 latency percentiles into the `BENCH_*.json`
+//! bench document that CI gates.
 //!
 //! ```
 //! use qarith_serve::{QueryService, ServeConfig};

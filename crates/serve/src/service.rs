@@ -4,9 +4,10 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
+use qarith_core::afpras::{AfprasOptions, SampleCount};
 use qarith_core::{
-    AnswerWithCertainty, BatchPlan, BatchStats, CacheStats, CertaintyEngine, MeasureOptions,
-    NuCache, NuCacheConfig,
+    AnswerWithCertainty, BatchOptions, BatchPlan, BatchStats, CacheStats, CertaintyEngine,
+    MeasureOptions, MethodChoice, NuCache, NuCacheConfig,
 };
 use qarith_engine::cq;
 use qarith_query::Formula;
@@ -62,6 +63,35 @@ impl Default for ServeConfig {
             max_plans: 1024,
             slow_threshold_nanos: 0,
         }
+    }
+}
+
+impl ServeConfig {
+    /// The serving regime of `netd` and `serve_bench`: forced AFPRAS at
+    /// the paper's §8 sample count `m = ⌈ε⁻²⌉`, sampling seed
+    /// `seed ^ 0xF1616` (the workload suite's derivation, so suite and
+    /// serving runs at equal config sample identically), per-request
+    /// fan-out 1 (concurrency comes from the clients) with canonical
+    /// dedup on, and every other field at its default. Every pinned
+    /// serving certainty digest was recorded under these options, and
+    /// their fingerprint keys the ν-cache.
+    ///
+    /// The repository benchmark keeps its own copy of these options
+    /// (`serving_options` in `perfbench/src/lib.rs`) until the benchmark
+    /// itself next changes; its reply check fails if the two drift.
+    pub fn paper_afpras(epsilon: f64, seed: u64) -> ServeConfig {
+        let options = MeasureOptions {
+            method: MethodChoice::Afpras,
+            afpras: AfprasOptions {
+                epsilon,
+                samples: SampleCount::Paper,
+                seed: seed ^ 0xF1616,
+                ..AfprasOptions::default()
+            },
+            batch: BatchOptions { threads: 1, dedup: true },
+            ..MeasureOptions::default()
+        };
+        ServeConfig { options, ..ServeConfig::default() }
     }
 }
 
@@ -694,7 +724,7 @@ impl QueryService {
     /// A snapshot of every per-stage latency histogram (admission wait
     /// through write apply and plan invalidation, plus the end-to-end total),
     /// in [`Stage::ALL`] order. This is the `/metrics` histogram
-    /// source and the schema-v4 BENCH per-stage summary source.
+    /// source and the serving bench documents' per-stage summary source.
     pub fn latency_stats(&self) -> LatencyStats {
         self.tracer.latency_stats()
     }
@@ -738,6 +768,50 @@ mod tests {
         let mut db = Database::new();
         db.add_relation(r).expect("relation");
         db
+    }
+
+    /// The serving regime, field for field: any change here moves the
+    /// options fingerprint and every served bit.
+    #[test]
+    fn the_paper_serving_regime_is_pinned() {
+        let config = ServeConfig::paper_afpras(0.02, 2020);
+        let o = &config.options;
+        assert_eq!(o.method, MethodChoice::Afpras);
+        assert_eq!(o.afpras.epsilon.to_bits(), 0.02f64.to_bits());
+        assert_eq!(o.afpras.samples, SampleCount::Paper);
+        assert_eq!(o.afpras.seed, 2020 ^ 0xF1616);
+        assert_eq!((o.batch.threads, o.batch.dedup), (1, true));
+        let defaults = MeasureOptions::default();
+        let rest = |o: &MeasureOptions| {
+            format!(
+                "{:?} {:?} {:?} {:?} {} {:?} {:?}",
+                o.afpras.delta,
+                o.afpras.threads,
+                o.afpras.full_dimension,
+                o.fpras,
+                o.exact_order_limit,
+                o.cq,
+                o.rewrite
+            )
+        };
+        assert_eq!(rest(o), rest(&defaults), "every other option stays at its default");
+        let d = ServeConfig::default();
+        assert_eq!(
+            (config.cache, config.max_in_flight, config.max_plans, config.slow_threshold_nanos),
+            (d.cache, d.max_in_flight, d.max_plans, d.slow_threshold_nanos)
+        );
+        let hand_built = MeasureOptions {
+            method: MethodChoice::Afpras,
+            afpras: AfprasOptions {
+                epsilon: 0.02,
+                samples: SampleCount::Paper,
+                seed: 2020 ^ 0xF1616,
+                ..AfprasOptions::default()
+            },
+            batch: BatchOptions { threads: 1, dedup: true },
+            ..MeasureOptions::default()
+        };
+        assert_eq!(o.fingerprint(), hand_built.fingerprint());
     }
 
     /// A reader still pinned to an older epoch builds its own plan, but

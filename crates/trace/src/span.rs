@@ -240,7 +240,7 @@ impl Drop for TracerSpan<'_> {
 
 /// A snapshot of every stage histogram, in [`Stage::ALL`] order — the
 /// `QueryService::latency_stats()` return type, rendered by `/metrics`
-/// and embedded in schema-v4 BENCH documents.
+/// and embedded in the serving bench documents.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyStats {
     /// One `(stage, snapshot)` pair per stage, in [`Stage::ALL`] order.
