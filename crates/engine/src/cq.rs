@@ -21,15 +21,41 @@
 //! `n` derivation rows); [`CqOptions::exhaustive`] instead scans all
 //! derivations so that the per-candidate formula is complete (the mode
 //! used when cross-checking against [`crate::ground`]).
+//!
+//! # Read footprints
+//!
+//! [`execute_recorded`] also returns what the run read of its database,
+//! as a [`ReadFootprint`], so that a cached result can outlive the
+//! writes that miss it. The join records, as it runs:
+//!
+//! * the first atom's scan: how many rows it visited, and whether it
+//!   reached the relation's end (a `LIMIT` cuts it short);
+//! * the `(relation, column, value)` key of every index probe;
+//! * the outcome of every relation-size comparison the greedy join
+//!   order consulted;
+//! * a relation read whole, for a scan below the first atom and for
+//!   active-domain enumeration (every relation then).
+//!
+//! [`ReadFootprint::affected_by`] then answers one question about a
+//! write batch ([`WriteDelta`]): could it change the candidates? The
+//! executor's output is a deterministic function of the rows it visits,
+//! in the order it visits them. A batch that leaves the visited scan
+//! prefix in place, touches no probed key, flips no size comparison and
+//! changes no relation read whole leaves every visited row in place and
+//! in order, so re-running the query returns the same candidates,
+//! formulas and derivation counts, and records the same footprint.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::Arc;
 
 use qarith_constraints::{Atom, ConstraintOp, Polynomial, QfFormula};
 use qarith_numeric::Rational;
 use qarith_query::{Arg, BaseTerm, CompareOp, Formula, Ident, NumTerm, Query, TypedVar};
-use qarith_types::{ColumnIndex, Database, Sort, Tuple, Value};
+use qarith_types::{
+    first_changed_row, ColumnIndex, Database, Relation, Sort, Tuple, Value, WriteOp,
+};
 
 use crate::domain::ActiveDomain;
 use crate::env::{base_term_value, null_var, term_to_polynomial, Bound, Env};
@@ -168,6 +194,7 @@ fn decompose(f: &Formula, body: &mut CqBody) -> Result<(), EngineError> {
 /// bound when it is reached, and the relation's index on the first of
 /// them.
 struct PlannedAtom<'a> {
+    relation: Ident,
     args: Vec<Arg>,
     /// `(column, term)` for every constant base argument and every base
     /// variable an earlier atom binds. Empty for a scan.
@@ -255,6 +282,18 @@ pub fn execute(
     db: &Database,
     opts: &CqOptions,
 ) -> Result<Vec<CandidateAnswer>, EngineError> {
+    execute_recorded(query, db, opts).map(|(candidates, _)| candidates)
+}
+
+/// [`execute`], also returning what the run read of `db` (see the
+/// module docs, "Read footprints"): the candidates stay exact on every
+/// later version of `db` that the footprint is not
+/// [affected by](ReadFootprint::affected_by).
+pub fn execute_recorded(
+    query: &Query,
+    db: &Database,
+    opts: &CqOptions,
+) -> Result<(Vec<CandidateAnswer>, ReadFootprint), EngineError> {
     let mut body = CqBody {
         rel_atoms: Vec::new(),
         base_eqs: Vec::new(),
@@ -268,7 +307,8 @@ pub fn execute(
     let mut uni = Unifier::new();
     for (l, r) in &body.base_eqs {
         if !uni.union(l, r) {
-            return Ok(Vec::new());
+            // Unsatisfiable whatever the data: nothing was read.
+            return Ok((Vec::new(), ReadFootprint::default()));
         }
     }
     body.base_eqs.clear();
@@ -280,7 +320,8 @@ pub fn execute(
         }
     }
 
-    let plan = plan_join(&body, db)?;
+    let mut sizes = Vec::new();
+    let plan = plan_join(&body, db, &mut sizes)?;
 
     let mut filters: Vec<PlannedFilter> = Vec::new();
     for (l, op, r) in &body.cmps {
@@ -359,10 +400,14 @@ pub fn execute(
         order: Vec::new(),
         candidates: HashMap::new(),
         done: false,
+        scanned: 0,
+        probes: Vec::new(),
     };
     exec.join(0)?;
 
-    let Executor { order, mut candidates, .. } = exec;
+    let Executor { order, mut candidates, done, scanned, probes, .. } = exec;
+    let footprint =
+        ReadFootprint::new(&plan, db, !uncovered.is_empty(), (scanned, !done), probes, sizes);
     let mut out = Vec::with_capacity(order.len());
     for key in order {
         if let Some(max) = opts.limit {
@@ -384,10 +429,17 @@ pub fn execute(
             truncated: state.truncated,
         });
     }
-    Ok(out)
+    Ok((out, footprint))
 }
 
-fn plan_join<'a>(body: &CqBody, db: &'a Database) -> Result<Vec<PlannedAtom<'a>>, EngineError> {
+/// Orders the relation atoms greedily (see the module docs), recording
+/// in `sizes` the outcome of every relation-size comparison it
+/// consults.
+fn plan_join<'a>(
+    body: &CqBody,
+    db: &'a Database,
+    sizes: &mut Vec<SizeOrder>,
+) -> Result<Vec<PlannedAtom<'a>>, EngineError> {
     let mut remaining: Vec<(Ident, Vec<Arg>)> = body.rel_atoms.clone();
     let mut bound: HashSet<Ident> = HashSet::new();
     let mut plan = Vec::with_capacity(remaining.len());
@@ -395,7 +447,7 @@ fn plan_join<'a>(body: &CqBody, db: &'a Database) -> Result<Vec<PlannedAtom<'a>>
         // Greedy: the atom with the most bound base arguments, ties broken
         // by smaller relation.
         let mut best = 0usize;
-        let mut best_score: Option<(usize, usize)> = None;
+        let mut best_score: Option<(usize, usize, &Ident)> = None;
         for (i, (rel, args)) in remaining.iter().enumerate() {
             let relation = db
                 .relation(rel)
@@ -408,13 +460,18 @@ fn plan_join<'a>(body: &CqBody, db: &'a Database) -> Result<Vec<PlannedAtom<'a>>
                     Arg::Num(_) => false,
                 })
                 .count();
-            let candidate_score = (keys, relation.len());
             let better = match best_score {
                 None => true,
-                Some((bk, bl)) => keys > bk || (keys == bk && relation.len() < bl),
+                Some((bk, bl, best_rel)) => {
+                    if keys == bk && rel != best_rel {
+                        let less = relation.len() < bl;
+                        sizes.push(SizeOrder { left: rel.clone(), right: best_rel.clone(), less });
+                    }
+                    keys > bk || (keys == bk && relation.len() < bl)
+                }
             };
             if better {
-                best_score = Some(candidate_score);
+                best_score = Some((keys, relation.len(), rel));
                 best = i;
             }
         }
@@ -450,7 +507,7 @@ fn plan_join<'a>(body: &CqBody, db: &'a Database) -> Result<Vec<PlannedAtom<'a>>
                 _ => {}
             }
         }
-        plan.push(PlannedAtom { args, key, tuples: relation.tuples(), index });
+        plan.push(PlannedAtom { relation: rel, args, key, tuples: relation.tuples(), index });
     }
     Ok(plan)
 }
@@ -497,6 +554,10 @@ struct Executor<'a> {
     order: Vec<Tuple>,
     candidates: HashMap<Tuple, CandidateState>,
     done: bool,
+    /// Rows the first atom's scan has visited.
+    scanned: usize,
+    /// `(depth, hash of the probed value)` of every index probe.
+    probes: Vec<(usize, u64)>,
 }
 
 impl<'a> Executor<'a> {
@@ -513,6 +574,9 @@ impl<'a> Executor<'a> {
                 if self.done {
                     break;
                 }
+                if depth == 0 {
+                    self.scanned += 1;
+                }
                 self.try_tuple(depth, atom, tuple)?;
             }
             return Ok(());
@@ -522,6 +586,7 @@ impl<'a> Executor<'a> {
             key.push((*column, base_term_value(term, &self.env)?));
         }
         let Some((_, first)) = key.first() else { return Ok(()) };
+        self.probes.push((depth, key_hash(first)));
         // `rows` also lists rows whose value only shares `first`'s hash,
         // and it checks no other key column. Keeping the rows that
         // match the whole key visits exactly the rows, in the order, of
@@ -728,6 +793,231 @@ impl<'a> Executor<'a> {
     }
 }
 
+/// The hash a [`ReadFootprint`] keeps of a probed value. Fixed, not
+/// keyed: a collision can only make a footprint report a write that
+/// misses it as affecting it, and any writer can force that anyway by
+/// writing a visited row.
+fn key_hash(value: &Value) -> u64 {
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(value)
+}
+
+/// What one [`execute_recorded`] run read of its database (see the
+/// module docs, "Read footprints").
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ReadFootprint {
+    /// The first atom's scan, when the first atom is scanned.
+    scan: Option<ScanRead>,
+    /// The probed keys, per `(relation, column)`.
+    probes: Box<[ProbedColumn]>,
+    /// Every relation-size comparison the join order consulted.
+    sizes: Box<[SizeOrder]>,
+    /// The relations read whole, sorted.
+    whole: Box<[Ident]>,
+}
+
+/// The first atom's scan.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct ScanRead {
+    relation: Ident,
+    /// Rows visited, from the first on.
+    rows: usize,
+    /// `true` iff the scan was not cut short, so a row appended at the
+    /// end would have been visited too.
+    to_end: bool,
+}
+
+/// The values probed in one column of one relation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct ProbedColumn {
+    relation: Ident,
+    column: usize,
+    /// [`key_hash`] of each probed value, sorted and deduplicated.
+    keys: Box<[u64]>,
+}
+
+/// One relation-size comparison of the greedy join order: whether
+/// `left` had fewer rows than `right`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct SizeOrder {
+    left: Ident,
+    right: Ident,
+    less: bool,
+}
+
+impl ReadFootprint {
+    /// Compacts one run's reads. `scan` is the first atom's visited row
+    /// count and whether the scan ran to the end; `probes` holds
+    /// `(depth, key hash)` per index probe.
+    fn new(
+        plan: &[PlannedAtom<'_>],
+        db: &Database,
+        enumerated: bool,
+        scan: (usize, bool),
+        probes: Vec<(usize, u64)>,
+        sizes: Vec<SizeOrder>,
+    ) -> ReadFootprint {
+        let scan = plan.first().filter(|atom| atom.index.is_none()).map(|atom| ScanRead {
+            relation: atom.relation.clone(),
+            rows: scan.0,
+            to_end: scan.1,
+        });
+        // Active-domain enumeration reads every relation; a scan below
+        // the first atom reads its relation once per outer binding.
+        let mut whole: Vec<Ident> = if enumerated {
+            db.relations().iter().map(|r| Ident::from(r.schema().name())).collect()
+        } else {
+            plan.iter()
+                .skip(1)
+                .filter(|atom| atom.index.is_none())
+                .map(|atom| atom.relation.clone())
+                .collect()
+        };
+        whole.sort_unstable();
+        whole.dedup();
+
+        // Each probing depth's keys go to its (relation, column); a
+        // self-join may probe one column from two depths.
+        let mut probes = probes;
+        probes.sort_unstable();
+        probes.dedup();
+        let mut by_column: BTreeMap<(Ident, usize), Vec<u64>> = BTreeMap::new();
+        for (depth, atom) in plan.iter().enumerate() {
+            let Some(&(column, _)) = atom.key.first() else { continue };
+            let from = probes.partition_point(|&(d, _)| d < depth);
+            let to = probes.partition_point(|&(d, _)| d <= depth);
+            let keys = probes.get(from..to).unwrap_or_default().iter().map(|&(_, hash)| hash);
+            by_column.entry((atom.relation.clone(), column)).or_default().extend(keys);
+        }
+        let probes = by_column
+            .into_iter()
+            .map(|((relation, column), mut keys)| {
+                keys.sort_unstable();
+                keys.dedup();
+                ProbedColumn { relation, column, keys: keys.into() }
+            })
+            .collect();
+        ReadFootprint { scan, probes, sizes: sizes.into_boxed_slice(), whole: whole.into() }
+    }
+
+    /// Whether the batch described by `delta` could change what the
+    /// recorded run returned. `false` means every row the run visited is
+    /// still there, in the same order, and every join-order decision
+    /// comes out the same, so re-running it on the written database
+    /// returns the same candidates and records this same footprint.
+    /// It is `true` iff one of these holds:
+    ///
+    /// * (a) a row the first atom's scan visited changed;
+    /// * (b) the scan reached the relation's end and the relation
+    ///   changed at all (an append included);
+    /// * (c) an op of the batch inserts or removes a tuple holding a
+    ///   probed value in a probed column of a relation that changed
+    ///   (an `UPDATE` removes its old tuple and appends its new one);
+    /// * (d) a recorded relation-size comparison comes out the other way;
+    /// * (e) a relation read whole changed.
+    pub fn affected_by(&self, delta: &WriteDelta<'_>) -> bool {
+        self.whole_read_changed(delta)
+            || self.scanned_row_changed(delta)
+            || self.scanned_end_moved(delta)
+            || self.size_order_flipped(delta)
+            || self.probed_key_written(delta)
+    }
+
+    /// Rule (a): a row before the end of the scanned prefix changed.
+    fn scanned_row_changed(&self, delta: &WriteDelta<'_>) -> bool {
+        self.scan.as_ref().is_some_and(|scan| {
+            delta.first_changed(&scan.relation).is_some_and(|row| row < scan.rows)
+        })
+    }
+
+    /// Rule (b): the scan reached the end of a relation that changed.
+    fn scanned_end_moved(&self, delta: &WriteDelta<'_>) -> bool {
+        self.scan
+            .as_ref()
+            .is_some_and(|scan| scan.to_end && delta.first_changed(&scan.relation).is_some())
+    }
+
+    /// Rule (c): a tuple the batch inserts or removes holds a probed
+    /// value in a probed column of a relation that changed.
+    fn probed_key_written(&self, delta: &WriteDelta<'_>) -> bool {
+        self.probes.iter().any(|probed| {
+            delta.first_changed(&probed.relation).is_some()
+                && delta.tuples(&probed.relation).any(|values| {
+                    values
+                        .get(probed.column)
+                        .is_some_and(|value| probed.keys.binary_search(&key_hash(value)).is_ok())
+                })
+        })
+    }
+
+    /// Rule (d): a recorded size comparison comes out the other way.
+    fn size_order_flipped(&self, delta: &WriteDelta<'_>) -> bool {
+        self.sizes.iter().any(|s| (delta.len(&s.left) < delta.len(&s.right)) != s.less)
+    }
+
+    /// Rule (e): a relation read whole changed.
+    fn whole_read_changed(&self, delta: &WriteDelta<'_>) -> bool {
+        self.whole.iter().any(|relation| delta.first_changed(relation).is_some())
+    }
+}
+
+/// What one write batch changed: the pre-batch and post-batch database
+/// and the batch's ops, with the first changed row of each changed
+/// relation worked out once ([`first_changed_row`]), so that every
+/// [`ReadFootprint`] checked against the batch shares it.
+#[derive(Debug)]
+pub struct WriteDelta<'a> {
+    after: &'a Database,
+    ops: &'a [WriteOp],
+    /// Each relation whose rows changed, with its first changed row.
+    changed: Vec<(&'a str, usize)>,
+}
+
+impl<'a> WriteDelta<'a> {
+    /// The delta of `ops`, which turned `before` into `after` (a write
+    /// changes rows, never the relations a database declares). Rows are
+    /// compared by identity, so `after` should be a copy-on-write clone
+    /// of `before` that the ops were applied to: a relation rebuilt
+    /// with equal rows counts as changed from its first row.
+    pub fn new(before: &'a Database, after: &'a Database, ops: &'a [WriteOp]) -> WriteDelta<'a> {
+        let changed = after
+            .relations()
+            .iter()
+            .filter_map(|new| {
+                let name = new.schema().name();
+                let row = match before.relation(name) {
+                    Some(old) => first_changed_row(old, new)?,
+                    None => 0,
+                };
+                Some((name, row))
+            })
+            .collect();
+        WriteDelta { after, ops, changed }
+    }
+
+    /// The first changed row of `relation` (`None` if it did not
+    /// change).
+    fn first_changed(&self, relation: &str) -> Option<usize> {
+        self.changed.iter().find(|(name, _)| *name == relation).map(|&(_, row)| row)
+    }
+
+    /// The post-batch row count of `relation`.
+    fn len(&self, relation: &str) -> usize {
+        self.after.relation(relation).map_or(0, Relation::len)
+    }
+
+    /// Every tuple an op of the batch inserts into or removes from
+    /// `relation`, whether or not the op changed anything.
+    fn tuples<'s>(&'s self, relation: &'s str) -> impl Iterator<Item = &'a [Value]> + 's {
+        self.ops.iter().filter(move |op| op.relation() == relation).flat_map(|op| {
+            let (first, second): (&'a [Value], Option<&'a [Value]>) = match op {
+                WriteOp::Insert { values, .. } | WriteOp::Delete { values, .. } => (values, None),
+                WriteOp::Update { old, new, .. } => (old, Some(new)),
+            };
+            std::iter::once(first).chain(second)
+        })
+    }
+}
+
 /// The symbolic form of a numerical cell (`None` for a base value).
 fn num_cell(cell: &Value) -> Option<Polynomial> {
     match cell {
@@ -753,6 +1043,9 @@ fn poly_to_value(p: &Polynomial) -> Option<Value> {
     }
     None
 }
+
+#[cfg(test)]
+mod footprint_tests;
 
 #[cfg(test)]
 mod tests {

@@ -409,9 +409,12 @@ enum FillEnd {
 
 /// Reads exactly `buf.len()` bytes in tick slices, honoring `deadline`
 /// and the drain flags. With `idle_interruptible`, the read also
-/// aborts as `Draining` while *no* byte has arrived yet and the server
-/// is draining — that is the "idle between requests" drain point; once
-/// a request has started flowing it is allowed to finish.
+/// aborts as `Draining` when the server is draining and a read attempt
+/// has just come back empty with *no* byte of this buffer in — that is
+/// the "idle between requests" drain point. A connection counts as idle
+/// only then, so a request already sitting in the socket when the drain
+/// starts is read and served; once a request has started flowing it is
+/// allowed to finish.
 fn fill(
     shared: &Shared,
     stream: &mut TcpStream,
@@ -424,9 +427,6 @@ fn fill(
         if shared.force.load(Ordering::Acquire) {
             return FillEnd::Draining;
         }
-        if idle_interruptible && filled == 0 && shared.draining.load(Ordering::Acquire) {
-            return FillEnd::Draining;
-        }
         let Some(rest) = buf.get_mut(filled..) else { return FillEnd::Full };
         if rest.is_empty() {
             return FillEnd::Full;
@@ -437,6 +437,9 @@ fn fill(
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
+                if idle_interruptible && filled == 0 && shared.draining.load(Ordering::Acquire) {
+                    return FillEnd::Draining;
+                }
                 if Instant::now() >= deadline {
                     return FillEnd::TimedOut;
                 }
@@ -751,11 +754,6 @@ fn read_http_request(
         if shared.force.load(Ordering::Acquire) {
             return None;
         }
-        if request.is_empty() && shared.draining.load(Ordering::Acquire) {
-            // Idle between requests while draining: close, as framed
-            // connections do.
-            return None;
-        }
         let mut chunk = [0u8; 256];
         match stream.read(&mut chunk) {
             Ok(0) => {
@@ -772,6 +770,11 @@ fn read_http_request(
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
+                if request.is_empty() && shared.draining.load(Ordering::Acquire) {
+                    // Idle between requests while draining (a read came
+                    // back empty): close, as framed connections do.
+                    return None;
+                }
                 if Instant::now() >= deadline {
                     shared.timeouts.fetch_add(1, Ordering::Relaxed);
                     return None;
@@ -809,4 +812,69 @@ fn http_response(
          Content-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
         body.len()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qarith_serve::ServeConfig;
+    use qarith_types::Database;
+
+    /// A connected pair over loopback, the server side configured as
+    /// `serve_connection` configures it (5 ms ticks), plus the shared
+    /// state.
+    fn connected() -> (Shared, TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        let shared = Shared {
+            service: Arc::new(QueryService::new(Database::new(), ServeConfig::default())),
+            config: NetConfig { tick: Duration::from_millis(5), ..NetConfig::default() },
+            opened: AtomicU64::new(0),
+            closed: AtomicU64::new(0),
+            frames_in: AtomicU64::new(0),
+            frames_out: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            timeouts: AtomicU64::new(0),
+            conns: Mutex::new(0),
+            drained: Condvar::new(),
+            draining: AtomicBool::new(false),
+            force: AtomicBool::new(false),
+        };
+        configure_stream(&shared, &server).expect("configure");
+        (shared, server, peer)
+    }
+
+    /// A whole frame the peer wrote before the drain started is read,
+    /// not refused: the connection was not idle.
+    #[test]
+    fn a_buffered_request_is_read_when_the_drain_starts_first() {
+        let (shared, mut server, mut peer) = connected();
+        let payload = b"qarith/1\nsql=SELECT R.id FROM R\n";
+        let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(payload);
+        peer.write_all(&frame).expect("peer writes a whole frame");
+        // Wait until the whole frame sits in the server's socket buffer.
+        let mut probe = vec![0u8; frame.len()];
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.peek(&mut probe).map_or(true, |n| n < frame.len()) {
+            assert!(Instant::now() < deadline, "the frame never arrived");
+        }
+        shared.draining.store(true, Ordering::Release);
+
+        let mut header = [0u8; frame::HEADER_LEN];
+        let idle = Instant::now() + Duration::from_secs(5);
+        assert!(matches!(fill(&shared, &mut server, &mut header, idle, true), FillEnd::Full));
+        assert_eq!(header, (payload.len() as u32).to_be_bytes());
+
+        // With nothing more buffered, the next idle wait is the drain
+        // point.
+        let mut rest = vec![0u8; payload.len()];
+        let read = Instant::now() + Duration::from_secs(5);
+        assert!(matches!(fill(&shared, &mut server, &mut rest, read, false), FillEnd::Full));
+        assert_eq!(rest, payload);
+        let mut next = [0u8; frame::HEADER_LEN];
+        let idle = Instant::now() + Duration::from_secs(5);
+        assert!(matches!(fill(&shared, &mut server, &mut next, idle, true), FillEnd::Draining));
+    }
 }

@@ -17,13 +17,7 @@
 //! relations it changes; and [`Snapshot::next`] resumes epoch N's
 //! saved digest states ([`DatabaseDigest`]) from the first changed
 //! row, comparing rows by identity while epoch N is still alive.
-//!
-//! Per-relation version counters ride along so the plan cache can stay
-//! selective too: a prepared plan embeds candidates grounded against
-//! specific relations, so it remains valid exactly while those
-//! relations' versions are unchanged (see `service`).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use qarith_types::{Database, DatabaseDigest};
@@ -40,47 +34,28 @@ pub struct Snapshot {
     /// the bit-pinning identity carried on replies and checked by the
     /// torture tests.
     pub digest: u64,
-    /// Per-relation version counters, bumped when a batch touches the
-    /// relation. Plan validity is keyed on these, not on the epoch:
-    /// a write to `Orders` must not evict plans that only read
-    /// `Market`.
-    versions: HashMap<String, u64>,
     /// The saved digest states of `db`, which the next epoch's digest
     /// resumes from.
     digest_states: DatabaseDigest,
 }
 
 impl Snapshot {
-    /// Epoch 0 over a freshly loaded database (every relation at
-    /// version 0).
+    /// Epoch 0 over a freshly loaded database.
     pub fn initial(db: Database) -> Snapshot {
-        let versions = db.relations().iter().map(|r| (r.schema().name().to_string(), 0)).collect();
         let digest_states = DatabaseDigest::compute(&db, None);
         let digest = digest_states.value();
-        Snapshot { epoch: 0, db: Arc::new(db), digest, versions, digest_states }
+        Snapshot { epoch: 0, db: Arc::new(db), digest, digest_states }
     }
 
-    /// The successor snapshot: `db` is the already-mutated database,
-    /// `touched` the relations the batch changed (their versions bump
-    /// by one; untouched relations keep theirs). The digest resumes
-    /// from this snapshot's saved states wherever `db` still shares
-    /// this snapshot's rows, so a `db` cloned from `self.db` and then
-    /// mutated re-reads only the rows from its first change on.
-    pub fn next(&self, db: Database, touched: &[String]) -> Snapshot {
-        let mut versions = self.versions.clone();
-        for name in touched {
-            *versions.entry(name.clone()).or_insert(0) += 1;
-        }
+    /// The successor snapshot: `db` is the already-mutated database.
+    /// The digest resumes from this snapshot's saved states wherever
+    /// `db` still shares this snapshot's rows, so a `db` cloned from
+    /// `self.db` and then mutated re-reads only the rows from its first
+    /// change on.
+    pub fn next(&self, db: Database) -> Snapshot {
         let digest_states = DatabaseDigest::compute(&db, Some((&self.db, &self.digest_states)));
         let digest = digest_states.value();
-        Snapshot { epoch: self.epoch + 1, db: Arc::new(db), digest, versions, digest_states }
-    }
-
-    /// The relation's current version (0 for names the database does
-    /// not declare — such a plan dependency can never be satisfied or
-    /// invalidated, and lowering would have rejected the query anyway).
-    pub fn version_of(&self, relation: &str) -> u64 {
-        self.versions.get(relation).copied().unwrap_or(0)
+        Snapshot { epoch: self.epoch + 1, db: Arc::new(db), digest, digest_states }
     }
 }
 
@@ -105,8 +80,9 @@ pub struct WriteOutcome {
     /// the benchmark change that retires its
     /// `serve.invalidated_keys_per_write` metric deletes it.
     pub invalidated_keys: u64,
-    /// Cached plans dropped because they depended on a touched
-    /// relation.
+    /// Cached plans the batch dropped: those whose read footprint it
+    /// affected (see `qarith_engine::cq::ReadFootprint`), and those not
+    /// checked through the epoch before it.
     pub plans_invalidated: u64,
 }
 
@@ -131,22 +107,19 @@ mod tests {
         let snap = Snapshot::initial(db());
         assert_eq!(snap.epoch, 0);
         assert_eq!(snap.digest, database_digest(&snap.db));
-        assert_eq!(snap.version_of("R"), 0);
-        assert_eq!(snap.version_of("S"), 0);
     }
 
     #[test]
-    fn next_bumps_only_touched_versions() {
+    fn next_moves_the_epoch_and_the_digest() {
         let snap = Snapshot::initial(db());
         let mut mutated = (*snap.db).clone();
         let mut batch = WriteBatch::new();
         batch.insert("R", vec![Value::int(2), Value::num(20)]);
         mutated.apply_batch(&batch).unwrap();
-        let next = snap.next(mutated, &["R".to_string()]);
+        let next = snap.next(mutated);
         assert_eq!(next.epoch, 1);
         assert_ne!(next.digest, snap.digest, "contents changed, digest must move");
-        assert_eq!(next.version_of("R"), 1);
-        assert_eq!(next.version_of("S"), 0, "untouched relation keeps its version");
+        assert_eq!(next.digest, database_digest(&next.db), "the resumed digest is the full one");
     }
 
     #[test]

@@ -34,9 +34,11 @@
 //!   batches ([`qarith_types::WriteBatch`]) applied through an
 //!   epoch-versioned snapshot store: writers build epoch N+1 aside
 //!   while readers keep epoch N, a committed batch drops only the
-//!   plans whose grounding read a changed relation (ν-cache entries
-//!   are content-addressed, so they outlive every write), and every
-//!   response names the epoch digest its answers are pinned to.
+//!   plans whose join read rows it could change (each plan keeps the
+//!   read footprint of its join, [`qarith_engine::cq::ReadFootprint`];
+//!   ν-cache entries are content-addressed, so they outlive every
+//!   write), and every response names the epoch digest its answers are
+//!   pinned to.
 //!
 //! Every layer exports counters through the workspace's `as_pairs`
 //! convention; `serve_bench` (crate `qarith-bench`) serializes them

@@ -1,6 +1,6 @@
 //! The long-lived query service: prepared plans over a shared engine.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -9,10 +9,9 @@ use qarith_core::{
     AnswerWithCertainty, BatchOptions, BatchPlan, BatchStats, CacheStats, CertaintyEngine,
     MeasureOptions, MethodChoice, NuCache, NuCacheConfig,
 };
-use qarith_engine::cq;
-use qarith_query::Formula;
+use qarith_engine::cq::{self, ReadFootprint, WriteDelta};
 use qarith_trace::{LatencyStats, RequestTrace, SlowRecord, Stage, Tracer};
-use qarith_types::{Catalog, Database, WriteBatch, WriteOp};
+use qarith_types::{Catalog, Database, WriteBatch};
 
 use crate::admission::{AdmissionGate, AdmissionStats};
 use crate::epoch::{Snapshot, WriteOutcome};
@@ -101,13 +100,15 @@ impl ServeConfig {
 pub struct ServiceStats {
     /// Queries served (admitted and completed or failed).
     pub queries: u64,
-    /// Requests whose template hit the plan cache (with its relation
-    /// versions still current).
+    /// Requests whose template hit a cached plan that is exact on the
+    /// request's epoch (built on or before it, and checked through it
+    /// by every write since).
     pub plan_hits: u64,
     /// Requests that had to build a plan (first sighting of a template,
     /// a concurrent race on one — each racer builds and counts — a
-    /// re-request of an evicted template, or a template whose plan a
-    /// write invalidated).
+    /// re-request of an evicted template, a template whose plan a write
+    /// dropped, or a request on an epoch its resident plan is not
+    /// checked through).
     pub plan_misses: u64,
     /// Plans currently cached (≤ [`ServeConfig::max_plans`]).
     pub plans: u64,
@@ -123,8 +124,11 @@ pub struct ServiceStats {
     /// Individual ops inside committed batches (including well-typed
     /// no-ops).
     pub write_ops: u64,
-    /// Cached plans dropped because a write touched a relation they
-    /// depend on (the eager sweep plus lazy stale-hit removals).
+    /// Cached plans writes dropped ([`WriteOutcome::plans_invalidated`]
+    /// summed): plans whose read footprint a batch affected, and plans
+    /// not checked through the epoch before a batch. A reader that
+    /// replaces a plan not checked through its own epoch does not count
+    /// here.
     pub plan_invalidations: u64,
 }
 
@@ -187,8 +191,9 @@ pub struct QueryResponse {
 /// 3. **snapshot** — pin the current epoch ([`crate::epoch`]): the
 ///    whole request executes against one immutable database;
 /// 4. **plan** — look the fingerprint up in the plan cache and check
-///    that the plan's relation versions are still current; on a miss,
-///    parse → lower → generate candidates → prepare the batch
+///    that the plan is exact on the pinned epoch; on a miss, parse →
+///    lower → generate candidates, recording the join's read footprint
+///    ([`cq::execute_recorded`]) → prepare the batch
 ///    ([`CertaintyEngine::prepare_batch`]) and publish the plan;
 /// 5. **execute** — run the plan's back half
 ///    ([`CertaintyEngine::execute_plan`]) against the bounded sharded
@@ -199,17 +204,23 @@ pub struct QueryResponse {
 /// relations the batch changes are copied), applies its
 /// [`WriteBatch`], and publishes the result as the next epoch with a
 /// single pointer swap — in-flight readers keep their pinned snapshot,
-/// so no request ever observes a half-applied batch.
+/// so no request ever observes a half-applied batch. The writer then
+/// checks every cached plan's read footprint against the batch and
+/// drops only the plans whose candidates it could change.
 ///
 /// **Determinism.** For a fixed epoch (named by
 /// [`QueryResponse::db_digest`]) and fixed options, every request for
 /// a template returns bit-identical answers, regardless of client
 /// concurrency, plan-cache state, ν-cache eviction, or the writes that
-/// came before: plans are deterministic functions of (template,
-/// relation contents), and measurements are deterministic functions of
-/// (group, options) — see [`qarith_core::nucache`]. That is why a write
-/// drops plans but no ν entry. The mutation tests lock this in by
-/// comparing against cold-cache rebuilds after every write.
+/// came before: plans are deterministic functions of (template, the
+/// rows the join visits), and measurements are deterministic functions
+/// of (group, options) — see [`qarith_core::nucache`]. A plan serves
+/// only the epochs from the one it was built on through the last one
+/// its read footprint was checked through, and a write that leaves the
+/// visited rows in place and in order leaves the plan's candidates as
+/// they were. That is why a write drops only the plans its rows could
+/// change, and no ν entry. The mutation tests lock this in by comparing
+/// against cold-cache rebuilds after every write.
 #[derive(Debug)]
 pub struct QueryService {
     /// The current epoch, behind the `EpochStore` lock (see
@@ -304,47 +315,32 @@ impl BatchTotals {
 
 /// A cached plan — the fully prepared template (parse → lower →
 /// ground → canonicalize/dedup → rewrite, run once) — plus its recency
-/// stamp and the relation versions it was grounded against. A plan
-/// embeds candidates generated from specific relation contents, so it
-/// is reusable exactly while every relation in `deps` still has the
-/// version it had at build time; a hit on a stale plan is treated as a
-/// miss, and the rebuild replaces the entry if it is the fresher one.
+/// stamp, the read footprint its join recorded, and the epochs it is
+/// exact on. A plan embeds candidates generated from the rows its join
+/// visited; it is exact on every epoch from `built` through `checked`,
+/// because each write since `built` was checked against the footprint
+/// ([`ReadFootprint::affected_by`]) and left those rows in place and in
+/// order. A request on any other epoch treats the entry as a miss, and
+/// its rebuild replaces the entry if it is the fresher one.
 /// `last_used` is an atomic so hits can refresh it under the read lock
-/// (the common path never takes the write lock).
+/// (the common path never takes the write lock); `checked` moves only
+/// under the write lock, in the writer's sweep.
 #[derive(Debug)]
 struct PlanEntry {
     plan: Arc<BatchPlan>,
-    /// The relations the template reads, with their versions at build
-    /// time ([`Snapshot::version_of`]).
-    deps: Vec<(String, u64)>,
+    /// What the plan's join read ([`cq::execute_recorded`]).
+    footprint: ReadFootprint,
     /// The epoch of the snapshot the plan was built on.
-    epoch: u64,
+    built: u64,
+    /// The last epoch the footprint was checked through.
+    checked: u64,
     last_used: AtomicU64,
 }
 
 impl PlanEntry {
-    /// `true` while every dependency still has its build-time version.
-    fn current(&self, snap: &Snapshot) -> bool {
-        self.deps.iter().all(|(rel, v)| snap.version_of(rel) == *v)
-    }
-}
-
-/// Collects the relation names a lowered query body reads (the plan's
-/// invalidation footprint). Over-approximation would be sound; this is
-/// exact — every `Rel` atom names a relation the grounding consulted.
-fn collect_relations(formula: &Formula, out: &mut BTreeSet<String>) {
-    match formula {
-        Formula::Rel { relation, .. } => {
-            out.insert(relation.as_ref().to_owned());
-        }
-        Formula::Not(inner) => collect_relations(inner, out),
-        Formula::And(parts) | Formula::Or(parts) => {
-            for part in parts {
-                collect_relations(part, out);
-            }
-        }
-        Formula::Exists(_, inner) | Formula::Forall(_, inner) => collect_relations(inner, out),
-        Formula::True | Formula::False | Formula::BaseEq(..) | Formula::Cmp(..) => {}
+    /// `true` iff the plan is exact on `epoch`.
+    fn serves(&self, epoch: u64) -> bool {
+        self.built <= epoch && epoch <= self.checked
     }
 }
 
@@ -459,10 +455,9 @@ impl QueryService {
     }
 
     /// [`QueryService::apply`] under a caller-owned trace: epoch
-    /// construction records into [`Stage::WriteApply`], plan
-    /// invalidation into [`Stage::Invalidate`]. The ν-cache keeps every
-    /// entry: a key names a canonical formula, which no write can make
-    /// wrong.
+    /// construction records into [`Stage::WriteApply`], the plan sweep
+    /// into [`Stage::Invalidate`]. The ν-cache keeps every entry: a key
+    /// names a canonical formula, which no write can make wrong.
     ///
     /// Writes bypass the admission gate — they serialize on the epoch
     /// writer lock instead, and gating them behind query traffic would
@@ -475,28 +470,21 @@ impl QueryService {
     ) -> Result<WriteOutcome, ServeError> {
         let _writer =
             self.epoch_writer.lock().map_err(|_| ServeError::LockPoisoned("epoch writer"))?;
-        let (next, summary, touched) = {
+        let (current, next, summary) = {
             let _span = trace.span(Stage::WriteApply);
             let current = self.snapshot()?;
             let mut db = (*current.db).clone();
             let summary = db.apply_batch(batch).map_err(ServeError::Write)?;
-            // Conservative footprint: every relation the batch names.
-            // A batch of pure no-ops changed nothing, so it bumps no
-            // versions (and therefore drops no plan), but still
-            // publishes an epoch so every committed write has one.
-            let touched: Vec<String> = if summary.applied > 0 {
-                let names: BTreeSet<&str> = batch.ops.iter().map(WriteOp::relation).collect();
-                names.into_iter().map(str::to_owned).collect()
-            } else {
-                Vec::new()
-            };
-            let next = Arc::new(current.next(db, &touched));
+            // A batch of pure no-ops still publishes an epoch, so every
+            // committed write has one; it changes no row, so the sweep
+            // keeps every plan checked through the epoch before it.
+            let next = Arc::new(current.next(db));
             self.publish(next.clone())?;
-            (next, summary, touched)
+            (current, next, summary)
         };
         let plans_invalidated = {
             let _span = trace.span(Stage::Invalidate);
-            self.sweep_plans(&touched)?
+            self.sweep_plans(&current, &next, batch)?
         };
         self.plan_invalidations.fetch_add(plans_invalidated, Ordering::Relaxed);
         self.writes.fetch_add(1, Ordering::Relaxed);
@@ -549,30 +537,55 @@ impl QueryService {
         }
     }
 
-    /// Eagerly drops cached plans that depend on any touched relation,
-    /// returning how many. Racing readers that already cloned such a
-    /// plan are unaffected — their snapshot still has the versions the
-    /// plan was built for.
-    fn sweep_plans(&self, touched: &[String]) -> Result<u64, ServeError> {
-        if touched.is_empty() {
-            return Ok(0);
-        }
+    /// Checks every cached plan against `batch`, which turned `before`
+    /// (epoch e) into the already published `after` (e + 1), and
+    /// returns how many plans it dropped. Runs under the plan-cache
+    /// lock alone, after the publication:
+    ///
+    /// * a plan checked through e is dropped if the batch affects its
+    ///   read footprint, and is otherwise checked through e + 1;
+    /// * a plan checked only through an earlier epoch is dropped: a
+    ///   reader on an old snapshot published it after that epoch's
+    ///   sweep, so a batch it was never checked against came between;
+    /// * a plan built on e + 1, by a reader that pinned the new epoch
+    ///   between the publication and this sweep, stays as it is.
+    ///
+    /// Racing readers that already cloned a dropped plan are
+    /// unaffected: it is exact on the epoch they pinned.
+    fn sweep_plans(
+        &self,
+        before: &Snapshot,
+        after: &Snapshot,
+        batch: &WriteBatch,
+    ) -> Result<u64, ServeError> {
+        // The per-relation first changed rows, worked out once and
+        // outside the lock.
+        let delta = WriteDelta::new(&before.db, &after.db, &batch.ops);
         let mut plans = self.plans.write().map_err(|_| ServeError::LockPoisoned("plan cache"))?;
-        let before = plans.len();
-        plans
-            .retain(|_, entry| !entry.deps.iter().any(|(rel, _)| touched.iter().any(|t| t == rel)));
-        Ok((before - plans.len()) as u64)
+        let resident = plans.len();
+        plans.retain(|_, entry| {
+            if entry.checked >= after.epoch {
+                return true;
+            }
+            if entry.checked < before.epoch || entry.footprint.affected_by(&delta) {
+                return false;
+            }
+            entry.checked = after.epoch;
+            true
+        });
+        Ok((resident - plans.len()) as u64)
     }
 
-    /// Plan-cache lookup with build-on-miss, version validation, and
+    /// Plan-cache lookup with build-on-miss, epoch validation, and
     /// LRU eviction under [`ServeConfig::max_plans`]. Racing builders
     /// for one fingerprint each build (plans are deterministic given
     /// the relation contents, so copies built against one snapshot are
     /// interchangeable); the first publication wins and the rest adopt
-    /// it. When the resident plan is not current for this request's
-    /// snapshot, the fresher of the two stays: a build on a newer epoch
-    /// replaces the resident plan, and a build on an older epoch serves
-    /// its own request without being published.
+    /// it. When the resident plan is not exact on this request's epoch,
+    /// the fresher of the two stays: a build on an epoch after the
+    /// resident plan's last checked one replaces it, and a build on an
+    /// epoch before that serves its own request without being
+    /// published.
     fn plan_for(
         &self,
         sql: &str,
@@ -591,41 +604,39 @@ impl QueryService {
         {
             let _span = trace.span(Stage::PlanLookup);
             if let Some(entry) = self.plans.read().map_err(poisoned)?.get(fingerprint) {
-                if entry.current(snap) {
+                if entry.serves(snap.epoch) {
                     self.plan_hits.fetch_add(1, Ordering::Relaxed);
                     entry
                         .last_used
                         .store(self.plan_tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
                     return Ok((entry.plan.clone(), true));
                 }
-                // Stale: a write bumped one of the plan's relations
-                // after the eager sweep raced past this entry, or this
-                // reader and the builder pinned different epochs. Fall
-                // through to a rebuild against our snapshot.
+                // Not exact on our epoch: the write that published our
+                // epoch has not swept this entry yet, or the entry was
+                // built on a later epoch than ours. Fall through to a
+                // rebuild against our snapshot.
             }
         }
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
         // Build outside any lock: candidate generation and preparation
         // are the expensive half, and other templates must keep flowing.
-        let (built, deps) = self.build_plan(sql, snap, trace)?;
+        let (built, footprint) = self.build_plan(sql, snap, trace)?;
         let built = Arc::new(built);
         let tick = self.plan_tick.fetch_add(1, Ordering::Relaxed);
         let _span = trace.span(Stage::PlanLookup);
         let mut plans = self.plans.write().map_err(poisoned)?;
         if let Some(entry) = plans.get(fingerprint) {
-            if entry.current(snap) {
+            if entry.serves(snap.epoch) {
                 return Ok((entry.plan.clone(), false));
             }
-            if entry.epoch > snap.epoch {
+            if entry.checked > snap.epoch {
                 // The resident plan serves newer readers; ours serves
                 // this request alone.
                 return Ok((built, false));
             }
-            // Lazy invalidation: the resident plan predates a write.
-            // Replace it with ours (counted alongside the eager
-            // sweep's removals).
+            // The resident plan was last checked before our epoch:
+            // ours replaces it.
             plans.remove(fingerprint);
-            self.plan_invalidations.fetch_add(1, Ordering::Relaxed);
         }
         // Evict least-recently-used templates down to cap − 1. The
         // O(n) scan is fine: it runs only on publication, which is
@@ -641,8 +652,9 @@ impl QueryService {
         }
         let entry = PlanEntry {
             plan: built.clone(),
-            deps,
-            epoch: snap.epoch,
+            footprint,
+            built: snap.epoch,
+            checked: snap.epoch,
             last_used: AtomicU64::new(tick),
         };
         plans.insert(fingerprint.to_string(), entry);
@@ -652,30 +664,22 @@ impl QueryService {
     /// The front half, template-granular: parse + lower against the
     /// catalog, generate candidates under the template's LIMIT
     /// semantics (folded into the executor options), prepare the
-    /// batch. Returns the plan plus its relation-version dependencies
-    /// against `snap`. One [`Stage::Prepare`] span covers both the SQL
-    /// front (parse, lower, candidate generation — "grounding") and the
-    /// engine's batch preparation: together they are the template-build
-    /// cost a plan-cache hit saves.
+    /// batch. Returns the plan plus the read footprint its join
+    /// recorded on `snap`. One [`Stage::Prepare`] span covers both the
+    /// SQL front (parse, lower, candidate generation — "grounding") and
+    /// the engine's batch preparation: together they are the
+    /// template-build cost a plan-cache hit saves.
     fn build_plan(
         &self,
         sql: &str,
         snap: &Snapshot,
         trace: &mut RequestTrace,
-    ) -> Result<(BatchPlan, Vec<(String, u64)>), ServeError> {
+    ) -> Result<(BatchPlan, ReadFootprint), ServeError> {
         let _span = trace.span(Stage::Prepare);
         let lowered = qarith_sql::compile(sql, &self.catalog)?;
-        let mut relations = BTreeSet::new();
-        collect_relations(lowered.query.body(), &mut relations);
-        let deps: Vec<(String, u64)> = relations
-            .into_iter()
-            .map(|rel| {
-                let version = snap.version_of(&rel);
-                (rel, version)
-            })
-            .collect();
-        let candidates = cq::execute(&lowered.query, &snap.db, &lowered.cq_options())?;
-        Ok((self.engine.prepare_batch(candidates), deps))
+        let (candidates, footprint) =
+            cq::execute_recorded(&lowered.query, &snap.db, &lowered.cq_options())?;
+        Ok((self.engine.prepare_batch(candidates), footprint))
     }
 
     /// The engine's options (fixed for the service's lifetime).

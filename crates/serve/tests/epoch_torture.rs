@@ -9,7 +9,13 @@
 //! * **monotone visibility** — epochs observed by one reader never go
 //!   backwards (the snapshot pointer only moves forward);
 //! * **post-drain convergence** — once the writer is done, every
-//!   reader's next request executes against the final epoch.
+//!   reader's next request executes against the final epoch;
+//! * **bits per epoch** — every answer equals, bit for bit, the answer
+//!   of a cold service on the database of the epoch the response names
+//!   (rebuilt by replaying the writer's batches). One template scans
+//!   `Orders` to its end, so every insert drops its plan; the other
+//!   stops at `LIMIT 2`, so its plan survives the inserts, and readers
+//!   race the writer's sweep that checks it through each new epoch.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -19,15 +25,24 @@ use std::time::Duration;
 use qarith_core::afpras::{AfprasOptions, SampleCount};
 use qarith_core::{BatchOptions, MeasureOptions, MethodChoice};
 use qarith_datagen::WorkloadScale;
-use qarith_serve::{QueryService, ServeConfig};
-use qarith_types::{NumNullId, Value, WriteBatch};
+use qarith_serve::{QueryResponse, QueryService, ServeConfig};
+use qarith_types::{Database, NumNullId, Value, WriteBatch};
 
 const EPOCHS: u64 = 10;
 const READERS: usize = 4;
+/// Reads `Orders` to its end (fewer than 25 candidates): every insert
+/// drops its plan.
 const SQL: &str = "SELECT O.id FROM Orders O WHERE O.q >= 51 LIMIT 25";
+/// Stops after two candidates, early in `Orders`: the writer's appends
+/// miss its read footprint, so its plan survives them.
+const SURVIVOR_SQL: &str = "SELECT O.id FROM Orders O WHERE O.q >= 51 LIMIT 2";
+const TEMPLATES: [&str; 2] = [SQL, SURVIVOR_SQL];
 
-fn test_service() -> QueryService {
-    let db = qarith_datagen::sales::sales_database(&WorkloadScale::Tiny.params(), 2020);
+fn test_db() -> Database {
+    qarith_datagen::sales::sales_database(&WorkloadScale::Tiny.params(), 2020)
+}
+
+fn test_service(db: Database) -> QueryService {
     let options = MeasureOptions {
         method: MethodChoice::Afpras,
         afpras: AfprasOptions {
@@ -40,6 +55,20 @@ fn test_service() -> QueryService {
         ..MeasureOptions::default()
     };
     QueryService::new(db, ServeConfig { options, ..ServeConfig::default() })
+}
+
+/// The answer bits of a response: tuple, certainty, samples, dimension.
+type Bits = Vec<(String, u64, usize, usize)>;
+
+fn bits(response: &QueryResponse) -> Bits {
+    response
+        .answers
+        .iter()
+        .map(|a| {
+            let c = &a.certainty;
+            (a.tuple.to_string(), c.value.to_bits(), c.samples, c.dimension)
+        })
+        .collect()
 }
 
 /// The writer's i-th batch: one fresh Orders tuple whose `q` is a
@@ -60,9 +89,27 @@ fn write_batch(i: u64) -> WriteBatch {
     batch
 }
 
+/// Sequentially: an insert drops the plan that read `Orders` to its end
+/// and keeps the `LIMIT 2` one, which answers like a cold service.
+#[test]
+fn the_survivor_template_keeps_its_plan_across_an_insert() {
+    let service = test_service(test_db());
+    for sql in TEMPLATES {
+        assert!(!service.query(sql).expect("warm").answers.is_empty(), "{sql}");
+    }
+    let outcome = service.apply(&write_batch(0)).expect("insert");
+    assert_eq!(outcome.plans_invalidated, 1, "only the plan that read Orders to its end drops");
+    let kept = service.query(SURVIVOR_SQL).expect("survivor");
+    assert!(kept.plan_cached, "the LIMIT 2 plan survives the append");
+    let mut db = test_db();
+    db.apply_batch(&write_batch(0)).expect("replay");
+    let cold = test_service(db).query(SURVIVOR_SQL).expect("cold");
+    assert_eq!(bits(&kept), bits(&cold));
+}
+
 #[test]
 fn readers_only_ever_observe_published_epochs() {
-    let service = Arc::new(test_service());
+    let service = Arc::new(test_service(test_db()));
     let epoch0 = service.snapshot().expect("initial snapshot");
     let done = AtomicBool::new(false);
 
@@ -90,9 +137,11 @@ fn readers_only_ever_observe_published_epochs() {
                 scope.spawn(move || {
                     let mut seen = Vec::new();
                     let mut last_epoch = 0u64;
-                    loop {
+                    for round in 0usize.. {
                         let finished = done.load(Ordering::Acquire);
-                        let response = service.query(SQL).expect("read under write load");
+                        let template = (round + reader) % TEMPLATES.len();
+                        let response =
+                            service.query(TEMPLATES[template]).expect("read under write load");
                         assert!(
                             response.epoch >= last_epoch,
                             "reader {reader}: epoch went backwards \
@@ -100,7 +149,7 @@ fn readers_only_ever_observe_published_epochs() {
                             response.epoch
                         );
                         last_epoch = response.epoch;
-                        seen.push((response.epoch, response.db_digest));
+                        seen.push((response.epoch, response.db_digest, template, bits(&response)));
                         if finished {
                             // This request started after the writer's
                             // final publish: post-drain convergence.
@@ -108,9 +157,10 @@ fn readers_only_ever_observe_published_epochs() {
                                 response.epoch, EPOCHS,
                                 "reader {reader}: a post-drain request must see the final epoch"
                             );
-                            return seen;
+                            break;
                         }
                     }
+                    seen
                 })
             })
             .collect();
@@ -133,7 +183,7 @@ fn readers_only_ever_observe_published_epochs() {
     // The core invariant: every observed (epoch, digest) pair is a
     // published one — never a torn in-between state.
     assert!(!observed.is_empty());
-    for (epoch, digest) in &observed {
+    for (epoch, digest, _, _) in &observed {
         let want = digest_of
             .get(epoch)
             .unwrap_or_else(|| panic!("observed epoch {epoch} was never published"));
@@ -147,4 +197,30 @@ fn readers_only_ever_observe_published_epochs() {
     assert_eq!(stats.epoch, EPOCHS);
     assert_eq!(stats.writes, EPOCHS);
     assert_eq!(stats.write_ops, EPOCHS);
+
+    // Bits per epoch: replay the batches, and answer each template on
+    // each epoch once with a cold service.
+    let mut databases = vec![test_db()];
+    for i in 0..EPOCHS {
+        let mut next = databases.last().expect("epoch 0").clone();
+        next.apply_batch(&write_batch(i)).expect("replay");
+        databases.push(next);
+    }
+    for (epoch, database) in databases.iter().enumerate() {
+        let published = digest_of[&(epoch as u64)];
+        assert_eq!(qarith_serve::database_digest(database), published, "epoch {epoch}: replay");
+    }
+    let mut cold: HashMap<(u64, usize), Bits> = HashMap::new();
+    for (epoch, _, template, answers) in &observed {
+        let database = &databases[*epoch as usize];
+        let want = cold.entry((*epoch, *template)).or_insert_with(|| {
+            let service = test_service(database.clone());
+            bits(&service.query(TEMPLATES[*template]).expect("cold query"))
+        });
+        assert_eq!(
+            answers, want,
+            "epoch {epoch}, {}: differs from a cold service",
+            TEMPLATES[*template]
+        );
+    }
 }

@@ -3,12 +3,13 @@
 //!
 //! * cold-rebuild bit-identity — after *any* sequence of committed
 //!   [`WriteBatch`]es (property-tested over inserts, deletes, and
-//!   updates, including ones that introduce fresh nulls, under forced
-//!   AFPRAS, rewritten `Auto`, and forced FPRAS), every query answer
-//!   from the long-lived service, keyed joins included, is
-//!   bit-identical to a fresh cold-cache service built on the final
-//!   database state rebuilt from its rows (so it inherits no column
-//!   index and no ν entry);
+//!   updates of two relations, including ones that introduce fresh
+//!   nulls, under forced AFPRAS, rewritten `Auto`, and forced FPRAS),
+//!   every query answer from the long-lived service, keyed and `LIMIT`
+//!   joins included, is bit-identical to a fresh cold-cache service
+//!   built on the final database state rebuilt from its rows (so it
+//!   inherits no column index and no ν entry) — the gate on the plans a
+//!   write keeps because it misses their read footprints;
 //! * an update of a tuple onto itself is a no-op: it invalidates no
 //!   plan and leaves the digest as it was;
 //! * ν entries outlive writes — a targeted single-tuple write on the
@@ -112,36 +113,64 @@ fn serve_digest_is_bit_identical_to_datagen_digest() {
 // Satellite: cold-rebuild bit-identity under arbitrary write sequences.
 // ---------------------------------------------------------------------
 
-/// The proptest database: one relation with a base key and two
-/// numerical columns (nulls included), small enough that random
-/// deletes/updates actually collide with resident tuples.
+/// The proptest database: `R` with a base key and two numerical
+/// columns and `S` with a base key and one, nulls included, seven rows
+/// each. The `LIMIT` queries stop after `R`'s first two rows, so a
+/// write can land inside or after the prefix they read. The equal
+/// sizes make the join order of `R ⋈ S` flip with one insert into `R`
+/// or one delete from `S`, and `S`'s first rows join other ids than
+/// `R`'s, so the flipped join returns other candidates.
 fn proptest_db() -> Database {
+    let null = |i| Value::NumNull(NumNullId(i));
     let mut db = Database::new();
     let schema =
         RelationSchema::new("R", vec![Column::base("id"), Column::num("x"), Column::num("y")])
             .unwrap();
     let mut r = Relation::empty(schema);
-    r.insert_values(vec![Value::int(1), Value::num(10), Value::num(5)]).unwrap();
-    r.insert_values(vec![Value::int(2), Value::NumNull(NumNullId(0)), Value::num(3)]).unwrap();
-    r.insert_values(vec![Value::int(3), Value::num(4), Value::NumNull(NumNullId(1))]).unwrap();
-    r.insert_values(vec![
-        Value::int(4),
-        Value::NumNull(NumNullId(2)),
-        Value::NumNull(NumNullId(3)),
-    ])
-    .unwrap();
+    for (id, x, y) in [
+        (1, Value::num(10), Value::num(5)),
+        (2, null(0), Value::num(3)),
+        (3, Value::num(4), null(1)),
+        (4, null(2), null(3)),
+        (5, Value::num(2), Value::num(7)),
+        (6, null(4), Value::num(1)),
+        (7, Value::num(6), Value::num(6)),
+    ] {
+        r.insert_values(vec![Value::int(id), x, y]).unwrap();
+    }
     db.add_relation(r).unwrap();
+    let schema = RelationSchema::new("S", vec![Column::base("id"), Column::num("z")]).unwrap();
+    let mut s = Relation::empty(schema);
+    for (id, z) in [
+        (3, Value::num(9)),
+        (4, Value::num(5)),
+        (1, Value::num(20)),
+        (2, null(5)),
+        (8, Value::num(4)),
+        (2, Value::num(9)),
+        (9, null(6)),
+    ] {
+        s.insert_values(vec![Value::int(id), z]).unwrap();
+    }
+    db.add_relation(s).unwrap();
     db
 }
 
-/// Queries that mix certain and uncertain candidates over `R`. The
-/// last two probe `R`'s index on `id`: a constant key, and a self-join
-/// whose second atom is keyed on the id the first one bound.
-const PROPTEST_SQL: [&str; 4] = [
+/// Queries that mix certain and uncertain candidates over `R` and `S`.
+/// The first two scan `R` to its end; the third and fourth probe `R`'s
+/// index on `id` (a constant key, and a self-join keyed on the id its
+/// first atom bound). The last three have a `LIMIT`: a scan of `R` cut
+/// after its first two rows, a keyed join of `R` and `S` whose order is
+/// a size comparison of the two, and a constant-key probe of `S` that
+/// an insert under its key reaches.
+const PROPTEST_SQL: [&str; 7] = [
     "SELECT R.id FROM R WHERE R.x > R.y",
     "SELECT R.id FROM R WHERE R.x + R.y >= 6",
     "SELECT R.x FROM R WHERE R.id = 3",
     "SELECT A.id FROM R A, R B WHERE A.id = B.id AND A.x > B.y",
+    "SELECT R.id FROM R WHERE R.x > 0 LIMIT 2",
+    "SELECT R.id FROM R, S WHERE R.id = S.id AND R.x < S.z LIMIT 2",
+    "SELECT S.z FROM S WHERE S.id = 2 LIMIT 3",
 ];
 
 /// A numerical value: a small constant or a fresh-ish marked null. The
@@ -154,24 +183,60 @@ fn num_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// A tuple of `R`, keyed by a small id; `S` takes its first two
+/// values.
 fn tuple_r() -> impl Strategy<Value = Vec<Value>> {
-    ((0i64..8), num_value(), num_value()).prop_map(|(id, x, y)| vec![Value::int(id), x, y])
+    ((0i64..6), num_value(), num_value()).prop_map(|(id, x, y)| vec![Value::int(id), x, y])
 }
 
-fn write_op() -> impl Strategy<Value = WriteOp> {
-    prop_oneof![
-        tuple_r().prop_map(|values| WriteOp::Insert { relation: "R".into(), values }),
-        tuple_r().prop_map(|values| WriteOp::Delete { relation: "R".into(), values }),
-        (tuple_r(), tuple_r()).prop_map(|(old, new)| WriteOp::Update {
-            relation: "R".into(),
-            old,
-            new
-        }),
-    ]
+/// One generated op, on `R` or `S`. A random tuple rarely names a
+/// resident one, so deletes and updates also pick a resident row by
+/// position, which [`GenOp::resolve`] maps onto the database the batch
+/// applies to: the position lands inside the prefix a `LIMIT` query
+/// read or after it.
+#[derive(Clone, Debug)]
+struct GenOp {
+    relation: &'static str,
+    kind: u8,
+    row: usize,
+    tuple: Vec<Value>,
+    other: Vec<Value>,
+}
+
+fn write_op() -> impl Strategy<Value = GenOp> {
+    (0u8..2, 0u8..6, 0usize..8, tuple_r(), tuple_r()).prop_map(|(s, kind, row, tuple, other)| {
+        let (relation, arity) = if s == 1 { ("S", 2) } else { ("R", 3) };
+        let cut = |mut t: Vec<Value>| {
+            t.truncate(arity);
+            t
+        };
+        GenOp { relation, kind, row, tuple: cut(tuple), other: cut(other) }
+    })
+}
+
+impl GenOp {
+    /// The op against `db`: an insert (two kinds in six), a delete or an
+    /// update of a random tuple (mostly no-ops when it names no resident
+    /// tuple), or a delete or an update of the resident row at `row`
+    /// (modulo the relation's length).
+    fn resolve(&self, db: &Database) -> WriteOp {
+        let relation = self.relation.to_string();
+        let rows = db.relation(self.relation).expect("declared relation").tuples();
+        let resident = (!rows.is_empty()).then(|| rows[self.row % rows.len()].values().to_vec());
+        match (self.kind, resident) {
+            (1, _) => WriteOp::Delete { relation, values: self.tuple.clone() },
+            (2, _) => {
+                WriteOp::Update { relation, old: self.tuple.clone(), new: self.other.clone() }
+            }
+            (3, Some(values)) => WriteOp::Delete { relation, values },
+            (4, Some(old)) => WriteOp::Update { relation, old, new: self.tuple.clone() },
+            _ => WriteOp::Insert { relation, values: self.tuple.clone() },
+        }
+    }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// After every committed batch of an arbitrary sequence, the live
     /// service (with whatever plans, ν entries and column indexes its
@@ -196,7 +261,7 @@ proptest! {
             }
 
             for (i, ops) in batches.iter().enumerate() {
-                let batch = WriteBatch::of(ops.clone());
+                let batch = WriteBatch::of(ops.iter().map(|op| op.resolve(&shadow)).collect());
                 let outcome = service.apply(&batch).expect("well-typed batch");
                 shadow.apply_batch(&batch).expect("shadow apply");
 

@@ -17,7 +17,6 @@
 //! digest cannot drift apart.
 
 use std::fmt::{self, Write};
-use std::sync::Arc;
 
 use qarith_numeric::Fnv1a64;
 
@@ -175,9 +174,18 @@ impl fmt::Debug for DatabaseDigest {
 
 /// The first row at which `new` may differ from `old` (`None` when
 /// they hold the same rows). Rows are compared by identity: a shared
-/// row is equal, a row built separately counts as changed.
-fn first_changed_row(old: &Arc<Relation>, new: &Arc<Relation>) -> Option<usize> {
-    if Arc::ptr_eq(old, new) {
+/// row is equal, a row built separately counts as changed. Identity
+/// implies equal contents because `old` is borrowed for the call, so
+/// none of its rows can be freed and its memory reused by a row of
+/// `new`.
+///
+/// A relation derived from `old` by a write on a copy-on-write clone
+/// (see [`Database::relation_mut`]) shares every row it kept, so this
+/// is where the write first changed it: the digest resumes there, and
+/// a query's read footprint (`qarith_engine::cq::ReadFootprint`) asks
+/// whether the rows the query visited lie before it.
+pub fn first_changed_row(old: &Relation, new: &Relation) -> Option<usize> {
+    if std::ptr::eq(old, new) {
         return None;
     }
     let (old, new) = (old.tuples(), new.tuples());

@@ -33,7 +33,10 @@
 //! * [`WriteOp`], [`WriteBatch`] — tuple-level mutations (the serving
 //!   layer's epoch store applies these to evolve a live database);
 //! * [`database_digest`], [`DatabaseDigest`] — the content digest that
-//!   names a database state, resumable after a write.
+//!   names a database state, resumable after a write;
+//!   [`first_changed_row`] — where a write first changed a relation,
+//!   which the digest resumes from and the plan cache's read
+//!   footprints test against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +52,7 @@ mod value;
 mod write;
 
 pub use database::{Database, DatabaseStats};
-pub use digest::{database_digest, DatabaseDigest, DIGEST_SPAN};
+pub use digest::{database_digest, first_changed_row, DatabaseDigest, DIGEST_SPAN};
 pub use error::TypeError;
 pub use relation::{ColumnIndex, Relation};
 pub use schema::{Catalog, Column, RelationSchema, Sort};
