@@ -14,9 +14,10 @@
 //! With `--mutate` the bench exercises the *write* path instead: a
 //! deterministic stream of write batches is interleaved with template
 //! replays against the evolving epochs, the certainty digest is pinned
-//! on the epoch-0 reference pass, and the document kind becomes
-//! `"mutate"` (one client thread; `--clients`/`--mode`/`--rate`
-//! are ignored).
+//! on the epoch-0 reference pass, every post-write response is checked
+//! against a cold service on its epoch (whose answers' digest is pinned
+//! too), and the document kind becomes `"mutate"` (one client thread;
+//! `--clients`/`--mode`/`--rate` are ignored).
 //!
 //! ```text
 //! cargo run --release -p qarith-bench --bin serve_bench -- \
@@ -246,4 +247,7 @@ fn print_summary(report: &ServeBenchReport) {
         );
     }
     println!("certainty digest: {}", report.certainty_digest);
+    if let Some(digest) = &report.post_write_digest {
+        println!("post-write digest: {digest}");
+    }
 }

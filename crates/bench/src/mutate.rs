@@ -19,13 +19,18 @@
 //!    writes), which is the quantity this bench exists to watch;
 //! 3. every response is checked to carry the epoch and database digest
 //!    the preceding write acked — a torn or stale snapshot is a
-//!    correctness failure, not a measurement.
+//!    correctness failure, not a measurement;
+//! 4. after the repetition, untimed, every post-write response is
+//!    compared bit for bit with a cold service's answer on that epoch's
+//!    database (the stream replayed on its own): a plan kept stale
+//!    across a write fails here, where it would otherwise read as extra
+//!    plan hits.
 //!
-//! The certainty digest is pinned on an epoch-0 reference pass over
-//! the template population *before* any mutation, so the gate keeps
-//! its bit-exactness property: the mutation stream is deterministic,
-//! the epoch-0 answers are deterministic, and p95 (pooled write + query
-//! latencies) is gated with the usual tolerance.
+//! Two digests are pinned: the certainty digest of an epoch-0 reference
+//! pass over the template population *before* any mutation, and the
+//! post-write digest of the cold answers on every later epoch. The
+//! mutation stream is deterministic, so both are, and p95 (pooled write
+//! + query latencies) is gated with the usual tolerance.
 //!
 //! The driver is single-threaded by design: concurrency is the epoch
 //! torture test's job (`crates/serve/tests/epoch_torture.rs`); this
@@ -40,11 +45,12 @@ use std::sync::Arc;
 
 use qarith_datagen::mutations::{sales_mutations, MutationShape};
 use qarith_datagen::{database_digest, QueryFamily};
-use qarith_serve::QueryService;
+use qarith_numeric::Fnv1a64;
+use qarith_serve::{QueryResponse, QueryService};
 use qarith_types::{Database, WriteBatch};
 
 use crate::serve::{
-    response_bits, serving_config, stage_latencies, LatencySummary, ServeBenchConfig,
+    absorb, response_bits, serving_config, stage_latencies, Bits, LatencySummary, ServeBenchConfig,
     ServeBenchReport,
 };
 
@@ -55,7 +61,8 @@ pub const MUTATE_SHAPE: MutationShape = MutationShape { batches: 8, ops_per_batc
 
 /// Runs the configured mutation load. Panics if any post-write
 /// response names an epoch or digest other than the one the write
-/// acked — that is a snapshot-consistency failure, not a measurement.
+/// acked, or differs from a cold service's answer on that epoch — that
+/// is a consistency failure, not a measurement.
 ///
 /// `clients`, `mode`, and `rate` from the config are ignored (the
 /// driver is single-threaded closed-loop); the report pins them to
@@ -76,25 +83,46 @@ pub fn run_mutate_bench(config: &ServeBenchConfig) -> ServeBenchReport {
     // Epoch-0 reference pass on a throwaway service: pins the certainty
     // digest the gate compares bit for bit. Mutations never touch it.
     let reference = service_for(db.clone());
-    let mut digest = qarith_numeric::Fnv1a64::new();
+    let mut digest = Fnv1a64::new();
     for q in &sql {
-        let response = reference.query(q).expect("workload SQL serves");
-        digest.update(response.fingerprint.as_bytes());
-        for (tuple, value, samples, dimension) in response_bits(&response) {
-            digest.update(tuple.as_bytes());
-            for n in [value, samples, dimension] {
-                digest.update(&n.to_le_bytes());
-            }
-        }
+        absorb(&mut digest, &reference.query(q).expect("workload SQL serves"));
     }
     drop(reference);
+
+    // Cold answers on every post-write epoch: the stream replayed on a
+    // copy of the database, one fresh service per epoch. Every timed
+    // post-write response must equal them, and their digest is pinned.
+    let mut post_write = Fnv1a64::new();
+    let mut epoch_db = db.clone();
+    let cold: Vec<(u64, Vec<Bits>)> = stream
+        .iter()
+        .map(|batch| {
+            epoch_db.apply_batch(batch).expect("mutation batch commits");
+            let service = service_for(epoch_db.clone());
+            let answers = sql
+                .iter()
+                .map(|q| absorb(&mut post_write, &service.query(q).expect("workload SQL serves")))
+                .collect();
+            (database_digest(&epoch_db), answers)
+        })
+        .collect();
 
     // Timed repetitions over pristine rebuilds; keep the min-p95 rep.
     let requests_per_rep = MUTATE_SHAPE.batches * (1 + sql.len());
     let mut best: Option<(LatencySummary, f64, Arc<QueryService>)> = None;
     for _ in 0..config.reps.max(1) {
         let service = service_for(db.clone());
-        let (mut latencies, seconds) = timed_rep(&service, &sql, &stream);
+        let (mut latencies, seconds, served) = timed_rep(&service, &sql, &stream);
+        for ((digest, answers), responses) in cold.iter().zip(&served) {
+            for (expected, response) in answers.iter().zip(responses) {
+                assert_eq!(response.db_digest, *digest, "the epoch is the replayed database");
+                assert_eq!(
+                    &response_bits(response),
+                    expected,
+                    "a post-write response must equal a cold service's on its epoch"
+                );
+            }
+        }
         let summary = LatencySummary::of(&mut latencies);
         if best.as_ref().map_or(true, |(b, _, _)| summary.p95 < b.p95) {
             best = Some((summary, seconds, service));
@@ -131,18 +159,19 @@ pub fn run_mutate_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         net: Vec::new(),
         stages: stage_latencies(&service),
         certainty_digest: format!("{:#018x}", digest.finish()),
+        post_write_digest: Some(format!("{:#018x}", post_write.finish())),
     }
 }
 
 /// One timed repetition on a pristine service: warm the plan cache,
 /// then interleave the whole mutation stream with template replays.
-/// Returns pooled per-operation latencies (writes and queries) and the
-/// repetition's wall-clock seconds.
+/// Returns pooled per-operation latencies (writes and queries), the
+/// repetition's wall-clock seconds, and the responses after each write.
 fn timed_rep(
     service: &Arc<QueryService>,
     sql: &[String],
     stream: &[WriteBatch],
-) -> (Vec<f64>, f64) {
+) -> (Vec<f64>, f64, Vec<Vec<QueryResponse>>) {
     use std::time::Instant;
 
     // Untimed warmup: plans compiled, epoch-0 groups cached.
@@ -151,12 +180,14 @@ fn timed_rep(
     }
 
     let mut latencies = Vec::with_capacity(stream.len() * (1 + sql.len()));
+    let mut served = Vec::with_capacity(stream.len());
     let start = Instant::now();
     for batch in stream {
         let issued = Instant::now();
         let outcome = service.apply(batch).expect("mutation batch commits");
         latencies.push(issued.elapsed().as_secs_f64());
         assert_eq!(outcome.noops, 0, "the generated stream is constructed to apply every op");
+        let mut responses = Vec::with_capacity(sql.len());
         for q in sql {
             let issued = Instant::now();
             let response = service.query(q).expect("query serves across epochs");
@@ -166,9 +197,11 @@ fn timed_rep(
                 (outcome.epoch, outcome.db_digest),
                 "a post-write response must execute against the acked snapshot"
             );
+            responses.push(response);
         }
+        served.push(responses);
     }
-    (latencies, start.elapsed().as_secs_f64())
+    (latencies, start.elapsed().as_secs_f64(), served)
 }
 
 #[cfg(test)]

@@ -41,6 +41,7 @@ use std::time::{Duration, Instant};
 
 use qarith_core::NuCacheConfig;
 use qarith_datagen::{database_digest, QueryFamily, WorkloadScale};
+use qarith_numeric::Fnv1a64;
 use qarith_serve::{QueryResponse, QueryService, ServeConfig};
 
 use crate::doc::{counters, BenchDoc, Timing};
@@ -233,6 +234,9 @@ pub struct ServeBenchReport {
     /// FNV-1a digest over every reference-pass certainty bit, hex —
     /// the quantity the CI gate pins.
     pub certainty_digest: String,
+    /// `mutate` only: FNV-1a digest over the cold answers on every
+    /// post-write epoch, which each post-write response equals, hex.
+    pub post_write_digest: Option<String>,
 }
 
 /// One stage row of the `stages` info block: observation count
@@ -285,9 +289,13 @@ pub(crate) fn serving_config(config: &ServeBenchConfig) -> ServeConfig {
     }
 }
 
-/// μ-relevant response bits (tuple, value, samples, dimension) — what
-/// concurrent responses are compared on and the digest is built from.
-pub(crate) fn response_bits(r: &QueryResponse) -> Vec<(String, u64, u64, u64)> {
+/// One response's μ-relevant bits: (tuple, value, samples, dimension)
+/// per answer.
+pub(crate) type Bits = Vec<(String, u64, u64, u64)>;
+
+/// μ-relevant response bits — what concurrent responses are compared
+/// on and the digest is built from.
+pub(crate) fn response_bits(r: &QueryResponse) -> Bits {
     r.answers
         .iter()
         .map(|a| {
@@ -299,6 +307,21 @@ pub(crate) fn response_bits(r: &QueryResponse) -> Vec<(String, u64, u64, u64)> {
             )
         })
         .collect()
+}
+
+/// Folds one response into a certainty digest — its fingerprint, then
+/// each answer's tuple, value, samples and dimension — and returns its
+/// bits.
+pub(crate) fn absorb(digest: &mut Fnv1a64, response: &QueryResponse) -> Bits {
+    let bits = response_bits(response);
+    digest.update(response.fingerprint.as_bytes());
+    for (tuple, value, samples, dimension) in &bits {
+        digest.update(tuple.as_bytes());
+        for n in [value, samples, dimension] {
+            digest.update(&n.to_le_bytes());
+        }
+    }
+    bits
 }
 
 /// Runs the configured load test. Panics if any concurrent response
@@ -320,20 +343,11 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> ServeBenchReport {
 
     // Sequential reference pass: pins the expected bits, warms the plan
     // cache, and feeds the ν-cache exactly once per group.
-    let mut digest = qarith_numeric::Fnv1a64::new();
-    let mut reference = Vec::with_capacity(sql.len());
-    for q in &sql {
-        let response = service.query(q).expect("workload SQL serves");
-        let bits = response_bits(&response);
-        digest.update(response.fingerprint.as_bytes());
-        for (tuple, value, samples, dimension) in &bits {
-            digest.update(tuple.as_bytes());
-            for n in [*value, *samples, *dimension] {
-                digest.update(&n.to_le_bytes());
-            }
-        }
-        reference.push(bits);
-    }
+    let mut digest = Fnv1a64::new();
+    let reference: Vec<Bits> = sql
+        .iter()
+        .map(|q| absorb(&mut digest, &service.query(q).expect("workload SQL serves")))
+        .collect();
 
     // Timed repetitions; keep the one with the lowest p95.
     let requests_per_rep = config.clients.max(1) * config.passes.max(1) * sql.len();
@@ -376,6 +390,7 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         net: Vec::new(),
         stages: stage_latencies(&service),
         certainty_digest: format!("{:#018x}", digest.finish()),
+        post_write_digest: None,
     }
 }
 
@@ -385,7 +400,7 @@ fn timed_rep(
     config: &ServeBenchConfig,
     service: &Arc<QueryService>,
     sql: &[String],
-    reference: &[Vec<(String, u64, u64, u64)>],
+    reference: &[Bits],
 ) -> (Vec<f64>, f64) {
     let clients = config.clients.max(1);
     let passes = config.passes.max(1);
@@ -479,7 +494,8 @@ impl ServeBenchReport {
     ///
     /// * `config` — scale, seed, ε, clients, passes, load mode, rate,
     ///   reps;
-    /// * `pinned` — the database and certainty digests;
+    /// * `pinned` — the database and certainty digests, and for
+    ///   `mutate` the post-write digest;
     /// * `counters` — database size, templates, requests per rep, and
     ///   the service, admission, ν-cache (and, over the wire, `net`)
     ///   blocks. Every gated run warms all plans and ν entries before
@@ -500,6 +516,13 @@ impl ServeBenchReport {
         ];
         if self.kind == "wire" {
             work.push(("net".to_string(), counters(&self.net)));
+        }
+        let mut pinned = vec![
+            ("db_digest".to_string(), Json::str(&self.db_digest)),
+            ("certainty_digest".to_string(), Json::str(&self.certainty_digest)),
+        ];
+        if let Some(digest) = &self.post_write_digest {
+            pinned.push(("post_write_digest".to_string(), Json::str(digest)));
         }
         let stages = self.stages.iter().map(|s| {
             let row = Json::obj([
@@ -522,10 +545,7 @@ impl ServeBenchReport {
                 ("rate", Json::Num(self.rate)),
                 ("reps", Json::num_u64(self.reps)),
             ]),
-            pinned: Json::obj([
-                ("db_digest", Json::str(&self.db_digest)),
-                ("certainty_digest", Json::str(&self.certainty_digest)),
-            ]),
+            pinned: Json::Obj(pinned),
             counters: Json::Obj(work),
             timings: vec![(
                 "p95".to_string(),

@@ -36,13 +36,13 @@ use qarith_net::{Decoded, NetClient, NetConfig, NetServer};
 use qarith_serve::QueryService;
 
 use crate::serve::{
-    response_bits, serving_config, stage_latencies, LatencySummary, LoadMode, ServeBenchConfig,
+    absorb, serving_config, stage_latencies, Bits, LatencySummary, LoadMode, ServeBenchConfig,
     ServeBenchReport,
 };
 
 /// One reply reduced to its μ-relevant bits, in the same shape
 /// [`crate::serve::response_bits`] produces for in-process responses.
-fn reply_bits(decoded: &Decoded) -> Vec<(String, u64, u64, u64)> {
+fn reply_bits(decoded: &Decoded) -> Bits {
     match decoded {
         Decoded::Reply(reply) => reply
             .answers
@@ -72,19 +72,10 @@ pub fn run_wire_bench(config: &ServeBenchConfig) -> ServeBenchReport {
     // bench's, so serve and wire runs at equal config pin the same
     // certainty digest.
     let mut digest = qarith_numeric::Fnv1a64::new();
-    let mut reference = Vec::with_capacity(sql.len());
-    for q in &sql {
-        let response = service.query(q).expect("workload SQL serves");
-        let bits = response_bits(&response);
-        digest.update(response.fingerprint.as_bytes());
-        for (tuple, value, samples, dimension) in &bits {
-            digest.update(tuple.as_bytes());
-            for n in [*value, *samples, *dimension] {
-                digest.update(&n.to_le_bytes());
-            }
-        }
-        reference.push(bits);
-    }
+    let reference: Vec<Bits> = sql
+        .iter()
+        .map(|q| absorb(&mut digest, &service.query(q).expect("workload SQL serves")))
+        .collect();
 
     let server = NetServer::start(service, NetConfig::default())
         .expect("bind a loopback listener on an ephemeral port");
@@ -139,6 +130,7 @@ pub fn run_wire_bench(config: &ServeBenchConfig) -> ServeBenchReport {
         net: net.as_pairs().to_vec(),
         stages: stage_latencies(service),
         certainty_digest: format!("{:#018x}", digest.finish()),
+        post_write_digest: None,
     }
 }
 
@@ -149,7 +141,7 @@ fn wire_timed_rep(
     config: &ServeBenchConfig,
     server: &NetServer,
     sql: &[String],
-    reference: &[Vec<(String, u64, u64, u64)>],
+    reference: &[Bits],
 ) -> (Vec<f64>, f64) {
     let clients = config.clients.max(1);
     let passes = config.passes.max(1);

@@ -22,6 +22,34 @@
 //! derivations so that the per-candidate formula is complete (the mode
 //! used when cross-checking against [`crate::ground`]).
 //!
+//! # The compiled join
+//!
+//! The join is compiled once per run, right after the atom order is
+//! chosen, so the per-row loop does no name lookups and, on constants,
+//! no polynomial arithmetic:
+//!
+//! * every variable is numbered into a *slot*, which holds a reference
+//!   to the cell (or active-domain value) bound to it;
+//! * the atom order is fixed, so whether an argument binds its slot or
+//!   checks it is decided at plan time: a variable's first occurrence
+//!   binds, every later one checks. A key column needs no check, since
+//!   the probe returns only rows that hold the whole key;
+//! * each filter is attached to the depth that binds its last variable,
+//!   or to the leaf after active-domain enumeration. A slot is read only
+//!   where the plan has bound it, so backtracking unbinds nothing.
+//!
+//! A numerical value stays a [`Rational`] while only constant cells and
+//! constants made it, and becomes the [`Polynomial`] over the null
+//! variables once a null enters. On constants each `+ − ×` performs the
+//! same checked rational operation, in the same order, that polynomial
+//! arithmetic performs on constant polynomials (none when an operand is
+//! zero, the polynomial with no terms), so a constant filter is decided
+//! by the same sign, overflows with the same error, and only a filter
+//! that touches a null builds its residual atom. The join therefore
+//! returns the candidates, formulas, derivation counts, footprints and
+//! errors that evaluating every term with `term_to_polynomial` (as
+//! [`crate::ground`] does) would give; `tests/join_golden.rs` pins them.
+//!
 //! # Read footprints
 //!
 //! [`execute_recorded`] also returns what the run read of its database,
@@ -58,7 +86,7 @@ use qarith_types::{
 };
 
 use crate::domain::ActiveDomain;
-use crate::env::{base_term_value, null_var, term_to_polynomial, Bound, Env};
+use crate::env::null_var;
 use crate::error::EngineError;
 use crate::ground::constraint_op;
 
@@ -205,16 +233,6 @@ struct PlannedAtom<'a> {
     index: Option<&'a ColumnIndex>,
 }
 
-/// A numerical comparison filter with its variable support, applied as
-/// soon as all variables are bound. (Base equalities never reach the
-/// filter stage — they are absorbed by the [`Unifier`].)
-struct PlannedFilter {
-    lhs: NumTerm,
-    op: CompareOp,
-    rhs: NumTerm,
-    vars: HashSet<Ident>,
-}
-
 /// Union-find over base terms, used to turn top-level equality filters
 /// (`P.seg = M.seg`) into *shared variables*, so that equi-joins probe
 /// the relations' column indexes instead of filtering cross products.
@@ -266,15 +284,6 @@ impl Unifier {
     }
 }
 
-/// How a head (free) variable obtains its output value after
-/// unification.
-enum HeadBinding {
-    /// Unified with a constant.
-    Const(Value),
-    /// Read from the environment under the canonical name.
-    Var(Ident),
-}
-
 /// Executes a conjunctive query, returning candidates with ground
 /// formulas, in first-derivation order.
 pub fn execute(
@@ -282,18 +291,21 @@ pub fn execute(
     db: &Database,
     opts: &CqOptions,
 ) -> Result<Vec<CandidateAnswer>, EngineError> {
-    execute_recorded(query, db, opts).map(|(candidates, _)| candidates)
+    execute_recorded(query, db, opts).map(|(candidates, _, _)| candidates)
 }
 
 /// [`execute`], also returning what the run read of `db` (see the
 /// module docs, "Read footprints"): the candidates stay exact on every
 /// later version of `db` that the footprint is not
-/// [affected by](ReadFootprint::affected_by).
+/// [affected by](ReadFootprint::affected_by). The third value counts
+/// the rows the join matched against its atoms: every row a scan
+/// visits, and every row an index probe returns that holds the whole
+/// key, at every depth.
 pub fn execute_recorded(
     query: &Query,
     db: &Database,
     opts: &CqOptions,
-) -> Result<(Vec<CandidateAnswer>, ReadFootprint), EngineError> {
+) -> Result<(Vec<CandidateAnswer>, ReadFootprint, u64), EngineError> {
     let mut body = CqBody {
         rel_atoms: Vec::new(),
         base_eqs: Vec::new(),
@@ -308,7 +320,7 @@ pub fn execute_recorded(
     for (l, r) in &body.base_eqs {
         if !uni.union(l, r) {
             // Unsatisfiable whatever the data: nothing was read.
-            return Ok((Vec::new(), ReadFootprint::default()));
+            return Ok((Vec::new(), ReadFootprint::default(), 0));
         }
     }
     body.base_eqs.clear();
@@ -322,31 +334,6 @@ pub fn execute_recorded(
 
     let mut sizes = Vec::new();
     let plan = plan_join(&body, db, &mut sizes)?;
-
-    let mut filters: Vec<PlannedFilter> = Vec::new();
-    for (l, op, r) in &body.cmps {
-        let mut vars = HashSet::new();
-        l.visit_vars(&mut |x| {
-            vars.insert(x.clone());
-        });
-        r.visit_vars(&mut |x| {
-            vars.insert(x.clone());
-        });
-        filters.push(PlannedFilter { lhs: l.clone(), op: *op, rhs: r.clone(), vars });
-    }
-
-    // Head bindings resolve through the unifier.
-    let head: Vec<HeadBinding> = query
-        .free_vars()
-        .iter()
-        .map(|v| match v.sort {
-            Sort::Base => match uni.resolve(&BaseTerm::Var(v.name.clone())) {
-                BaseTerm::Const(c) => HeadBinding::Const(Value::Base(c)),
-                BaseTerm::Var(x) => HeadBinding::Var(x),
-            },
-            Sort::Num => HeadBinding::Var(v.name.clone()),
-        })
-        .collect();
 
     // Variables not covered by any relation atom fall back to
     // active-domain enumeration (rare; needed for completeness). After
@@ -387,14 +374,11 @@ pub fn execute_recorded(
             .collect(),
     };
 
+    let join = CompiledJoin::new(query, &uni, plan, &body.cmps, &uncovered);
     let mut exec = Executor {
-        plan: &plan,
-        filters: &filters,
-        applied: vec![false; filters.len()],
-        head: &head,
-        uncovered: &uncovered,
+        join: &join,
         opts,
-        env: Env::new(),
+        slots: vec![None; join.names.len()],
         residuals: Vec::new(),
         rows_emitted: 0,
         order: Vec::new(),
@@ -402,12 +386,13 @@ pub fn execute_recorded(
         done: false,
         scanned: 0,
         probes: Vec::new(),
+        rows: 0,
     };
     exec.join(0)?;
 
-    let Executor { order, mut candidates, done, scanned, probes, .. } = exec;
+    let Executor { order, mut candidates, done, scanned, probes, rows, .. } = exec;
     let footprint =
-        ReadFootprint::new(&plan, db, !uncovered.is_empty(), (scanned, !done), probes, sizes);
+        ReadFootprint::new(&join.steps, db, !uncovered.is_empty(), (scanned, !done), probes, sizes);
     let mut out = Vec::with_capacity(order.len());
     for key in order {
         if let Some(max) = opts.limit {
@@ -429,7 +414,7 @@ pub fn execute_recorded(
             truncated: state.truncated,
         });
     }
-    Ok((out, footprint))
+    Ok((out, footprint, rows))
 }
 
 /// Orders the relation atoms greedily (see the module docs), recording
@@ -533,6 +518,291 @@ fn covered_vars(plan: &[PlannedAtom<'_>]) -> HashSet<Ident> {
     out
 }
 
+/// A numerical term over slots, compiled from a [`NumTerm`].
+enum Term {
+    Const(Rational),
+    Slot(usize),
+    Add(Box<Term>, Box<Term>),
+    Sub(Box<Term>, Box<Term>),
+    Mul(Box<Term>, Box<Term>),
+    Neg(Box<Term>),
+}
+
+/// How one argument of an atom meets its cell, decided at plan time:
+/// the atom order is fixed, so a variable's first occurrence binds its
+/// slot and every later one checks it.
+enum ArgStep {
+    /// A base variable's first occurrence: bind the cell.
+    Bind(usize),
+    /// A numerical variable's first occurrence: bind the cell, which
+    /// must be numerical.
+    BindNum(usize),
+    /// A base variable bound earlier in the atom: the cell must equal
+    /// its binding.
+    Same(usize),
+    /// Any other numerical argument: the cell must be numerical and
+    /// equal the term, or leave the residual equality.
+    Equal(Term),
+}
+
+/// Where a key column's or a head variable's value comes from.
+enum Source {
+    /// A constant (for a head variable, one it was unified with).
+    Const(Value),
+    /// The slot's binding.
+    Slot(usize),
+}
+
+/// A numerical comparison filter, `lhs op rhs`.
+struct Filter {
+    lhs: Term,
+    op: ConstraintOp,
+    rhs: Term,
+}
+
+/// One depth of the compiled join: a planned atom with its arguments
+/// and filters compiled.
+struct Step<'a> {
+    relation: Ident,
+    tuples: &'a [Tuple],
+    /// The relation's shared index on the first key column (`None` for
+    /// a scan).
+    index: Option<&'a ColumnIndex>,
+    /// Every key column of the planned atom with its value. Empty for a
+    /// scan.
+    key: Vec<(usize, Source)>,
+    /// The arguments the key does not decide, in column order.
+    args: Vec<(usize, ArgStep)>,
+    /// The filters whose last variable this depth binds, in query
+    /// order.
+    filters: Vec<Filter>,
+}
+
+/// A query's join compiled once after [`plan_join`]: every variable
+/// numbered into a slot, every argument a bind or a check, and every
+/// filter attached to the depth that binds its last variable, or to
+/// the enumeration leaf.
+struct CompiledJoin<'a> {
+    steps: Vec<Step<'a>>,
+    /// The uncovered variables' slots with their active-domain values,
+    /// enumerated after the last atom.
+    uncovered: Vec<(usize, &'a [Value])>,
+    /// The filters whose last variable the enumeration binds.
+    leaf_filters: Vec<Filter>,
+    head: Vec<Source>,
+    /// Each slot's variable.
+    names: Vec<Ident>,
+}
+
+impl<'a> CompiledJoin<'a> {
+    fn new(
+        query: &Query,
+        uni: &Unifier,
+        plan: Vec<PlannedAtom<'a>>,
+        cmps: &[(NumTerm, CompareOp, NumTerm)],
+        uncovered: &[(Ident, &'a [Value])],
+    ) -> CompiledJoin<'a> {
+        let mut slots = Slots::default();
+        let mut pending: Vec<(Vec<usize>, Filter)> = cmps
+            .iter()
+            .map(|(l, op, r)| {
+                let mut vars = Vec::new();
+                let lhs = slots.term(l, &mut vars);
+                let rhs = slots.term(r, &mut vars);
+                (vars, Filter { lhs, op: constraint_op(*op), rhs })
+            })
+            .collect();
+        let mut steps = Vec::with_capacity(plan.len());
+        for atom in plan {
+            let key: Vec<(usize, Source)> = atom
+                .key
+                .iter()
+                .map(|(column, term)| {
+                    let value = match term {
+                        BaseTerm::Const(c) => Source::Const(Value::Base(c.clone())),
+                        BaseTerm::Var(x) => Source::Slot(slots.slot(x)),
+                    };
+                    (*column, value)
+                })
+                .collect();
+            let mut args = Vec::new();
+            for (column, arg) in atom.args.iter().enumerate() {
+                // A probed row holds every key column's value, and every
+                // constant base argument is a key column.
+                if key.iter().any(|(c, _)| *c == column) {
+                    continue;
+                }
+                let step = match arg {
+                    Arg::Base(BaseTerm::Const(_)) => continue,
+                    Arg::Base(BaseTerm::Var(x)) => {
+                        let slot = slots.slot(x);
+                        if slots.bind(slot) {
+                            ArgStep::Bind(slot)
+                        } else {
+                            ArgStep::Same(slot)
+                        }
+                    }
+                    Arg::Num(NumTerm::Var(x)) if !slots.is_bound(x) => {
+                        ArgStep::BindNum(slots.bind_var(x))
+                    }
+                    Arg::Num(t) => ArgStep::Equal(slots.term(t, &mut Vec::new())),
+                };
+                args.push((column, step));
+            }
+            let filters = slots.ready(&mut pending);
+            let PlannedAtom { relation, tuples, index, .. } = atom;
+            steps.push(Step { relation, tuples, index, key, args, filters });
+        }
+        let uncovered = uncovered.iter().map(|(x, values)| (slots.bind_var(x), *values)).collect();
+        // A filter over a variable nothing binds is never decided.
+        let leaf_filters = slots.ready(&mut pending);
+        let head = query
+            .free_vars()
+            .iter()
+            .map(|v| match v.sort {
+                Sort::Base => match uni.resolve(&BaseTerm::Var(v.name.clone())) {
+                    BaseTerm::Const(c) => Source::Const(Value::Base(c)),
+                    BaseTerm::Var(x) => Source::Slot(slots.slot(&x)),
+                },
+                Sort::Num => Source::Slot(slots.slot(&v.name)),
+            })
+            .collect();
+        CompiledJoin { steps, uncovered, leaf_filters, head, names: slots.names }
+    }
+}
+
+/// Numbers a query's variables into slots while its join is compiled,
+/// tracking which are bound at the point compiled so far.
+#[derive(Default)]
+struct Slots {
+    index: HashMap<Ident, usize>,
+    names: Vec<Ident>,
+    bound: Vec<bool>,
+}
+
+impl Slots {
+    /// The slot of `x`, numbered on first sight.
+    fn slot(&mut self, x: &Ident) -> usize {
+        if let Some(&slot) = self.index.get(x) {
+            return slot;
+        }
+        let slot = self.names.len();
+        self.index.insert(x.clone(), slot);
+        self.names.push(x.clone());
+        self.bound.push(false);
+        slot
+    }
+
+    /// Marks `slot` bound; `true` iff it was not bound before.
+    fn bind(&mut self, slot: usize) -> bool {
+        self.bound.get_mut(slot).is_some_and(|bound| !std::mem::replace(bound, true))
+    }
+
+    /// Marks the slot of `x` bound and returns it.
+    fn bind_var(&mut self, x: &Ident) -> usize {
+        let slot = self.slot(x);
+        self.bind(slot);
+        slot
+    }
+
+    fn is_bound(&self, x: &Ident) -> bool {
+        self.index.get(x).is_some_and(|&slot| self.bound.get(slot) == Some(&true))
+    }
+
+    /// Compiles `t`, pushing the slot of each variable it names to
+    /// `vars`.
+    fn term(&mut self, t: &NumTerm, vars: &mut Vec<usize>) -> Term {
+        let mut term = |t: &NumTerm| Box::new(self.term(t, vars));
+        match t {
+            NumTerm::Const(r) => Term::Const(*r),
+            NumTerm::Var(x) => {
+                let slot = self.slot(x);
+                vars.push(slot);
+                Term::Slot(slot)
+            }
+            NumTerm::Add(a, b) => Term::Add(term(a), term(b)),
+            NumTerm::Sub(a, b) => Term::Sub(term(a), term(b)),
+            NumTerm::Mul(a, b) => Term::Mul(term(a), term(b)),
+            NumTerm::Neg(a) => Term::Neg(term(a)),
+        }
+    }
+
+    /// Takes the pending filters whose variables are all bound, in
+    /// order.
+    fn ready(&self, pending: &mut Vec<(Vec<usize>, Filter)>) -> Vec<Filter> {
+        let (ready, rest): (Vec<_>, Vec<_>) = std::mem::take(pending)
+            .into_iter()
+            .partition(|(vars, _)| vars.iter().all(|&slot| self.bound.get(slot) == Some(&true)));
+        *pending = rest;
+        ready.into_iter().map(|(_, filter)| filter).collect()
+    }
+}
+
+/// A numerical value in the join: a rational while only constants
+/// made it, the polynomial over the null variables once a null enters.
+/// On constants each operation performs exactly the checked rational
+/// operation that polynomial arithmetic performs on constant
+/// polynomials (none when an operand is zero, the polynomial with no
+/// terms), so a value's polynomial form, and every overflow, is the
+/// one [`crate::env::term_to_polynomial`] produces.
+enum Num {
+    Const(Rational),
+    Poly(Polynomial),
+}
+
+impl Num {
+    /// A cell's value (`None` for a base cell).
+    fn of(cell: &Value) -> Option<Num> {
+        match cell {
+            Value::Num(r) => Some(Num::Const(*r)),
+            Value::NumNull(id) => Some(Num::Poly(Polynomial::var(null_var(*id)))),
+            Value::Base(_) | Value::BaseNull(_) => None,
+        }
+    }
+
+    fn into_poly(self) -> Polynomial {
+        match self {
+            Num::Const(c) => Polynomial::constant(c),
+            Num::Poly(p) => p,
+        }
+    }
+
+    fn plus(self, rhs: Num) -> Result<Num, EngineError> {
+        Ok(match (self, rhs) {
+            (Num::Const(a), Num::Const(b)) if a.is_zero() => Num::Const(b),
+            (Num::Const(a), Num::Const(b)) if b.is_zero() => Num::Const(a),
+            (Num::Const(a), Num::Const(b)) => Num::Const(a.checked_add(&b)?),
+            (a, b) => Num::Poly(a.into_poly().checked_add(&b.into_poly())?),
+        })
+    }
+
+    fn minus(self, rhs: Num) -> Result<Num, EngineError> {
+        Ok(match (self, rhs) {
+            (Num::Const(a), Num::Const(b)) if b.is_zero() => Num::Const(a),
+            (Num::Const(a), Num::Const(b)) if a.is_zero() => Num::Const(-b),
+            (Num::Const(a), Num::Const(b)) => Num::Const(a.checked_sub(&b)?),
+            (a, b) => Num::Poly(a.into_poly().checked_sub(&b.into_poly())?),
+        })
+    }
+
+    fn times(self, rhs: Num) -> Result<Num, EngineError> {
+        Ok(match (self, rhs) {
+            (Num::Const(a), Num::Const(b)) if a.is_zero() || b.is_zero() => {
+                Num::Const(Rational::ZERO)
+            }
+            (Num::Const(a), Num::Const(b)) => Num::Const(a.checked_mul(&b)?),
+            (a, b) => Num::Poly(a.into_poly().checked_mul(&b.into_poly())?),
+        })
+    }
+
+    fn negated(self) -> Num {
+        match self {
+            Num::Const(a) => Num::Const(-a),
+            Num::Poly(p) => Num::Poly(p.negated()),
+        }
+    }
+}
+
 /// Per-candidate accumulation.
 struct CandidateState {
     disjuncts: Vec<QfFormula>,
@@ -542,13 +812,12 @@ struct CandidateState {
 }
 
 struct Executor<'a> {
-    plan: &'a [PlannedAtom<'a>],
-    filters: &'a [PlannedFilter],
-    applied: Vec<bool>,
-    head: &'a [HeadBinding],
-    uncovered: &'a [(Ident, &'a [Value])],
+    join: &'a CompiledJoin<'a>,
     opts: &'a CqOptions,
-    env: Env,
+    /// Each slot's binding: a cell of a visited row, or an enumerated
+    /// active-domain value. A slot is only read where the compiled
+    /// join has bound it, so backtracking leaves bindings in place.
+    slots: Vec<Option<&'a Value>>,
     residuals: Vec<Atom>,
     rows_emitted: usize,
     order: Vec<Tuple>,
@@ -558,6 +827,8 @@ struct Executor<'a> {
     scanned: usize,
     /// `(depth, hash of the probed value)` of every index probe.
     probes: Vec<(usize, u64)>,
+    /// Rows handed to `try_tuple`.
+    rows: u64,
 }
 
 impl<'a> Executor<'a> {
@@ -565,27 +836,25 @@ impl<'a> Executor<'a> {
         if self.done {
             return Ok(());
         }
-        let plan = self.plan;
-        let Some(atom) = plan.get(depth) else {
+        let join = self.join;
+        let Some(step) = join.steps.get(depth) else {
             return self.enumerate_uncovered(0);
         };
-        let Some(index) = atom.index else {
-            for tuple in atom.tuples {
+        let Some(index) = step.index else {
+            for tuple in step.tuples {
                 if self.done {
                     break;
                 }
                 if depth == 0 {
                     self.scanned += 1;
                 }
-                self.try_tuple(depth, atom, tuple)?;
+                self.rows += 1;
+                self.try_tuple(depth, step, tuple)?;
             }
             return Ok(());
         };
-        let mut key = Vec::with_capacity(atom.key.len());
-        for (column, term) in &atom.key {
-            key.push((*column, base_term_value(term, &self.env)?));
-        }
-        let Some((_, first)) = key.first() else { return Ok(()) };
+        let Some((_, first)) = step.key.first() else { return Ok(()) };
+        let first = self.value(first)?;
         self.probes.push((depth, key_hash(first)));
         // `rows` also lists rows whose value only shares `first`'s hash,
         // and it checks no other key column. Keeping the rows that
@@ -595,9 +864,10 @@ impl<'a> Executor<'a> {
             if self.done {
                 break;
             }
-            let Some(tuple) = atom.tuples.get(row as usize) else { continue };
-            if key.iter().all(|(column, value)| tuple.values().get(*column) == Some(value)) {
-                self.try_tuple(depth, atom, tuple)?;
+            let Some(tuple) = step.tuples.get(row as usize) else { continue };
+            if self.holds_key(step, tuple)? {
+                self.rows += 1;
+                self.try_tuple(depth, step, tuple)?;
             }
         }
         Ok(())
@@ -606,150 +876,147 @@ impl<'a> Executor<'a> {
     fn try_tuple(
         &mut self,
         depth: usize,
-        atom: &PlannedAtom<'_>,
-        tuple: &Tuple,
+        step: &'a Step<'a>,
+        tuple: &'a Tuple,
     ) -> Result<(), EngineError> {
-        let mut bound_here: Vec<Ident> = Vec::new();
         let residual_mark = self.residuals.len();
-        let mut applied_here: Vec<usize> = Vec::new();
-        let mut ok = true;
-
-        for (arg, cell) in atom.args.iter().zip(tuple.values()) {
-            match arg {
-                Arg::Base(BaseTerm::Const(v)) => {
-                    if Value::Base(v.clone()) != *cell {
-                        ok = false;
-                        break;
-                    }
-                }
-                Arg::Base(BaseTerm::Var(x)) => match self.env.get(x) {
-                    Some(Bound::Base(v)) if v == cell => {}
-                    // A different value, or a numerical binding, which
-                    // no base cell equals.
-                    Some(_) => {
-                        ok = false;
-                        break;
-                    }
-                    None => {
-                        self.env.insert(x.clone(), Bound::Base(cell.clone()));
-                        bound_here.push(x.clone());
-                    }
-                },
-                Arg::Num(t) => {
-                    // A base cell in a numerical column equals no term.
-                    let Some(pv) = num_cell(cell) else {
-                        ok = false;
-                        break;
-                    };
-                    if let NumTerm::Var(x) = t {
-                        if !self.env.contains_key(x) {
-                            self.env.insert(x.clone(), Bound::Num(pv));
-                            bound_here.push(x.clone());
-                            continue;
-                        }
-                    }
-                    let p = term_to_polynomial(t, &self.env)?;
-                    let diff = p.checked_sub(&pv)?;
-                    match diff.as_constant() {
-                        Some(c) if c.is_zero() => {}
-                        Some(_) => {
-                            ok = false;
-                            break;
-                        }
-                        None => self.residuals.push(Atom::new(diff, ConstraintOp::Eq)),
-                    }
-                }
-            }
-        }
-
-        if ok {
-            ok = self.apply_ready_filters(&mut applied_here)?;
-        }
-        if ok {
+        if self.match_args(step, tuple)? && self.decide(&step.filters)? {
             self.join(depth + 1)?;
         }
-
-        // Backtrack.
         self.residuals.truncate(residual_mark);
-        self.unapply(applied_here);
-        for x in bound_here {
-            self.env.remove(&x);
-        }
         Ok(())
     }
 
-    /// Applies every not-yet-applied filter whose variables are all bound.
-    /// Returns `false` if a filter is definitely violated. Residual atoms
-    /// are pushed; `applied_here` records indices for backtracking.
-    fn apply_ready_filters(&mut self, applied_here: &mut Vec<usize>) -> Result<bool, EngineError> {
-        let filters = self.filters;
-        for (i, (pf, applied)) in filters.iter().zip(self.applied.iter_mut()).enumerate() {
-            if *applied || !pf.vars.iter().all(|x| self.env.contains_key(x)) {
-                continue;
+    fn holds_key(&self, step: &'a Step<'a>, tuple: &Tuple) -> Result<bool, EngineError> {
+        for (column, key) in &step.key {
+            if tuple.values().get(*column) != Some(self.value(key)?) {
+                return Ok(false);
             }
-            let p = term_to_polynomial(&pf.lhs, &self.env)?
-                .checked_sub(&term_to_polynomial(&pf.rhs, &self.env)?)?;
-            let a = Atom::new(p, constraint_op(pf.op));
-            match a.as_constant() {
-                Some(true) => {}
-                Some(false) => return Ok(false),
-                None => self.residuals.push(a),
-            }
-            *applied = true;
-            applied_here.push(i);
         }
         Ok(true)
     }
 
-    /// Marks the filters `apply_ready_filters` applied as pending again.
-    fn unapply(&mut self, applied_here: Vec<usize>) {
-        for i in applied_here {
-            if let Some(applied) = self.applied.get_mut(i) {
-                *applied = false;
+    /// Binds and checks the row's cells against the arguments the key
+    /// did not decide. `false` if the row does not extend the bindings;
+    /// a numerical argument that a null leaves open pushes its residual
+    /// equality.
+    fn match_args(&mut self, step: &'a Step<'a>, tuple: &'a Tuple) -> Result<bool, EngineError> {
+        let cells = tuple.values();
+        for (column, arg) in &step.args {
+            let Some(cell) = cells.get(*column) else { continue };
+            match arg {
+                ArgStep::Bind(slot) => self.bind(*slot, cell),
+                ArgStep::BindNum(slot) => {
+                    // A base cell in a numerical column equals no term.
+                    if !matches!(cell, Value::Num(_) | Value::NumNull(_)) {
+                        return Ok(false);
+                    }
+                    self.bind(*slot, cell);
+                }
+                ArgStep::Same(slot) => {
+                    if self.slot(*slot)? != cell {
+                        return Ok(false);
+                    }
+                }
+                ArgStep::Equal(term) => {
+                    let Some(value) = Num::of(cell) else { return Ok(false) };
+                    match self.eval(term)?.minus(value)? {
+                        Num::Const(c) if c.is_zero() => {}
+                        Num::Const(_) => return Ok(false),
+                        Num::Poly(p) => match p.as_constant() {
+                            Some(c) if c.is_zero() => {}
+                            Some(_) => return Ok(false),
+                            None => self.residuals.push(Atom::new(p, ConstraintOp::Eq)),
+                        },
+                    }
+                }
             }
+        }
+        Ok(true)
+    }
+
+    /// Decides `filters` in order on the current bindings. Returns
+    /// `false` at the first that is violated; residual atoms are pushed.
+    fn decide(&mut self, filters: &'a [Filter]) -> Result<bool, EngineError> {
+        for filter in filters {
+            match self.eval(&filter.lhs)?.minus(self.eval(&filter.rhs)?)? {
+                Num::Const(c) => {
+                    if !filter.op.holds(c.signum()) {
+                        return Ok(false);
+                    }
+                }
+                Num::Poly(p) => {
+                    let atom = Atom::new(p, filter.op);
+                    match atom.as_constant() {
+                        Some(true) => {}
+                        Some(false) => return Ok(false),
+                        None => self.residuals.push(atom),
+                    }
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    fn eval(&self, term: &Term) -> Result<Num, EngineError> {
+        Ok(match term {
+            Term::Const(r) => Num::Const(*r),
+            Term::Slot(slot) => Num::of(self.slot(*slot)?).ok_or_else(|| self.unbound(*slot))?,
+            Term::Add(a, b) => self.eval(a)?.plus(self.eval(b)?)?,
+            Term::Sub(a, b) => self.eval(a)?.minus(self.eval(b)?)?,
+            Term::Mul(a, b) => self.eval(a)?.times(self.eval(b)?)?,
+            Term::Neg(a) => self.eval(a)?.negated(),
+        })
+    }
+
+    fn bind(&mut self, slot: usize, value: &'a Value) {
+        if let Some(binding) = self.slots.get_mut(slot) {
+            *binding = Some(value);
+        }
+    }
+
+    fn slot(&self, slot: usize) -> Result<&'a Value, EngineError> {
+        self.slots.get(slot).copied().flatten().ok_or_else(|| self.unbound(slot))
+    }
+
+    fn unbound(&self, slot: usize) -> EngineError {
+        let var = self.join.names.get(slot).map_or_else(String::new, ToString::to_string);
+        EngineError::UnboundVariable { var }
+    }
+
+    fn value(&self, source: &'a Source) -> Result<&'a Value, EngineError> {
+        match source {
+            Source::Const(value) => Ok(value),
+            Source::Slot(slot) => self.slot(*slot),
         }
     }
 
     fn enumerate_uncovered(&mut self, i: usize) -> Result<(), EngineError> {
-        let uncovered = self.uncovered;
-        let Some((name, values)) = uncovered.get(i) else {
-            // All filters must be applied now (all variables bound).
-            let mut applied_here = Vec::new();
+        let join = self.join;
+        let Some(&(slot, values)) = join.uncovered.get(i) else {
             let residual_mark = self.residuals.len();
-            let ok = self.apply_ready_filters(&mut applied_here)?;
-            if ok {
+            if self.decide(&join.leaf_filters)? {
                 self.emit_row()?;
             }
             self.residuals.truncate(residual_mark);
-            self.unapply(applied_here);
             return Ok(());
         };
-        for value in *values {
+        for value in values {
             if self.done {
                 break;
             }
-            self.env.insert(name.clone(), Bound::from_value(value));
+            self.bind(slot, value);
             self.enumerate_uncovered(i + 1)?;
-            self.env.remove(name);
         }
         Ok(())
     }
 
     fn emit_row(&mut self) -> Result<(), EngineError> {
         // Build the candidate tuple.
-        let mut values = Vec::with_capacity(self.head.len());
-        for hb in self.head {
-            let value = match hb {
-                HeadBinding::Const(v) => v.clone(),
-                HeadBinding::Var(name) => match self.env.get(name) {
-                    Some(Bound::Base(val)) => val.clone(),
-                    Some(Bound::Num(p)) => poly_to_value(p).ok_or_else(|| {
-                        EngineError::NullComparison { comparison: format!("head value {p}") }
-                    })?,
-                    None => return Err(EngineError::UnboundVariable { var: name.to_string() }),
-                },
-            };
-            values.push(value);
+        let join = self.join;
+        let mut values = Vec::with_capacity(join.head.len());
+        for source in &join.head {
+            values.push(self.value(source)?.clone());
         }
         let tuple = Tuple::new(values);
 
@@ -849,14 +1116,14 @@ impl ReadFootprint {
     /// count and whether the scan ran to the end; `probes` holds
     /// `(depth, key hash)` per index probe.
     fn new(
-        plan: &[PlannedAtom<'_>],
+        steps: &[Step<'_>],
         db: &Database,
         enumerated: bool,
         scan: (usize, bool),
         probes: Vec<(usize, u64)>,
         sizes: Vec<SizeOrder>,
     ) -> ReadFootprint {
-        let scan = plan.first().filter(|atom| atom.index.is_none()).map(|atom| ScanRead {
+        let scan = steps.first().filter(|atom| atom.index.is_none()).map(|atom| ScanRead {
             relation: atom.relation.clone(),
             rows: scan.0,
             to_end: scan.1,
@@ -866,7 +1133,8 @@ impl ReadFootprint {
         let mut whole: Vec<Ident> = if enumerated {
             db.relations().iter().map(|r| Ident::from(r.schema().name())).collect()
         } else {
-            plan.iter()
+            steps
+                .iter()
                 .skip(1)
                 .filter(|atom| atom.index.is_none())
                 .map(|atom| atom.relation.clone())
@@ -881,7 +1149,7 @@ impl ReadFootprint {
         probes.sort_unstable();
         probes.dedup();
         let mut by_column: BTreeMap<(Ident, usize), Vec<u64>> = BTreeMap::new();
-        for (depth, atom) in plan.iter().enumerate() {
+        for (depth, atom) in steps.iter().enumerate() {
             let Some(&(column, _)) = atom.key.first() else { continue };
             let from = probes.partition_point(|&(d, _)| d < depth);
             let to = probes.partition_point(|&(d, _)| d <= depth);
@@ -1016,32 +1284,6 @@ impl<'a> WriteDelta<'a> {
             std::iter::once(first).chain(second)
         })
     }
-}
-
-/// The symbolic form of a numerical cell (`None` for a base value).
-fn num_cell(cell: &Value) -> Option<Polynomial> {
-    match cell {
-        Value::Num(r) => Some(Polynomial::constant(*r)),
-        Value::NumNull(id) => Some(Polynomial::var(null_var(*id))),
-        Value::Base(_) | Value::BaseNull(_) => None,
-    }
-}
-
-/// Converts a head polynomial back into a value: constants and single null
-/// variables only (free variables are bound via relation columns or domain
-/// enumeration, so this always succeeds for validated queries).
-fn poly_to_value(p: &Polynomial) -> Option<Value> {
-    if let Some(c) = p.as_constant() {
-        return Some(Value::Num(c));
-    }
-    let mut terms = p.terms();
-    if let (Some((m, c)), None) = (terms.next(), terms.next()) {
-        if *c == Rational::ONE && m.degree() == 1 {
-            let &(v, _) = m.factors().first()?;
-            return Some(Value::NumNull(qarith_types::NumNullId(v.0)));
-        }
-    }
-    None
 }
 
 #[cfg(test)]

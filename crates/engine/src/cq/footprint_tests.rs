@@ -132,12 +132,12 @@ fn delete(relation: &str, (key, num): (Value, Value)) -> WriteOp {
 fn assert_fires_alone(shape: Shape, limit: usize, before: &Database, ops: &[WriteOp], rule: usize) {
     let q = query(shape, before);
     let opts = CqOptions::with_candidate_limit(limit);
-    let (kept, footprint) = execute_recorded(&q, before, &opts).unwrap();
+    let (kept, footprint, _) = execute_recorded(&q, before, &opts).unwrap();
     let (rules, after) = fired(&footprint, before, ops);
     let mut want = [false; 5];
     want[rule] = true;
     assert_eq!(rules, want, "{shape:?}: {footprint:?}");
-    let (rerun, rerecorded) = execute_recorded(&q, &after, &opts).unwrap();
+    let (rerun, rerecorded, _) = execute_recorded(&q, &after, &opts).unwrap();
     assert!(
         summary(&rerun) != summary(&kept) || rerecorded != footprint,
         "{shape:?}: the write changed nothing the join read"
@@ -206,7 +206,7 @@ fn active_domain_enumeration_reads_every_relation_whole() {
         &before.catalog(),
     )
     .unwrap();
-    let (_, footprint) = execute_recorded(&q, &before, &CqOptions::default()).unwrap();
+    let (_, footprint, _) = execute_recorded(&q, &before, &CqOptions::default()).unwrap();
     for relation in ["R", "S"] {
         let (rules, _) = fired(&footprint, &before, &[insert(relation, row(4, 1))]);
         assert_eq!(rules, [false, false, false, false, true], "{relation}");
@@ -220,11 +220,11 @@ fn writes_that_miss_the_footprint_keep_it() {
     let before = db(&[row(1, 5), row(1, 2), row(2, 6), row(3, 1), row(4, 4)], &[row(1, 1)]);
     let q = query(Shape::SelfJoin, &before);
     let opts = CqOptions::with_candidate_limit(1);
-    let (kept, footprint) = execute_recorded(&q, &before, &opts).unwrap();
+    let (kept, footprint, _) = execute_recorded(&q, &before, &opts).unwrap();
     let ops = [delete("R", row(4, 4)), insert("R", row(9, 9)), insert("S", row(1, 0))];
     let (rules, after) = fired(&footprint, &before, &ops);
     assert_eq!(rules, [false; 5]);
-    let (rerun, rerecorded) = execute_recorded(&q, &after, &opts).unwrap();
+    let (rerun, rerecorded, _) = execute_recorded(&q, &after, &opts).unwrap();
     assert_eq!(summary(&rerun), summary(&kept));
     assert_eq!(rerecorded, footprint);
     // A no-op batch changes no relation, so nothing fires.
@@ -315,11 +315,11 @@ fn a_footprint_the_batch_misses_keeps_exact_candidates() {
         };
         let mut current = db(&rows(&mut rng), &rows(&mut rng));
         let q = query(shape, &current);
-        let (mut kept, mut footprint) = execute_recorded(&q, &current, &opts).unwrap();
+        let (mut kept, mut footprint, _) = execute_recorded(&q, &current, &opts).unwrap();
         for _ in 0..4 {
             let ops = batch(&mut rng, &current);
             let (rules, after) = fired(&footprint, &current, &ops);
-            let (rerun, rerecorded) = execute_recorded(&q, &after, &opts).unwrap();
+            let (rerun, rerecorded, _) = execute_recorded(&q, &after, &opts).unwrap();
             if rules.contains(&true) {
                 kept_and_dropped[case % 5][1] += 1;
                 (kept, footprint) = (rerun, rerecorded);

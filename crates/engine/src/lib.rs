@@ -41,5 +41,4 @@ pub mod ground;
 pub mod naive;
 
 pub use domain::ActiveDomain;
-pub use env::{term_to_polynomial, Bound, Env};
 pub use error::EngineError;

@@ -130,6 +130,11 @@ pub struct ServiceStats {
     /// replaces a plan not checked through its own epoch does not count
     /// here.
     pub plan_invalidations: u64,
+    /// Rows plan builds' joins matched against their atoms, summed over
+    /// every build ([`cq::execute_recorded`]'s row count): each row a
+    /// scan visits, and each row an index probe returns that holds the
+    /// whole key. An exact measure of the join's work.
+    pub join_rows: u64,
 }
 
 impl ServiceStats {
@@ -137,7 +142,7 @@ impl ServiceStats {
     /// order — the machine-readable export `serve_bench` serializes
     /// into `BENCH_*.json`. Names are part of the JSON schema: renaming
     /// one is a baseline-breaking change.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 9] {
+    pub fn as_pairs(&self) -> [(&'static str, u64); 10] {
         [
             ("queries", self.queries),
             ("plan_hits", self.plan_hits),
@@ -148,6 +153,7 @@ impl ServiceStats {
             ("writes", self.writes),
             ("write_ops", self.write_ops),
             ("plan_invalidations", self.plan_invalidations),
+            ("join_rows", self.join_rows),
         ]
     }
 }
@@ -247,6 +253,7 @@ pub struct QueryService {
     writes: AtomicU64,
     write_ops: AtomicU64,
     plan_invalidations: AtomicU64,
+    join_rows: AtomicU64,
     totals: BatchTotals,
     tracer: Tracer,
 }
@@ -372,6 +379,7 @@ impl QueryService {
             writes: AtomicU64::new(0),
             write_ops: AtomicU64::new(0),
             plan_invalidations: AtomicU64::new(0),
+            join_rows: AtomicU64::new(0),
             totals: BatchTotals::default(),
             tracer,
         }
@@ -677,8 +685,9 @@ impl QueryService {
     ) -> Result<(BatchPlan, ReadFootprint), ServeError> {
         let _span = trace.span(Stage::Prepare);
         let lowered = qarith_sql::compile(sql, &self.catalog)?;
-        let (candidates, footprint) =
+        let (candidates, footprint, rows) =
             cq::execute_recorded(&lowered.query, &snap.db, &lowered.cq_options())?;
+        self.join_rows.fetch_add(rows, Ordering::Relaxed);
         Ok((self.engine.prepare_batch(candidates), footprint))
     }
 
@@ -703,6 +712,7 @@ impl QueryService {
             writes: self.writes.load(Ordering::Relaxed),
             write_ops: self.write_ops.load(Ordering::Relaxed),
             plan_invalidations: self.plan_invalidations.load(Ordering::Relaxed),
+            join_rows: self.join_rows.load(Ordering::Relaxed),
         }
     }
 
