@@ -45,6 +45,7 @@ pub mod lexer;
 pub mod lints;
 pub mod scan;
 
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -66,8 +67,16 @@ pub fn in_scope(file: &str, prefixes: &[String]) -> bool {
 /// diagnostics. Returns findings sorted and deduplicated, with pragma
 /// suppression applied.
 pub fn analyze_source(rel_path: &str, source: &str, config: &Config) -> Vec<Finding> {
+    analyze(rel_path, source, false, config)
+}
+
+/// [`analyze_source`], for a file that is either shipped or, with
+/// `test_only`, compiled only into tests (see `test_only_files`): a
+/// test-only file is test code throughout, so only its pragmas are
+/// checked, as for an inline `#[cfg(test)]` module.
+fn analyze(rel_path: &str, source: &str, test_only: bool, config: &Config) -> Vec<Finding> {
     let lexed = lexer::lex(source);
-    let tokens = scan::strip_tests(&lexed.tokens);
+    let tokens = if test_only { Vec::new() } else { scan::strip_tests(&lexed.tokens) };
     let mut findings = Vec::new();
 
     // Malformed pragmas are findings themselves (and can never
@@ -153,6 +162,53 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
+/// The files among `files` that only test builds compile: every
+/// declaration of such a file in `files` is test code — a
+/// `#[cfg(test)] mod name;`, or any `mod name;` in a file that is
+/// itself test-only. The lints skip them, as they skip inline
+/// `#[cfg(test)]` items. A file that no file in `files` declares (a
+/// crate root, or a file named alone on the command line) is shipped.
+fn test_only_files(files: &[PathBuf]) -> io::Result<HashSet<PathBuf>> {
+    let known: HashSet<&PathBuf> = files.iter().collect();
+    // Declared file → (declaring file, declared as test code?).
+    let mut declared: HashMap<&PathBuf, Vec<(&PathBuf, bool)>> = HashMap::new();
+    for file in files {
+        let tokens = lexer::lex(&std::fs::read_to_string(file)?).tokens;
+        let shipped = scan::module_declarations(&scan::strip_tests(&tokens));
+        for name in scan::module_declarations(&tokens) {
+            let test = !shipped.contains(&name);
+            for path in module_paths(file, &name) {
+                if let Some(&child) = known.get(&path) {
+                    declared.entry(child).or_default().push((file, test));
+                }
+            }
+        }
+    }
+    let mut test_only: HashSet<PathBuf> = HashSet::new();
+    loop {
+        let before = test_only.len();
+        for (child, parents) in &declared {
+            if parents.iter().all(|(parent, test)| *test || test_only.contains(*parent)) {
+                test_only.insert((*child).clone());
+            }
+        }
+        if test_only.len() == before {
+            return Ok(test_only);
+        }
+    }
+}
+
+/// The two files `mod name;` in `parent` can name: `name.rs` or
+/// `name/mod.rs`, in the parent's own directory for a crate root or
+/// `mod.rs`, else in the directory named after the parent.
+fn module_paths(parent: &Path, name: &str) -> [PathBuf; 2] {
+    let dir = parent.parent().unwrap_or(Path::new(""));
+    let stem = parent.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+    let dir =
+        if matches!(stem, "lib" | "main" | "mod") { dir.to_path_buf() } else { dir.join(stem) };
+    [dir.join(format!("{name}.rs")), dir.join(name).join("mod.rs")]
+}
+
 /// Every `acquire` pattern of a `[[lock.class]]` and `wait` pattern of a
 /// `[[lock.condvar]]` in `config` that no call in `files` (test code
 /// excluded, as for the lints) matches. A dead pattern — the call it
@@ -166,7 +222,8 @@ pub fn dead_lock_patterns(files: &[PathBuf], config: &Config) -> io::Result<Vec<
         .chain(config.condvars.iter().flat_map(|rule| rule.wait.iter()))
         .cloned()
         .collect();
-    for file in files {
+    let test_only = test_only_files(files)?;
+    for file in files.iter().filter(|f| !test_only.contains(*f)) {
         let source = std::fs::read_to_string(file)?;
         lints::locks::retain_unmatched(
             &scan::strip_tests(&lexer::lex(&source).tokens),
@@ -177,14 +234,16 @@ pub fn dead_lock_patterns(files: &[PathBuf], config: &Config) -> io::Result<Vec<
 }
 
 /// Analyzes a list of files on disk against `config`, reporting paths
-/// relative to `root`.
+/// relative to `root`. A file that the list declares only by
+/// `#[cfg(test)] mod name;` (or only from such files) is test code.
 pub fn analyze_files(root: &Path, files: &[PathBuf], config: &Config) -> io::Result<Vec<Finding>> {
+    let test_only = test_only_files(files)?;
     let mut findings = Vec::new();
     for file in files {
         let rel = file.strip_prefix(root).unwrap_or(file);
         let rel = rel.to_string_lossy().replace('\\', "/");
         let source = std::fs::read_to_string(file)?;
-        findings.extend(analyze_source(&rel, &source, config));
+        findings.extend(analyze(&rel, &source, test_only.contains(file), config));
     }
     findings::sort(&mut findings);
     Ok(findings)

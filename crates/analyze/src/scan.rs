@@ -42,6 +42,23 @@ pub fn strip_tests(tokens: &[Token]) -> Vec<Token> {
     out
 }
 
+/// The names of the out-of-line modules a token stream declares
+/// (`mod name;`, whatever its attributes and visibility), in order.
+/// Inline modules (`mod name { … }`) declare no other file and are not
+/// listed. Run on [`strip_tests`] output, it lists the declarations a
+/// non-test build compiles.
+pub fn module_declarations(tokens: &[Token]) -> Vec<String> {
+    tokens
+        .windows(3)
+        .filter_map(|w| match (&w[0].tok, &w[1].tok, &w[2].tok) {
+            (Tok::Ident(kw), Tok::Ident(name), Tok::Punct(';')) if kw == "mod" => {
+                Some(name.clone())
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 /// Skips further attributes and then one item starting at `i`,
 /// returning the index just past it.
 fn skip_item(tokens: &[Token], mut i: usize) -> usize {
@@ -322,6 +339,14 @@ mod tests {
         let w = words(&stripped);
         assert!(w.contains(&"keep") && w.contains(&"keep2"));
         assert!(!w.contains(&"gone") && !w.contains(&"also_gone") && !w.contains(&"unwrap"));
+    }
+
+    #[test]
+    fn module_declarations_list_out_of_line_modules_only() {
+        let src = "mod a;\npub(crate) mod b;\n#[cfg(test)]\nmod c;\nmod inline { fn f() {} }";
+        let tokens = lex(src).tokens;
+        assert_eq!(module_declarations(&tokens), ["a", "b", "c"]);
+        assert_eq!(module_declarations(&strip_tests(&tokens)), ["a", "b"]);
     }
 
     #[test]

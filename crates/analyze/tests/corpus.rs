@@ -79,6 +79,27 @@ fn clean_fixtures_produce_no_findings() {
     }
 }
 
+#[test]
+fn a_module_file_declared_under_cfg_test_is_test_code() {
+    // `lib.rs` declares `helpers.rs` with `#[cfg(test)] mod helpers;`,
+    // `main.rs` declares the same file with a plain `mod helpers;`.
+    let root = corpus_root();
+    let cfg = corpus_config();
+    let analyze = |names: &[&str]| {
+        let files: Vec<PathBuf> =
+            names.iter().map(|n| root.join("request/test_module").join(n)).collect();
+        analyze_files(&root, &files, &cfg).expect("fixtures readable")
+    };
+    let as_test = analyze(&["lib.rs", "helpers.rs"]);
+    assert!(as_test.is_empty(), "a cfg(test)-declared file is test code: {as_test:?}");
+    let shipped = analyze(&["main.rs", "helpers.rs"]);
+    assert_eq!(shipped.len(), 1, "{shipped:?}");
+    assert_eq!(shipped[0].lint, "panic-unwrap");
+    assert_eq!(shipped[0].file, "request/test_module/helpers.rs");
+    // One shipped declaration makes the file shipped code.
+    assert_eq!(analyze(&["lib.rs", "main.rs", "helpers.rs"]), shipped);
+}
+
 fn run_cli(files: &[&str], deny_all: bool) -> std::process::Output {
     let root = corpus_root();
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_qarith-analyze"));

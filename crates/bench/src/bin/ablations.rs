@@ -1,25 +1,69 @@
-//! Accuracy-side ablation tables (the timing side lives in the criterion
-//! benches). Prints the measurements recorded in EXPERIMENTS.md:
+//! The paper's ablation tables. Prints the measurements recorded in
+//! EXPERIMENTS.md:
 //!
 //! * **V2** — the Proposition 6.1 arctangent family: exact arc values vs
 //!   AFPRAS estimates;
-//! * **A2** — FPRAS vs AFPRAS vs exact on CQ(+,<) cone unions;
+//! * **A1** — the §9 partial-vector sampling optimization against
+//!   sampling every null of the database;
+//! * **A2** — FPRAS vs AFPRAS on CQ(+,<) cone unions: accuracy against
+//!   exact values, then cost as the dimension grows;
 //! * **A3** — empirical additive error of the paper's `m = ε⁻²` sample
-//!   count vs the Hoeffding count, against exact order-fragment values.
+//!   count vs the Hoeffding count, against exact order-fragment values,
+//!   then the cost of each policy;
+//! * **A4** — AFPRAS cost as the ground formula grows in variables and
+//!   in disjuncts;
+//! * **A5** — AFPRAS cost across its `threads` option.
 //!
 //! ```text
 //! cargo run -p qarith-bench --release --bin ablations [-- --seed N]
 //! ```
 //!
-//! The seed governs every sampled column (the exact/closed-form columns
-//! are seed-free); it is printed in the header so each reported table
-//! is reproducible from its own output.
+//! Each timing is the fastest of [`REPS`] runs (noise only ever adds
+//! time) and is printed beside the run's exact work counters —
+//! directions drawn, sampled dimension, and hits or cones — which
+//! repeat bit for bit for a given seed. The seed governs every sampled
+//! column (the exact/closed-form columns are seed-free); it is printed
+//! in the header so each reported table is reproducible from its own
+//! output.
 
+use std::time::Instant;
+
+use qarith_bench::CompiledFormula;
 use qarith_constraints::{Atom, ConstraintOp, Polynomial, QfFormula, Var};
-use qarith_core::afpras::{self, AfprasOptions, SampleCount};
+use qarith_core::afpras::{self, AfprasOptions, AfprasOutcome, SampleCount};
 use qarith_core::exact;
 use qarith_core::fpras::{self, FprasOptions};
 use qarith_numeric::Rational;
+
+/// Runs per timed cell; each cell reports the fastest.
+const REPS: usize = 5;
+
+/// The fastest of [`REPS`] runs of `f`, in milliseconds, with the last
+/// run's result (every run computes the same deterministic value).
+fn min_of_reps<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut last = None;
+    for _ in 0..REPS {
+        let started = Instant::now();
+        let value = f();
+        best = best.min(started.elapsed().as_secs_f64() * 1e3);
+        last = Some(value);
+    }
+    (best, last.expect("REPS ≥ 1"))
+}
+
+/// Times the AFPRAS on `phi` under `opts`.
+fn timed_afpras(phi: &QfFormula, opts: &AfprasOptions) -> (f64, AfprasOutcome) {
+    min_of_reps(|| afpras::estimate_nu(phi, opts).expect("valid AFPRAS options"))
+}
+
+/// `opts` with the seed replaced when `--seed` was given.
+fn seeded(mut opts: AfprasOptions, seed: Option<u64>) -> AfprasOptions {
+    if let Some(s) = seed {
+        opts.seed = s;
+    }
+    opts
+}
 
 fn z(i: u32) -> Polynomial {
     Polynomial::var(Var(i))
@@ -49,22 +93,29 @@ fn main() {
         }
         i += 1;
     }
-    println!("qarith — accuracy ablations (V2, A2, A3)");
+    println!("qarith — ablations (V2, A1–A5)");
     // Keep the historical default streams (the EXPERIMENTS.md pins):
-    // without --seed, V2/A2 use the evaluators' option-default seeds and
-    // A3 sweeps seeds 1000..1049; --seed N shifts every stream.
+    // without --seed, the A3 error table sweeps seeds 1000..1049 and
+    // every other sampled column uses its evaluator's option-default
+    // seed; --seed N shifts every stream.
     match seed {
         Some(s) => {
             println!("seed: {s} (rerun with --seed {s} to reproduce every sampled column)\n");
         }
         None => println!(
-            "seed: defaults (V2/A2: evaluator option defaults; A3: 1000..1049 — the \
+            "seed: defaults (evaluator option defaults; the A3 error table: 1000..1049 — the \
              EXPERIMENTS.md streams; rerun with --seed N to shift them)\n"
         ),
     }
+    println!("timings: fastest of {REPS} runs, in ms\n");
     proposition_6_1_table(seed);
+    partial_sampling_table(seed);
     fpras_accuracy_table(seed);
+    fpras_cost_table(seed);
     sample_count_error_table(seed);
+    sample_count_cost_table(seed);
+    scaling_tables(seed);
+    threads_table(seed);
 }
 
 /// V2: μ = (arctan(α) + π/2)/2π for the wedge x ≥ 0 ∧ y ≤ α·x.
@@ -72,10 +123,7 @@ fn proposition_6_1_table(seed: Option<u64>) {
     println!("== V2: Proposition 6.1 arctangent family ==");
     println!("wedge: z0 ≥ 0 ∧ z1 ≤ α·z0; closed form (arctan α + π/2)/2π");
     println!("{:>6}  {:>12}  {:>12}  {:>12}", "α", "closed form", "exact arcs", "AFPRAS ε=.01");
-    let mut opts = AfprasOptions { epsilon: 0.01, ..AfprasOptions::default() };
-    if let Some(s) = seed {
-        opts.seed = s;
-    }
+    let opts = seeded(AfprasOptions { epsilon: 0.01, ..AfprasOptions::default() }, seed);
     for alpha in [-3.0f64, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0] {
         let a = Polynomial::constant(Rational::parse_decimal(&alpha.to_string()).unwrap());
         let phi = QfFormula::and([
@@ -125,11 +173,10 @@ fn fpras_accuracy_table(seed: Option<u64>) {
         ),
     ];
     let mut f_opts = FprasOptions { epsilon: 0.05, ..FprasOptions::default() };
-    let mut a_opts = AfprasOptions { epsilon: 0.01, ..AfprasOptions::default() };
     if let Some(s) = seed {
         f_opts.seed = s;
-        a_opts.seed = s;
     }
+    let a_opts = seeded(AfprasOptions { epsilon: 0.01, ..AfprasOptions::default() }, seed);
     for (name, phi, expected) in workloads {
         let f = fpras::estimate_nu(&phi, &f_opts).unwrap().estimate;
         let a = afpras::estimate_nu(&phi, &a_opts).unwrap().estimate;
@@ -137,6 +184,13 @@ fn fpras_accuracy_table(seed: Option<u64>) {
     }
     println!();
 }
+
+/// The A3 sample-count policies: label, policy, δ.
+const POLICIES: [(&str, SampleCount, f64); 3] = [
+    ("paper m=eps^-2", SampleCount::Paper, 0.25),
+    ("hoeffding d=0.25", SampleCount::Hoeffding, 0.25),
+    ("hoeffding d=0.01", SampleCount::Hoeffding, 0.01),
+];
 
 /// A3: empirical |error| of the two sample-count policies over 50 seeds,
 /// against the exact order-fragment value.
@@ -151,11 +205,7 @@ fn sample_count_error_table(seed: Option<u64>) {
     println!("workload: z0<z1<z2, exact ν = {truth:.6}");
     println!("{:>6}  {:>22}  {:>9}  {:>10}  {:>10}", "ε", "policy", "m", "mean|err|", "max|err|");
     for eps in [0.1, 0.05, 0.02] {
-        for (label, policy, delta) in [
-            ("paper m=eps^-2", SampleCount::Paper, 0.25),
-            ("hoeffding d=0.25", SampleCount::Hoeffding, 0.25),
-            ("hoeffding d=0.01", SampleCount::Hoeffding, 0.01),
-        ] {
+        for (label, policy, delta) in POLICIES {
             let mut opts =
                 AfprasOptions { epsilon: eps, delta, samples: policy, ..AfprasOptions::default() };
             let m = opts.sample_count();
@@ -173,6 +223,179 @@ fn sample_count_error_table(seed: Option<u64>) {
             }
             println!("{eps:>6}  {label:>22}  {m:>9}  {:>10.5}  {max:>10.5}", sum / runs as f64);
         }
+    }
+    println!();
+}
+
+/// A1: the §9 partial-vector sampling optimization — sample only the
+/// formula's coordinates, or all |N_num(D)| of them and project.
+fn partial_sampling_table(seed: Option<u64>) {
+    println!("== A1: partial-vector sampling (§9) ==");
+    // A formula over 4 nulls, in databases with growing null counts.
+    let phi = QfFormula::and([
+        atom(z(0), ConstraintOp::Gt),
+        atom(z(1) - z(0), ConstraintOp::Gt),
+        QfFormula::or([atom(z(2), ConstraintOp::Lt), atom(z(3) - z(2), ConstraintOp::Gt)]),
+    ]);
+    let base = seeded(
+        AfprasOptions { epsilon: 0.05, samples: SampleCount::Paper, ..AfprasOptions::default() },
+        seed,
+    );
+    println!("workload: 4-null formula, ε = 0.05 (m = ⌈ε⁻²⌉)");
+    println!(
+        "{:<24}  {:>11}  {:>10}  {:>6}  {:>10}",
+        "mode", "sampled dim", "directions", "hits", "ms"
+    );
+    for (label, full) in [
+        ("partial (paper)", None),
+        ("full vector", Some(100)),
+        ("full vector", Some(1_000)),
+        ("full vector", Some(10_000)),
+    ] {
+        let opts = AfprasOptions { full_dimension: full, ..base.clone() };
+        let (ms, out) = timed_afpras(&phi, &opts);
+        let sampled = full.map_or(out.dimension, |n| n.max(out.dimension));
+        println!("{label:<24}  {sampled:>11}  {:>10}  {:>6}  {ms:>10.3}", out.samples, out.hits);
+    }
+    println!();
+}
+
+/// A union of two disjoint n-dimensional cones (two opposite orthants).
+fn cone_union(n: u32) -> QfFormula {
+    let orthant = |op| QfFormula::and((0..n).map(|i| atom(z(i), op)));
+    QfFormula::or([orthant(ConstraintOp::Gt), orthant(ConstraintOp::Lt)])
+}
+
+/// A2, cost side: both schemes on cone unions of growing dimension.
+fn fpras_cost_table(seed: Option<u64>) {
+    println!("== A2: FPRAS vs AFPRAS cost on cone unions ==");
+    let mut f_opts = FprasOptions { epsilon: 0.1, ..FprasOptions::default() };
+    if let Some(s) = seed {
+        f_opts.seed = s;
+    }
+    let a_opts = seeded(AfprasOptions { epsilon: 0.05, ..AfprasOptions::default() }, seed);
+    println!("workload: two opposite orthants in n dimensions; FPRAS ε = 0.1, AFPRAS ε = 0.05");
+    println!(
+        "{:>3}  {:>6}  {:>13}  {:>10}  {:>12}  {:>11}  {:>10}",
+        "n", "cones", "FPRAS samples", "FPRAS ms", "AFPRAS dirs", "AFPRAS hits", "AFPRAS ms"
+    );
+    for n in [2u32, 4, 6] {
+        let phi = cone_union(n);
+        let (f_ms, f) = min_of_reps(|| fpras::estimate_nu(&phi, &f_opts).expect("linear"));
+        let (a_ms, a) = timed_afpras(&phi, &a_opts);
+        println!(
+            "{n:>3}  {:>6}  {:>13}  {f_ms:>10.3}  {:>12}  {:>11}  {a_ms:>10.3}",
+            f.cones, f.samples, a.samples, a.hits
+        );
+    }
+    println!();
+}
+
+/// A3, cost side: the three sample-count policies on a 2-D wedge.
+fn sample_count_cost_table(seed: Option<u64>) {
+    println!("== A3: cost of each sample-count policy ==");
+    let seven_tenths = Polynomial::constant(Rational::new(7, 10));
+    let phi = QfFormula::and([
+        atom(z(0), ConstraintOp::Ge),
+        atom(
+            seven_tenths.checked_mul(&z(1)).unwrap().checked_sub(&z(0)).unwrap(),
+            ConstraintOp::Ge,
+        ),
+    ]);
+    println!("workload: wedge z0 ≥ 0 ∧ 0.7·z1 ≥ z0");
+    println!("{:>6}  {:>22}  {:>10}  {:>6}  {:>10}", "ε", "policy", "directions", "hits", "ms");
+    for eps in [0.05, 0.02] {
+        for (label, samples, delta) in POLICIES {
+            let opts = seeded(
+                AfprasOptions { epsilon: eps, delta, samples, ..AfprasOptions::default() },
+                seed,
+            );
+            let (ms, out) = timed_afpras(&phi, &opts);
+            println!("{eps:>6}  {label:>22}  {:>10}  {:>6}  {ms:>10.3}", out.samples, out.hits);
+        }
+    }
+    println!();
+}
+
+/// A4: AFPRAS cost as the ground formula grows — in variables (a chain
+/// z0 < z1 < … < z_{n−1}) and in disjuncts (a candidate with d
+/// derivations over 4 nulls).
+fn scaling_tables(seed: Option<u64>) {
+    let opts = seeded(
+        AfprasOptions { epsilon: 0.05, samples: SampleCount::Paper, ..AfprasOptions::default() },
+        seed,
+    );
+    let header = |axis: &str| {
+        println!(
+            "{axis:>9}  {:>5}  {:>11}  {:>10}  {:>6}  {:>10}",
+            "atoms", "sampled dim", "directions", "hits", "ms"
+        );
+    };
+    let row = |size: i64, phi: &QfFormula| {
+        let atoms = CompiledFormula::compile(phi).atom_count();
+        let (ms, out) = timed_afpras(phi, &opts);
+        println!(
+            "{size:>9}  {atoms:>5}  {:>11}  {:>10}  {:>6}  {ms:>10.3}",
+            out.dimension, out.samples, out.hits
+        );
+    };
+    println!("== A4: scaling in variables (chain z0 < … < z_(n−1), ε = 0.05) ==");
+    header("variables");
+    for n in [2u32, 4, 8, 16, 32] {
+        let chain = QfFormula::and(
+            (0..n - 1).map(|i| atom(z(i).checked_sub(&z(i + 1)).unwrap(), ConstraintOp::Lt)),
+        );
+        row(i64::from(n), &chain);
+    }
+    println!("\n== A4: scaling in disjuncts (d derivations over 4 nulls, ε = 0.05) ==");
+    header("disjuncts");
+    for d in [1i64, 8, 64, 256] {
+        let dnf = QfFormula::or((0..d).map(|k| {
+            let shifted = z(0).checked_sub(&Polynomial::constant(Rational::from_int(k))).unwrap();
+            let (i, j) = ((k % 4) as u32, ((k + 1) % 4) as u32);
+            QfFormula::and([
+                atom(shifted, ConstraintOp::Gt),
+                atom(z(i).checked_sub(&z(j)).unwrap(), ConstraintOp::Lt),
+            ])
+        }));
+        row(d, &dnf);
+    }
+    println!();
+}
+
+/// A5: the AFPRAS `threads` option, which splits the m directions
+/// across workers with one deterministic RNG stream each — so hits
+/// depend on the thread count, and repeat for each.
+fn threads_table(seed: Option<u64>) {
+    println!("== A5: AFPRAS threads (m = 10,000, ε = 0.01) ==");
+    // A 64-disjunct DNF over 8 variables with quadratic atoms.
+    let phi = QfFormula::or((0..64i64).map(|k| {
+        let (i, j) = ((k % 8) as u32, ((k + 3) % 8) as u32);
+        QfFormula::and([
+            atom(z(i).checked_mul(&z(i)).unwrap().checked_sub(&z(j)).unwrap(), ConstraintOp::Lt),
+            atom(z(j).checked_sub(&z(i)).unwrap(), ConstraintOp::Gt),
+        ])
+    }));
+    println!("workload: 64 disjuncts of two quadratic atoms over 8 variables");
+    println!(
+        "{:>7}  {:>11}  {:>10}  {:>6}  {:>10}",
+        "threads", "sampled dim", "directions", "hits", "ms"
+    );
+    for threads in [1usize, 2, 4, 8] {
+        let opts = seeded(
+            AfprasOptions {
+                epsilon: 0.01,
+                samples: SampleCount::Paper,
+                threads,
+                ..AfprasOptions::default()
+            },
+            seed,
+        );
+        let (ms, out) = timed_afpras(&phi, &opts);
+        println!(
+            "{threads:>7}  {:>11}  {:>10}  {:>6}  {ms:>10.3}",
+            out.dimension, out.samples, out.hits
+        );
     }
     println!();
 }

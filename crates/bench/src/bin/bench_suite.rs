@@ -7,8 +7,7 @@
 //! cargo run --release -p qarith-bench --bin bench_suite -- \
 //!     [--scale tiny|small|medium|paper] [--seed N] \
 //!     [--families sales,range,division] [--epsilons 0.1,0.05,0.02] \
-//!     [--threads N] [--reps N] [--serving-threads N] [--serving-passes N] \
-//!     [--out PATH]
+//!     [--reps N] [--serving-threads N] [--serving-passes N] [--out PATH]
 //! ```
 //!
 //! The tiny-scale default configuration is what `bench_gate` checks
@@ -23,7 +22,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!("{msg}");
     eprintln!(
         "usage: bench_suite [--scale tiny|small|medium|paper] [--seed N] \
-         [--families LIST] [--epsilons LIST] [--threads N] [--reps N] \
+         [--families LIST] [--epsilons LIST] [--reps N] \
          [--serving-threads N] [--serving-passes N] [--out PATH]"
     );
     ExitCode::from(2)
@@ -70,10 +69,6 @@ fn main() -> ExitCode {
                     _ => return usage("--epsilons expects a comma list in [0.0001, 0.5]"),
                 }
             }
-            "--threads" => match value().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => config.threads = n,
-                _ => return usage("--threads expects a positive integer"),
-            },
             "--reps" => match value().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => config.reps = n,
                 _ => return usage("--reps expects a positive integer"),
@@ -97,12 +92,11 @@ fn main() -> ExitCode {
 
     println!("qarith bench_suite — workload sweep");
     println!(
-        "scale {}  seed {}  families [{}]  ε ladder {:?}  batch threads {}",
+        "scale {}  seed {}  families [{}]  ε ladder {:?}",
         config.scale.name(),
         config.seed,
         config.families.iter().map(QueryFamily::name).collect::<Vec<_>>().join(", "),
         config.epsilons,
-        config.threads
     );
 
     let started = std::time::Instant::now();

@@ -89,8 +89,9 @@ fn main() -> ExitCode {
         report.scalar_directions_per_sec, report.scalar_seconds
     );
     println!(
-        "speedup {:.2}x  hits digest {}  allocs/sample {}  (bit-identity asserted in-run)",
-        report.speedup, report.hits_digest, report.allocs_per_sample
+        "speedup {:.2}x  hits digest {}  (bit-identity and allocation-free hot loop asserted \
+         in-run)",
+        report.speedup, report.hits_digest
     );
 
     std::fs::write(&out_path, report.doc().to_json()).expect("write kernel json");

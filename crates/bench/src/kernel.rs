@@ -6,7 +6,7 @@
 //! sampled dimension (`estimate_nu_compiled_many`) — under a hard
 //! bit-pinning contract: hits (and therefore every checked-in certainty
 //! digest) must be unchanged. This module measures that kernel in
-//! isolation, on the real workload's compiled formulas, and pins three
+//! isolation, on the real workload's compiled formulas, and reports two
 //! things in the `kernel` kind of the one bench document
 //! ([`KernelReport::doc`]) that CI gates against a checked-in baseline
 //! (`baselines/KERNEL_tiny.json`):
@@ -15,11 +15,6 @@
 //!   (dimension, atom count, hit count). The hit counts are bit-pinned,
 //!   so the digest must match *exactly* across machines; any drift is a
 //!   kernel regression.
-//! * **allocs per sample** — the hot loop allocates nothing: the SoA
-//!   block and the evaluator scratch are asserted pointer- and
-//!   capacity-stable across the whole run (`#![forbid(unsafe_code)]`
-//!   rules out a counting allocator, so stability of the owned buffers
-//!   is the observable). Pinned at 0.
 //! * **directions/sec** — blocked-kernel throughput, gated with a
 //!   relative tolerance ([`THROUGHPUT_TOLERANCE`]): a microbench timing
 //!   a ~6 ms hot loop sees more relative runner noise than the
@@ -31,6 +26,11 @@
 //!   shared SoA block per dimension group where the scalar reference
 //!   re-draws per formula — amortization the per-formula stream
 //!   derivation makes invisible to results.
+//!
+//! Every run also asserts that the hot loop allocates nothing: the SoA
+//! block and the evaluator scratch keep their pointer and capacity
+//! across the whole run (`#![forbid(unsafe_code)]` rules out a counting
+//! allocator, so stability of the owned buffers is the observable).
 //!
 //! Every run also re-executes the pre-blocking scalar reference (one
 //! `Vec` per draw, memoized short-circuit evaluation) and asserts its
@@ -105,9 +105,6 @@ pub struct KernelReport {
     /// Deterministic hex digest over every formula's (dim, atoms,
     /// hits). Bit-pinned: must match the baseline exactly.
     pub hits_digest: String,
-    /// Heap allocations per sample in the hot loop, pinned by buffer
-    /// stability assertions. Always 0.
-    pub allocs_per_sample: u64,
     /// Blocked-kernel seconds for one pass over all formulas (min over
     /// reps).
     pub blocked_seconds: f64,
@@ -161,9 +158,7 @@ fn scalar_reference_hits(compiled: &CompiledFormula, seed: u64, quota: usize) ->
 /// Drives the blocked hot loop directly and asserts it never
 /// reallocates: the SoA block keeps its pointer and capacity, the
 /// evaluator scratch keeps its capacity, across every iteration.
-/// Returns the pinned allocs-per-sample figure (0) so the call site
-/// reads as what it records.
-fn assert_hot_loop_allocation_free(compiled: &CompiledFormula, seed: u64, quota: usize) -> u64 {
+fn assert_hot_loop_allocation_free(compiled: &CompiledFormula, seed: u64, quota: usize) {
     const BLOCK: usize = 64;
     let dim = compiled.dim();
     let block = quota.clamp(1, BLOCK);
@@ -185,12 +180,11 @@ fn assert_hot_loop_allocation_free(compiled: &CompiledFormula, seed: u64, quota:
         );
         remaining -= count;
     }
-    0
 }
 
 /// Runs the kernel benchmark: blocked kernel and scalar reference over
 /// the workload's formulas, hit-count bit-identity asserted inline,
-/// buffers pinned allocation-free, timings min-of-reps.
+/// buffers asserted allocation-free, timings min-of-reps.
 pub fn run_kernel(config: &KernelConfig) -> KernelReport {
     let formulas = workload_formulas(config);
     assert!(!formulas.is_empty(), "workload produced no sampled formulas");
@@ -228,10 +222,10 @@ pub fn run_kernel(config: &KernelConfig) -> KernelReport {
         hits = blocked;
     }
 
-    // The allocation pin, on the widest formula (the one whose buffers
-    // would be likeliest to grow).
+    // The allocation check, on the widest formula (the one whose
+    // buffers would be likeliest to grow).
     let widest = formulas.iter().max_by_key(|c| c.dim()).expect("non-empty");
-    let allocs_per_sample = assert_hot_loop_allocation_free(widest, sample_seed, m);
+    assert_hot_loop_allocation_free(widest, sample_seed, m);
 
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     (formulas.len() as u64).hash(&mut hasher);
@@ -252,7 +246,6 @@ pub fn run_kernel(config: &KernelConfig) -> KernelReport {
         directions_per_formula: m as u64,
         directions_total,
         hits_digest,
-        allocs_per_sample,
         blocked_seconds,
         scalar_seconds,
         directions_per_sec: directions_total as f64 / blocked_seconds.max(1e-12),
@@ -265,7 +258,7 @@ impl KernelReport {
     /// The run as a `kernel` document:
     ///
     /// * `config` — scale, seed, reps, directions per formula;
-    /// * `pinned` — the hits digest and allocs per sample;
+    /// * `pinned` — the hits digest;
     /// * `counters` — the formula census (formulas, max dimension,
     ///   atoms) and directions per pass;
     /// * `timings` — `directions_per_sec`, higher is better within
@@ -281,10 +274,7 @@ impl KernelReport {
                 ("reps", Json::num_u64(self.reps)),
                 ("directions_per_formula", Json::num_u64(self.directions_per_formula)),
             ]),
-            pinned: Json::obj([
-                ("hits_digest", Json::str(&self.hits_digest)),
-                ("allocs_per_sample", Json::num_u64(self.allocs_per_sample)),
-            ]),
+            pinned: Json::obj([("hits_digest", Json::str(&self.hits_digest))]),
             counters: Json::obj([
                 ("formulas", Json::num_u64(self.formulas)),
                 ("max_dim", Json::num_u64(self.max_dim)),
@@ -319,7 +309,6 @@ mod tests {
         let (a, b) = (run_kernel(&config).doc(), run_kernel(&config).doc());
         assert_eq!((&a.config, &a.pinned, &a.counters), (&b.config, &b.pinned, &b.counters));
         let count = |key: &str| a.counters.get(key).and_then(Json::as_u64).expect("counter");
-        assert_eq!(a.pinned.get("allocs_per_sample").and_then(Json::as_u64), Some(0));
         assert!(count("formulas") > 0 && count("max_dim") > 0);
         assert_eq!(count("directions_total"), count("formulas") * 128);
     }

@@ -1,5 +1,5 @@
 //! Shared harness for the paper's evaluation (§9, Figure 1), the
-//! ablation studies listed in DESIGN.md, the multi-scale workload
+//! ablation studies of the `ablations` bin, the multi-scale workload
 //! suite ([`suite`], bin `bench_suite`), the serving load generator
 //! ([`serve`], bin `serve_bench`), and the sampling-kernel microbench
 //! ([`kernel`], bin `kernel_bench`). Each of those runs reports the one
@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 
 use qarith_core::afpras::{estimate_nu_compiled_many, AfprasOptions, SampleCount};
 use qarith_core::{
-    BatchOptions, BatchStats, CertaintyEngine, CertaintyEstimate, MeasureOptions, MethodChoice,
-    NuCache, RewriteOptions,
+    BatchStats, CertaintyEngine, CertaintyEstimate, MeasureOptions, MethodChoice, NuCache,
+    RewriteOptions,
 };
 use qarith_datagen::sales::SalesScale;
 use qarith_datagen::{QueryFamily, WorkloadSpec};
@@ -203,8 +203,8 @@ impl Fig1Harness {
 
     /// An engine configured like [`Fig1Harness::run_epsilon`]'s
     /// measurement phase — forced AFPRAS, the paper's `m = ⌈ε⁻²⌉`
-    /// prescription — with the given batch fan-out.
-    pub fn paper_engine(epsilon: f64, seed: u64, batch: BatchOptions) -> CertaintyEngine {
+    /// prescription — with canonical dedup on.
+    pub fn paper_engine(epsilon: f64, seed: u64) -> CertaintyEngine {
         CertaintyEngine::new(MeasureOptions {
             method: MethodChoice::Afpras,
             afpras: AfprasOptions {
@@ -213,24 +213,22 @@ impl Fig1Harness {
                 seed,
                 ..AfprasOptions::default()
             },
-            batch,
             ..MeasureOptions::default()
         })
     }
 
     /// Runs the approximation phase of one query at one ε through the
-    /// batch engine (canonical dedup + parallel fan-out + optional
-    /// ν-cache), timing it. For a fixed seed the estimates are
-    /// bit-identical to [`Fig1Harness::run_epsilon`].
+    /// batch engine (canonical dedup + optional ν-cache), timing it.
+    /// For a fixed seed the estimates are bit-identical to
+    /// [`Fig1Harness::run_epsilon`].
     pub fn run_epsilon_batch(
         &self,
         query_idx: usize,
         epsilon: f64,
         seed: u64,
-        batch: BatchOptions,
         cache: Option<Arc<NuCache>>,
     ) -> BatchPoint {
-        self.run_engine(Fig1Harness::paper_engine(epsilon, seed, batch), query_idx, epsilon, cache)
+        self.run_engine(Fig1Harness::paper_engine(epsilon, seed), query_idx, epsilon, cache)
     }
 
     /// Like [`Fig1Harness::run_epsilon_batch`] but with the
@@ -244,10 +242,9 @@ impl Fig1Harness {
         query_idx: usize,
         epsilon: f64,
         seed: u64,
-        batch: BatchOptions,
         cache: Option<Arc<NuCache>>,
     ) -> BatchPoint {
-        let mut engine = Fig1Harness::paper_engine(epsilon, seed, batch);
+        let mut engine = Fig1Harness::paper_engine(epsilon, seed);
         let options = engine.options().clone().with_rewrite(RewriteOptions::full());
         engine = CertaintyEngine::new(options);
         self.run_engine(engine, query_idx, epsilon, cache)
@@ -282,7 +279,7 @@ pub struct BatchPoint {
     pub epsilon: f64,
     /// Wall-clock time of the batch measurement phase.
     pub time: Duration,
-    /// Dedup/cache/parallelism accounting.
+    /// Dedup/cache accounting.
     pub stats: BatchStats,
     /// The certainty estimates (one per candidate, certain ones = 1).
     pub estimates: Vec<CertaintyEstimate>,
@@ -330,13 +327,7 @@ mod tests {
         let harness = Fig1Harness::new(&SalesScale::tiny(), 11);
         for (qi, _) in harness.queries.iter().enumerate() {
             let sequential = harness.run_epsilon(qi, 0.1, 7);
-            let batch = harness.run_epsilon_batch(
-                qi,
-                0.1,
-                7,
-                BatchOptions { threads: 4, dedup: true },
-                Some(Arc::new(NuCache::default())),
-            );
+            let batch = harness.run_epsilon_batch(qi, 0.1, 7, Some(Arc::new(NuCache::default())));
             assert_eq!(sequential.estimates.len(), batch.estimates.len());
             for (s, b) in sequential.estimates.iter().zip(&batch.estimates) {
                 assert_eq!(s.value.to_bits(), b.value.to_bits(), "query {qi}");

@@ -5,9 +5,9 @@
 //! population, an ε, and a client configuration. [`run_serve_bench`]:
 //!
 //! 1. builds the database and a [`QueryService`] over it (forced
-//!    AFPRAS at the paper's `m = ⌈ε⁻²⌉` prescription, per-request
-//!    fan-out 1 — concurrency comes from the clients, as in a server
-//!    handling parallel sessions);
+//!    AFPRAS at the paper's `m = ⌈ε⁻²⌉` prescription — concurrency
+//!    comes from the clients, as in a server handling parallel
+//!    sessions);
 //! 2. runs a **sequential reference pass** (one thread, each template
 //!    once) and pins every certainty bit into a digest — this also
 //!    warms the plan cache, so the timed phase measures serving, not

@@ -6,7 +6,7 @@
 //!
 //! * `seq` — the paper's per-candidate AFPRAS loop
 //!   ([`crate::Fig1Harness::run_epsilon`]);
-//! * `batch` — the canonical-dedup + parallel fan-out engine
+//! * `batch` — the canonical-dedup engine with a ν-cache
 //!   (bit-identical estimates to `seq` for a fixed seed);
 //! * `rewrite` — the simplification + independence-decomposition
 //!   pipeline (ε-additive, not bit-identical) —
@@ -32,7 +32,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use qarith_core::{BatchOptions, BatchStats, NuCache};
+use qarith_core::{BatchStats, NuCache};
 use qarith_datagen::{database_digest, QueryFamily, WorkloadScale, WorkloadSpec};
 
 use crate::doc::{counters, BenchDoc, Timing};
@@ -65,8 +65,6 @@ pub struct SuiteConfig {
     pub families: Vec<QueryFamily>,
     /// The ε ladder (each point runs all three pipelines).
     pub epsilons: Vec<f64>,
-    /// Worker threads for the batch engine.
-    pub threads: usize,
     /// Timed cold repetitions per point (fresh caches each rep); the
     /// recorded wall time is the **minimum** over them (the
     /// noise-robust estimator — scheduler interference only ever adds
@@ -81,23 +79,17 @@ pub struct SuiteConfig {
 
 impl SuiteConfig {
     /// The default configuration at a scale: all three families, the
-    /// default ε ladder, 4 batch workers, a 4-client × 3-pass serving
-    /// phase.
+    /// default ε ladder, 3 reps, a 4-client × 3-pass serving phase.
     pub fn default_for(scale: WorkloadScale) -> SuiteConfig {
         SuiteConfig {
             scale,
             seed: 2020,
             families: QueryFamily::all().to_vec(),
             epsilons: default_epsilons(),
-            threads: 4,
             reps: 3,
             serving_threads: 4,
             serving_passes: 3,
         }
-    }
-
-    fn batch(&self) -> BatchOptions {
-        BatchOptions { threads: self.threads, dedup: true }
     }
 }
 
@@ -113,10 +105,8 @@ pub struct PointReport {
     /// Monte-Carlo directions actually sampled (certain candidates and
     /// dedup/cache-served estimates contribute 0).
     pub directions: u64,
-    /// Batch accounting ([`BatchStats::as_pairs`] names, without
-    /// `threads`: the engine caps it at the host's parallelism, so it
-    /// describes the host, not the run); `None` for the sequential
-    /// pipeline, which has no batch machinery.
+    /// Batch accounting ([`BatchStats::as_pairs`] names); `None` for
+    /// the sequential pipeline, which has no batch machinery.
     pub batch: Option<Vec<(&'static str, u64)>>,
     /// Rewrite accounting ([`qarith_core::RewriteStats::as_pairs`]
     /// names); `None` unless the pipeline rewrites.
@@ -193,7 +183,7 @@ fn batch_point_report(pipeline: &str, point: &BatchPoint, rewrites: bool) -> Poi
         epsilon: point.epsilon,
         seconds: secs(point.time),
         directions: fresh_directions(&point.estimates),
-        batch: Some(point.stats.as_pairs().into_iter().filter(|(k, _)| *k != "threads").collect()),
+        batch: Some(point.stats.as_pairs().to_vec()),
         rewrite: rewrites.then(|| rewrite.as_pairs().to_vec()),
         certainties: point.estimates.iter().map(|e| e.value).collect(),
     }
@@ -203,7 +193,7 @@ fn batch_point_report(pipeline: &str, point: &BatchPoint, rewrites: bool) -> Poi
 ///
 /// Estimator invariants are asserted inline: batch estimates must be
 /// bit-identical to sequential ones, rewritten estimates within 2ε of
-/// them (the same checks `fig1 --rewrite` enforces).
+/// them.
 pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
     let sample_seed = config.seed ^ 0xF1616;
     let mut families = Vec::with_capacity(config.families.len());
@@ -243,31 +233,16 @@ pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
                     let cold_seq = harness.run_epsilon(qi, eps, sample_seed);
                     seq_secs = seq_secs.min(secs(cold_seq.time));
                     seq_point = Some(cold_seq);
-                    let cold = harness.run_epsilon_batch(
-                        qi,
-                        eps,
-                        sample_seed,
-                        config.batch(),
-                        Some(Arc::new(NuCache::default())),
-                    );
+                    let cold =
+                        harness.run_epsilon_batch(qi, eps, sample_seed, Some(Arc::default()));
                     batch_secs = batch_secs.min(secs(cold.time));
-                    let cold_rw = harness.run_epsilon_rewritten(
-                        qi,
-                        eps,
-                        sample_seed,
-                        config.batch(),
-                        Some(Arc::new(NuCache::default())),
-                    );
+                    let cold_rw =
+                        harness.run_epsilon_rewritten(qi, eps, sample_seed, Some(Arc::default()));
                     rewrite_secs = rewrite_secs.min(secs(cold_rw.time));
                 }
                 let seq = seq_point.expect("reps ≥ 1");
-                let batch = harness.run_epsilon_batch(
-                    qi,
-                    eps,
-                    sample_seed,
-                    config.batch(),
-                    Some(batch_cache.clone()),
-                );
+                let batch =
+                    harness.run_epsilon_batch(qi, eps, sample_seed, Some(batch_cache.clone()));
                 for (s, b) in seq.estimates.iter().zip(&batch.estimates) {
                     assert_eq!(
                         s.value.to_bits(),
@@ -281,7 +256,6 @@ pub fn run_suite(config: &SuiteConfig) -> SuiteReport {
                     qi,
                     eps,
                     sample_seed,
-                    config.batch(),
                     Some(rewrite_cache.clone()),
                 );
                 for (s, r) in seq.estimates.iter().zip(&rewritten.estimates) {
@@ -338,12 +312,11 @@ type FamilyHarness = (QueryFamily, Fig1Harness, Arc<NuCache>, Arc<NuCache>);
 /// The warm-ν-cache serving phase: every canonical group is already
 /// cached from the per-point batch runs, so this measures repeated-
 /// traffic throughput — concurrent clients replaying the workload at
-/// the finest ε, each with a single-threaded engine (concurrency comes
-/// from the clients, as in a server handling parallel sessions).
+/// the finest ε (concurrency comes from the clients, as in a server
+/// handling parallel sessions).
 fn serving_pass(config: &SuiteConfig, harnesses: &[FamilyHarness]) -> ServingReport {
     let eps = config.epsilons.iter().copied().fold(f64::INFINITY, f64::min);
     let sample_seed = config.seed ^ 0xF1616;
-    let serve_batch = BatchOptions { threads: 1, dedup: true };
     let mut seconds = f64::INFINITY;
     // Like the per-point timings: repeat and keep the minimum (the cache
     // is warm from the measurement phase, so every rep serves hot).
@@ -359,7 +332,6 @@ fn serving_pass(config: &SuiteConfig, harnesses: &[FamilyHarness]) -> ServingRep
                                     qi,
                                     eps,
                                     sample_seed,
-                                    serve_batch,
                                     Some(batch_cache.clone()),
                                 );
                             }
@@ -391,8 +363,8 @@ impl SuiteReport {
     /// The run as a `suite` document. Points are keyed `pipeline@ε`
     /// under `family/query`:
     ///
-    /// * `config` — scale, seed, batch threads, reps, ε ladder,
-    ///   families, serving clients and passes;
+    /// * `config` — scale, seed, reps, ε ladder, families, serving
+    ///   clients and passes;
     /// * `pinned` — the database digest and every point's certainties;
     /// * `counters` — database size, per query its candidate counts,
     ///   per point its fresh directions and batch/rewrite blocks, and
@@ -458,7 +430,6 @@ impl SuiteReport {
             config: Json::obj([
                 ("scale", Json::str(c.scale.name())),
                 ("seed", Json::num_u64(c.seed)),
-                ("threads", Json::num_u64(c.threads as u64)),
                 ("reps", Json::num_u64(c.reps.max(1) as u64)),
                 ("epsilons", Json::Arr(c.epsilons.iter().map(|&e| Json::Num(e)).collect())),
                 ("families", Json::Arr(families)),

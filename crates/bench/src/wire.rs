@@ -6,8 +6,8 @@
 //! loopback TCP connection and the `qarith-net` framed protocol:
 //!
 //! 1. builds the database and [`QueryService`] under the identical
-//!    serving regime (forced AFPRAS, `m = ⌈ε⁻²⌉`, per-request fan-out
-//!    1), then binds a [`NetServer`] on `127.0.0.1:0`;
+//!    serving regime (forced AFPRAS, `m = ⌈ε⁻²⌉`), then binds a
+//!    [`NetServer`] on `127.0.0.1:0`;
 //! 2. runs the **sequential in-process reference pass** and pins its
 //!    certainty digest — the same construction as the in-process
 //!    bench, so `serve` and `wire` baselines at equal config pin the

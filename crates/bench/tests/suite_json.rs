@@ -17,7 +17,6 @@ fn mini_config() -> SuiteConfig {
         seed: 2020,
         families: QueryFamily::all().to_vec(),
         epsilons: vec![0.1],
-        threads: 2,
         reps: 1,
         serving_threads: 2,
         serving_passes: 1,

@@ -317,8 +317,8 @@ impl CompiledAtom {
 
 /// Reusable scratch for [`CompiledFormula::limit_truth_block`]: every
 /// buffer the blocked evaluator needs, allocated once per worker and
-/// reused for every block (the allocs-per-sample pin in `kernel_bench`
-/// asserts these never reallocate).
+/// reused for every block (`kernel_bench`'s allocation check asserts
+/// these never reallocate).
 pub struct BlockScratch {
     /// Per-lane running product for the current lowered term.
     term: Vec<f64>,

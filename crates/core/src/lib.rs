@@ -72,8 +72,9 @@
 //!   (Theorem 6.3, Proposition 6.2), used as validation workloads;
 //! * [`pipeline`] — the [`CertaintyEngine`]: query + database →
 //!   candidates → ground formulas → measures, with automatic method
-//!   selection and the batch measurement path (canonical dedup +
-//!   parallel fan-out, [`CertaintyEngine::measure_batch`]);
+//!   selection and the batch measurement path (canonical dedup, and
+//!   one shared direction pass over a plan's sampled misses,
+//!   [`CertaintyEngine::measure_batch`]);
 //! * [`nucache`] — the ν-cache: memoized, bit-identical measures keyed
 //!   by canonical formula and options fingerprint, sharded and bounded
 //!   by a byte budget alone (a database write cannot make an entry

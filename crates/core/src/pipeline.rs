@@ -16,14 +16,13 @@
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use qarith_constraints::asymptotic::CompiledFormula;
 use qarith_constraints::canonical::{self, Canonical};
 use qarith_constraints::QfFormula;
 use qarith_engine::cq::{self, CandidateAnswer, CqOptions};
-use qarith_engine::{ground, naive, ActiveDomain};
+use qarith_engine::{ground, ActiveDomain};
 use qarith_numeric::Rational;
 use qarith_query::Query;
 use qarith_rewrite::{ae_simplify, RewriteOptions, RewriteOutcome, Rewriter};
@@ -61,8 +60,11 @@ pub enum MethodChoice {
 /// ([`CertaintyEngine::measure_batch`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchOptions {
-    /// Worker threads measuring unique formulas concurrently
-    /// (1 = in-place, no spawning).
+    /// Unread: every batch is measured on the calling thread, and
+    /// concurrency comes from the callers. The field stays only because
+    /// the repository benchmark (`perfbench/src/lib.rs`) names it in a
+    /// struct literal; it goes once that benchmark builds its service
+    /// from `ServeConfig`.
     pub threads: usize,
     /// Canonical deduplication: candidates whose ground formulas share a
     /// cache key are measured once. Disabling this reproduces the plain
@@ -90,7 +92,7 @@ pub struct MeasureOptions {
     pub exact_order_limit: usize,
     /// Candidate generation for conjunctive queries.
     pub cq: CqOptions,
-    /// Batch measurement (dedup + parallel fan-out).
+    /// Batch measurement (canonical dedup).
     pub batch: BatchOptions,
     /// The `qarith-rewrite` pipeline: ν-preserving simplification and
     /// independence decomposition ahead of measurement. Disabled by
@@ -123,12 +125,6 @@ impl MeasureOptions {
         self
     }
 
-    /// Sets the batch fan-out width.
-    pub fn with_batch_threads(mut self, threads: usize) -> MeasureOptions {
-        self.batch.threads = threads;
-        self
-    }
-
     /// Sets the rewrite configuration (e.g. [`RewriteOptions::full`]).
     pub fn with_rewrite(mut self, rewrite: RewriteOptions) -> MeasureOptions {
         self.rewrite = rewrite;
@@ -136,8 +132,8 @@ impl MeasureOptions {
     }
 
     /// A fingerprint of every option that can influence the *bits* of an
-    /// estimate — the method choice, tolerances, seeds, thread counts,
-    /// and budgets of both schemes. Two engines with equal fingerprints
+    /// estimate — the method choice, tolerances, seeds, AFPRAS thread
+    /// count, and budgets of both schemes. Two engines with equal fingerprints
     /// produce bit-identical estimates for the same formula, which is
     /// what keys the [`NuCache`].
     pub fn fingerprint(&self) -> u64 {
@@ -169,13 +165,12 @@ impl MeasureOptions {
     }
 }
 
-/// The shared admission predicate of [`CertaintyEngine::answers_auto`]
-/// and [`CertaintyEngine::answers_enumerated`]: **strictly greater**.
-/// A candidate whose measure equals the threshold exactly is excluded —
-/// in particular `min_certainty = 0.0` drops impossible answers (μ = 0)
-/// while keeping every candidate with positive measure. Both the
-/// conjunctive fast path and the enumeration fallback use this one
-/// definition, so the two routes cannot drift.
+/// The admission predicate of [`CertaintyEngine::answers`]: **strictly
+/// greater**. A candidate whose measure equals the threshold exactly is
+/// excluded — in particular `min_certainty = 0.0` drops impossible
+/// answers (μ = 0) while keeping every candidate with positive measure.
+/// Both the conjunctive fast path and the enumeration fallback use this
+/// one definition, so the two routes cannot drift.
 pub fn exceeds_min_certainty(estimate: &CertaintyEstimate, min_certainty: f64) -> bool {
     estimate.value > min_certainty
 }
@@ -210,8 +205,6 @@ pub struct BatchStats {
     pub dedup_hits: usize,
     /// Groups served by the engine's persistent [`NuCache`].
     pub cache_hits: usize,
-    /// Worker threads used.
-    pub threads: usize,
     /// Rewrite-pipeline accounting (all zeros unless
     /// [`MeasureOptions::rewrite`] is enabled; covers freshly measured
     /// groups only — cache hits skip measurement).
@@ -225,7 +218,7 @@ impl BatchStats {
     /// [`RewriteStats`] serializes separately via
     /// [`RewriteStats::as_pairs`]). Names are part of the JSON schema:
     /// renaming one is a baseline-breaking change.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 7] {
+    pub fn as_pairs(&self) -> [(&'static str, u64); 6] {
         [
             ("candidates", self.candidates as u64),
             ("certain", self.certain as u64),
@@ -233,7 +226,6 @@ impl BatchStats {
             ("measured", self.measured as u64),
             ("dedup_hits", self.dedup_hits as u64),
             ("cache_hits", self.cache_hits as u64),
-            ("threads", self.threads as u64),
         ]
     }
 }
@@ -243,7 +235,7 @@ impl BatchStats {
 pub struct BatchOutcome {
     /// One entry per input candidate, in input order.
     pub answers: Vec<AnswerWithCertainty>,
-    /// Dedup/cache/parallelism accounting.
+    /// Dedup/cache accounting.
     pub stats: BatchStats,
 }
 
@@ -319,43 +311,17 @@ impl BatchPlan {
     }
 }
 
-/// Accounting of the shared-sampling batch route (see
-/// [`CertaintyEngine::shared_sampling_stats`]). `Arc`-shared across
-/// engine clones, like the ν-cache, so a service's clones aggregate
-/// into one view.
-#[derive(Debug, Default)]
-struct SharedSamplingCounters {
-    /// `estimate_nu_compiled_many` calls issued by the batch path.
-    calls: AtomicU64,
-    /// Groups those calls covered (>&nbsp;`calls` means direction
-    /// generation was actually shared across groups).
-    groups: AtomicU64,
-}
-
 /// The measure-of-certainty engine.
 #[derive(Clone, Debug, Default)]
 pub struct CertaintyEngine {
     options: MeasureOptions,
     cache: Option<Arc<NuCache>>,
-    shared_sampling: Arc<SharedSamplingCounters>,
 }
 
 impl CertaintyEngine {
     /// An engine with the given options.
     pub fn new(options: MeasureOptions) -> CertaintyEngine {
-        CertaintyEngine { options, cache: None, shared_sampling: Arc::default() }
-    }
-
-    /// `(calls, groups)` routed through the shared-sampling batch path:
-    /// how many `estimate_nu_compiled_many` fan-outs the single-worker
-    /// batch route issued, and how many formula groups they covered in
-    /// total. `groups > calls` is the signature of sharing — several
-    /// groups paid one direction-generation pass.
-    pub fn shared_sampling_stats(&self) -> (u64, u64) {
-        (
-            self.shared_sampling.calls.load(Ordering::Relaxed),
-            self.shared_sampling.groups.load(Ordering::Relaxed),
-        )
+        CertaintyEngine { options, cache: None }
     }
 
     /// Attaches a persistent ν-cache, shared across batches (and across
@@ -436,47 +402,28 @@ impl CertaintyEngine {
         self.nu(&phi)
     }
 
-    /// Candidate answers with certainties for a **conjunctive** query,
-    /// via the join executor (the §9 pipeline). Candidates flagged
-    /// `certain` by the executor get μ = 1 without sampling.
-    pub fn answers(
-        &self,
-        query: &Query,
-        db: &Database,
-    ) -> Result<Vec<AnswerWithCertainty>, MeasureError> {
-        let candidates = cq::execute(query, db, &self.options.cq)?;
-        self.measure_candidates(candidates)
-    }
-
-    /// Candidate answers for **any** query: conjunctive queries take the
-    /// join-executor fast path, everything else falls back to
-    /// active-domain head enumeration (returning candidates with
-    /// μ > `min_certainty`). The fallback is exponential in head arity
-    /// and quantifier count — fine for the small databases where
+    /// Candidate answers with certainties for **any** query, keeping
+    /// those whose measure exceeds `min_certainty` (strictly; see
+    /// [`exceeds_min_certainty`]). Conjunctive queries take the
+    /// join-executor fast path of the §9 pipeline through
+    /// [`CertaintyEngine::measure_batch`]; candidates the executor flags
+    /// `certain` get μ = 1 without sampling. Everything else falls back
+    /// to active-domain head enumeration, which is exponential in head
+    /// arity and quantifier count — fine for the small databases where
     /// non-conjunctive queries are typically analyzed.
-    pub fn answers_auto(
+    pub fn answers(
         &self,
         query: &Query,
         db: &Database,
         min_certainty: f64,
     ) -> Result<Vec<AnswerWithCertainty>, MeasureError> {
-        if query.fragment().conjunctive {
-            let mut answers = self.answers(query, db)?;
-            answers.retain(|a| exceeds_min_certainty(&a.certainty, min_certainty));
-            Ok(answers)
-        } else {
-            self.answers_enumerated(query, db, min_certainty)
+        if !query.fragment().conjunctive {
+            return self.answers_enumerated(query, db, min_certainty);
         }
-    }
-
-    /// Measures a batch of pre-computed candidates through the batch
-    /// engine, returning per-candidate answers in input order (the
-    /// accounting of [`CertaintyEngine::measure_batch`] is dropped).
-    pub fn measure_candidates(
-        &self,
-        candidates: Vec<CandidateAnswer>,
-    ) -> Result<Vec<AnswerWithCertainty>, MeasureError> {
-        Ok(self.measure_batch(candidates)?.answers)
+        let candidates = cq::execute(query, db, &self.options.cq)?;
+        let mut answers = self.measure_batch(candidates)?.answers;
+        answers.retain(|a| exceeds_min_certainty(&a.certainty, min_certainty));
+        Ok(answers)
     }
 
     /// The cache key granularity for a canonical formula under the
@@ -537,7 +484,7 @@ impl CertaintyEngine {
         (key, None)
     }
 
-    /// The single-worker fan-out for sampling-routed plans: every
+    /// The shared-direction route for sampling-routed plans: every
     /// pending group headed for the AFPRAS sampler is measured through
     /// **one** [`estimate_nu_compiled_many`] call, so direction
     /// generation is shared across groups whose sampled dimensions
@@ -552,7 +499,7 @@ impl CertaintyEngine {
     /// [`CertaintyEngine::nu_traced`], and the estimate construction
     /// matches [`afpras_estimate`] field for field — so this route
     /// changes cost, never bits (pinned by
-    /// `shared_fanout_is_bit_identical_and_counted`).
+    /// `shared_fanout_is_bit_identical`).
     ///
     /// Returns `false` — leaving `results` untouched — when the route
     /// does not apply: rewriting on (groups carry prepared
@@ -602,8 +549,6 @@ impl CertaintyEngine {
         if !sampled.is_empty() {
             let refs: Vec<&CompiledFormula> = compiled.iter().collect();
             let outcomes = estimate_nu_compiled_many(&refs, &self.options.afpras);
-            self.shared_sampling.calls.fetch_add(1, Ordering::Relaxed);
-            self.shared_sampling.groups.fetch_add(sampled.len() as u64, Ordering::Relaxed);
             for (&gi, out) in sampled.iter().zip(outcomes) {
                 results[gi] = Some(Ok(CertaintyEstimate {
                     value: out.estimate,
@@ -636,24 +581,25 @@ impl CertaintyEngine {
         }
     }
 
-    /// Measures a batch of candidates with canonical deduplication, the
-    /// ν-cache, and parallel fan-out over unique formulas.
+    /// Measures a batch of candidates with canonical deduplication and
+    /// the ν-cache.
     ///
     /// Pipeline per call:
     ///
     /// 1. every uncertain candidate's ground formula is canonicalized
     ///    (`qarith_constraints::canonical`) and grouped by cache key;
     /// 2. groups found in the engine's [`NuCache`] are served directly;
-    /// 3. the remaining unique formulas are measured concurrently by
-    ///    [`BatchOptions::threads`] scoped workers, each running the
-    ///    engine's configured method — one `CompiledFormula` per unique
-    ///    formula instead of one per candidate;
+    /// 3. the remaining unique formulas are measured on the calling
+    ///    thread under the engine's configured method — one
+    ///    `CompiledFormula` per unique formula instead of one per
+    ///    candidate, and on the sampling routes one shared direction
+    ///    pass for all of them;
     /// 4. per-candidate results are rehydrated in input order, with
     ///    [`CertaintyEstimate::cached`] marking values that were shared
     ///    rather than recomputed.
     ///
     /// For a fixed seed the answers are **bit-identical** to the plain
-    /// sequential per-candidate loop (`dedup: false, threads: 1`): the
+    /// sequential per-candidate loop (`dedup: false`): the
     /// measured representative is the structural canonical form, which
     /// every evaluator treats exactly like the original formula, and
     /// asymptotic grouping is restricted to the sampling route where
@@ -736,10 +682,10 @@ impl CertaintyEngine {
     }
 
     /// The back half of [`CertaintyEngine::measure_batch`]: look every
-    /// plan group up in the engine's ν-cache, measure the misses
-    /// concurrently, publish fresh results, and rehydrate per-candidate
-    /// answers (cloned out of the plan, which remains reusable). The
-    /// ν-cache consultation, the measurement fan-out, and the
+    /// plan group up in the engine's ν-cache, measure the misses,
+    /// publish fresh results, and rehydrate per-candidate answers
+    /// (cloned out of the plan, which remains reusable). The ν-cache
+    /// consultation, the measurement of the misses, and the
     /// rehydration pass record their durations into `sink` under
     /// [`Stage::NuLookup`], [`Stage::Measure`], and [`Stage::Rehydrate`].
     ///
@@ -763,8 +709,8 @@ impl CertaintyEngine {
         outcome
     }
 
-    /// Shared back half: cache lookups, fan-out measurement of the
-    /// misses, trace aggregation, cache publication. Returns per-group
+    /// Shared back half: cache lookups, measurement of the misses,
+    /// trace aggregation, cache publication. Returns per-group
     /// results (in plan group order) plus the filled-in stats. The
     /// optional sink receives the ν-lookup and measurement durations;
     /// it is write-only (see [`CertaintyEngine::execute_plan`]).
@@ -780,7 +726,6 @@ impl CertaintyEngine {
             certain: plan.certain,
             groups: plan.groups.len(),
             dedup_hits: plan.dedup_hits,
-            threads: self.options.batch.threads.max(1),
             ..BatchStats::default()
         };
 
@@ -806,73 +751,30 @@ impl CertaintyEngine {
         if let (Some(sink), Some(begun)) = (sink.as_deref_mut(), lookup_begun) {
             sink.record_stage(Stage::NuLookup, observed_nanos(begun));
         }
-        // analyze: allow(nondet-source, reason = "observational span timing: the instant flows only into the StageSink, never into worker scheduling or estimates; read-back from pinned code is barred by the trace-flow lint")
+        // analyze: allow(nondet-source, reason = "observational span timing: the instant flows only into the StageSink, never into estimates; read-back from pinned code is barred by the trace-flow lint")
         let measure_begun = sink.is_some().then(std::time::Instant::now);
 
-        // Fan the not-yet-known groups out across scoped workers. The
-        // configured width is additionally capped at the machine's
-        // parallelism: extra workers on fewer cores only add spawn
-        // overhead (results are per-group and deterministic either way,
-        // so the cap cannot change bits). The machine is asked only when
-        // there is a fan-out to cap: the query reads cgroup files, which
-        // costs more than a request whose groups all hit the ν-cache.
+        // Measure the not-yet-known groups on this thread: all at once
+        // on the shared-direction route where it applies, otherwise one
+        // group at a time.
         let pending: Vec<usize> =
             results.iter().enumerate().filter_map(|(i, r)| r.is_none().then_some(i)).collect();
         stats.measured = pending.len();
-        let mut threads = stats.threads.min(pending.len().max(1));
-        if threads > 1 {
-            // analyze: allow(nondet-source, reason = "worker-count cap affects scheduling only; per-group results are bit-identical at any width, tested by batch_matches_sequential_bitwise")
-            let parallelism = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
-            threads = threads.min(parallelism);
-        }
         let mut traces: Vec<Option<RewriteTrace>> = vec![None; plan.groups.len()];
-        if threads <= 1 {
-            if !self.measure_pending_shared(plan, &pending, &mut results) {
-                for &gi in &pending {
-                    let result = self.measure_work(&plan.groups[gi].0);
-                    let failed = result.is_err();
-                    results[gi] = Some(result.map(|(est, trace)| {
-                        traces[gi] = trace;
-                        est
-                    }));
-                    if failed {
-                        // Groups are in first-occurrence order, so this error
-                        // is the first one in candidate order: later groups
-                        // would be discarded anyway.
-                        break;
-                    }
-                }
-            }
-        } else {
-            // Atomic work queue: formulas have heterogeneous cost
-            // (dimension-dependent sample loops), so workers pop the next
-            // pending group instead of owning a static chunk. Results are
-            // per-group, hence deterministic regardless of which worker
-            // measures what.
-            type Traced = Result<(CertaintyEstimate, Option<RewriteTrace>), MeasureError>;
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let (groups, pending, next) = (&plan.groups, &pending, &next);
-            let fresh: Vec<Vec<(usize, Traced)>> = std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                let Some(&gi) = pending.get(k) else { break };
-                                local.push((gi, self.measure_work(&groups[gi].0)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                workers.into_iter().map(|w| w.join().expect("batch worker")).collect()
-            });
-            for (gi, result) in fresh.into_iter().flatten() {
+        if !self.measure_pending_shared(plan, &pending, &mut results) {
+            for &gi in &pending {
+                let result = self.measure_work(&plan.groups[gi].0);
+                let failed = result.is_err();
                 results[gi] = Some(result.map(|(est, trace)| {
                     traces[gi] = trace;
                     est
                 }));
+                if failed {
+                    // Groups are in first-occurrence order, so this error
+                    // is the first one in candidate order: later groups
+                    // would be discarded anyway.
+                    break;
+                }
             }
         }
         for trace in traces.iter().flatten() {
@@ -893,13 +795,10 @@ impl CertaintyEngine {
         (results, stats)
     }
 
-    /// Candidate answers for an **arbitrary** FO(+,·,<) query by
+    /// The non-conjunctive route of [`CertaintyEngine::answers`]:
     /// active-domain enumeration of head tuples (exponential in the head
-    /// arity — intended for small databases and tests; conjunctive
-    /// queries should use [`CertaintyEngine::answers`]).
-    ///
-    /// Returns candidates whose measure exceeds `min_certainty`.
-    pub fn answers_enumerated(
+    /// arity), keeping candidates whose measure exceeds `min_certainty`.
+    fn answers_enumerated(
         &self,
         query: &Query,
         db: &Database,
@@ -941,14 +840,6 @@ impl CertaintyEngine {
             candidate.pop();
         }
         Ok(())
-    }
-
-    /// Certain answers in the classical sense, for *generic* queries:
-    /// the tuples with μ = 1 by the zero-one law (i.e. naive evaluation,
-    /// §2). Errors on queries with arithmetic, where naive evaluation is
-    /// unsound.
-    pub fn naive_answers(&self, query: &Query, db: &Database) -> Result<Vec<Tuple>, MeasureError> {
-        Ok(naive::evaluate(query, db)?)
     }
 }
 
@@ -1057,7 +948,7 @@ mod tests {
         let db = db_single_pair();
         let q = select_a_gt_b(&db);
         let engine = CertaintyEngine::default();
-        let answers = engine.answers(&q, &db).unwrap();
+        let answers = engine.answers(&q, &db, 0.0).unwrap();
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].tuple, Tuple::new(vec![Value::int(1)]));
         assert_eq!(answers[0].certainty.exact, Some(Rational::new(1, 2)));
@@ -1068,7 +959,7 @@ mod tests {
         let db = db_single_pair();
         let q = select_a_gt_b(&db);
         let engine = CertaintyEngine::default();
-        let via_cq = engine.answers(&q, &db).unwrap();
+        let via_cq = engine.answers(&q, &db, 0.0).unwrap();
         let via_enum = engine.answers_enumerated(&q, &db, 0.0).unwrap();
         assert_eq!(via_cq.len(), via_enum.len());
         assert_eq!(via_cq[0].tuple, via_enum[0].tuple);
@@ -1157,15 +1048,12 @@ mod tests {
         for method in [MethodChoice::Auto, MethodChoice::Afpras, MethodChoice::Fpras] {
             let options = MeasureOptions { method, ..MeasureOptions::default() };
             let sequential = CertaintyEngine::new(MeasureOptions {
-                batch: BatchOptions { threads: 1, dedup: false },
+                batch: BatchOptions { dedup: false, ..BatchOptions::default() },
                 ..options.clone()
             });
-            let batched = CertaintyEngine::new(MeasureOptions {
-                batch: BatchOptions { threads: 4, dedup: true },
-                ..options
-            });
-            let s = sequential.measure_candidates(vec![a.clone(), b.clone()]).unwrap();
-            let p = batched.measure_candidates(vec![a.clone(), b.clone()]).unwrap();
+            let batched = CertaintyEngine::new(options);
+            let s = sequential.measure_batch(vec![a.clone(), b.clone()]).unwrap().answers;
+            let p = batched.measure_batch(vec![a.clone(), b.clone()]).unwrap().answers;
             for (x, y) in s.iter().zip(&p) {
                 assert_eq!(
                     fingerprint_of(&x.certainty),
@@ -1177,7 +1065,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_fanout_is_bit_identical_and_counted() {
+    fn shared_fanout_is_bit_identical() {
         use qarith_constraints::{Atom, ConstraintOp, Polynomial, Var};
         let atom = |p: Polynomial| QfFormula::atom(Atom::new(p, ConstraintOp::Gt));
         let z = |i: u32| Polynomial::var(Var(i));
@@ -1192,29 +1080,22 @@ mod tests {
         ];
 
         for method in [MethodChoice::Afpras, MethodChoice::Auto] {
-            let options = MeasureOptions { method, ..MeasureOptions::default() };
-            let shared = CertaintyEngine::new(MeasureOptions {
-                batch: BatchOptions { threads: 1, dedup: true },
-                ..options.clone()
-            });
-            // The reference: the plain single-formula route, which
+            // The reference is the plain single-formula route, which
             // never touches the batch fan-out.
-            let reference = CertaintyEngine::new(options);
-            let s = shared.measure_batch(candidates.clone()).unwrap();
+            let engine =
+                CertaintyEngine::new(MeasureOptions { method, ..MeasureOptions::default() });
+            let s = engine.measure_batch(candidates.clone()).unwrap();
             assert_eq!(s.stats.groups, 4, "{method:?}: four canonical classes");
             for (x, cand) in s.answers.iter().zip(&candidates) {
-                let direct = reference.nu(&cand.formula).unwrap();
+                let direct = engine.nu(&cand.formula).unwrap();
                 assert_eq!(
                     fingerprint_of(&x.certainty),
                     fingerprint_of(&direct),
                     "{method:?}: shared fan-out must not change a bit"
                 );
             }
-            // One many-call covered every sampled group; Auto resolved
-            // the 1-D and 2-D-linear classes exactly, inline.
-            let expected_groups = if method == MethodChoice::Afpras { 4 } else { 2 };
-            assert_eq!(shared.shared_sampling_stats(), (1, expected_groups), "{method:?}");
-            assert_eq!(reference.shared_sampling_stats(), (0, 0), "{method:?}: single route");
+            // Auto resolved the 1-D and 2-D-linear classes exactly,
+            // inline.
             if method == MethodChoice::Auto {
                 assert!(s.answers[0].certainty.exact.is_some(), "1-D class routed exact");
                 assert!(s.answers[2].certainty.exact.is_none(), "nonlinear class sampled");

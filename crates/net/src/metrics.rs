@@ -15,9 +15,9 @@
 //! | `qarith_net_`           | the wire layer ([`NetStats`])             |
 //!
 //! Counter vs gauge follows the semantics, not the block: monotone
-//! sums are `counter`; point-in-time levels (`threads`, `entries`,
-//! `resident_bytes`, `shards`, `plans`, `in_flight`, `max_in_flight`,
-//! `connections_active`) are `gauge`.
+//! sums are `counter`; point-in-time levels (`entries`,
+//! `resident_bytes`, `shards`, `plans`, `epoch`, `in_flight`,
+//! `max_in_flight`, `connections_active`) are `gauge`.
 //!
 //! After the counter blocks come the **per-stage latency histograms**:
 //! one `qarith_stage_<stage>_seconds` family per
@@ -43,8 +43,7 @@ use qarith_trace::HistogramSnapshot;
 use crate::server::NetStats;
 
 /// Counter names that are levels, not monotone sums.
-const GAUGES: [&str; 9] = [
-    "threads",
+const GAUGES: [&str; 8] = [
     "entries",
     "resident_bytes",
     "shards",
@@ -143,7 +142,7 @@ mod tests {
     use super::*;
 
     /// Every name in the exposition is well-formed and typed, and the
-    /// block count covers the whole EXPERIMENTS table (7 batch + 6
+    /// block count covers the whole EXPERIMENTS table (6 batch + 6
     /// rewrite + 6 ν-cache + 10 service + 4 admission + 7 net).
     #[test]
     fn exposition_is_complete_and_well_formed() {
@@ -159,7 +158,7 @@ mod tests {
             .lines()
             .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
             .partition(|l| l.starts_with("qarith_stage_"));
-        assert_eq!(counter_samples.len(), 7 + 6 + 6 + 10 + 4 + 7, "one sample per counter");
+        assert_eq!(counter_samples.len(), 6 + 6 + 6 + 10 + 4 + 7, "one sample per counter");
         for line in &counter_samples {
             let mut words = line.split_ascii_whitespace();
             let name = words.next().expect("metric name");

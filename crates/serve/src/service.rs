@@ -6,8 +6,8 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use qarith_core::afpras::{AfprasOptions, SampleCount};
 use qarith_core::{
-    AnswerWithCertainty, BatchOptions, BatchPlan, BatchStats, CacheStats, CertaintyEngine,
-    MeasureOptions, MethodChoice, NuCache, NuCacheConfig,
+    AnswerWithCertainty, BatchPlan, BatchStats, CacheStats, CertaintyEngine, MeasureOptions,
+    MethodChoice, NuCache, NuCacheConfig,
 };
 use qarith_engine::cq::{self, ReadFootprint, WriteDelta};
 use qarith_trace::{LatencyStats, RequestTrace, SlowRecord, Stage, Tracer};
@@ -23,11 +23,8 @@ pub struct ServeConfig {
     /// Measurement options of the shared engine. The options'
     /// fingerprint keys the ν-cache, so every request served by one
     /// service shares one fingerprint — exactly the regime the cache is
-    /// built for. [`BatchOptions::threads`] here is per-*request*
-    /// fan-out; a service whose concurrency comes from its clients
-    /// typically leaves it at 1.
-    ///
-    /// [`BatchOptions::threads`]: qarith_core::BatchOptions
+    /// built for. Each request measures its plan's ν misses on its own
+    /// thread; a service's concurrency comes from its clients.
     pub options: MeasureOptions,
     /// Sharding and memory budget of the service's ν-cache.
     pub cache: NuCacheConfig,
@@ -69,9 +66,8 @@ impl ServeConfig {
     /// The serving regime of `netd` and `serve_bench`: forced AFPRAS at
     /// the paper's §8 sample count `m = ⌈ε⁻²⌉`, sampling seed
     /// `seed ^ 0xF1616` (the workload suite's derivation, so suite and
-    /// serving runs at equal config sample identically), per-request
-    /// fan-out 1 (concurrency comes from the clients) with canonical
-    /// dedup on, and every other field at its default. Every pinned
+    /// serving runs at equal config sample identically), and every other
+    /// field at its default (canonical dedup on). Every pinned
     /// serving certainty digest was recorded under these options, and
     /// their fingerprint keys the ν-cache.
     ///
@@ -87,7 +83,6 @@ impl ServeConfig {
                 seed: seed ^ 0xF1616,
                 ..AfprasOptions::default()
             },
-            batch: BatchOptions { threads: 1, dedup: true },
             ..MeasureOptions::default()
         };
         ServeConfig { options, ..ServeConfig::default() }
@@ -298,7 +293,7 @@ impl BatchTotals {
         add(&self.rw_dim_after, stats.rewrite.dim_after);
     }
 
-    fn snapshot(&self, threads: usize) -> BatchStats {
+    fn snapshot(&self) -> BatchStats {
         let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed) as usize;
         BatchStats {
             candidates: get(&self.candidates),
@@ -307,7 +302,6 @@ impl BatchTotals {
             measured: get(&self.measured),
             dedup_hits: get(&self.dedup_hits),
             cache_hits: get(&self.cache_hits),
-            threads,
             rewrite: qarith_core::RewriteStats {
                 groups: get(&self.rw_groups),
                 factored: get(&self.rw_factored),
@@ -722,12 +716,11 @@ impl QueryService {
     }
 
     /// Running sums of every executed request's [`BatchStats`]
-    /// (including the nested rewrite block) since creation, with
-    /// `threads` reporting the configured per-request fan-out. This is
-    /// the monotone-counter view a metrics scrape wants; per-request
+    /// (including the nested rewrite block) since creation. This is the
+    /// monotone-counter view a metrics scrape wants; per-request
     /// accounting stays on [`QueryResponse::stats`].
     pub fn batch_totals(&self) -> BatchStats {
-        self.totals.snapshot(self.engine.options().batch.threads)
+        self.totals.snapshot()
     }
 
     /// Counters of the admission gate.
@@ -794,11 +787,11 @@ mod tests {
         assert_eq!(o.afpras.epsilon.to_bits(), 0.02f64.to_bits());
         assert_eq!(o.afpras.samples, SampleCount::Paper);
         assert_eq!(o.afpras.seed, 2020 ^ 0xF1616);
-        assert_eq!((o.batch.threads, o.batch.dedup), (1, true));
         let defaults = MeasureOptions::default();
         let rest = |o: &MeasureOptions| {
             format!(
-                "{:?} {:?} {:?} {:?} {} {:?} {:?}",
+                "{:?} {:?} {:?} {:?} {:?} {} {:?} {:?}",
+                o.batch,
                 o.afpras.delta,
                 o.afpras.threads,
                 o.afpras.full_dimension,
@@ -822,7 +815,6 @@ mod tests {
                 seed: 2020 ^ 0xF1616,
                 ..AfprasOptions::default()
             },
-            batch: BatchOptions { threads: 1, dedup: true },
             ..MeasureOptions::default()
         };
         assert_eq!(o.fingerprint(), hand_built.fingerprint());

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qarith_core::afpras::{AfprasOptions, SampleCount};
-use qarith_core::{BatchOptions, MeasureOptions, MethodChoice};
+use qarith_core::{MeasureOptions, MethodChoice};
 use qarith_datagen::WorkloadScale;
 use qarith_serve::{QueryResponse, QueryService, ServeConfig};
 use qarith_types::{Database, NumNullId, Value, WriteBatch};
@@ -51,7 +51,6 @@ fn test_service(db: Database) -> QueryService {
             seed: 77,
             ..AfprasOptions::default()
         },
-        batch: BatchOptions { threads: 1, dedup: true },
         ..MeasureOptions::default()
     };
     QueryService::new(db, ServeConfig { options, ..ServeConfig::default() })

@@ -28,7 +28,7 @@
 
 use proptest::prelude::*;
 use qarith_core::afpras::{AfprasOptions, SampleCount};
-use qarith_core::{BatchOptions, MeasureOptions, MethodChoice, NuCacheConfig};
+use qarith_core::{MeasureOptions, MethodChoice, NuCacheConfig};
 use qarith_datagen::WorkloadScale;
 use qarith_serve::{database_digest, QueryResponse, QueryService, ServeConfig};
 use qarith_types::{
@@ -48,7 +48,6 @@ fn paper_options(epsilon: f64, seed: u64) -> MeasureOptions {
             seed,
             ..AfprasOptions::default()
         },
-        batch: BatchOptions { threads: 1, dedup: true },
         ..MeasureOptions::default()
     }
 }

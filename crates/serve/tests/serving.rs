@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use qarith_core::afpras::{AfprasOptions, SampleCount};
-use qarith_core::{BatchOptions, MeasureOptions, MethodChoice, NuCacheConfig};
+use qarith_core::{MeasureOptions, MethodChoice, NuCacheConfig};
 use qarith_datagen::{QueryFamily, WorkloadScale};
 use qarith_serve::{QueryResponse, QueryService, ServeConfig};
 use qarith_types::Database;
@@ -38,7 +38,6 @@ fn paper_options(epsilon: f64, seed: u64) -> MeasureOptions {
             seed,
             ..AfprasOptions::default()
         },
-        batch: BatchOptions { threads: 1, dedup: true },
         ..MeasureOptions::default()
     }
 }

@@ -70,7 +70,7 @@ pub enum Stage {
     Prepare,
     /// ν-cache consultation for every group key in the plan.
     NuLookup,
-    /// The measurement fan-out proper, including cache publication.
+    /// Measuring the ν-cache misses, including cache publication.
     Measure,
     /// Rehydrating measured groups back onto per-candidate answers.
     Rehydrate,
@@ -136,7 +136,7 @@ impl Stage {
             Stage::PlanLookup => "plan-cache probe and LRU refresh",
             Stage::Prepare => "grounding and batch preparation (parse, candidates, dedup, keys)",
             Stage::NuLookup => "nu-cache consultation for every group in the plan",
-            Stage::Measure => "the measurement fan-out, including cache publication",
+            Stage::Measure => "measuring the nu-cache misses, including cache publication",
             Stage::Rehydrate => "rehydrating measured groups onto per-candidate answers",
             Stage::FrameDecode => "wire request frame decode",
             Stage::FrameEncode => "wire reply frame encode",

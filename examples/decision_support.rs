@@ -39,7 +39,7 @@ fn main() {
             cq::execute(&lowered.query, &db, &CqOptions::with_limit(lowered.limit.unwrap_or(25)))
                 .expect("execution succeeds");
 
-        let answers = engine.measure_candidates(candidates).expect("measures computed");
+        let answers = engine.measure_batch(candidates).expect("measures computed").answers;
         print!("{}", qarith::core::report::render_answers(&answers));
         println!("\n{}\n", qarith::core::report::summarize(&answers));
     }

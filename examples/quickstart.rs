@@ -61,9 +61,9 @@ fn main() {
     println!("\nμ(q, D, r1) = {est}");
     assert_eq!(est.exact, Some(Rational::new(1, 2)));
 
-    // The full pipeline: candidates + measures in one call.
+    // The full pipeline in one call: every candidate with μ > 0.
     println!("\nanswers with certainty:");
-    for a in engine.answers(&q, &db).unwrap() {
+    for a in engine.answers(&q, &db, 0.0).unwrap() {
         println!("  {}  →  {}", a.tuple, a.certainty);
     }
 

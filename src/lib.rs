@@ -90,7 +90,7 @@ pub use qarith_types as types;
 ///     "SELECT O.id FROM Orders O WHERE O.price < 40",
 ///     &db.catalog(),
 /// ).unwrap();
-/// let answers = CertaintyEngine::default().answers(&query, &db).unwrap();
+/// let answers = CertaintyEngine::default().answers(&query, &db, 0.0).unwrap();
 /// assert_eq!(answers.len(), 2);
 /// assert!(answers.iter().any(|a| a.tuple == Tuple::new(vec![Value::int(2)])
 ///     && a.certainty.is_certain()));

@@ -158,10 +158,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// For every method choice, the batched path (canonical dedup, 4
-    /// worker threads, ν-cache) reproduces the sequential uncached loop
-    /// bit for bit, and a second (fully cached) pass replays the same
-    /// bits again.
+    /// For every method choice, the batched path (canonical dedup,
+    /// ν-cache) reproduces the sequential uncached loop bit for bit, and
+    /// a second (fully cached) pass replays the same bits again.
     #[test]
     fn batch_is_bit_identical_to_sequential(
         formulas in prop::collection::vec(linear_formula(3), 1..6),
@@ -181,17 +180,13 @@ proptest! {
 
         let options = MeasureOptions { method, ..MeasureOptions::default() };
         let sequential = CertaintyEngine::new(MeasureOptions {
-            batch: BatchOptions { threads: 1, dedup: false },
+            batch: BatchOptions { dedup: false, ..BatchOptions::default() },
             ..options.clone()
         });
         let cache = std::sync::Arc::new(NuCache::default());
-        let batched = CertaintyEngine::new(MeasureOptions {
-            batch: BatchOptions { threads: 4, dedup: true },
-            ..options
-        })
-        .with_cache(cache.clone());
+        let batched = CertaintyEngine::new(options).with_cache(cache.clone());
 
-        let s = sequential.measure_candidates(candidates.clone()).unwrap();
+        let s = sequential.measure_batch(candidates.clone()).unwrap().answers;
         let b = batched.measure_batch(candidates.clone()).unwrap();
         prop_assert_eq!(s.len(), b.answers.len());
         for (x, y) in s.iter().zip(&b.answers) {
@@ -261,24 +256,23 @@ fn batch_matches_sequential_on_the_sales_workload() {
     for method in [MethodChoice::Auto, MethodChoice::Afpras] {
         let options = MeasureOptions { method, ..MeasureOptions::default() };
         let sequential = CertaintyEngine::new(MeasureOptions {
-            batch: BatchOptions { threads: 1, dedup: false },
+            batch: BatchOptions { dedup: false, ..BatchOptions::default() },
             ..options.clone()
         });
-        let batched_options =
-            MeasureOptions { batch: BatchOptions { threads: 4, dedup: true }, ..options };
         let starved_cache = std::sync::Arc::new(NuCache::new(starved));
         let starved_engine =
-            CertaintyEngine::new(batched_options.clone()).with_cache(starved_cache.clone());
+            CertaintyEngine::new(options.clone()).with_cache(starved_cache.clone());
         for (name, sql) in paper_queries() {
             let lowered = qarith::sql::compile(sql, &catalog).unwrap();
             let candidates = cq::execute(&lowered.query, &db, &lowered.cq_options()).unwrap();
-            let batched = CertaintyEngine::new(batched_options.clone())
+            let batched = CertaintyEngine::new(options.clone())
                 .with_cache(std::sync::Arc::new(NuCache::default()));
-            let s = sequential.measure_candidates(candidates.clone()).unwrap();
-            let b = batched.measure_candidates(candidates.clone()).unwrap();
+            let measure = |engine: &CertaintyEngine| engine.measure_batch(candidates.clone());
+            let s = measure(&sequential).unwrap().answers;
+            let b = measure(&batched).unwrap().answers;
             let starved_runs = [
-                starved_engine.measure_candidates(candidates.clone()).unwrap(),
-                starved_engine.measure_candidates(candidates.clone()).unwrap(),
+                measure(&starved_engine).unwrap().answers,
+                measure(&starved_engine).unwrap().answers,
             ];
             for answers in [&b, &starved_runs[0], &starved_runs[1]] {
                 assert_eq!(s.len(), answers.len());
@@ -294,39 +288,5 @@ fn batch_matches_sequential_on_the_sales_workload() {
         }
         let stats = starved_cache.stats();
         assert!(stats.evictions > 0, "{method:?}: the starved cache must evict: {stats:?}");
-    }
-}
-
-#[test]
-fn thread_count_does_not_change_bits() {
-    let formulas = vec![
-        QfFormula::atom(Atom::new(
-            Polynomial::var(Var(0)) * Polynomial::var(Var(1)) - Polynomial::var(Var(2)),
-            ConstraintOp::Lt,
-        )),
-        QfFormula::atom(Atom::new(Polynomial::var(Var(5)), ConstraintOp::Gt)),
-        QfFormula::or([
-            QfFormula::atom(Atom::new(
-                Polynomial::var(Var(1)) - Polynomial::var(Var(3)),
-                ConstraintOp::Le,
-            )),
-            QfFormula::atom(Atom::new(Polynomial::var(Var(2)), ConstraintOp::Ge)),
-        ]),
-    ];
-    let candidates = candidates_from(formulas);
-    let run = |threads: usize| {
-        let engine = CertaintyEngine::new(MeasureOptions {
-            method: MethodChoice::Afpras,
-            batch: BatchOptions { threads, dedup: true },
-            ..MeasureOptions::default()
-        });
-        engine.measure_batch(candidates.clone()).unwrap()
-    };
-    let one = run(1);
-    for threads in [2, 4, 8] {
-        let many = run(threads);
-        for (x, y) in one.answers.iter().zip(&many.answers) {
-            assert_eq!(bits(&x.certainty), bits(&y.certainty), "threads = {threads}");
-        }
     }
 }

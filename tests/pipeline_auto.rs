@@ -64,11 +64,11 @@ fn both_routes_agree_on_equivalent_queries() {
 
     let cq = cheap_offers(&db);
     assert!(cq.fragment().conjunctive);
-    let via_cq = engine.answers_auto(&cq, &db, 0.0).unwrap();
+    let via_cq = engine.answers(&cq, &db, 0.0).unwrap();
 
     let fo = cheap_offers_negated(&db);
     assert!(!fo.fragment().conjunctive);
-    let via_enum = engine.answers_auto(&fo, &db, 0.0).unwrap();
+    let via_enum = engine.answers(&fo, &db, 0.0).unwrap();
 
     // Same candidates, same measures. Seller a: certain (10 < 20).
     // Seller b: μ = 1/2 (⊤0 < 20 asymptotically ⇔ ⊤0 < 0 …): the null is
@@ -93,10 +93,10 @@ fn min_certainty_filters_both_routes() {
     let db = db();
     let engine = CertaintyEngine::new(MeasureOptions::default());
     let cq = cheap_offers(&db);
-    let strict = engine.answers_auto(&cq, &db, 0.9).unwrap();
+    let strict = engine.answers(&cq, &db, 0.9).unwrap();
     assert_eq!(strict.len(), 1, "only the certain seller survives the 0.9 bar");
     let fo = cheap_offers_negated(&db);
-    let strict = engine.answers_auto(&fo, &db, 0.9).unwrap();
+    let strict = engine.answers(&fo, &db, 0.9).unwrap();
     assert_eq!(strict.len(), 1);
 }
 
@@ -117,15 +117,15 @@ fn min_certainty_boundary_is_exclusive_on_both_routes() {
     assert!(!fo.fragment().conjunctive);
 
     for (query, route) in [(&cq, "conjunctive"), (&fo, "enumerated")] {
-        let at_half = engine.answers_auto(query, &db, 0.5).unwrap();
+        let at_half = engine.answers(query, &db, 0.5).unwrap();
         assert_eq!(at_half.len(), 1, "{route}: μ = 1/2 is excluded at min_certainty = 1/2");
         assert_eq!(at_half[0].tuple.values()[0].to_string(), "\"a\"");
 
-        let below_half = engine.answers_auto(query, &db, 0.4999).unwrap();
+        let below_half = engine.answers(query, &db, 0.4999).unwrap();
         assert_eq!(below_half.len(), 2, "{route}: μ = 1/2 passes a threshold just below");
 
         // μ = 0 candidates (seller c) stay excluded even at 0.0.
-        let at_zero = engine.answers_auto(query, &db, 0.0).unwrap();
+        let at_zero = engine.answers(query, &db, 0.0).unwrap();
         assert!(
             at_zero.iter().all(|a| a.tuple.values()[0].to_string() != "\"c\""),
             "{route}: impossible answers are excluded at min_certainty = 0.0"
@@ -153,7 +153,7 @@ fn universal_queries_route_through_enumeration() {
     )
     .unwrap();
     let engine = CertaintyEngine::new(MeasureOptions::default());
-    let answers = engine.answers_auto(&q, &db, 0.0).unwrap();
+    let answers = engine.answers(&q, &db, 0.0).unwrap();
     // "a" qualifies certainly; "b" with μ = 1/2; "c" never. The head also
     // ranges over sellers with no failing offer trivially — but every
     // base value in the domain is a seller here.

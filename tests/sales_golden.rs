@@ -129,7 +129,7 @@ fn tiny_scale_pipeline_is_pinned() {
         assert_eq!(lowered.limit, Some(25), "{name}: LIMIT 25 must survive lowering");
         let candidates = cq::execute(&lowered.query, &db, &lowered.cq_options()).unwrap();
         assert!(candidates.len() <= 25, "{name}: candidate-counting LIMIT caps distinct results");
-        let answers = engine.measure_candidates(candidates).unwrap();
+        let answers = engine.measure_batch(candidates).unwrap().answers;
         assert_eq!(answers.len(), rows.len(), "{name}: candidate count drifted");
 
         for (answer, (tuple, golden)) in answers.iter().zip(&rows) {

@@ -31,7 +31,7 @@ fn all_three_paper_queries_run_end_to_end() {
             afpras: AfprasOptions::with_epsilon(0.05),
             ..MeasureOptions::default()
         });
-        let answers = engine.measure_candidates(candidates).unwrap();
+        let answers = engine.measure_batch(candidates).unwrap().answers;
         for a in &answers {
             assert!(
                 (0.0..=1.0).contains(&a.certainty.value),
@@ -68,7 +68,7 @@ fn uncertain_answers_get_strict_fractional_measures() {
         afpras: AfprasOptions::with_epsilon(0.03),
         ..MeasureOptions::default()
     });
-    let answers = engine.measure_candidates(candidates).unwrap();
+    let answers = engine.measure_batch(candidates).unwrap().answers;
     let fractional: Vec<&AnswerWithCertainty> =
         answers.iter().filter(|a| a.certainty.value > 0.02 && a.certainty.value < 0.98).collect();
     assert!(!fractional.is_empty(), "with 50% nulls some candidates must be genuinely uncertain");

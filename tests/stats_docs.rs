@@ -149,6 +149,6 @@ fn every_block_has_a_meaning_column() {
         assert!(!cells[3].is_empty() && !cells[4].is_empty(), "empty cells in: {line}");
         rows += 1;
     }
-    // 7 + 6 + 6 + 10 + 4 + 7 counters across the six blocks.
-    assert_eq!(rows, 40, "expected one row per exported counter");
+    // 6 + 6 + 6 + 10 + 4 + 7 counters across the six blocks.
+    assert_eq!(rows, 39, "expected one row per exported counter");
 }
