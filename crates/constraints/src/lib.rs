@@ -32,9 +32,10 @@
 //! * [`QfFormula`] — quantifier-free formulas with NNF/DNF conversion,
 //!   simplification and evaluation;
 //! * [`asymptotic`] — Lemma 8.2–8.4: direction-wise limits;
-//! * [`canonical`] — canonical forms and interning: dense renumbering,
-//!   scale-insensitive asymptotic keys, and the [`FormulaInterner`] table
-//!   backing the batch measurement engine's ν-cache.
+//! * [`canonical`] — canonical forms and group keys: dense renumbering,
+//!   and the one-pass byte keys ([`canonical::KeyEncoder`]), structural
+//!   or scale-insensitive asymptotic, that the batch measurement engine
+//!   groups on and its ν-cache is keyed by.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +51,6 @@ mod polynomial;
 mod var;
 
 pub use atom::{Atom, ConstraintOp};
-pub use canonical::{Canonical, FormulaInterner, InternStats};
 pub use error::FormulaError;
 pub use formula::{Dnf, QfFormula};
 pub use linear::LinearExpr;

@@ -8,10 +8,12 @@
 //! to what a fresh run would produce — provided the key captures
 //! everything the computation depends on:
 //!
-//! * a **formula group key** from [`qarith_constraints::canonical`]
-//!   (the structural key in general; the batch engine substitutes the
-//!   coarser asymptotic key on the sampling route, where it is
-//!   evaluation-equivalent — see `pipeline`);
+//! * a **formula group key**: the bytes a
+//!   [`qarith_constraints::canonical::KeyEncoder`] builds (the
+//!   structural key in general; the batch engine substitutes the coarser
+//!   asymptotic key on the sampling route, where it is
+//!   evaluation-equivalent — see `pipeline`). Equal keys are equal
+//!   canonical forms, compared byte for byte — never a hash;
 //! * an **options fingerprint** hashing the method choice and every
 //!   option that can influence the output bits (ε, δ, seeds, thread
 //!   counts, sampling policy, DNF budget, order limit).
@@ -54,7 +56,7 @@ use std::sync::{Arc, Mutex};
 use crate::estimate::CertaintyEstimate;
 
 /// Fixed per-entry bookkeeping charge (map nodes, the recency index,
-/// and the `Arc<str>` header) on top of key and estimate bytes. The
+/// and the `Arc<[u8]>` header) on top of key and estimate bytes. The
 /// point of the budget is a reliable *order of magnitude*, not
 /// allocator-exact accounting.
 const ENTRY_OVERHEAD_BYTES: usize = 96;
@@ -132,22 +134,22 @@ struct Entry {
 }
 
 /// One shard: a two-level map (group key → fingerprint → entry, so
-/// lookups probe with `&str` and never allocate) plus a recency index.
-/// The key `Arc<str>` is shared between map and index, so a recency
-/// touch moves 16 bytes, not the (large) key string.
+/// lookups probe with `&[u8]` and never allocate) plus a recency index.
+/// The key `Arc<[u8]>` is shared between map and index, so a recency
+/// touch moves 16 bytes, not the key.
 #[derive(Default)]
 struct ShardInner {
-    map: HashMap<Arc<str>, HashMap<u64, Entry>>,
+    map: HashMap<Arc<[u8]>, HashMap<u64, Entry>>,
     /// tick → (group key, fingerprint); the smallest tick is the least
     /// recently used entry. Ticks are unique within a shard.
-    recency: BTreeMap<u64, (Arc<str>, u64)>,
+    recency: BTreeMap<u64, (Arc<[u8]>, u64)>,
     next_tick: u64,
     resident_bytes: usize,
     evictions: u64,
 }
 
 impl ShardInner {
-    fn touch(&mut self, key: &Arc<str>, fingerprint: u64) {
+    fn touch(&mut self, key: &Arc<[u8]>, fingerprint: u64) {
         let tick = self.next_tick;
         self.next_tick += 1;
         let entry = self.map.get_mut(key).and_then(|by_fp| by_fp.get_mut(&fingerprint));
@@ -175,7 +177,7 @@ impl ShardInner {
     }
 }
 
-// ShardInner has no Debug (Arc<str> maps are noise); summarize instead.
+// ShardInner has no Debug (key-byte maps are noise); summarize instead.
 impl std::fmt::Debug for ShardInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardInner")
@@ -218,7 +220,7 @@ impl NuCache {
     /// Looks up the estimate for a formula group key under an options
     /// fingerprint. Served entries are marked
     /// [`CertaintyEstimate::cached`].
-    pub fn get(&self, group_key: &str, fingerprint: u64) -> Option<CertaintyEstimate> {
+    pub fn get(&self, group_key: &[u8], fingerprint: u64) -> Option<CertaintyEstimate> {
         // Poison policy: a poisoned shard degrades to a permanent miss.
         // This is sound for the same reason eviction is — every entry
         // is a deterministic function of its key, so losing access to a
@@ -250,14 +252,14 @@ impl NuCache {
     /// Records an estimate, evicting least-recently-used entries past
     /// the shard's budget. Last write wins; racing writers hold
     /// bit-identical values by construction.
-    pub fn insert(&self, group_key: String, fingerprint: u64, estimate: CertaintyEstimate) {
-        let bytes = NuCache::entry_bytes(&group_key);
+    pub fn insert(&self, group_key: &[u8], fingerprint: u64, estimate: CertaintyEstimate) {
+        let bytes = NuCache::entry_bytes(group_key);
         // Poisoned shard: drop the insert (see `get` — the shard is a
         // permanent miss, so storing into it would never be observed).
-        let Ok(mut inner) = self.shard_of(&group_key).lock() else { return };
-        let key: Arc<str> = match inner.map.get_key_value(group_key.as_str()) {
+        let Ok(mut inner) = self.shard_of(group_key).lock() else { return };
+        let key: Arc<[u8]> = match inner.map.get_key_value(group_key) {
             Some((key, _)) => key.clone(),
-            None => Arc::from(group_key.into_boxed_str()),
+            None => Arc::from(group_key),
         };
         let tick = inner.next_tick;
         inner.next_tick += 1;
@@ -301,13 +303,13 @@ impl NuCache {
     /// required (placement is invisible in results), but a fixed
     /// function keeps eviction traces reproducible for a fixed request
     /// order, which the serving tests rely on.
-    fn shard_of(&self, group_key: &str) -> &Mutex<ShardInner> {
-        let h = qarith_numeric::Fnv1a64::digest(group_key.as_bytes());
+    fn shard_of(&self, group_key: &[u8]) -> &Mutex<ShardInner> {
+        let h = qarith_numeric::Fnv1a64::digest(group_key);
         // analyze: allow(panic-index, reason = "h % len < len by construction, and len >= 1 is forced in new()")
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
 
-    fn entry_bytes(key: &str) -> usize {
+    fn entry_bytes(key: &[u8]) -> usize {
         key.len() + std::mem::size_of::<CertaintyEstimate>() + ENTRY_OVERHEAD_BYTES
     }
 }
@@ -321,19 +323,19 @@ mod tests {
         CertaintyEstimate::exact_rational(Rational::new(v, d), 1)
     }
 
-    fn key(i: usize) -> String {
-        format!("a:group-key-{i:04}")
+    fn key(i: usize) -> Vec<u8> {
+        format!("a:group-key-{i:04}").into_bytes()
     }
 
     #[test]
     fn get_insert_roundtrip_marks_cached() {
         let cache = NuCache::default();
-        assert!(cache.get("k", 7).is_none());
-        cache.insert("k".into(), 7, est(1, 2));
-        let got = cache.get("k", 7).expect("present");
+        assert!(cache.get(b"k", 7).is_none());
+        cache.insert(b"k", 7, est(1, 2));
+        let got = cache.get(b"k", 7).expect("present");
         assert_eq!(got.exact, Some(Rational::new(1, 2)));
         assert!(got.cached);
-        assert!(cache.get("k", 8).is_none(), "fingerprint is part of the key");
+        assert!(cache.get(b"k", 8).is_none(), "fingerprint is part of the key");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
         assert_eq!(stats.evictions, 0);
@@ -346,12 +348,12 @@ mod tests {
         let config = NuCacheConfig { shards: 1, budget_bytes: 4 * per_entry };
         let cache = NuCache::new(config);
         for i in 0..4 {
-            cache.insert(key(i), 0, est(1, i as i128 + 1));
+            cache.insert(&key(i), 0, est(1, i as i128 + 1));
         }
         assert_eq!(cache.stats().evictions, 0);
         // Touch key 0 so key 1 becomes the LRU victim.
         assert!(cache.get(&key(0), 0).is_some());
-        cache.insert(key(4), 0, est(1, 5));
+        cache.insert(&key(4), 0, est(1, 5));
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert!(stats.resident_bytes <= config.budget_bytes as u64);
@@ -368,7 +370,7 @@ mod tests {
         let cache = NuCache::new(config);
         for round in 0..3 {
             for i in 0..16 {
-                cache.insert(key(i), 9, est(1, i as i128 + 1));
+                cache.insert(&key(i), 9, est(1, i as i128 + 1));
                 let got = cache.get(&key(i), 9).expect("just inserted (fits one entry)");
                 assert_eq!(got.exact, Some(Rational::new(1, i as i128 + 1)), "round {round}");
             }
@@ -382,11 +384,11 @@ mod tests {
     fn replacement_does_not_leak_accounting() {
         let cache = NuCache::new(NuCacheConfig { shards: 1, budget_bytes: 1 << 20 });
         for _ in 0..100 {
-            cache.insert("same".into(), 1, est(1, 3));
+            cache.insert(b"same", 1, est(1, 3));
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
-        assert_eq!(stats.resident_bytes, NuCache::entry_bytes("same") as u64);
+        assert_eq!(stats.resident_bytes, NuCache::entry_bytes(b"same") as u64);
     }
 
     #[test]
@@ -397,8 +399,9 @@ mod tests {
                 let cache = &cache;
                 scope.spawn(move || {
                     for i in 0..50 {
-                        cache.insert(format!("t{t}-{i}"), 0, est(1, 4));
-                        assert!(cache.get(&format!("t{t}-{i}"), 0).is_some());
+                        let key = format!("t{t}-{i}").into_bytes();
+                        cache.insert(&key, 0, est(1, 4));
+                        assert!(cache.get(&key, 0).is_some());
                     }
                 });
             }

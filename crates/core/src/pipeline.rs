@@ -13,13 +13,14 @@
 //! | CQ(+,<) when multiplicative guarantees are requested | FPRAS (Thm 7.1) |
 //! | everything else | AFPRAS (Thm 8.1) |
 
+use std::borrow::Cow;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use qarith_constraints::asymptotic::CompiledFormula;
-use qarith_constraints::canonical::{self, Canonical};
+use qarith_constraints::canonical::{self, Granularity, KeyEncoder, Origin};
 use qarith_constraints::QfFormula;
 use qarith_engine::cq::{self, CandidateAnswer, CqOptions};
 use qarith_engine::{ground, ActiveDomain};
@@ -243,14 +244,53 @@ pub struct BatchOutcome {
 /// [`CertaintyEngine::nu`]'s routing), or — with rewriting enabled — the
 /// rewrite outcome prepared once per canonical class while building the
 /// group key, so the pass pipeline never runs twice on a formula.
+/// Formulas are `Arc`-shared with the candidates they came from — plans
+/// hold references, not copies.
 #[derive(Clone, Debug)]
 enum Work {
-    /// Measure this formula under the configured method (`Arc`-shared
-    /// with the candidate it came from — plans hold references, not
-    /// copies).
+    /// Measure this formula verbatim under the configured method (dedup
+    /// off: nothing is shared, nothing is canonicalized).
     Formula(Arc<QfFormula>),
+    /// Measure the structural form ([`canonical::renumbered`]) of this
+    /// formula, the group's first member — built only when the group is
+    /// measured, and bit-identical to measuring any member.
+    Canonical(Arc<QfFormula>),
     /// Measure this prepared decomposition (rewrite pipeline).
     Prepared(Box<RewriteOutcome>),
+}
+
+impl Work {
+    /// The formula this work measures under [`CertaintyEngine::nu`]'s
+    /// routing (`None` for a prepared decomposition).
+    fn formula(&self) -> Option<Cow<'_, QfFormula>> {
+        match self {
+            Work::Formula(phi) => Some(Cow::Borrowed(phi)),
+            Work::Canonical(phi) => Some(Cow::Owned(canonical::renumbered(phi))),
+            Work::Prepared(_) => None,
+        }
+    }
+}
+
+/// A group's ν-cache key: the bytes of a [`KeyEncoder`] key, shared
+/// between the plan and the dedup map. `None` with dedup off.
+type GroupKey = Option<Arc<[u8]>>;
+
+/// A measured group's estimate, or the error that stopped the batch.
+type GroupResult = Result<CertaintyEstimate, MeasureError>;
+
+/// What one structural class contributes to a plan: its group key and,
+/// with rewriting on, its prepared rewrite outcome.
+type ClassKey = (Box<[u8]>, Option<Box<RewriteOutcome>>);
+
+/// How [`CertaintyEngine::prepare_batch`] keys a candidate.
+#[derive(Clone, Copy)]
+enum Keying {
+    /// Straight from the ground formula, at this granularity.
+    Direct(Granularity),
+    /// Through its structural class: the key depends on per-class work
+    /// (`Auto`'s route selection, the rewrite pipeline), which runs once
+    /// per class.
+    PerClass,
 }
 
 /// Where a candidate's estimate comes from.
@@ -265,16 +305,15 @@ enum Slot {
 }
 
 /// The front half of a batch measurement, prepared once and executable
-/// many times: per-candidate canonicalization, deduplication into
-/// formula groups, cache-key construction, and (with rewriting enabled)
-/// the per-class rewrite outcome.
+/// many times: per-candidate keying, deduplication into formula groups,
+/// and (with rewriting enabled) the per-class rewrite outcome.
 ///
 /// [`CertaintyEngine::prepare_batch`] builds a plan;
 /// [`CertaintyEngine::execute_plan`] runs the back half — ν-cache
 /// lookup, measurement of the misses, rehydration — against the
 /// engine's *current* cache state. A long-lived service keeps plans in
 /// a plan cache (see `qarith-serve`) so repeat traffic skips parsing,
-/// grounding, canonicalization, and rewriting entirely, going straight
+/// grounding, keying, and rewriting entirely, going straight
 /// to per-group ν lookup.
 ///
 /// A plan embeds the candidate tuples and ground formulas it was built
@@ -292,11 +331,13 @@ pub struct BatchPlan {
     slots: Vec<Slot>,
     /// Deduplicated measurement work plus the ν-cache key (`None` with
     /// dedup off: nothing is shared).
-    groups: Vec<(Work, Option<String>)>,
+    groups: Vec<(Work, GroupKey)>,
     /// Executor-certain candidates (μ = 1, no group).
     certain: usize,
     /// Candidates served by in-plan deduplication.
     dedup_hits: usize,
+    /// Formula nodes the plan's keys encoded ([`KeyEncoder::nodes`]).
+    key_nodes: u64,
 }
 
 impl BatchPlan {
@@ -308,6 +349,13 @@ impl BatchPlan {
     /// Distinct formula groups to measure or look up per execution.
     pub fn groups(&self) -> usize {
         self.groups.len()
+    }
+
+    /// Formula nodes encoded while keying the plan's candidates: an
+    /// exact, deterministic measure of the key-building work a plan
+    /// build did.
+    pub fn key_nodes(&self) -> u64 {
+        self.key_nodes
     }
 }
 
@@ -426,60 +474,83 @@ impl CertaintyEngine {
         Ok(answers)
     }
 
-    /// The cache key granularity for a canonical formula under the
-    /// engine's method. The structural key is bit-safe everywhere; the
-    /// coarser asymptotic key is used only on the *sampling* route,
-    /// where asymptotic-truth-equal formulas evaluate identically per
-    /// direction (see `qarith_constraints::canonical`). The geometric
-    /// FPRAS and the exact evaluators keep the structural key: their
-    /// `f64` intermediates are scale-sensitive. Keys are prefixed so the
-    /// granularities never collide.
+    /// How candidates are keyed under the engine's options. The
+    /// structural key is bit-safe everywhere; the coarser asymptotic key
+    /// is used only on the *sampling* route, where asymptotic-truth-equal
+    /// formulas evaluate identically per direction (see
+    /// `qarith_constraints::canonical`). The geometric FPRAS and the
+    /// exact evaluators key structurally: their `f64` intermediates are
+    /// scale-sensitive. `Auto` chooses per structural class, and with
+    /// rewriting on every method keys per class
+    /// ([`CertaintyEngine::prepare_class`]).
+    fn keying(&self) -> Keying {
+        if self.options.rewrite.enabled {
+            return Keying::PerClass;
+        }
+        match self.options.method {
+            MethodChoice::Afpras => Keying::Direct(Granularity::Asymptotic),
+            MethodChoice::Fpras | MethodChoice::ExactOnly => {
+                Keying::Direct(Granularity::Structural)
+            }
+            MethodChoice::Auto => Keying::PerClass,
+        }
+    }
+
+    /// The group key of one structural class — given a member `phi` and
+    /// the class's structural key — plus, with rewriting on, the class's
+    /// prepared rewrite outcome.
+    ///
+    /// Without rewriting this is `Auto`'s route selection on the
+    /// structural form: the asymptotic key when no exact evaluator
+    /// applies to its a.e. simplification (the sampling route), the
+    /// structural key otherwise. The two granularities carry different
+    /// leading tags, so they never collide under `Auto`'s one
+    /// fingerprint.
     ///
     /// With rewriting enabled the key is computed on the **rewritten**
-    /// form (re-canonicalized, since simplification can drop variables):
-    /// that is what gets measured, so that is what identifies the
-    /// result. On the `Auto`/`Afpras` routes the rewritten pipeline uses
-    /// the asymptotic granularity throughout: sampled residuals evaluate
-    /// per-direction limit truth (invariant across an asymptotic class),
-    /// and the factor evaluators the decomposition routes to are
-    /// asymptotically determined too — the order-fragment and
-    /// dimension-≤1 evaluators return the identical rational for every
-    /// class member, and the 2-D arc evaluator computes the identical
-    /// arc set, so members can differ from a standalone evaluation at
-    /// most in the final ulp of the closed-form `f64` (the shared value
-    /// is the class representative's; the ε guarantee is unaffected).
-    /// `Fpras`/`ExactOnly` keep the structural key, as without
-    /// rewriting. The rewritten prefixes (`ra:`/`rs:`) are distinct from
-    /// the plain ones on top of the fingerprint separation.
-    fn prepare_group(&self, canon: &Canonical) -> (String, Option<Box<RewriteOutcome>>) {
+    /// form (the encoder renumbers it afresh, since simplification can
+    /// drop variables): that is what gets measured, so that is what
+    /// identifies the result. On the `Auto`/`Afpras` routes the
+    /// rewritten pipeline uses the asymptotic granularity throughout:
+    /// sampled residuals evaluate per-direction limit truth (invariant
+    /// across an asymptotic class), and the factor evaluators the
+    /// decomposition routes to are asymptotically determined too — the
+    /// order-fragment and dimension-≤1 evaluators return the identical
+    /// rational for every class member, and the 2-D arc evaluator
+    /// computes the identical arc set, so members can differ from a
+    /// standalone evaluation at most in the final ulp of the closed-form
+    /// `f64` (the shared value is the class representative's; the ε
+    /// guarantee is unaffected). `Fpras`/`ExactOnly` key structurally,
+    /// as without rewriting. Rewritten keys are tagged
+    /// [`Origin::Rewritten`], apart from ground ones on top of the
+    /// fingerprint separation.
+    fn prepare_class(
+        &self,
+        phi: &QfFormula,
+        structural: &[u8],
+        encoder: &mut KeyEncoder,
+    ) -> ClassKey {
+        let canon = canonical::renumbered(phi);
         if self.options.rewrite.enabled {
-            let out = Rewriter::new(self.options.rewrite).rewrite(&canon.formula);
-            // Re-renumber after simplification (it can drop variables);
-            // the `ra:` route skips the structural-key serialization.
-            let key = match self.options.method {
-                MethodChoice::Auto | MethodChoice::Afpras => {
-                    format!(
-                        "ra:{}",
-                        canonical::asymptotic_key_of(&canonical::renumbered(&out.formula))
-                    )
-                }
-                MethodChoice::Fpras | MethodChoice::ExactOnly => {
-                    format!("rs:{}", canonical::canonicalize(&out.formula).structural_key)
-                }
+            let out = Rewriter::new(self.options.rewrite).rewrite(&canon);
+            let granularity = match self.options.method {
+                MethodChoice::Auto | MethodChoice::Afpras => Granularity::Asymptotic,
+                MethodChoice::Fpras | MethodChoice::ExactOnly => Granularity::Structural,
             };
+            let key = encoder.encode(&out.formula, granularity, Origin::Rewritten).into();
             return (key, Some(Box::new(out)));
         }
         let sampling = match self.options.method {
             MethodChoice::Afpras => true,
             MethodChoice::Fpras | MethodChoice::ExactOnly => false,
             MethodChoice::Auto => {
-                !exact_applicable(&ae_simplify(&canon.formula), self.options.exact_order_limit)
+                !exact_applicable(&ae_simplify(&canon), self.options.exact_order_limit)
             }
         };
         let key = if sampling {
-            format!("a:{}", canon.asymptotic_key())
+            encoder.encode(phi, Granularity::Asymptotic, Origin::Ground).into()
         } else {
-            format!("s:{}", canon.structural_key)
+            structural.into()
         };
         (key, None)
     }
@@ -501,56 +572,58 @@ impl CertaintyEngine {
     /// changes cost, never bits (pinned by
     /// `shared_fanout_is_bit_identical`).
     ///
-    /// Returns `false` — leaving `results` untouched — when the route
-    /// does not apply: rewriting on (groups carry prepared
-    /// decompositions), a non-sampling method, or invalid AFPRAS
-    /// options (the per-group loop then surfaces the error with its
-    /// usual first-in-candidate-order semantics).
+    /// Fills every pending (`None`) slot of `results`, or leaves
+    /// `results` untouched when the route does not apply: rewriting on
+    /// (groups carry prepared decompositions), a non-sampling method, or
+    /// invalid AFPRAS options (the per-group loop then surfaces the
+    /// error with its usual first-in-candidate-order semantics).
     fn measure_pending_shared(
         &self,
-        plan: &BatchPlan,
-        pending: &[usize],
-        results: &mut [Option<Result<CertaintyEstimate, MeasureError>>],
-    ) -> bool {
+        groups: &[(Work, GroupKey)],
+        results: &mut [Option<GroupResult>],
+    ) {
         if self.options.rewrite.enabled
             || !matches!(self.options.method, MethodChoice::Auto | MethodChoice::Afpras)
             || self.options.afpras.validate().is_err()
         {
-            return false;
+            return;
         }
-        let mut sampled: Vec<usize> = Vec::new();
+        let mut sampled: Vec<&mut Option<GroupResult>> = Vec::new();
         let mut compiled: Vec<CompiledFormula> = Vec::new();
-        let mut inline: Vec<(usize, CertaintyEstimate)> = Vec::new();
-        for &gi in pending {
+        let mut inline: Vec<(&mut Option<GroupResult>, CertaintyEstimate)> = Vec::new();
+        for ((work, _), slot) in groups.iter().zip(results.iter_mut()) {
+            if slot.is_some() {
+                continue;
+            }
             // With rewriting off every group is a bare formula, but the
-            // invariant lives in `prepare_group`, so stay defensive.
-            let Work::Formula(phi) = &plan.groups[gi].0 else { return false };
+            // invariant lives in `prepare_batch`, so stay defensive.
+            let Some(phi) = work.formula() else { return };
             match self.options.method {
                 MethodChoice::Afpras => {
-                    sampled.push(gi);
-                    compiled.push(CompiledFormula::compile(phi));
+                    sampled.push(slot);
+                    compiled.push(CompiledFormula::compile(&phi));
                 }
                 MethodChoice::Auto => {
-                    let simplified = ae_simplify(phi);
+                    let simplified = ae_simplify(&phi);
                     match try_exact(&simplified, self.options.exact_order_limit) {
-                        Some(exact) => inline.push((gi, exact)),
+                        Some(exact) => inline.push((slot, exact)),
                         None => {
-                            sampled.push(gi);
+                            sampled.push(slot);
                             compiled.push(CompiledFormula::compile(&simplified));
                         }
                     }
                 }
-                MethodChoice::Fpras | MethodChoice::ExactOnly => return false,
+                MethodChoice::Fpras | MethodChoice::ExactOnly => return,
             }
         }
-        for (gi, exact) in inline {
-            results[gi] = Some(Ok(exact));
+        for (slot, exact) in inline {
+            *slot = Some(Ok(exact));
         }
         if !sampled.is_empty() {
             let refs: Vec<&CompiledFormula> = compiled.iter().collect();
             let outcomes = estimate_nu_compiled_many(&refs, &self.options.afpras);
-            for (&gi, out) in sampled.iter().zip(outcomes) {
-                results[gi] = Some(Ok(CertaintyEstimate {
+            for (slot, out) in sampled.into_iter().zip(outcomes) {
+                *slot = Some(Ok(CertaintyEstimate {
                     value: out.estimate,
                     exact: None,
                     method: Method::Afpras,
@@ -563,7 +636,6 @@ impl CertaintyEngine {
                 }));
             }
         }
-        true
     }
 
     /// One unit of batch work: bare formulas route through
@@ -575,6 +647,7 @@ impl CertaintyEngine {
     ) -> Result<(CertaintyEstimate, Option<RewriteTrace>), MeasureError> {
         match work {
             Work::Formula(phi) => self.nu_traced(phi),
+            Work::Canonical(phi) => self.nu_traced(&canonical::renumbered(phi)),
             Work::Prepared(out) => {
                 measure_prepared(out, &self.options).map(|(est, trace)| (est, Some(trace)))
             }
@@ -586,8 +659,8 @@ impl CertaintyEngine {
     ///
     /// Pipeline per call:
     ///
-    /// 1. every uncertain candidate's ground formula is canonicalized
-    ///    (`qarith_constraints::canonical`) and grouped by cache key;
+    /// 1. every uncertain candidate's ground formula is keyed in one
+    ///    pass (`qarith_constraints::canonical`) and grouped by key;
     /// 2. groups found in the engine's [`NuCache`] are served directly;
     /// 3. the remaining unique formulas are measured on the calling
     ///    thread under the engine's configured method — one
@@ -615,32 +688,31 @@ impl CertaintyEngine {
         // Single-shot: the plan is discarded, so the candidates move out
         // of it instead of being cloned.
         let BatchPlan { candidates, slots, .. } = plan;
-        rehydrate(candidates.into_iter(), &slots, results, stats)
+        rehydrate(candidates.into_iter(), &slots, &results, stats)
     }
 
     /// The front half of [`CertaintyEngine::measure_batch`], runnable
-    /// once per query template: canonicalize every uncertain candidate,
-    /// dedup into groups, build cache keys, and (with rewriting on)
-    /// prepare the per-class rewrite outcome. The resulting
-    /// [`BatchPlan`] contains no measurements — execute it with
-    /// [`CertaintyEngine::execute_plan`], as often as needed.
+    /// once per query template: key every uncertain candidate, dedup
+    /// into groups, and (with rewriting on) prepare the per-class
+    /// rewrite outcome. The resulting [`BatchPlan`] contains no
+    /// measurements — execute it with [`CertaintyEngine::execute_plan`],
+    /// as often as needed.
     pub fn prepare_batch(&self, candidates: Vec<CandidateAnswer>) -> BatchPlan {
-        // Groups: the work to measure (the structural canonical form
-        // when dedup is on — bit-identical to the member formulas — or
-        // the original formula verbatim when dedup is off; with
-        // rewriting enabled, the per-class prepared rewrite outcome)
-        // plus the ν-cache key (`None` with dedup off: nothing is
-        // shared).
-        let mut groups: Vec<(Work, Option<String>)> = Vec::new();
-        let mut by_key: HashMap<String, usize> = HashMap::new();
+        // Groups: the work to measure (with dedup on, the first member's
+        // structural form, built when measured — bit-identical to every
+        // member's — or, with rewriting on, the class's prepared rewrite
+        // outcome; with dedup off, each formula verbatim) plus the
+        // ν-cache key (`None` with dedup off: nothing is shared).
+        let mut groups: Vec<(Work, GroupKey)> = Vec::new();
+        let mut by_key: HashMap<Arc<[u8]>, usize> = HashMap::new();
         let mut slots: Vec<Slot> = Vec::with_capacity(candidates.len());
         let (mut certain, mut dedup_hits) = (0, 0);
-        // Structural interning memoizes canonicalization across literal
-        // repeats; route selection (simplification + key build — the
-        // whole rewrite pipeline when enabled) runs once per structural
-        // class, not per candidate.
-        let mut interner = canonical::FormulaInterner::new();
-        let mut key_of_class: HashMap<u32, (String, Option<Box<RewriteOutcome>>)> = HashMap::new();
+        let mut encoder = KeyEncoder::new();
+        let keying = self.keying();
+        // Structural key → the class's group key and prepared outcome:
+        // route selection (the whole rewrite pipeline when enabled) runs
+        // once per structural class, not per candidate.
+        let mut classes: HashMap<Box<[u8]>, ClassKey> = HashMap::new();
 
         for cand in &candidates {
             if cand.certain {
@@ -653,32 +725,44 @@ impl CertaintyEngine {
                 slots.push(Slot::Group(groups.len() - 1, true));
                 continue;
             }
-            let class = interner.intern(&cand.formula);
-            let key = key_of_class
-                .entry(class)
-                .or_insert_with(|| self.prepare_group(interner.get(class)))
-                .0
-                .clone();
-            match by_key.entry(key) {
-                Entry::Occupied(e) => {
-                    dedup_hits += 1;
-                    slots.push(Slot::Group(*e.get(), false));
+            let (key, prepared): (&[u8], Option<&RewriteOutcome>) = match keying {
+                Keying::Direct(granularity) => {
+                    (encoder.encode(&cand.formula, granularity, Origin::Ground), None)
                 }
-                Entry::Vacant(e) => {
+                Keying::PerClass => {
+                    let structural =
+                        encoder.encode(&cand.formula, Granularity::Structural, Origin::Ground);
+                    let class = match classes.entry(structural.into()) {
+                        Entry::Occupied(e) => e.into_mut(),
+                        Entry::Vacant(e) => {
+                            let class = self.prepare_class(&cand.formula, e.key(), &mut encoder);
+                            e.insert(class)
+                        }
+                    };
+                    (&class.0, class.1.as_deref())
+                }
+            };
+            match by_key.get(key) {
+                Some(&gi) => {
+                    dedup_hits += 1;
+                    slots.push(Slot::Group(gi, false));
+                }
+                None => {
                     // The prepared outcome is cloned only here — once per
                     // group, not per candidate (dedup hits need the key
                     // alone).
-                    let work = match &key_of_class[&class].1 {
-                        Some(out) => Work::Prepared(out.clone()),
-                        None => Work::Formula(Arc::new(interner.get(class).formula.clone())),
+                    let work = match prepared {
+                        Some(out) => Work::Prepared(Box::new(out.clone())),
+                        None => Work::Canonical(Arc::clone(&cand.formula)),
                     };
-                    groups.push((work, Some(e.key().clone())));
-                    e.insert(groups.len() - 1);
+                    let key: Arc<[u8]> = key.into();
+                    by_key.insert(Arc::clone(&key), groups.len());
+                    groups.push((work, Some(key)));
                     slots.push(Slot::Group(groups.len() - 1, true));
                 }
             }
         }
-        BatchPlan { candidates, slots, groups, certain, dedup_hits }
+        BatchPlan { candidates, slots, groups, certain, dedup_hits, key_nodes: encoder.nodes() }
     }
 
     /// The back half of [`CertaintyEngine::measure_batch`]: look every
@@ -704,7 +788,7 @@ impl CertaintyEngine {
         let (results, stats) = self.run_plan(plan, Some(&mut *sink));
         // analyze: allow(nondet-source, reason = "observational span timing: the instant flows only into the StageSink, never into the rehydrated answers; read-back from pinned code is barred by the trace-flow lint")
         let begun = std::time::Instant::now();
-        let outcome = rehydrate(plan.candidates.iter().cloned(), &plan.slots, results, stats);
+        let outcome = rehydrate(plan.candidates.iter().cloned(), &plan.slots, &results, stats);
         sink.record_stage(Stage::Rehydrate, observed_nanos(begun));
         outcome
     }
@@ -714,12 +798,11 @@ impl CertaintyEngine {
     /// results (in plan group order) plus the filled-in stats. The
     /// optional sink receives the ν-lookup and measurement durations;
     /// it is write-only (see [`CertaintyEngine::execute_plan`]).
-    #[allow(clippy::type_complexity)]
     fn run_plan(
         &self,
         plan: &BatchPlan,
         mut sink: Option<&mut (dyn StageSink + '_)>,
-    ) -> (Vec<Option<Result<CertaintyEstimate, MeasureError>>>, BatchStats) {
+    ) -> (Vec<GroupResult>, BatchStats) {
         let fingerprint = self.options.fingerprint();
         let mut stats = BatchStats {
             candidates: plan.candidates.len(),
@@ -734,20 +817,17 @@ impl CertaintyEngine {
         // on the next).
         // analyze: allow(nondet-source, reason = "observational span timing: the instant flows only into the StageSink, never into cache decisions or estimates; read-back from pinned code is barred by the trace-flow lint")
         let lookup_begun = sink.is_some().then(std::time::Instant::now);
-        let mut results: Vec<Option<Result<CertaintyEstimate, MeasureError>>> =
-            Vec::with_capacity(plan.groups.len());
-        for (_, key) in &plan.groups {
-            let served = match (self.cache.as_ref(), key) {
-                (Some(cache), Some(key)) => cache.get(key, fingerprint),
+        let mut results: Vec<Option<GroupResult>> = plan
+            .groups
+            .iter()
+            .map(|(_, key)| match (self.cache.as_ref(), key) {
+                (Some(cache), Some(key)) => cache.get(key, fingerprint).map(Ok),
                 _ => None,
-            };
-            if let Some(est) = served {
-                stats.cache_hits += 1;
-                results.push(Some(Ok(est)));
-            } else {
-                results.push(None);
-            }
-        }
+            })
+            .collect();
+        let fresh: Vec<bool> = results.iter().map(Option::is_none).collect();
+        stats.cache_hits = fresh.iter().filter(|&&f| !f).count();
+        stats.measured = stats.groups - stats.cache_hits;
         if let (Some(sink), Some(begun)) = (sink.as_deref_mut(), lookup_begun) {
             sink.record_stage(Stage::NuLookup, observed_nanos(begun));
         }
@@ -756,36 +836,40 @@ impl CertaintyEngine {
 
         // Measure the not-yet-known groups on this thread: all at once
         // on the shared-direction route where it applies, otherwise one
-        // group at a time.
-        let pending: Vec<usize> =
-            results.iter().enumerate().filter_map(|(i, r)| r.is_none().then_some(i)).collect();
-        stats.measured = pending.len();
-        let mut traces: Vec<Option<RewriteTrace>> = vec![None; plan.groups.len()];
-        if !self.measure_pending_shared(plan, &pending, &mut results) {
-            for &gi in &pending {
-                let result = self.measure_work(&plan.groups[gi].0);
-                let failed = result.is_err();
-                results[gi] = Some(result.map(|(est, trace)| {
-                    traces[gi] = trace;
-                    est
-                }));
-                if failed {
-                    // Groups are in first-occurrence order, so this error
-                    // is the first one in candidate order: later groups
-                    // would be discarded anyway.
-                    break;
+        // group at a time. Groups are in first-occurrence order, so the
+        // first failure is the first one in candidate order; the groups
+        // after it are skipped and carry a copy of it.
+        self.measure_pending_shared(&plan.groups, &mut results);
+        let mut failure: Option<MeasureError> = None;
+        let results: Vec<GroupResult> = plan
+            .groups
+            .iter()
+            .zip(results)
+            .map(|((work, _), slot)| {
+                if let Some(result) = slot {
+                    return result;
                 }
-            }
-        }
-        for trace in traces.iter().flatten() {
-            stats.rewrite.absorb(trace);
-        }
+                if let Some(e) = &failure {
+                    return Err(e.clone());
+                }
+                let result = self.measure_work(work).map(|(est, trace)| {
+                    if let Some(trace) = &trace {
+                        stats.rewrite.absorb(trace);
+                    }
+                    est
+                });
+                if let Err(e) = &result {
+                    failure = Some(e.clone());
+                }
+                result
+            })
+            .collect();
 
         // Publish fresh results to the persistent cache.
         if let Some(cache) = self.cache.as_ref() {
-            for &gi in &pending {
-                if let (Some(Ok(est)), Some(key)) = (&results[gi], &plan.groups[gi].1) {
-                    cache.insert(key.clone(), fingerprint, est.clone());
+            for (((_, key), result), fresh) in plan.groups.iter().zip(&results).zip(fresh) {
+                if let (true, Ok(est), Some(key)) = (fresh, result, key) {
+                    cache.insert(key, fingerprint, est.clone());
                 }
             }
         }
@@ -820,8 +904,8 @@ impl CertaintyEngine {
         min_certainty: f64,
         out: &mut Vec<AnswerWithCertainty>,
     ) -> Result<(), MeasureError> {
-        let i = candidate.len();
-        if i == query.arity() {
+        let Some(head_var) = query.free_vars().get(candidate.len()) else {
+            // Every head position is bound.
             let tuple = Tuple::new(candidate.clone());
             let phi = ground::ground(query, db, &tuple)?;
             let certainty = self.nu(&phi)?;
@@ -829,8 +913,8 @@ impl CertaintyEngine {
                 out.push(AnswerWithCertainty { tuple, certainty, formula: Arc::new(phi) });
             }
             return Ok(());
-        }
-        let domain: &[Value] = match query.free_vars()[i].sort {
+        };
+        let domain: &[Value] = match head_var.sort {
             Sort::Base => dom.base(),
             Sort::Num => dom.num(),
         };
@@ -855,15 +939,16 @@ fn observed_nanos(begun: std::time::Instant) -> u64 {
 fn rehydrate(
     candidates: impl Iterator<Item = CandidateAnswer>,
     slots: &[Slot],
-    mut results: Vec<Option<Result<CertaintyEstimate, MeasureError>>>,
+    results: &[GroupResult],
     stats: BatchStats,
 ) -> Result<BatchOutcome, MeasureError> {
     let mut answers = Vec::with_capacity(slots.len());
     for (cand, slot) in candidates.zip(slots) {
         let certainty = match *slot {
             Slot::Certain => CertaintyEstimate::exact_rational(Rational::ONE, 0),
+            // analyze: allow(panic-index, reason = "a slot's group index comes from the plan that built the slot, and `results` holds one entry per plan group")
             Slot::Group(gi, first) => match &results[gi] {
-                Some(Ok(est)) => {
+                Ok(est) => {
                     let mut est = est.clone();
                     // Dedup-served members share the group's value
                     // instead of recomputing; cache-served groups arrive
@@ -871,14 +956,7 @@ fn rehydrate(
                     est.cached |= !first;
                     est
                 }
-                Some(Err(_)) => {
-                    return Err(results[gi].take().expect("checked").expect_err("is error"));
-                }
-                // Only reachable past an early error break, and the
-                // erroring group's first candidate precedes every
-                // unmeasured group's candidates, so the Err branch
-                // above returns first.
-                None => unreachable!("unmeasured group after error return"),
+                Err(e) => return Err(e.clone()),
             },
         };
         answers.push(AnswerWithCertainty { tuple: cand.tuple, certainty, formula: cand.formula });

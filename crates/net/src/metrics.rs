@@ -143,7 +143,7 @@ mod tests {
 
     /// Every name in the exposition is well-formed and typed, and the
     /// block count covers the whole EXPERIMENTS table (6 batch + 6
-    /// rewrite + 6 ν-cache + 10 service + 4 admission + 7 net).
+    /// rewrite + 6 ν-cache + 11 service + 4 admission + 7 net).
     #[test]
     fn exposition_is_complete_and_well_formed() {
         let db = qarith_datagen::sales::sales_database(
@@ -158,7 +158,7 @@ mod tests {
             .lines()
             .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
             .partition(|l| l.starts_with("qarith_stage_"));
-        assert_eq!(counter_samples.len(), 6 + 6 + 6 + 10 + 4 + 7, "one sample per counter");
+        assert_eq!(counter_samples.len(), 6 + 6 + 6 + 11 + 4 + 7, "one sample per counter");
         for line in &counter_samples {
             let mut words = line.split_ascii_whitespace();
             let name = words.next().expect("metric name");
@@ -188,6 +188,7 @@ mod tests {
         assert!(text.contains("# TYPE qarith_admission_in_flight gauge"));
         assert!(text.contains("# TYPE qarith_service_epoch gauge"));
         assert!(text.contains("# TYPE qarith_service_join_rows counter"));
+        assert!(text.contains("# TYPE qarith_service_key_nodes counter"));
         assert!(text.contains("# TYPE qarith_sharded_cache_evictions counter"));
         assert!(text.contains("# TYPE qarith_net_frames_in counter"));
         assert!(!text.contains("qarith_nucache_"), "no block for a cache the service lacks");

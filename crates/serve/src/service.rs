@@ -130,6 +130,10 @@ pub struct ServiceStats {
     /// scan visits, and each row an index probe returns that holds the
     /// whole key. An exact measure of the join's work.
     pub join_rows: u64,
+    /// Formula nodes plan builds encoded into ν-cache group keys, summed
+    /// over every build ([`BatchPlan::key_nodes`]). An exact measure of
+    /// the key-building work.
+    pub key_nodes: u64,
 }
 
 impl ServiceStats {
@@ -137,7 +141,7 @@ impl ServiceStats {
     /// order — the machine-readable export `serve_bench` serializes
     /// into `BENCH_*.json`. Names are part of the JSON schema: renaming
     /// one is a baseline-breaking change.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 10] {
+    pub fn as_pairs(&self) -> [(&'static str, u64); 11] {
         [
             ("queries", self.queries),
             ("plan_hits", self.plan_hits),
@@ -149,6 +153,7 @@ impl ServiceStats {
             ("write_ops", self.write_ops),
             ("plan_invalidations", self.plan_invalidations),
             ("join_rows", self.join_rows),
+            ("key_nodes", self.key_nodes),
         ]
     }
 }
@@ -249,6 +254,7 @@ pub struct QueryService {
     write_ops: AtomicU64,
     plan_invalidations: AtomicU64,
     join_rows: AtomicU64,
+    key_nodes: AtomicU64,
     totals: BatchTotals,
     tracer: Tracer,
 }
@@ -374,6 +380,7 @@ impl QueryService {
             write_ops: AtomicU64::new(0),
             plan_invalidations: AtomicU64::new(0),
             join_rows: AtomicU64::new(0),
+            key_nodes: AtomicU64::new(0),
             totals: BatchTotals::default(),
             tracer,
         }
@@ -682,7 +689,9 @@ impl QueryService {
         let (candidates, footprint, rows) =
             cq::execute_recorded(&lowered.query, &snap.db, &lowered.cq_options())?;
         self.join_rows.fetch_add(rows, Ordering::Relaxed);
-        Ok((self.engine.prepare_batch(candidates), footprint))
+        let plan = self.engine.prepare_batch(candidates);
+        self.key_nodes.fetch_add(plan.key_nodes(), Ordering::Relaxed);
+        Ok((plan, footprint))
     }
 
     /// The engine's options (fixed for the service's lifetime).
@@ -707,6 +716,7 @@ impl QueryService {
             write_ops: self.write_ops.load(Ordering::Relaxed),
             plan_invalidations: self.plan_invalidations.load(Ordering::Relaxed),
             join_rows: self.join_rows.load(Ordering::Relaxed),
+            key_nodes: self.key_nodes.load(Ordering::Relaxed),
         }
     }
 

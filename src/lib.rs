@@ -129,7 +129,6 @@ pub use qarith_types as types;
 /// assert_eq!(warm.answers[0].certainty.value, cold.answers[0].certainty.value);
 /// ```
 pub mod prelude {
-    pub use qarith_constraints::canonical::{canonicalize, Canonical, FormulaInterner};
     pub use qarith_constraints::{Atom, ConstraintOp, Polynomial, QfFormula, Var as ConstraintVar};
     pub use qarith_core::{
         AnswerWithCertainty, BatchOptions, BatchOutcome, BatchPlan, BatchStats, CacheStats,
