@@ -174,17 +174,7 @@ impl Fig1Harness {
                 estimates.push(CertaintyEstimate::exact_rational(qarith_numeric::Rational::ONE, 0));
             } else {
                 let out = outcomes.next().expect("one outcome per uncertain");
-                estimates.push(CertaintyEstimate {
-                    value: out.estimate,
-                    exact: None,
-                    method: qarith_core::Method::Afpras,
-                    epsilon: Some(epsilon),
-                    delta: Some(opts.delta),
-                    samples: out.samples,
-                    dimension: out.dimension,
-                    cached: false,
-                    rewritten: false,
-                });
+                estimates.push(out.estimate(&opts));
             }
         }
         Fig1Point {

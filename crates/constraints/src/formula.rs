@@ -223,13 +223,13 @@ impl QfFormula {
     ///
     /// **Deprecated:** this pass is subsumed by the `qarith-rewrite`
     /// crate's pipeline (`qarith_rewrite::ae_simplify` reproduces it
-    /// bit for bit; `qarith_rewrite::Rewriter` adds constant-sign
+    /// bit for bit; `qarith_rewrite::rewrite` adds constant-sign
     /// folding, Boolean normalization, and independence decomposition
     /// on top). The body below is frozen so existing callers keep the
     /// exact historical behavior; new code should go through
     /// `qarith-rewrite`, which is the one live simplifier.
     #[deprecated(note = "use qarith_rewrite::ae_simplify (bit-identical) or \
-                         qarith_rewrite::Rewriter for the full pass pipeline")]
+                         qarith_rewrite::rewrite for the full pass pipeline")]
     pub fn ae_simplified(&self) -> QfFormula {
         fn go(f: &QfFormula) -> QfFormula {
             match f {

@@ -118,6 +118,37 @@ pub struct AfprasOutcome {
     pub dimension: usize,
 }
 
+impl AfprasOutcome {
+    /// The outcome for `compiled` given its hit count out of `m` drawn
+    /// directions. A zero-dimensional formula is decided, not sampled:
+    /// its one "hit" is its truth value.
+    fn counted(compiled: &CompiledFormula, hits: usize, m: usize) -> AfprasOutcome {
+        match compiled.dim() {
+            0 => AfprasOutcome { estimate: hits as f64, samples: 0, hits, dimension: 0 },
+            dimension => {
+                AfprasOutcome { estimate: hits as f64 / m as f64, samples: m, hits, dimension }
+            }
+        }
+    }
+
+    /// The outcome as a [`CertaintyEstimate`] carrying the guarantee of
+    /// `opts`, the options that drew it — the one place an AFPRAS run
+    /// becomes an estimate.
+    pub fn estimate(&self, opts: &AfprasOptions) -> CertaintyEstimate {
+        CertaintyEstimate {
+            value: self.estimate,
+            exact: None,
+            method: Method::Afpras,
+            epsilon: Some(opts.epsilon),
+            delta: Some(opts.delta),
+            samples: self.samples,
+            dimension: self.dimension,
+            cached: false,
+            rewritten: false,
+        }
+    }
+}
+
 /// Estimates `ν(φ)` for a quantifier-free formula over the reals.
 pub fn estimate_nu(phi: &QfFormula, opts: &AfprasOptions) -> Result<AfprasOutcome, MeasureError> {
     opts.validate()?;
@@ -128,7 +159,10 @@ pub fn estimate_nu(phi: &QfFormula, opts: &AfprasOptions) -> Result<AfprasOutcom
 /// Estimates `ν(φ)` for an already-compiled formula (the §9 pipeline
 /// compiles once per candidate and reuses across ε values in benches).
 pub fn estimate_nu_compiled(compiled: &CompiledFormula, opts: &AfprasOptions) -> AfprasOutcome {
-    estimate_nu_compiled_many(&[compiled], opts).pop().expect("one outcome per formula")
+    let mut hits = [0];
+    count_hits(&[compiled], opts, &mut hits);
+    let [hits] = hits;
+    AfprasOutcome::counted(compiled, hits, opts.sample_count())
 }
 
 /// Estimates `ν` for a batch of compiled formulas under one option set,
@@ -153,41 +187,45 @@ pub fn estimate_nu_compiled_many(
     formulas: &[&CompiledFormula],
     opts: &AfprasOptions,
 ) -> Vec<AfprasOutcome> {
+    let mut hits = vec![0; formulas.len()];
+    count_hits(formulas, opts, &mut hits);
     let m = opts.sample_count();
-    let mut outcomes: Vec<Option<AfprasOutcome>> = vec![None; formulas.len()];
+    formulas.iter().zip(hits).map(|(compiled, h)| AfprasOutcome::counted(compiled, h, m)).collect()
+}
+
+/// Writes each formula's hit count into its slot of `hits` (one per
+/// formula, in input order): the truth value of a zero-dimensional
+/// formula, otherwise the asymptotically satisfied directions among
+/// `opts.sample_count()` drawn.
+fn count_hits(formulas: &[&CompiledFormula], opts: &AfprasOptions, hits: &mut [usize]) {
+    let m = opts.sample_count();
 
     // Group by the sampled dimension (`rows`): members consume the RNG
     // identically, so they can share blocks. BTreeMap for deterministic
     // group order (the order does not affect results — each group owns
     // fresh RNGs — but determinism everywhere keeps profiles stable).
-    let mut groups: std::collections::BTreeMap<usize, Vec<usize>> =
+    let mut groups: std::collections::BTreeMap<usize, Vec<(&CompiledFormula, &mut usize)>> =
         std::collections::BTreeMap::new();
-    for (i, compiled) in formulas.iter().enumerate() {
+    for (&compiled, slot) in formulas.iter().zip(hits.iter_mut()) {
         let dim = compiled.dim();
         if dim == 0 {
             // Zero-dimensional formulas are decided, not sampled.
             let mut memo = compiled.new_memo();
-            let truth = compiled.limit_truth(&[], &mut memo);
-            outcomes[i] = Some(AfprasOutcome {
-                estimate: if truth { 1.0 } else { 0.0 },
-                samples: 0,
-                hits: truth as usize,
-                dimension: 0,
-            });
+            *slot = usize::from(compiled.limit_truth(&[], &mut memo));
             continue;
         }
         let rows = match opts.full_dimension {
             None => dim,
             Some(full) => full.max(dim),
         };
-        groups.entry(rows).or_default().push(i);
+        groups.entry(rows).or_default().push((compiled, slot));
     }
 
-    for (rows, members) in &groups {
-        let group: Vec<&CompiledFormula> = members.iter().map(|&i| formulas[i]).collect();
+    for (rows, members) in groups {
+        let group: Vec<&CompiledFormula> = members.iter().map(|(compiled, _)| *compiled).collect();
         let threads = opts.threads.max(1).min(m);
-        let hits: Vec<usize> = if threads == 1 {
-            shared_worker(&group, *rows, opts, 0, m)
+        let counts: Vec<usize> = if threads == 1 {
+            shared_worker(&group, rows, opts, 0, m)
         } else {
             let mut counts = vec![vec![0usize; group.len()]; threads];
             let chunk = m / threads;
@@ -197,7 +235,7 @@ pub fn estimate_nu_compiled_many(
                     let quota = chunk + usize::from(t < rem);
                     let group = &group;
                     scope.spawn(move || {
-                        *slot = shared_worker(group, *rows, opts, t as u64 + 1, quota);
+                        *slot = shared_worker(group, rows, opts, t as u64 + 1, quota);
                     });
                 }
             });
@@ -208,17 +246,10 @@ pub fn estimate_nu_compiled_many(
                 acc
             })
         };
-        for (&i, &h) in members.iter().zip(&hits) {
-            outcomes[i] = Some(AfprasOutcome {
-                estimate: h as f64 / m as f64,
-                samples: m,
-                hits: h,
-                dimension: formulas[i].dim(),
-            });
+        for ((_, slot), h) in members.into_iter().zip(counts) {
+            *slot = h;
         }
     }
-
-    outcomes.into_iter().map(|o| o.expect("every formula measured")).collect()
 }
 
 /// Directions per block in the worker hot loop. 64 lanes keep the SoA
@@ -267,8 +298,11 @@ fn shared_worker(
     let mut remaining = quota;
     while remaining > 0 {
         let count = remaining.min(block);
-        qarith_geometry::fill_unit_sphere_block(&mut rng, rows, count, &mut soa[..rows * count]);
+        // Only the last block can be narrower; the SoA shrinks to fit it.
+        soa.truncate(rows * count);
+        qarith_geometry::fill_unit_sphere_block(&mut rng, rows, count, &mut soa);
         for ((compiled, scratch), h) in group.iter().zip(&mut scratches).zip(&mut hits) {
+            // analyze: allow(panic-index, reason = "every member's dim is at most `rows`, so its first dim rows lie inside the rows × count block")
             *h += compiled.limit_truth_block(&soa[..compiled.dim() * count], count, scratch);
         }
         remaining -= count;
@@ -281,18 +315,7 @@ pub fn afpras_estimate(
     phi: &QfFormula,
     opts: &AfprasOptions,
 ) -> Result<CertaintyEstimate, MeasureError> {
-    let out = estimate_nu(phi, opts)?;
-    Ok(CertaintyEstimate {
-        value: out.estimate,
-        exact: None,
-        method: Method::Afpras,
-        epsilon: Some(opts.epsilon),
-        delta: Some(opts.delta),
-        samples: out.samples,
-        dimension: out.dimension,
-        cached: false,
-        rewritten: false,
-    })
+    Ok(estimate_nu(phi, opts)?.estimate(opts))
 }
 
 #[cfg(test)]

@@ -1,29 +1,26 @@
-//! Decomposed measurement: the rewrite pipeline's executor.
+//! Decomposed measurement: the rewrite pipeline's half of the engine's
+//! router.
 //!
-//! [`measure_rewritten`] is what `CertaintyEngine::nu` runs when
-//! `MeasureOptions::rewrite.enabled` is set. It rewrites the formula
-//! through `qarith-rewrite` (simplification + independence
-//! decomposition), measures each variable-disjoint factor separately —
-//! routing factors to the exact evaluators wherever they apply, which
-//! the decomposition makes far more frequent — and multiplies, which is
-//! exact because the factors' asymptotic events are independent under
-//! the uniform direction measure (see `qarith_rewrite::decompose`).
+//! With `MeasureOptions::rewrite.enabled` set, `CertaintyEngine`
+//! rewrites each formula through `qarith-rewrite` (simplification +
+//! independence decomposition) and hands the outcome to `route`, which
+//! evaluates every variable-disjoint factor an exact evaluator covers —
+//! the decomposition makes that far more frequent — and leaves the rest
+//! to the engine's one measurement loop. The loop samples that residual
+//! in its shared pass and multiplies it back in through `combine`,
+//! which is exact because the factors' asymptotic events are independent
+//! under the uniform direction measure (see `qarith_rewrite::decompose`).
 //!
 //! **Error accounting.** Exactly-evaluated factors contribute zero
 //! error, and multiplying an estimate by exact constants in `[0, 1]`
 //! never grows its error, so the full ε/δ budget goes to whatever still
-//! needs sampling. Under the default [`FactorBudget::Residual`] policy
-//! the sampled factors are rejoined and measured once with the full
-//! budget: `|ν̂ᵣ·∏νₑ − νᵣ·∏νₑ| = ∏νₑ·|ν̂ᵣ − νᵣ| ≤ ε`, and the run draws
-//! no more directions than the unrewritten one (over a no-larger
-//! formula in a no-larger direction space). [`FactorBudget::Split`]
-//! instead samples each of the `k` residual factors with an `ε/k`
-//! additive budget and `δ/k` failure probability: since every
-//! `νᵢ, ν̂ᵢ ∈ [0, 1]`, telescoping gives
-//! `|∏ν̂ᵢ − ∏νᵢ| ≤ Σ|ν̂ᵢ − νᵢ| ≤ ε`, with total failure probability
-//! ≤ δ by the union bound. For the multiplicative FPRAS only the
-//! residual policy is used: the exact factors are relative-error-free,
-//! so the joint residual keeps the full relative budget.
+//! needs sampling. The sampled factors are rejoined into one residual
+//! and measured once with the full budget:
+//! `|ν̂ᵣ·∏νₑ − νᵣ·∏νₑ| = ∏νₑ·|ν̂ᵣ − νᵣ| ≤ ε`, and the run draws no more
+//! directions than the unrewritten one (over a no-larger formula in a
+//! no-larger direction space). The multiplicative FPRAS measures the
+//! same joint residual: the exact factors are relative-error-free, so
+//! it keeps the full relative budget.
 //!
 //! **Determinism.** Every factor measurement is a deterministic
 //! function of (factor, options) — exact closed forms, or Monte-Carlo
@@ -33,21 +30,22 @@
 //! therefore reproducible and safe to memoize in the ν-cache under a
 //! fingerprint that includes the [`qarith_rewrite::RewriteOptions`].
 
+use std::borrow::Cow;
+
 use qarith_constraints::QfFormula;
 use qarith_numeric::Rational;
-use qarith_rewrite::{Combination, FactorBudget, RewriteOutcome, Rewriter};
+use qarith_rewrite::{Combination, RewriteOutcome};
 
-use crate::afpras::{afpras_estimate, AfprasOptions};
 use crate::error::MeasureError;
 use crate::estimate::{CertaintyEstimate, Method};
 use crate::exact::try_exact_extended;
 use crate::fpras::fpras_estimate;
-use crate::pipeline::{MeasureOptions, MethodChoice};
+use crate::pipeline::{Finish, MeasureOptions, MethodChoice, Route};
 
 /// Per-formula accounting of one rewritten measurement, aggregated into
 /// `BatchStats::rewrite` by the batch engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RewriteTrace {
+pub(crate) struct RewriteTrace {
     /// Variable-disjoint factors the formula split into (0 for
     /// constants, 1 when no decomposition applied).
     pub factors: usize,
@@ -79,7 +77,7 @@ pub struct RewriteStats {
 
 impl RewriteStats {
     /// Folds one formula's trace into the aggregate.
-    pub fn absorb(&mut self, trace: &RewriteTrace) {
+    pub(crate) fn absorb(&mut self, trace: &RewriteTrace) {
         self.groups += 1;
         if trace.factors >= 2 {
             self.factored += 1;
@@ -106,27 +104,19 @@ impl RewriteStats {
     }
 }
 
-/// Measures `ν(φ)` through the rewrite pipeline: simplify, decompose,
-/// route each factor (exact where possible), multiply. See the module
-/// docs for the error accounting and determinism arguments.
-pub fn measure_rewritten(
-    phi: &QfFormula,
-    options: &MeasureOptions,
-) -> Result<(CertaintyEstimate, RewriteTrace), MeasureError> {
-    measure_prepared(&Rewriter::new(options.rewrite).rewrite(phi), options)
-}
-
-/// [`measure_rewritten`] for an already-rewritten formula — the batch
-/// engine prepares the [`RewriteOutcome`] once per canonical class
-/// (while building the group key) and measures from it directly, so the
-/// pass pipeline never runs twice on the same formula.
-pub fn measure_prepared(
+/// Routes a prepared rewrite outcome: a constant is decided, every
+/// factor an exact evaluator covers is evaluated, and the rest rejoins
+/// into one residual. `ExactOnly` fails on a residual and `Fpras`
+/// measures it here; `Auto` and `Afpras` hand it to the engine's shared
+/// sampling pass, with the exact factors to combine it with. See the
+/// module docs for the error accounting and determinism arguments.
+pub(crate) fn route(
     out: &RewriteOutcome,
     options: &MeasureOptions,
-) -> Result<(CertaintyEstimate, RewriteTrace), MeasureError> {
+) -> (Route<'static>, RewriteTrace) {
     let combination = out.decomposition.combination;
     let factors = &out.decomposition.factors;
-    let trace = RewriteTrace {
+    let mut trace = RewriteTrace {
         factors: factors.len(),
         exact_factors: 0,
         dim_before: out.dim_before,
@@ -141,73 +131,53 @@ pub fn measure_prepared(
             0,
         );
         est.rewritten = true;
-        return Ok((est, trace));
+        return (Route::Done(Ok(est)), trace);
     }
 
-    // Route: exact evaluators per factor, the rest into the residual.
-    let mut trace = trace;
     let mut parts: Vec<CertaintyEstimate> = Vec::with_capacity(factors.len());
-    let mut residual: Vec<&QfFormula> = Vec::new();
+    let mut residual: Vec<QfFormula> = Vec::new();
     for factor in factors {
         match try_exact_extended(factor, options.exact_order_limit) {
             Some(est) => {
                 trace.exact_factors += 1;
                 parts.push(est);
             }
-            None => residual.push(factor),
+            None => residual.push(factor.clone()),
         }
     }
+    if residual.is_empty() {
+        return (Route::Done(Ok(combine(&parts, combination, options))), trace);
+    }
 
-    // Measure the residual under the configured scheme and budget. The
-    // rejoin connective matches the decomposition root, so the joint
+    // The rejoin connective matches the decomposition root, so the joint
     // residual is exactly the undecomposed remainder.
-    if !residual.is_empty() {
-        let rejoin = |fs: &[&QfFormula]| {
-            let owned = fs.iter().map(|f| (*f).clone());
-            match combination {
-                Combination::Product => QfFormula::and(owned),
-                Combination::DualProduct => QfFormula::or(owned),
-            }
-        };
-        match options.method {
-            MethodChoice::ExactOnly => {
-                return Err(MeasureError::ExactUnavailable {
-                    reason: "a factor is not order/2-D-linear and has dimension > 1",
-                });
-            }
-            MethodChoice::Fpras => {
-                // Joint residual, full multiplicative budget: the exact
-                // factors are relative-error-free, and for the dual rule
-                // `1 − (1−ν̂ᵣ)·∏(1−νₑ)` the additive residual error
-                // `ε·νᵣ·∏(1−νₑ)` is bounded by ε times the true value.
-                parts.push(fpras_estimate(&rejoin(&residual), &options.fpras)?);
-            }
-            MethodChoice::Auto | MethodChoice::Afpras => match options.rewrite.budget {
-                FactorBudget::Residual => {
-                    parts.push(afpras_estimate(&rejoin(&residual), &options.afpras)?);
-                }
-                FactorBudget::Split => {
-                    let k = residual.len() as f64;
-                    let split = AfprasOptions {
-                        epsilon: options.afpras.epsilon / k,
-                        delta: options.afpras.delta / k,
-                        ..options.afpras.clone()
-                    };
-                    for factor in residual {
-                        parts.push(afpras_estimate(factor, &split)?);
-                    }
-                }
-            },
+    let residual = match combination {
+        Combination::Product => QfFormula::and(residual),
+        Combination::DualProduct => QfFormula::or(residual),
+    };
+    let route = match options.method {
+        MethodChoice::ExactOnly => Route::Done(Err(MeasureError::ExactUnavailable {
+            reason: "a factor is not order/2-D-linear and has dimension > 1",
+        })),
+        // Joint residual, full multiplicative budget: the exact factors
+        // are relative-error-free, and for the dual rule
+        // `1 − (1−ν̂ᵣ)·∏(1−νₑ)` the additive residual error
+        // `ε·νᵣ·∏(1−νₑ)` is bounded by ε times the true value.
+        MethodChoice::Fpras => Route::Done(fpras_estimate(&residual, &options.fpras).map(|est| {
+            parts.push(est);
+            combine(&parts, combination, options)
+        })),
+        MethodChoice::Auto | MethodChoice::Afpras => {
+            Route::Sample(Cow::Owned(residual), Finish::Combine(parts, combination))
         }
-    }
-
-    Ok((combine(&parts, combination, options), trace))
+    };
+    (route, trace)
 }
 
 /// Combines factor estimates into one [`CertaintyEstimate`]: a product
 /// for conjunction factors, a complement product for disjunction
 /// factors.
-fn combine(
+pub(crate) fn combine(
     parts: &[CertaintyEstimate],
     combination: Combination,
     options: &MeasureOptions,
@@ -281,9 +251,15 @@ fn combine(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::afpras::afpras_estimate;
+    use crate::pipeline::CertaintyEngine;
     use qarith_constraints::{Atom, ConstraintOp, Polynomial, Var};
+    use qarith_engine::cq::CandidateAnswer;
     use qarith_rewrite::RewriteOptions;
+    use qarith_types::Tuple;
 
     fn z(i: u32) -> Polynomial {
         Polynomial::var(Var(i))
@@ -297,6 +273,24 @@ mod tests {
         MeasureOptions { rewrite: RewriteOptions::full(), ..MeasureOptions::default() }
     }
 
+    /// Measures `f` through the engine as a one-candidate batch: its
+    /// estimate, and the rewrite accounting of its one group.
+    fn measure(
+        f: &QfFormula,
+        options: MeasureOptions,
+    ) -> Result<(CertaintyEstimate, RewriteStats), MeasureError> {
+        let candidate = CandidateAnswer {
+            tuple: Tuple::new(Vec::new()),
+            formula: Arc::new(f.clone()),
+            derivations: 1,
+            certain: false,
+            truncated: false,
+        };
+        let out = CertaintyEngine::new(options).measure_batch(vec![candidate])?;
+        assert_eq!(out.stats.rewrite.groups, 1);
+        Ok((out.answers[0].certainty.clone(), out.stats.rewrite))
+    }
+
     #[test]
     fn product_of_exact_halves() {
         // (z0 > 0) ∧ (z1 > 0) ∧ (z2 > 0): three 1-D factors, ν = 1/8.
@@ -305,7 +299,7 @@ mod tests {
             atom(z(1), ConstraintOp::Gt),
             atom(z(2), ConstraintOp::Gt),
         ]);
-        let (est, trace) = measure_rewritten(&f, &rewritten_options()).unwrap();
+        let (est, trace) = measure(&f, rewritten_options()).unwrap();
         assert_eq!(est.exact, Some(Rational::new(1, 8)));
         assert_eq!(est.method, Method::Exact);
         assert_eq!(est.samples, 0);
@@ -319,7 +313,7 @@ mod tests {
     fn dual_product_on_disjoint_disjunctions() {
         // (z0 > 0) ∨ (z1 > 0): ν = 1 − (1 − ½)(1 − ½) = 3/4, exactly.
         let f = QfFormula::or([atom(z(0), ConstraintOp::Gt), atom(z(1), ConstraintOp::Gt)]);
-        let (est, trace) = measure_rewritten(&f, &rewritten_options()).unwrap();
+        let (est, trace) = measure(&f, rewritten_options()).unwrap();
         assert_eq!(est.exact, Some(Rational::new(3, 4)));
         assert_eq!(est.method, Method::Exact);
         assert_eq!(trace.factors, 2);
@@ -330,7 +324,7 @@ mod tests {
             atom(z(1), ConstraintOp::Gt),
             atom(z(2), ConstraintOp::Gt),
         ]);
-        let (est, _) = measure_rewritten(&g, &rewritten_options()).unwrap();
+        let est = CertaintyEngine::new(rewritten_options()).nu(&g).unwrap();
         assert_eq!(est.exact, Some(Rational::new(7, 8)));
     }
 
@@ -341,7 +335,7 @@ mod tests {
             atom(z(0) * z(0) + z(1) * z(1), ConstraintOp::Gt),
             atom(z(2), ConstraintOp::Lt),
         ]);
-        let (est, trace) = measure_rewritten(&f, &rewritten_options()).unwrap();
+        let (est, trace) = measure(&f, rewritten_options()).unwrap();
         assert_eq!(est.exact, Some(Rational::new(1, 2)));
         assert_eq!(trace.dim_before, 3);
         assert_eq!(trace.dim_after, 1);
@@ -353,48 +347,17 @@ mod tests {
         // factors to measure at all.
         let contradiction =
             QfFormula::and([atom(z(0), ConstraintOp::Gt), atom(z(0), ConstraintOp::Le)]);
-        let (est, trace) = measure_rewritten(&contradiction, &rewritten_options()).unwrap();
+        let (est, trace) = measure(&contradiction, rewritten_options()).unwrap();
         assert_eq!(est.exact, Some(Rational::ZERO));
         assert_eq!(trace.factors, 0);
         // z0 > 0 ∧ z0 < 0 is not a complement pair (complement of > is
         // ≤); it survives normalization and the 1-D exact evaluator
         // still lands on zero.
         let near = QfFormula::and([atom(z(0), ConstraintOp::Gt), atom(z(0), ConstraintOp::Lt)]);
-        let (est, trace) = measure_rewritten(&near, &rewritten_options()).unwrap();
+        let (est, trace) = measure(&near, rewritten_options()).unwrap();
         assert_eq!(est.exact, Some(Rational::ZERO));
         assert_eq!(trace.factors, 1);
         assert_eq!(trace.exact_factors, 1);
-    }
-
-    #[test]
-    fn split_budget_telescopes() {
-        // Two sampled 3-D factors under the Split policy: each runs at
-        // ε/2, so the product carries the full-ε additive guarantee.
-        // (Multi-term quadratic tops keep the factors out of reach of
-        // every exact evaluator, including the spherical one.)
-        let cross = |a: u32, b: u32, c: u32| {
-            QfFormula::or([
-                QfFormula::and([
-                    atom(z(a) * z(a) + z(a) * z(b), ConstraintOp::Gt),
-                    atom(z(c), ConstraintOp::Lt),
-                ]),
-                atom(z(a) - z(c), ConstraintOp::Gt),
-            ])
-        };
-        let f = QfFormula::and([cross(0, 1, 2), cross(3, 4, 5)]);
-        let mut options = rewritten_options();
-        options.rewrite.budget = FactorBudget::Split;
-        options.method = MethodChoice::Afpras;
-        options.afpras.epsilon = 0.04;
-        let (est, trace) = measure_rewritten(&f, &options).unwrap();
-        assert_eq!(trace.factors, 2);
-        assert_eq!(trace.exact_factors, 0);
-        assert_eq!(est.epsilon, Some(0.04), "reported ε is the total budget");
-        assert!(est.samples > 0);
-        // Cross-check against the residual policy (same total guarantee).
-        options.rewrite.budget = FactorBudget::Residual;
-        let (joint, _) = measure_rewritten(&f, &options).unwrap();
-        assert!((est.value - joint.value).abs() < 2.0 * 0.04 + 0.02);
     }
 
     #[test]
@@ -404,10 +367,7 @@ mod tests {
         let f = QfFormula::and([hard, easy]);
         let mut options = rewritten_options();
         options.method = MethodChoice::ExactOnly;
-        assert!(matches!(
-            measure_rewritten(&f, &options),
-            Err(MeasureError::ExactUnavailable { .. })
-        ));
+        assert!(matches!(measure(&f, options), Err(MeasureError::ExactUnavailable { .. })));
     }
 
     #[test]
@@ -424,7 +384,7 @@ mod tests {
         let f = QfFormula::and([atom(z(0), ConstraintOp::Gt), sampled.clone()]);
         let mut options = rewritten_options();
         options.method = MethodChoice::Afpras;
-        let (est, trace) = measure_rewritten(&f, &options).unwrap();
+        let (est, trace) = measure(&f, options.clone()).unwrap();
         assert_eq!(trace.factors, 2);
         assert_eq!(trace.exact_factors, 1);
         assert_eq!(est.method, Method::Afpras);

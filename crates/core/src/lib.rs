@@ -118,4 +118,4 @@ pub use pipeline::{
     AnswerWithCertainty, BatchOptions, BatchOutcome, BatchPlan, BatchStats, CertaintyEngine,
     MeasureOptions, MethodChoice,
 };
-pub use qarith_rewrite::{FactorBudget, RewriteOptions};
+pub use qarith_rewrite::RewriteOptions;

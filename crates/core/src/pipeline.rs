@@ -12,6 +12,15 @@
 //! | ground formula with an exact evaluator (dim ≤ 1, order fragment, 2-D linear) | exact |
 //! | CQ(+,<) when multiplicative guarantees are requested | FPRAS (Thm 7.1) |
 //! | everything else | AFPRAS (Thm 8.1) |
+//!
+//! Every measurement — a whole plan's ν-cache misses, or the one
+//! formula of [`CertaintyEngine::nu`] — runs through one loop. A router
+//! either finishes a group without the additive sampler (an exact
+//! evaluator, the FPRAS, a decided constant, an all-exact rewrite
+//! outcome, or an error) or names the formula to sample and how to
+//! finish the estimate; the loop then draws every formula to sample in
+//! one shared direction pass (`estimate_nu_compiled_many`), rewritten
+//! residuals included.
 
 use std::borrow::Cow;
 use std::collections::hash_map::{DefaultHasher, Entry};
@@ -26,14 +35,14 @@ use qarith_engine::cq::{self, CandidateAnswer, CqOptions};
 use qarith_engine::{ground, ActiveDomain};
 use qarith_numeric::Rational;
 use qarith_query::Query;
-use qarith_rewrite::{ae_simplify, RewriteOptions, RewriteOutcome, Rewriter};
+use qarith_rewrite::{ae_simplify, rewrite, Combination, RewriteOptions, RewriteOutcome};
 use qarith_trace::{Stage, StageSink};
 use qarith_types::{Database, Sort, Tuple, Value};
 
-use crate::afpras::{afpras_estimate, estimate_nu_compiled_many, AfprasOptions, SampleCount};
-use crate::decompose::{measure_prepared, measure_rewritten, RewriteStats, RewriteTrace};
+use crate::afpras::{estimate_nu_compiled_many, AfprasOptions, SampleCount};
+use crate::decompose::{self, combine, RewriteStats, RewriteTrace};
 use crate::error::MeasureError;
-use crate::estimate::{CertaintyEstimate, Method};
+use crate::estimate::CertaintyEstimate;
 use crate::exact::{exact_applicable, try_exact};
 use crate::fpras::{fpras_estimate, FprasOptions};
 use crate::nucache::NuCache;
@@ -158,9 +167,8 @@ impl MeasureOptions {
         self.fpras.dnf_limit.hash(&mut h);
         self.fpras.seed.hash(&mut h);
         self.exact_order_limit.hash(&mut h);
-        // The whole rewrite configuration: enabling any pass (or changing
-        // the factor budget) changes which formula is sampled and with
-        // what budget, hence the bits of the estimate.
+        // Rewriting changes which formula is sampled, hence the bits of
+        // the estimate.
         self.rewrite.hash(&mut h);
         h.finish()
     }
@@ -240,17 +248,20 @@ pub struct BatchOutcome {
     pub stats: BatchStats,
 }
 
-/// A unit of measurement work in a batch: a bare formula (measured via
-/// [`CertaintyEngine::nu`]'s routing), or — with rewriting enabled — the
-/// rewrite outcome prepared once per canonical class while building the
-/// group key, so the pass pipeline never runs twice on a formula.
-/// Formulas are `Arc`-shared with the candidates they came from — plans
-/// hold references, not copies.
+/// A unit of measurement work: a bare formula under the configured
+/// method, or — with rewriting enabled — a rewrite outcome (prepared
+/// once per canonical class while building a plan's group key, so the
+/// pass pipeline never runs twice on a formula). Plan formulas are
+/// `Arc`-shared with the candidates they came from — plans hold
+/// references, not copies; [`CertaintyEngine::nu`] borrows its argument.
 #[derive(Clone, Debug)]
-enum Work {
+enum Work<'a> {
     /// Measure this formula verbatim under the configured method (dedup
     /// off: nothing is shared, nothing is canonicalized).
     Formula(Arc<QfFormula>),
+    /// The formula of one [`CertaintyEngine::nu`] call, measured
+    /// verbatim.
+    Borrowed(&'a QfFormula),
     /// Measure the structural form ([`canonical::renumbered`]) of this
     /// formula, the group's first member — built only when the group is
     /// measured, and bit-identical to measuring any member.
@@ -259,16 +270,23 @@ enum Work {
     Prepared(Box<RewriteOutcome>),
 }
 
-impl Work {
-    /// The formula this work measures under [`CertaintyEngine::nu`]'s
-    /// routing (`None` for a prepared decomposition).
-    fn formula(&self) -> Option<Cow<'_, QfFormula>> {
-        match self {
-            Work::Formula(phi) => Some(Cow::Borrowed(phi)),
-            Work::Canonical(phi) => Some(Cow::Owned(canonical::renumbered(phi))),
-            Work::Prepared(_) => None,
-        }
-    }
+/// The router's verdict on one group ([`CertaintyEngine::route`]).
+pub(crate) enum Route<'a> {
+    /// Finished without the additive sampler: an exact evaluator, the
+    /// FPRAS, a decided constant, an all-exact rewrite outcome, or an
+    /// error.
+    Done(GroupResult),
+    /// Sample this formula in the loop's shared pass, then finish.
+    Sample(Cow<'a, QfFormula>, Finish),
+}
+
+/// How the loop turns a sampled formula's estimate into its group's.
+pub(crate) enum Finish {
+    /// The sampled estimate is the group's estimate.
+    AsIs,
+    /// The sampled residual of a rewrite outcome: combine it with the
+    /// group's exact-factor estimates ([`combine`]).
+    Combine(Vec<CertaintyEstimate>, Combination),
 }
 
 /// A group's ν-cache key: the bytes of a [`KeyEncoder`] key, shared
@@ -276,7 +294,7 @@ impl Work {
 type GroupKey = Option<Arc<[u8]>>;
 
 /// A measured group's estimate, or the error that stopped the batch.
-type GroupResult = Result<CertaintyEstimate, MeasureError>;
+pub(crate) type GroupResult = Result<CertaintyEstimate, MeasureError>;
 
 /// What one structural class contributes to a plan: its group key and,
 /// with rewriting on, its prepared rewrite outcome.
@@ -331,7 +349,7 @@ pub struct BatchPlan {
     slots: Vec<Slot>,
     /// Deduplicated measurement work plus the ν-cache key (`None` with
     /// dedup off: nothing is shared).
-    groups: Vec<(Work, GroupKey)>,
+    groups: Vec<(Work<'static>, GroupKey)>,
     /// Executor-certain candidates (μ = 1, no group).
     certain: usize,
     /// Candidates served by in-plan deduplication.
@@ -386,14 +404,14 @@ impl CertaintyEngine {
     }
 
     /// `ν(φ)` for a quantifier-free formula over the reals, using the
-    /// configured method.
+    /// configured method: a one-group run of the measurement loop.
     ///
     /// With [`MeasureOptions::rewrite`] enabled, every method choice
-    /// routes through the rewrite pipeline
-    /// ([`crate::decompose::measure_rewritten`]): simplification,
-    /// independence decomposition, exact routing per factor, product
-    /// combination. Otherwise `Auto` and `ExactOnly` first apply the
-    /// measure-preserving a.e. simplification (the frozen
+    /// routes through the rewrite pipeline ([`qarith_rewrite::rewrite`]
+    /// and [`crate::decompose`]): simplification, independence
+    /// decomposition, exact routing per factor, one sampled residual,
+    /// product combination. Otherwise `Auto` and `ExactOnly` first apply
+    /// the measure-preserving a.e. simplification (the frozen
     /// `ae_simplified` behavior, now served by
     /// [`qarith_rewrite::ae_simplify`]), which strips measure-zero
     /// equality branches (ground formulas are full of them) and often
@@ -401,36 +419,14 @@ impl CertaintyEngine {
     /// as given — they exist to benchmark the paper's algorithms
     /// faithfully.
     pub fn nu(&self, phi: &QfFormula) -> Result<CertaintyEstimate, MeasureError> {
-        Ok(self.nu_traced(phi)?.0)
-    }
-
-    /// [`CertaintyEngine::nu`] plus the rewrite trace (`None` on the
-    /// unrewritten pipeline) — the batch engine aggregates the traces
-    /// into [`BatchStats::rewrite`].
-    fn nu_traced(
-        &self,
-        phi: &QfFormula,
-    ) -> Result<(CertaintyEstimate, Option<RewriteTrace>), MeasureError> {
-        if self.options.rewrite.enabled {
-            let (est, trace) = measure_rewritten(phi, &self.options)?;
-            return Ok((est, Some(trace)));
-        }
-        let est = match self.options.method {
-            MethodChoice::Auto => {
-                let simplified = ae_simplify(phi);
-                match try_exact(&simplified, self.options.exact_order_limit) {
-                    Some(exact) => exact,
-                    None => afpras_estimate(&simplified, &self.options.afpras)?,
-                }
-            }
-            MethodChoice::Afpras => afpras_estimate(phi, &self.options.afpras)?,
-            MethodChoice::Fpras => fpras_estimate(phi, &self.options.fpras)?,
-            MethodChoice::ExactOnly => try_exact(&ae_simplify(phi), self.options.exact_order_limit)
-                .ok_or(MeasureError::ExactUnavailable {
-                    reason: "formula is not order/2-D-linear and has dimension > 1",
-                })?,
+        let work = if self.options.rewrite.enabled {
+            Work::Prepared(Box::new(rewrite(phi)))
+        } else {
+            Work::Borrowed(phi)
         };
-        Ok((est, None))
+        let mut result = None;
+        self.measure_groups([(&mut result, &work)], &mut RewriteStats::default());
+        filled(result)
     }
 
     /// `μ(q, D, candidate)`: grounds (Proposition 5.3) and measures.
@@ -532,7 +528,7 @@ impl CertaintyEngine {
     ) -> ClassKey {
         let canon = canonical::renumbered(phi);
         if self.options.rewrite.enabled {
-            let out = Rewriter::new(self.options.rewrite).rewrite(&canon);
+            let out = rewrite(&canon);
             let granularity = match self.options.method {
                 MethodChoice::Auto | MethodChoice::Afpras => Granularity::Asymptotic,
                 MethodChoice::Fpras | MethodChoice::ExactOnly => Granularity::Structural,
@@ -555,102 +551,101 @@ impl CertaintyEngine {
         (key, None)
     }
 
-    /// The shared-direction route for sampling-routed plans: every
-    /// pending group headed for the AFPRAS sampler is measured through
-    /// **one** [`estimate_nu_compiled_many`] call, so direction
-    /// generation is shared across groups whose sampled dimensions
-    /// coincide (the blocked-kernel layout), instead of one
-    /// compile-and-sample pass per group. `Auto` groups that an exact
-    /// evaluator covers are resolved inline, exactly as
-    /// [`CertaintyEngine::nu`] would.
+    /// The router: finishes a group without the additive sampler, or
+    /// names the formula to sample and how to finish its estimate. Bare
+    /// formulas route by the configured method, prepared rewrite
+    /// outcomes through [`decompose::route`], which also returns the
+    /// group's rewrite trace.
+    fn route<'a>(&self, work: &'a Work<'_>) -> (Route<'a>, Option<RewriteTrace>) {
+        let phi = match work {
+            Work::Formula(phi) => Cow::Borrowed(&**phi),
+            Work::Borrowed(phi) => Cow::Borrowed(*phi),
+            Work::Canonical(phi) => Cow::Owned(canonical::renumbered(phi)),
+            Work::Prepared(out) => {
+                let (route, trace) = decompose::route(out, &self.options);
+                return (route, Some(trace));
+            }
+        };
+        let limit = self.options.exact_order_limit;
+        let route = match self.options.method {
+            MethodChoice::Auto => {
+                let simplified = ae_simplify(&phi);
+                match try_exact(&simplified, limit) {
+                    Some(exact) => Route::Done(Ok(exact)),
+                    None => Route::Sample(Cow::Owned(simplified), Finish::AsIs),
+                }
+            }
+            MethodChoice::Afpras => Route::Sample(phi, Finish::AsIs),
+            MethodChoice::Fpras => Route::Done(fpras_estimate(&phi, &self.options.fpras)),
+            MethodChoice::ExactOnly => Route::Done(try_exact(&ae_simplify(&phi), limit).ok_or(
+                MeasureError::ExactUnavailable {
+                    reason: "formula is not order/2-D-linear and has dimension > 1",
+                },
+            )),
+        };
+        (route, None)
+    }
+
+    /// The one measurement loop. Routes each group in the given order and
+    /// stops at the first failure: the groups after it carry a copy of
+    /// it. AFPRAS options are validated only when a group needs
+    /// sampling. Every formula to sample is then drawn in **one**
+    /// [`estimate_nu_compiled_many`] call — skipped when nothing samples —
+    /// so groups whose sampled dimensions coincide share direction
+    /// blocks, and each group's estimate is finished. Fills every slot
+    /// it is given; rewrite traces accumulate into `rewrite`.
     ///
     /// Bit-pinning: `estimate_nu_compiled_many` is direction-for-
     /// direction identical to independent per-formula calls (its own
-    /// contract), the inline exact route is the literal `Auto` arm of
-    /// [`CertaintyEngine::nu_traced`], and the estimate construction
-    /// matches [`afpras_estimate`] field for field — so this route
-    /// changes cost, never bits (pinned by
-    /// `shared_fanout_is_bit_identical`).
-    ///
-    /// Fills every pending (`None`) slot of `results`, or leaves
-    /// `results` untouched when the route does not apply: rewriting on
-    /// (groups carry prepared decompositions), a non-sampling method, or
-    /// invalid AFPRAS options (the per-group loop then surfaces the
-    /// error with its usual first-in-candidate-order semantics).
-    fn measure_pending_shared(
+    /// contract), so sharing the pass changes cost, never bits (pinned
+    /// by `shared_fanout_is_bit_identical`).
+    fn measure_groups<'w>(
         &self,
-        groups: &[(Work, GroupKey)],
-        results: &mut [Option<GroupResult>],
+        groups: impl IntoIterator<Item = (&'w mut Option<GroupResult>, &'w Work<'w>)>,
+        rewrite: &mut RewriteStats,
     ) {
-        if self.options.rewrite.enabled
-            || !matches!(self.options.method, MethodChoice::Auto | MethodChoice::Afpras)
-            || self.options.afpras.validate().is_err()
-        {
-            return;
-        }
-        let mut sampled: Vec<&mut Option<GroupResult>> = Vec::new();
+        let mut failure: Option<MeasureError> = None;
+        let mut sampled: Vec<(&mut Option<GroupResult>, Finish)> = Vec::new();
         let mut compiled: Vec<CompiledFormula> = Vec::new();
-        let mut inline: Vec<(&mut Option<GroupResult>, CertaintyEstimate)> = Vec::new();
-        for ((work, _), slot) in groups.iter().zip(results.iter_mut()) {
-            if slot.is_some() {
+        for (slot, work) in groups {
+            if let Some(e) = &failure {
+                *slot = Some(Err(e.clone()));
                 continue;
             }
-            // With rewriting off every group is a bare formula, but the
-            // invariant lives in `prepare_batch`, so stay defensive.
-            let Some(phi) = work.formula() else { return };
-            match self.options.method {
-                MethodChoice::Afpras => {
-                    sampled.push(slot);
-                    compiled.push(CompiledFormula::compile(&phi));
-                }
-                MethodChoice::Auto => {
-                    let simplified = ae_simplify(&phi);
-                    match try_exact(&simplified, self.options.exact_order_limit) {
-                        Some(exact) => inline.push((slot, exact)),
-                        None => {
-                            sampled.push(slot);
-                            compiled.push(CompiledFormula::compile(&simplified));
-                        }
+            let (route, trace) = self.route(work);
+            if let Some(trace) = &trace {
+                rewrite.absorb(trace);
+            }
+            let result = match route {
+                Route::Done(result) => result,
+                Route::Sample(phi, finish) => match self.options.afpras.validate() {
+                    Ok(()) => {
+                        compiled.push(CompiledFormula::compile(&phi));
+                        sampled.push((slot, finish));
+                        continue;
                     }
+                    Err(e) => Err(e),
+                },
+            };
+            if let Err(e) = &result {
+                failure = Some(e.clone());
+            }
+            *slot = Some(result);
+        }
+        if compiled.is_empty() {
+            return;
+        }
+        let refs: Vec<&CompiledFormula> = compiled.iter().collect();
+        let outcomes = estimate_nu_compiled_many(&refs, &self.options.afpras);
+        for ((slot, finish), out) in sampled.into_iter().zip(&outcomes) {
+            let est = out.estimate(&self.options.afpras);
+            *slot = Some(Ok(match finish {
+                Finish::AsIs => est,
+                Finish::Combine(mut parts, combination) => {
+                    parts.push(est);
+                    combine(&parts, combination, &self.options)
                 }
-                MethodChoice::Fpras | MethodChoice::ExactOnly => return,
-            }
-        }
-        for (slot, exact) in inline {
-            *slot = Some(Ok(exact));
-        }
-        if !sampled.is_empty() {
-            let refs: Vec<&CompiledFormula> = compiled.iter().collect();
-            let outcomes = estimate_nu_compiled_many(&refs, &self.options.afpras);
-            for (slot, out) in sampled.into_iter().zip(outcomes) {
-                *slot = Some(Ok(CertaintyEstimate {
-                    value: out.estimate,
-                    exact: None,
-                    method: Method::Afpras,
-                    epsilon: Some(self.options.afpras.epsilon),
-                    delta: Some(self.options.afpras.delta),
-                    samples: out.samples,
-                    dimension: out.dimension,
-                    cached: false,
-                    rewritten: false,
-                }));
-            }
-        }
-    }
-
-    /// One unit of batch work: bare formulas route through
-    /// [`CertaintyEngine::nu`]'s method selection, prepared rewrite
-    /// outcomes go straight to the decomposed measurement.
-    fn measure_work(
-        &self,
-        work: &Work,
-    ) -> Result<(CertaintyEstimate, Option<RewriteTrace>), MeasureError> {
-        match work {
-            Work::Formula(phi) => self.nu_traced(phi),
-            Work::Canonical(phi) => self.nu_traced(&canonical::renumbered(phi)),
-            Work::Prepared(out) => {
-                measure_prepared(out, &self.options).map(|(est, trace)| (est, Some(trace)))
-            }
+            }));
         }
     }
 
@@ -665,8 +660,8 @@ impl CertaintyEngine {
     /// 3. the remaining unique formulas are measured on the calling
     ///    thread under the engine's configured method — one
     ///    `CompiledFormula` per unique formula instead of one per
-    ///    candidate, and on the sampling routes one shared direction
-    ///    pass for all of them;
+    ///    candidate, and one shared direction pass for every group that
+    ///    samples, rewritten residuals included;
     /// 4. per-candidate results are rehydrated in input order, with
     ///    [`CertaintyEstimate::cached`] marking values that were shared
     ///    rather than recomputed.
@@ -834,36 +829,12 @@ impl CertaintyEngine {
         // analyze: allow(nondet-source, reason = "observational span timing: the instant flows only into the StageSink, never into estimates; read-back from pinned code is barred by the trace-flow lint")
         let measure_begun = sink.is_some().then(std::time::Instant::now);
 
-        // Measure the not-yet-known groups on this thread: all at once
-        // on the shared-direction route where it applies, otherwise one
-        // group at a time. Groups are in first-occurrence order, so the
-        // first failure is the first one in candidate order; the groups
-        // after it are skipped and carry a copy of it.
-        self.measure_pending_shared(&plan.groups, &mut results);
-        let mut failure: Option<MeasureError> = None;
-        let results: Vec<GroupResult> = plan
-            .groups
-            .iter()
-            .zip(results)
-            .map(|((work, _), slot)| {
-                if let Some(result) = slot {
-                    return result;
-                }
-                if let Some(e) = &failure {
-                    return Err(e.clone());
-                }
-                let result = self.measure_work(work).map(|(est, trace)| {
-                    if let Some(trace) = &trace {
-                        stats.rewrite.absorb(trace);
-                    }
-                    est
-                });
-                if let Err(e) = &result {
-                    failure = Some(e.clone());
-                }
-                result
-            })
-            .collect();
+        // Measure the not-yet-known groups on this thread, in one run
+        // of the loop. Groups are in first-occurrence order, so the first
+        // failure is the first one in candidate order.
+        let pending = results.iter_mut().zip(&plan.groups).filter(|(slot, _)| slot.is_none());
+        self.measure_groups(pending.map(|(slot, (work, _))| (slot, work)), &mut stats.rewrite);
+        let results: Vec<GroupResult> = results.into_iter().map(filled).collect();
 
         // Publish fresh results to the persistent cache.
         if let Some(cache) = self.cache.as_ref() {
@@ -931,6 +902,13 @@ impl CertaintyEngine {
 /// recording (observational only; see the pragma'd call sites).
 fn observed_nanos(begun: std::time::Instant) -> u64 {
     u64::try_from(begun.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// A slot the measurement loop was given: [`CertaintyEngine::measure_groups`]
+/// fills every one.
+fn filled(slot: Option<GroupResult>) -> GroupResult {
+    // analyze: allow(panic-expect, reason = "the loop fills each slot it is given: a routed group at once, a sampled one from the shared pass, which returns one outcome per formula")
+    slot.expect("the measurement loop fills every slot it is given")
 }
 
 /// Rehydrates per-candidate answers in input order from per-group
@@ -1149,34 +1127,62 @@ mod tests {
         let z = |i: u32| Polynomial::var(Var(i));
         // Four distinct canonical classes: one 1-D, one 2-D linear
         // (exact-applicable under Auto), two 2-D nonlinear sharing a
-        // sampled dimension.
+        // sampled dimension. Rewriting routes all four to exact
+        // evaluators, so two 3-D classes follow whose rewritten
+        // residuals still sample: `cross` alone, and a disjoint
+        // half-line (an exact factor) times another `cross`. (Their
+        // multi-term quadratic tops defeat every exact evaluator.)
+        let lt = |p: Polynomial| QfFormula::atom(Atom::new(p, ConstraintOp::Lt));
+        let cross = |a: u32, b: u32, c: u32| {
+            QfFormula::or([
+                QfFormula::and([atom(z(a) * z(a) + z(a) * z(b)), lt(z(c))]),
+                atom(z(a) - z(c)),
+            ])
+        };
         let candidates = vec![
             uncertain_candidate(atom(z(0)), 1),
             uncertain_candidate(atom(z(0) + z(1)), 2),
             uncertain_candidate(atom(z(0) * z(1)), 3),
             uncertain_candidate(atom(z(0) * z(1) + z(0)), 4),
+            uncertain_candidate(cross(0, 1, 2), 5),
+            uncertain_candidate(QfFormula::and([atom(z(3)), cross(0, 2, 1)]), 6),
         ];
 
-        for method in [MethodChoice::Afpras, MethodChoice::Auto] {
-            // The reference is the plain single-formula route, which
-            // never touches the batch fan-out.
-            let engine =
-                CertaintyEngine::new(MeasureOptions { method, ..MeasureOptions::default() });
+        for (method, rewrite) in [
+            (MethodChoice::Afpras, RewriteOptions::default()),
+            (MethodChoice::Auto, RewriteOptions::default()),
+            (MethodChoice::Afpras, RewriteOptions::full()),
+            (MethodChoice::Auto, RewriteOptions::full()),
+        ] {
+            // The reference is a one-group run of the loop per formula,
+            // which shares no direction pass with any other group.
+            let engine = CertaintyEngine::new(MeasureOptions {
+                method,
+                rewrite,
+                ..MeasureOptions::default()
+            });
             let s = engine.measure_batch(candidates.clone()).unwrap();
-            assert_eq!(s.stats.groups, 4, "{method:?}: four canonical classes");
+            assert_eq!(s.stats.groups, 6, "{method:?}, {rewrite:?}: six canonical classes");
             for (x, cand) in s.answers.iter().zip(&candidates) {
                 let direct = engine.nu(&cand.formula).unwrap();
                 assert_eq!(
                     fingerprint_of(&x.certainty),
                     fingerprint_of(&direct),
-                    "{method:?}: shared fan-out must not change a bit"
+                    "{method:?}, {rewrite:?}: shared fan-out must not change a bit"
                 );
             }
             // Auto resolved the 1-D and 2-D-linear classes exactly,
             // inline.
-            if method == MethodChoice::Auto {
+            if (method, rewrite.enabled) == (MethodChoice::Auto, false) {
                 assert!(s.answers[0].certainty.exact.is_some(), "1-D class routed exact");
                 assert!(s.answers[2].certainty.exact.is_none(), "nonlinear class sampled");
+            }
+            if rewrite.enabled {
+                assert!(s.answers[..4].iter().all(|a| a.certainty.samples == 0));
+                assert!(
+                    s.answers[4..].iter().all(|a| a.certainty.samples > 0),
+                    "{method:?}: the rewritten residuals sample in the shared pass"
+                );
             }
         }
     }
@@ -1236,13 +1242,31 @@ mod tests {
             method: MethodChoice::Fpras,
             ..MeasureOptions::default()
         });
-        let err = engine.measure_batch(vec![certain.clone(), nonlinear]).unwrap_err();
+        let err = engine.measure_batch(vec![certain.clone(), nonlinear.clone()]).unwrap_err();
         assert!(matches!(err, MeasureError::NotLinear));
         // Certain candidates never sample.
         let ok = engine.measure_batch(vec![certain]).unwrap();
         assert_eq!(ok.stats.certain, 1);
         assert_eq!(ok.stats.groups, 0);
         assert!(ok.answers[0].certainty.is_certain());
+
+        // Under `Auto` with ε = 0 the AFPRAS options are invalid, but
+        // they are checked only when a group needs sampling: a plan of
+        // exact-routed groups still succeeds.
+        let half_line = uncertain_candidate(
+            QfFormula::atom(Atom::new(Polynomial::var(Var(0)), ConstraintOp::Gt)),
+            2,
+        );
+        let engine = CertaintyEngine::new(MeasureOptions::default().with_epsilon(0.0));
+        let exact = engine.measure_batch(vec![half_line.clone()]).unwrap();
+        assert_eq!(exact.answers[0].certainty.exact, Some(Rational::new(1, 2)));
+        // One exact and one sampled group: the sampled one fails, and
+        // only the exact group reaches the ν-cache.
+        let cache = Arc::new(NuCache::default());
+        let engine = engine.with_cache(cache.clone());
+        let err = engine.measure_batch(vec![half_line, nonlinear]).unwrap_err();
+        assert!(matches!(err, MeasureError::BadTolerance { .. }));
+        assert_eq!(cache.stats().entries, 1, "only the exact group is cached");
     }
 
     #[test]

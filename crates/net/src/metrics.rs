@@ -141,9 +141,8 @@ fn block(out: &mut String, prefix: &str, what: &str, pairs: &[(&'static str, u64
 mod tests {
     use super::*;
 
-    /// Every name in the exposition is well-formed and typed, and the
-    /// block count covers the whole EXPERIMENTS table (6 batch + 6
-    /// rewrite + 6 ν-cache + 11 service + 4 admission + 7 net).
+    /// Every name in the exposition is well-formed and typed, and there
+    /// is one sample per counter of the six `as_pairs` blocks.
     #[test]
     fn exposition_is_complete_and_well_formed() {
         let db = qarith_datagen::sales::sales_database(
@@ -158,7 +157,16 @@ mod tests {
             .lines()
             .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
             .partition(|l| l.starts_with("qarith_stage_"));
-        assert_eq!(counter_samples.len(), 6 + 6 + 6 + 11 + 4 + 7, "one sample per counter");
+        let totals = service.batch_totals();
+        let counters = [
+            totals.as_pairs().len(),
+            totals.rewrite.as_pairs().len(),
+            service.cache_stats().as_pairs().len(),
+            service.stats().as_pairs().len(),
+            service.admission_stats().as_pairs().len(),
+            NetStats::default().as_pairs().len(),
+        ];
+        assert_eq!(counter_samples.len(), counters.iter().sum(), "one sample per counter");
         for line in &counter_samples {
             let mut words = line.split_ascii_whitespace();
             let name = words.next().expect("metric name");

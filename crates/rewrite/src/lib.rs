@@ -1,7 +1,7 @@
 //! # qarith-rewrite — ν-preserving formula rewriting
 //!
 //! Layering: above `qarith-constraints`, below `qarith-core` (whose
-//! `decompose` executor measures the outcomes produced here). Paper
+//! engine routes and measures the outcomes produced here). Paper
 //! touchpoints: Lemma 8.4 (almost-everywhere constant limit signs) and
 //! the independence of variable-disjoint direction events behind the
 //! §8 measure.
@@ -13,19 +13,19 @@
 //! formula *cheaper and lower-dimensional* before measurement, without
 //! changing its measure `ν`:
 //!
-//! 1. **Trivial-atom elimination** ([`Rewriter::simplify`], pass `fold`) —
-//!    constant folding through exact ℚ interval/bound propagation
+//! 1. **Trivial-atom elimination** ([`simplify`]) — constant folding
+//!    through exact ℚ interval/bound propagation
 //!    (`qarith_constraints::asymptotic::constant_limit_sign`): atoms
 //!    whose limit sign is constant over (almost) all directions collapse
 //!    to `True`/`False`, which the smart constructors absorb through
 //!    `And`/`Or`. The measure-zero equality/disequality elimination of
 //!    the historical `QfFormula::ae_simplified` is the weak special case
 //!    ([`ae_simplify`], bit-identical to the now-deprecated shim).
-//! 2. **Boolean normalization** ([`Rewriter::simplify`], pass `normalize`) —
-//!    flattening (inherited from the smart constructors), child
-//!    deduplication, complement annihilation (`α ∧ ¬α ⇝ false`), and
-//!    absorption (`α ∧ (α ∨ β) ⇝ α`). These are pointwise Boolean
-//!    identities, valid at every direction, not just almost everywhere.
+//! 2. **Boolean normalization** ([`simplify`]) — flattening (inherited
+//!    from the smart constructors), child deduplication, complement
+//!    annihilation (`α ∧ ¬α ⇝ false`), and absorption
+//!    (`α ∧ (α ∨ β) ⇝ α`). These are pointwise Boolean identities, valid
+//!    at every direction, not just almost everywhere.
 //! 3. **Independence decomposition** ([`decompose`]) — a top-level
 //!    conjunction splits into variable-disjoint factors by connected
 //!    components of the atom–variable incidence graph. Under the uniform
@@ -39,13 +39,13 @@
 //! truth at *every* direction, pass 1 at almost every direction (a null
 //! set cannot change a probability). What rewriting does **not**
 //! preserve is the bit pattern of a Monte-Carlo estimate — the sampled
-//! formula, its dimension, and the sample budget all change — which is
-//! why `qarith-core` folds the [`RewriteOptions`] into the options
-//! fingerprint and flags rewritten estimates in their provenance.
+//! formula and its dimension change — which is why `qarith-core` folds
+//! the [`RewriteOptions`] switch into the options fingerprint and flags
+//! rewritten estimates in their provenance.
 //!
-//! [`Rewriter`] packages the passes; `qarith-core`'s `CertaintyEngine`
-//! runs them (behind `MeasureOptions::rewrite`) ahead of
-//! canonicalization, so the ν-cache keys pick up the rewritten form.
+//! [`rewrite`] runs all three passes; `qarith-core`'s `CertaintyEngine`
+//! runs it when `MeasureOptions::rewrite` is enabled, ahead of keying,
+//! so the ν-cache keys pick up the rewritten form.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,16 +55,15 @@ mod options;
 mod simplify;
 
 pub use decompose::{decompose, Combination, Decomposition};
-pub use options::{FactorBudget, RewriteOptions};
+pub use options::RewriteOptions;
 pub use simplify::ae_simplify;
 
 use qarith_constraints::QfFormula;
 
-/// The pass pipeline, configured by [`RewriteOptions`].
-#[derive(Clone, Copy, Debug)]
-pub struct Rewriter {
-    options: RewriteOptions,
-}
+/// Fixpoint cap for the normalization loop of [`simplify`]. Rarely more
+/// than two iterations are needed; the cap guards against pathological
+/// ping-ponging ever being introduced.
+const MAX_PASSES: usize = 8;
 
 /// The result of running the full pipeline on a formula.
 #[derive(Clone, Debug)]
@@ -87,62 +86,37 @@ pub struct RewriteOutcome {
     pub dim_after: usize,
 }
 
-impl Rewriter {
-    /// A rewriter with the given pass configuration.
-    pub fn new(options: RewriteOptions) -> Rewriter {
-        Rewriter { options }
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> &RewriteOptions {
-        &self.options
-    }
-
-    /// Runs the simplification passes (1–2) to a fixpoint, without
-    /// decomposing. The result is in NNF and has the same `ν` as the
-    /// input. Idempotent: `simplify(simplify(φ)) == simplify(φ)`.
-    pub fn simplify(&self, phi: &QfFormula) -> QfFormula {
-        let mut cur = simplify::simplify_atoms(&phi.nnf(), self.options.fold);
-        if !self.options.normalize {
-            return cur;
+/// Runs the simplification passes (1–2) to a fixpoint, without
+/// decomposing. The result is in NNF and has the same `ν` as the input.
+/// Idempotent: `simplify(simplify(φ)) == simplify(φ)`.
+pub fn simplify(phi: &QfFormula) -> QfFormula {
+    let mut cur = simplify::simplify_atoms(&phi.nnf(), true);
+    // Normalization is bottom-up, so a single pass handles nested
+    // opportunities; the fixpoint loop covers the rare cascades where an
+    // absorption at one level exposes a new one above it.
+    for _ in 0..MAX_PASSES {
+        let next = simplify::normalize_node(&cur);
+        if next == cur {
+            break;
         }
-        // Normalization is bottom-up, so a single pass handles nested
-        // opportunities; the fixpoint loop covers the rare cascades where
-        // an absorption at one level exposes a new one above it.
-        for _ in 0..self.options.max_passes.max(1) {
-            let next = simplify::normalize_node(&cur);
-            if next == cur {
-                break;
-            }
-            cur = next;
-        }
-        cur
+        cur = next;
     }
+    cur
+}
 
-    /// Runs the full pipeline: simplification plus (when enabled)
-    /// independence decomposition of the top-level connective.
-    pub fn rewrite(&self, phi: &QfFormula) -> RewriteOutcome {
-        let formula = self.simplify(phi);
-        let decomposition = if self.options.decompose {
-            decompose(&formula)
-        } else {
-            Decomposition {
-                combination: Combination::Product,
-                factors: match &formula {
-                    QfFormula::True | QfFormula::False => Vec::new(),
-                    other => vec![other.clone()],
-                },
-            }
-        };
-        let dim_after = decomposition.factors.iter().map(|f| f.vars().len()).sum();
-        RewriteOutcome {
-            size_before: phi.size(),
-            size_after: formula.size(),
-            dim_before: phi.vars().len(),
-            dim_after,
-            formula,
-            decomposition,
-        }
+/// Runs the full pipeline: simplification plus independence
+/// decomposition of the top-level connective.
+pub fn rewrite(phi: &QfFormula) -> RewriteOutcome {
+    let formula = simplify(phi);
+    let decomposition = decompose(&formula);
+    let dim_after = decomposition.factors.iter().map(|f| f.vars().len()).sum();
+    RewriteOutcome {
+        size_before: phi.size(),
+        size_after: formula.size(),
+        dim_before: phi.vars().len(),
+        dim_after,
+        formula,
+        decomposition,
     }
 }
 
@@ -164,10 +138,6 @@ mod tests {
         QfFormula::atom(Atom::new(p, op))
     }
 
-    fn full() -> Rewriter {
-        Rewriter::new(RewriteOptions::full())
-    }
-
     #[test]
     fn trivial_atoms_fold_away() {
         // (z0² + z1² > 0) ∧ (z2 < 0): the first conjunct is a.e. true.
@@ -175,7 +145,7 @@ mod tests {
             atom(z(0) * z(0) + z(1) * z(1), ConstraintOp::Gt),
             atom(z(2), ConstraintOp::Lt),
         ]);
-        let out = full().rewrite(&f);
+        let out = rewrite(&f);
         assert_eq!(out.formula, atom(z(2), ConstraintOp::Lt));
         assert_eq!(out.dim_before, 3);
         assert_eq!(out.dim_after, 1);
@@ -184,7 +154,7 @@ mod tests {
             atom(c(-1) * z(0) * z(0) - c(3), ConstraintOp::Ge),
             atom(z(1), ConstraintOp::Lt),
         ]);
-        assert_eq!(full().rewrite(&g).formula, QfFormula::False);
+        assert_eq!(rewrite(&g).formula, QfFormula::False);
     }
 
     #[test]
@@ -192,17 +162,17 @@ mod tests {
         let a = atom(z(0), ConstraintOp::Lt);
         let b = atom(z(1), ConstraintOp::Gt);
         // α ∧ α ⇝ α.
-        assert_eq!(full().simplify(&QfFormula::and([a.clone(), a.clone()])), a);
+        assert_eq!(simplify(&QfFormula::and([a.clone(), a.clone()])), a);
         // α ∧ (α ∨ β) ⇝ α.
         let f = QfFormula::and([a.clone(), QfFormula::or([a.clone(), b.clone()])]);
-        assert_eq!(full().simplify(&f), a);
+        assert_eq!(simplify(&f), a);
         // α ∨ (α ∧ β) ⇝ α.
         let f = QfFormula::or([a.clone(), QfFormula::and([a.clone(), b.clone()])]);
-        assert_eq!(full().simplify(&f), a);
+        assert_eq!(simplify(&f), a);
         // α ∧ ¬α ⇝ false; α ∨ ¬α ⇝ true (complement ops).
         let na = atom(z(0), ConstraintOp::Ge);
-        assert_eq!(full().simplify(&QfFormula::and([a.clone(), na.clone()])), QfFormula::False);
-        assert_eq!(full().simplify(&QfFormula::or([a.clone(), na])), QfFormula::True);
+        assert_eq!(simplify(&QfFormula::and([a.clone(), na.clone()])), QfFormula::False);
+        assert_eq!(simplify(&QfFormula::or([a.clone(), na])), QfFormula::True);
     }
 
     #[test]
@@ -212,8 +182,8 @@ mod tests {
             atom(z(0), ConstraintOp::Lt),
             atom(z(2) - z(3), ConstraintOp::Eq).negated(),
         ]);
-        let once = full().simplify(&f);
-        assert_eq!(full().simplify(&once), once);
+        let once = simplify(&f);
+        assert_eq!(simplify(&once), once);
     }
 
     #[test]
@@ -224,7 +194,7 @@ mod tests {
             atom(z(2), ConstraintOp::Gt),
             atom(z(1), ConstraintOp::Ge),
         ]);
-        let out = full().rewrite(&f);
+        let out = rewrite(&f);
         let factors = &out.decomposition.factors;
         assert_eq!(factors.len(), 2);
         assert_eq!(
@@ -237,8 +207,8 @@ mod tests {
 
     #[test]
     fn constants_produce_no_factors() {
-        let t = full()
-            .rewrite(&QfFormula::or([atom(z(0), ConstraintOp::Lt), atom(z(0), ConstraintOp::Ge)]));
+        let t =
+            rewrite(&QfFormula::or([atom(z(0), ConstraintOp::Lt), atom(z(0), ConstraintOp::Ge)]));
         assert_eq!(t.formula, QfFormula::True);
         assert!(t.decomposition.factors.is_empty());
         assert_eq!(t.dim_after, 0);
@@ -255,6 +225,5 @@ mod tests {
         #[allow(deprecated)]
         let shim = f.ae_simplified();
         assert_eq!(ae_simplify(&f), shim);
-        assert_eq!(Rewriter::new(RewriteOptions::ae_only()).simplify(&f), shim);
     }
 }

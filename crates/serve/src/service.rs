@@ -10,6 +10,7 @@ use qarith_core::{
     MethodChoice, NuCache, NuCacheConfig,
 };
 use qarith_engine::cq::{self, ReadFootprint, WriteDelta};
+use qarith_sql::SelectStatement;
 use qarith_trace::{LatencyStats, RequestTrace, SlowRecord, Stage, Tracer};
 use qarith_types::{Catalog, Database, WriteBatch};
 
@@ -192,14 +193,15 @@ pub struct QueryResponse {
 /// Per request ([`QueryService::query`]):
 ///
 /// 1. **admission** — block until the in-flight gate has room;
-/// 2. **fingerprint** — normalize the SQL text
-///    ([`qarith_sql::sql_fingerprint`]);
+/// 2. **fingerprint** — parse the SQL text once
+///    ([`qarith_sql::parse_select`]) and normalize the statement
+///    ([`qarith_sql::fingerprint::fingerprint`]);
 /// 3. **snapshot** — pin the current epoch ([`crate::epoch`]): the
 ///    whole request executes against one immutable database;
 /// 4. **plan** — look the fingerprint up in the plan cache and check
-///    that the plan is exact on the pinned epoch; on a miss, parse →
-///    lower → generate candidates, recording the join's read footprint
-///    ([`cq::execute_recorded`]) → prepare the batch
+///    that the plan is exact on the pinned epoch; on a miss, lower the
+///    parsed statement → generate candidates, recording the join's read
+///    footprint ([`cq::execute_recorded`]) → prepare the batch
 ///    ([`CertaintyEngine::prepare_batch`]) and publish the plan;
 /// 5. **execute** — run the plan's back half
 ///    ([`CertaintyEngine::execute_plan`]) against the bounded sharded
@@ -426,15 +428,19 @@ impl QueryService {
             self.gate.acquire()
         };
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let fingerprint = {
+        // Parse once: the statement is fingerprinted here and, on a plan
+        // miss, lowered by `build_plan`.
+        let (stmt, fingerprint) = {
             let _span = trace.span(Stage::Fingerprint);
-            qarith_sql::sql_fingerprint(sql)?
+            let stmt = qarith_sql::parse_select(sql)?;
+            let fingerprint = qarith_sql::fingerprint::fingerprint(&stmt);
+            (stmt, fingerprint)
         };
         // Pin the epoch once: plan validation, candidate generation,
         // and measurement all see this one immutable database, however
         // many epochs writers publish meanwhile.
         let snap = self.snapshot()?;
-        let (plan, plan_cached) = self.plan_for(sql, &fingerprint, &snap, trace)?;
+        let (plan, plan_cached) = self.plan_for(&stmt, &fingerprint, &snap, trace)?;
         let outcome = self.engine.execute_plan(&plan, trace)?;
         self.totals.absorb(&outcome.stats);
         Ok(QueryResponse {
@@ -597,7 +603,7 @@ impl QueryService {
     /// published.
     fn plan_for(
         &self,
-        sql: &str,
+        stmt: &SelectStatement,
         fingerprint: &str,
         snap: &Snapshot,
         trace: &mut RequestTrace,
@@ -629,7 +635,7 @@ impl QueryService {
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
         // Build outside any lock: candidate generation and preparation
         // are the expensive half, and other templates must keep flowing.
-        let (built, footprint) = self.build_plan(sql, snap, trace)?;
+        let (built, footprint) = self.build_plan(stmt, snap, trace)?;
         let built = Arc::new(built);
         let tick = self.plan_tick.fetch_add(1, Ordering::Relaxed);
         let _span = trace.span(Stage::PlanLookup);
@@ -670,22 +676,22 @@ impl QueryService {
         Ok((built, false))
     }
 
-    /// The front half, template-granular: parse + lower against the
-    /// catalog, generate candidates under the template's LIMIT
-    /// semantics (folded into the executor options), prepare the
+    /// The front half, template-granular: lower the parsed statement
+    /// against the catalog, generate candidates under the template's
+    /// LIMIT semantics (folded into the executor options), prepare the
     /// batch. Returns the plan plus the read footprint its join
     /// recorded on `snap`. One [`Stage::Prepare`] span covers both the
-    /// SQL front (parse, lower, candidate generation — "grounding") and
-    /// the engine's batch preparation: together they are the
-    /// template-build cost a plan-cache hit saves.
+    /// SQL front (lower, candidate generation — "grounding") and the
+    /// engine's batch preparation: together they are the template-build
+    /// cost a plan-cache hit saves.
     fn build_plan(
         &self,
-        sql: &str,
+        stmt: &SelectStatement,
         snap: &Snapshot,
         trace: &mut RequestTrace,
     ) -> Result<(BatchPlan, ReadFootprint), ServeError> {
         let _span = trace.span(Stage::Prepare);
-        let lowered = qarith_sql::compile(sql, &self.catalog)?;
+        let lowered = qarith_sql::lower(stmt, &self.catalog)?;
         let (candidates, footprint, rows) =
             cq::execute_recorded(&lowered.query, &snap.db, &lowered.cq_options())?;
         self.join_rows.fetch_add(rows, Ordering::Relaxed);
@@ -836,7 +842,8 @@ mod tests {
     fn an_older_reader_does_not_evict_a_newer_plan() {
         let service = QueryService::new(db(), ServeConfig::default());
         let sql = "SELECT R.id FROM R WHERE R.x > R.y";
-        let fingerprint = qarith_sql::sql_fingerprint(sql).expect("fingerprint");
+        let stmt = qarith_sql::parse_select(sql).expect("parses");
+        let fingerprint = qarith_sql::fingerprint::fingerprint(&stmt);
         service.query(sql).expect("epoch 0 query");
         let epoch0 = service.snapshot().expect("epoch 0");
 
@@ -849,7 +856,7 @@ mod tests {
 
         let mut trace = service.begin_trace();
         let (old_plan, cached) =
-            service.plan_for(sql, &fingerprint, &epoch0, &mut trace).expect("epoch 0 plan");
+            service.plan_for(&stmt, &fingerprint, &epoch0, &mut trace).expect("epoch 0 plan");
         assert!(!cached);
         assert_eq!(old_plan.candidates(), 1, "built on epoch 0's one row");
         assert_eq!(service.stats().plan_invalidations, 1, "the epoch-1 plan stays resident");

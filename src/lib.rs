@@ -132,15 +132,14 @@ pub mod prelude {
     pub use qarith_constraints::{Atom, ConstraintOp, Polynomial, QfFormula, Var as ConstraintVar};
     pub use qarith_core::{
         AnswerWithCertainty, BatchOptions, BatchOutcome, BatchPlan, BatchStats, CacheStats,
-        CertaintyEngine, CertaintyEstimate, FactorBudget, MeasureOptions, Method, MethodChoice,
-        NuCache, NuCacheConfig, RewriteOptions, RewriteStats,
+        CertaintyEngine, CertaintyEstimate, MeasureOptions, Method, MethodChoice, NuCache,
+        NuCacheConfig, RewriteOptions, RewriteStats,
     };
     pub use qarith_datagen::{QueryFamily, Workload, WorkloadQuery, WorkloadScale, WorkloadSpec};
     pub use qarith_engine::cq::CqOptions;
     pub use qarith_net::{NetClient, NetConfig, NetServer, NetStats};
     pub use qarith_numeric::Rational;
     pub use qarith_query::{Arg, BaseTerm, CompareOp, Formula, NumTerm, Query, TypedVar};
-    pub use qarith_rewrite::Rewriter;
     pub use qarith_serve::{
         AdmissionStats, QueryResponse, QueryService, ServeConfig, ServeError, ServiceStats,
     };
