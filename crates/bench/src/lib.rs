@@ -30,7 +30,6 @@ use std::time::{Duration, Instant};
 use qarith_core::afpras::{estimate_nu_compiled_many, AfprasOptions, SampleCount};
 use qarith_core::{
     BatchStats, CertaintyEngine, CertaintyEstimate, MeasureOptions, MethodChoice, NuCache,
-    RewriteOptions,
 };
 use qarith_datagen::sales::SalesScale;
 use qarith_datagen::{QueryFamily, WorkloadSpec};
@@ -221,12 +220,13 @@ impl Fig1Harness {
         self.run_engine(Fig1Harness::paper_engine(epsilon, seed), query_idx, epsilon, cache)
     }
 
-    /// Like [`Fig1Harness::run_epsilon_batch`] but with the
-    /// `qarith-rewrite` pipeline enabled (full pass set): formulas are
-    /// simplified and decomposed before measurement, factors route to
-    /// exact evaluators where possible, and the ν-cache keys pick up the
-    /// rewritten forms. Estimates are **not** bit-identical to the
-    /// unrewritten paths but carry the same ε-additive guarantee.
+    /// Like [`Fig1Harness::run_epsilon_batch`] but on the
+    /// [`MethodChoice::Auto`] route, which runs the `qarith-rewrite`
+    /// pipeline: formulas are simplified and decomposed before
+    /// measurement, factors route to exact evaluators where possible,
+    /// and the residuals are sampled at the same ε and seed. Estimates
+    /// are **not** bit-identical to the forced-AFPRAS paths but carry
+    /// the same ε-additive guarantee.
     pub fn run_epsilon_rewritten(
         &self,
         query_idx: usize,
@@ -234,10 +234,9 @@ impl Fig1Harness {
         seed: u64,
         cache: Option<Arc<NuCache>>,
     ) -> BatchPoint {
-        let mut engine = Fig1Harness::paper_engine(epsilon, seed);
-        let options = engine.options().clone().with_rewrite(RewriteOptions::full());
-        engine = CertaintyEngine::new(options);
-        self.run_engine(engine, query_idx, epsilon, cache)
+        let mut options = Fig1Harness::paper_engine(epsilon, seed).options().clone();
+        options.method = MethodChoice::Auto;
+        self.run_engine(CertaintyEngine::new(options), query_idx, epsilon, cache)
     }
 
     fn run_engine(

@@ -8,8 +8,9 @@
 //!   ([`crate::Fig1Harness::run_epsilon`]);
 //! * `batch` — the canonical-dedup engine with a ν-cache
 //!   (bit-identical estimates to `seq` for a fixed seed);
-//! * `rewrite` — the simplification + independence-decomposition
-//!   pipeline (ε-additive, not bit-identical) —
+//! * `rewrite` — the default `Auto` route: simplification,
+//!   independence decomposition, exact factors and a sampled residual
+//!   (ε-additive, not bit-identical) —
 //!
 //! recording wall time, fresh Monte-Carlo direction counts,
 //! dedup/cache/factorization counters, and the full per-candidate

@@ -46,8 +46,7 @@
 //! set, pushes negations onto atoms and flattens nested connectives as
 //! it walks (what NNF does), and writes tags, monomials and exact
 //! coefficients as varints. A leading tag byte names the key's
-//! [`Origin`] and granularity, so keys of different kinds never compare
-//! equal. Equal keys are exactly equal forms — no hashing, so no
+//! granularity, so keys of the two granularities never compare equal. Equal keys are exactly equal forms — no hashing, so no
 //! collision can merge two classes.
 
 use qarith_numeric::Rational;
@@ -63,18 +62,6 @@ pub enum Granularity {
     Structural = 0,
     /// Equal keys ⇒ identical asymptotic truth functions.
     Asymptotic = 1,
-}
-
-/// Where a keyed formula comes from. The same formula is measured
-/// differently as a ground formula and as the output of a ν-preserving
-/// rewrite (different budgets and routes), so keys of the two origins
-/// never compare equal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Origin {
-    /// A ground formula as grounded.
-    Ground = 0,
-    /// A rewritten formula (`qarith-rewrite`'s output).
-    Rewritten = 1,
 }
 
 /// Node tags of a key body. `END` closes a connective's children.
@@ -111,15 +98,14 @@ impl KeyEncoder {
         KeyEncoder::default()
     }
 
-    /// The key of `phi` at `granularity`, tagged with its `origin`.
-    /// Valid until the next call.
+    /// The key of `phi` at `granularity`. Valid until the next call.
     ///
     /// Equal keys ⇔ equal structural forms at
     /// [`Granularity::Structural`]; at [`Granularity::Asymptotic`],
     /// equal keys ⇔ equal structural forms after per-component rescaling
     /// and with `And`/`Or` children taken as sets. A formula whose
     /// rescale overflows gets its structural key.
-    pub fn encode(&mut self, phi: &QfFormula, granularity: Granularity, origin: Origin) -> &[u8] {
+    pub fn encode(&mut self, phi: &QfFormula, granularity: Granularity) -> &[u8] {
         self.vars.clear();
         // The one-pass walk assumes what the smart constructors
         // guarantee: no constant below the root and no connective with
@@ -138,9 +124,9 @@ impl KeyEncoder {
         self.vars.sort_unstable();
         self.vars.dedup();
         self.overflowed = false;
-        self.write(phi, granularity, origin);
+        self.write(phi, granularity);
         if self.overflowed {
-            self.write(phi, Granularity::Structural, origin);
+            self.write(phi, Granularity::Structural);
         }
         &self.key
     }
@@ -175,9 +161,9 @@ impl KeyEncoder {
     }
 
     /// Writes the whole key: the tag, then the body.
-    fn write(&mut self, phi: &QfFormula, granularity: Granularity, origin: Origin) {
+    fn write(&mut self, phi: &QfFormula, granularity: Granularity) {
         self.key.clear();
-        self.key.push(origin as u8 * 2 + granularity as u8);
+        self.key.push(granularity as u8);
         self.node(phi, false, granularity == Granularity::Asymptotic);
     }
 
@@ -384,7 +370,7 @@ mod tests {
     }
 
     fn key(f: &QfFormula, granularity: Granularity) -> Vec<u8> {
-        KeyEncoder::new().encode(f, granularity, Origin::Ground).to_vec()
+        KeyEncoder::new().encode(f, granularity).to_vec()
     }
 
     fn structural(f: &QfFormula) -> Vec<u8> {
@@ -514,23 +500,15 @@ mod tests {
     }
 
     #[test]
-    fn tags_keep_granularities_and_origins_apart() {
+    fn tags_keep_granularities_apart() {
         // z0 > 0 is already scale-normal: only the tag differs.
         let f = atom(z(0), ConstraintOp::Gt);
-        let mut keys: Vec<Vec<u8>> = Vec::new();
         let mut encoder = KeyEncoder::new();
-        for origin in [Origin::Ground, Origin::Rewritten] {
-            for granularity in [Granularity::Structural, Granularity::Asymptotic] {
-                keys.push(encoder.encode(&f, granularity, origin).to_vec());
-            }
-        }
-        for (i, a) in keys.iter().enumerate() {
-            for b in keys.iter().skip(i + 1) {
-                assert_ne!(a, b);
-                assert_eq!(a.get(1..), b.get(1..), "same body");
-            }
-        }
-        assert_eq!(encoder.nodes(), 4, "one node, keyed four times");
+        let structural = encoder.encode(&f, Granularity::Structural).to_vec();
+        let asymptotic = encoder.encode(&f, Granularity::Asymptotic).to_vec();
+        assert_ne!(structural, asymptotic);
+        assert_eq!(structural.get(1..), asymptotic.get(1..), "same body");
+        assert_eq!(encoder.nodes(), 2, "one node, keyed twice");
     }
 
     #[test]
@@ -544,7 +522,7 @@ mod tests {
             ConstraintOp::Gt,
         );
         let mut keys = KeyEncoder::new();
-        let asym = keys.encode(&f, Granularity::Asymptotic, Origin::Ground).to_vec();
+        let asym = keys.encode(&f, Granularity::Asymptotic).to_vec();
         assert_eq!(asym, structural(&f), "keyed at structural granularity");
         assert_eq!(keys.nodes(), 2, "walked once per granularity");
         // Its doubled twin would share an asymptotic key; the structural

@@ -205,49 +205,6 @@ impl QfFormula {
         go(self, false)
     }
 
-    /// Almost-everywhere simplification with respect to the asymptotic
-    /// direction measure `ν`.
-    ///
-    /// For a polynomial `p` that is not identically zero, the set of
-    /// directions along which `p(k·a)` is eventually zero is a proper
-    /// algebraic subset of the sphere — a null set. Hence replacing
-    /// (after NNF) every remaining equality atom by `false` and every
-    /// disequality atom by `true` preserves `ν(φ)` exactly, while often
-    /// collapsing large parts of ground formulas (e.g. the measure-zero
-    /// branches that active-domain expansion of quantifiers creates).
-    /// The result is frequently lower-dimensional and linear, bringing it
-    /// within reach of the exact evaluators.
-    ///
-    /// (Identically-zero equalities never survive to this point: the
-    /// [`QfFormula::atom`] constructor folds constant atoms.)
-    ///
-    /// **Deprecated:** this pass is subsumed by the `qarith-rewrite`
-    /// crate's pipeline (`qarith_rewrite::ae_simplify` reproduces it
-    /// bit for bit; `qarith_rewrite::rewrite` adds constant-sign
-    /// folding, Boolean normalization, and independence decomposition
-    /// on top). The body below is frozen so existing callers keep the
-    /// exact historical behavior; new code should go through
-    /// `qarith-rewrite`, which is the one live simplifier.
-    #[deprecated(note = "use qarith_rewrite::ae_simplify (bit-identical) or \
-                         qarith_rewrite::rewrite for the full pass pipeline")]
-    pub fn ae_simplified(&self) -> QfFormula {
-        fn go(f: &QfFormula) -> QfFormula {
-            match f {
-                QfFormula::True => QfFormula::True,
-                QfFormula::False => QfFormula::False,
-                QfFormula::Atom(a) => match a.op() {
-                    crate::atom::ConstraintOp::Eq => QfFormula::False,
-                    crate::atom::ConstraintOp::Ne => QfFormula::True,
-                    _ => QfFormula::Atom(a.clone()),
-                },
-                QfFormula::Not(_) => unreachable!("runs on NNF"),
-                QfFormula::And(parts) => QfFormula::and(parts.iter().map(go)),
-                QfFormula::Or(parts) => QfFormula::or(parts.iter().map(go)),
-            }
-        }
-        go(&self.nnf())
-    }
-
     /// Disjunctive normal form with a size budget.
     ///
     /// The budget bounds the number of *conjunctions* (disjuncts) ever
@@ -514,40 +471,6 @@ mod tests {
         assert_eq!(vars, vec![Var(0), Var(3)]);
         assert_eq!(f.size(), 3);
         assert_eq!(f.atom_count(), 2);
-    }
-
-    // The shim's behavior is frozen; these tests pin it (and
-    // tests/rewrite_soundness.rs pins qarith_rewrite::ae_simplify to it).
-    #[allow(deprecated)]
-    #[test]
-    fn ae_simplification_replaces_equalities() {
-        use crate::atom::ConstraintOp;
-        // (z0 = z1) ∨ (z0 < 0) ⇝ z0 < 0.
-        let eq = QfFormula::atom(Atom::new(z(0) - z(1), ConstraintOp::Eq));
-        let f = QfFormula::or([eq.clone(), lt(z(0))]);
-        assert_eq!(f.ae_simplified(), lt(z(0)));
-        // Negated equality becomes ≠, i.e. almost-everywhere true.
-        let f = QfFormula::and([eq.clone().negated(), lt(z(0))]);
-        assert_eq!(f.ae_simplified(), lt(z(0)));
-        // A bare equality collapses to false; a bare disequality to true.
-        assert_eq!(eq.clone().ae_simplified(), QfFormula::False);
-        assert_eq!(eq.negated().ae_simplified(), QfFormula::True);
-    }
-
-    #[allow(deprecated)]
-    #[test]
-    fn ae_simplification_keeps_inequalities_intact() {
-        let f = QfFormula::and([lt(z(0) + z(1)), gt(z(1) * z(1))]);
-        assert_eq!(f.ae_simplified(), f);
-    }
-
-    #[allow(deprecated)]
-    #[test]
-    fn ae_simplification_pushes_through_negation() {
-        // ¬(z0 < 0 ∧ z1 = 0) ⇝ (z0 ≥ 0) ∨ (z1 ≠ 0) ⇝ true.
-        let f = QfFormula::and([lt(z(0)), QfFormula::atom(Atom::new(z(1), ConstraintOp::Eq))])
-            .negated();
-        assert_eq!(f.ae_simplified(), QfFormula::True);
     }
 
     #[test]

@@ -77,34 +77,6 @@ proptest! {
         }
     }
 
-    /// ae-simplification agrees with the original asymptotically, except
-    /// on the null set where some equality's restriction vanishes —
-    /// excluded by re-checking with a perturbed direction.
-    #[test]
-    fn ae_simplification_is_asymptotically_sound(
-        f in formula(),
-        raw_dir in prop::collection::vec(-2.0f64..2.0, 3),
-    ) {
-        // The deprecated shim is exercised deliberately: its frozen
-        // behavior is what qarith_rewrite::ae_simplify must reproduce.
-        #[allow(deprecated)]
-        let g = f.ae_simplified();
-        let orig = formula_limit_truth(&f, &raw_dir);
-        let simp = formula_limit_truth(&g, &raw_dir);
-        if orig != simp {
-            // Must be caused by an equality atom holding along this
-            // direction; perturbing the direction must break the tie.
-            let perturbed: Vec<f64> = raw_dir
-                .iter()
-                .enumerate()
-                .map(|(i, x)| x + 1e-3 * ((i + 1) as f64) * 0.7318)
-                .collect();
-            let orig_p = formula_limit_truth(&f, &perturbed);
-            let simp_p = formula_limit_truth(&g, &perturbed);
-            prop_assert_eq!(orig_p, simp_p, "perturbation should reconcile: {}", f);
-        }
-    }
-
     /// NNF and the compiled form preserve the variable set semantics:
     /// dedup never changes atom count upward.
     #[test]

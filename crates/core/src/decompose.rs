@@ -1,15 +1,16 @@
 //! Decomposed measurement: the rewrite pipeline's half of the engine's
 //! router.
 //!
-//! With `MeasureOptions::rewrite.enabled` set, `CertaintyEngine`
-//! rewrites each formula through `qarith-rewrite` (simplification +
+//! On the `Auto` and `ExactOnly` routes `CertaintyEngine` rewrites each
+//! measured formula through `qarith-rewrite` (simplification +
 //! independence decomposition) and hands the outcome to `route`, which
 //! evaluates every variable-disjoint factor an exact evaluator covers —
 //! the decomposition makes that far more frequent — and leaves the rest
-//! to the engine's one measurement loop. The loop samples that residual
-//! in its shared pass and multiplies it back in through `combine`,
-//! which is exact because the factors' asymptotic events are independent
-//! under the uniform direction measure (see `qarith_rewrite::decompose`).
+//! to the engine's one measurement loop (or, under `ExactOnly`, fails).
+//! The loop samples that residual in its shared pass and multiplies it
+//! back in through `combine`, which is exact because the factors'
+//! asymptotic events are independent under the uniform direction
+//! measure (see `qarith_rewrite::decompose`).
 //!
 //! **Error accounting.** Exactly-evaluated factors contribute zero
 //! error, and multiplying an estimate by exact constants in `[0, 1]`
@@ -18,17 +19,15 @@
 //! and measured once with the full budget:
 //! `|ν̂ᵣ·∏νₑ − νᵣ·∏νₑ| = ∏νₑ·|ν̂ᵣ − νᵣ| ≤ ε`, and the run draws no more
 //! directions than the unrewritten one (over a no-larger formula in a
-//! no-larger direction space). The multiplicative FPRAS measures the
-//! same joint residual: the exact factors are relative-error-free, so
-//! it keeps the full relative budget.
+//! no-larger direction space).
 //!
 //! **Determinism.** Every factor measurement is a deterministic
 //! function of (factor, options) — exact closed forms, or Monte-Carlo
 //! with the configured seed — and the combination multiplies the factor
 //! values in ascending `f64` order, so the product does not depend on
 //! the (renaming-sensitive) factor discovery order. Estimates are
-//! therefore reproducible and safe to memoize in the ν-cache under a
-//! fingerprint that includes the [`qarith_rewrite::RewriteOptions`].
+//! therefore reproducible and safe to memoize in the ν-cache under the
+//! options fingerprint.
 
 use std::borrow::Cow;
 
@@ -36,10 +35,10 @@ use qarith_constraints::QfFormula;
 use qarith_numeric::Rational;
 use qarith_rewrite::{Combination, RewriteOutcome};
 
+use crate::afpras::AfprasOptions;
 use crate::error::MeasureError;
 use crate::estimate::{CertaintyEstimate, Method};
-use crate::exact::try_exact_extended;
-use crate::fpras::fpras_estimate;
+use crate::exact::try_exact;
 use crate::pipeline::{Finish, MeasureOptions, MethodChoice, Route};
 
 /// Per-formula accounting of one rewritten measurement, aggregated into
@@ -104,12 +103,12 @@ impl RewriteStats {
     }
 }
 
-/// Routes a prepared rewrite outcome: a constant is decided, every
-/// factor an exact evaluator covers is evaluated, and the rest rejoins
-/// into one residual. `ExactOnly` fails on a residual and `Fpras`
-/// measures it here; `Auto` and `Afpras` hand it to the engine's shared
-/// sampling pass, with the exact factors to combine it with. See the
-/// module docs for the error accounting and determinism arguments.
+/// Routes a rewrite outcome: a constant is decided, every factor an
+/// exact evaluator covers is evaluated, and the rest rejoins into one
+/// residual. `ExactOnly` fails on a residual; `Auto` hands it to the
+/// engine's shared sampling pass, with the exact factors to combine it
+/// with. See the module docs for the error accounting and determinism
+/// arguments.
 pub(crate) fn route(
     out: &RewriteOutcome,
     options: &MeasureOptions,
@@ -137,7 +136,7 @@ pub(crate) fn route(
     let mut parts: Vec<CertaintyEstimate> = Vec::with_capacity(factors.len());
     let mut residual: Vec<QfFormula> = Vec::new();
     for factor in factors {
-        match try_exact_extended(factor, options.exact_order_limit) {
+        match try_exact(factor, options.exact_order_limit) {
             Some(est) => {
                 trace.exact_factors += 1;
                 parts.push(est);
@@ -146,7 +145,7 @@ pub(crate) fn route(
         }
     }
     if residual.is_empty() {
-        return (Route::Done(Ok(combine(&parts, combination, options))), trace);
+        return (Route::Done(Ok(combine(&parts, combination, &options.afpras))), trace);
     }
 
     // The rejoin connective matches the decomposition root, so the joint
@@ -155,32 +154,24 @@ pub(crate) fn route(
         Combination::Product => QfFormula::and(residual),
         Combination::DualProduct => QfFormula::or(residual),
     };
-    let route = match options.method {
-        MethodChoice::ExactOnly => Route::Done(Err(MeasureError::ExactUnavailable {
-            reason: "a factor is not order/2-D-linear and has dimension > 1",
-        })),
-        // Joint residual, full multiplicative budget: the exact factors
-        // are relative-error-free, and for the dual rule
-        // `1 − (1−ν̂ᵣ)·∏(1−νₑ)` the additive residual error
-        // `ε·νᵣ·∏(1−νₑ)` is bounded by ε times the true value.
-        MethodChoice::Fpras => Route::Done(fpras_estimate(&residual, &options.fpras).map(|est| {
-            parts.push(est);
-            combine(&parts, combination, options)
-        })),
-        MethodChoice::Auto | MethodChoice::Afpras => {
-            Route::Sample(Cow::Owned(residual), Finish::Combine(parts, combination))
-        }
+    let route = if options.method == MethodChoice::ExactOnly {
+        Route::Done(Err(MeasureError::ExactUnavailable {
+            reason: "a factor of the rewritten formula has no exact evaluator",
+        }))
+    } else {
+        Route::Sample(Cow::Owned(residual), Finish::Combine(parts, combination))
     };
     (route, trace)
 }
 
 /// Combines factor estimates into one [`CertaintyEstimate`]: a product
 /// for conjunction factors, a complement product for disjunction
-/// factors.
+/// factors. A sampled part is the residual's AFPRAS estimate, which
+/// carries the full `afpras` budget.
 pub(crate) fn combine(
     parts: &[CertaintyEstimate],
     combination: Combination,
-    options: &MeasureOptions,
+    afpras: &AfprasOptions,
 ) -> CertaintyEstimate {
     // A single part needs no combination at all — pass it through (this
     // also keeps exact single-factor values bit-identical to their
@@ -227,15 +218,8 @@ pub(crate) fn combine(
             None => Method::Exact,
             Some(p) => p.method,
         },
-        // The *total* guaranteed budgets, not the per-factor slices.
-        epsilon: sampled.and_then(|p| p.epsilon).map(|_| match options.method {
-            MethodChoice::Fpras => options.fpras.epsilon,
-            _ => options.afpras.epsilon,
-        }),
-        delta: sampled.and_then(|p| p.delta).map(|_| match options.method {
-            MethodChoice::Fpras => options.fpras.delta,
-            _ => options.afpras.delta,
-        }),
+        epsilon: sampled.and_then(|p| p.epsilon).map(|_| afpras.epsilon),
+        delta: sampled.and_then(|p| p.delta).map(|_| afpras.delta),
         samples: parts.iter().map(|p| p.samples).sum(),
         dimension: parts.iter().map(|p| p.dimension).sum(),
         cached: false,
@@ -258,7 +242,6 @@ mod tests {
     use crate::pipeline::CertaintyEngine;
     use qarith_constraints::{Atom, ConstraintOp, Polynomial, Var};
     use qarith_engine::cq::CandidateAnswer;
-    use qarith_rewrite::RewriteOptions;
     use qarith_types::Tuple;
 
     fn z(i: u32) -> Polynomial {
@@ -267,10 +250,6 @@ mod tests {
 
     fn atom(p: Polynomial, op: ConstraintOp) -> QfFormula {
         QfFormula::atom(Atom::new(p, op))
-    }
-
-    fn rewritten_options() -> MeasureOptions {
-        MeasureOptions { rewrite: RewriteOptions::full(), ..MeasureOptions::default() }
     }
 
     /// Measures `f` through the engine as a one-candidate batch: its
@@ -299,7 +278,7 @@ mod tests {
             atom(z(1), ConstraintOp::Gt),
             atom(z(2), ConstraintOp::Gt),
         ]);
-        let (est, trace) = measure(&f, rewritten_options()).unwrap();
+        let (est, trace) = measure(&f, MeasureOptions::default()).unwrap();
         assert_eq!(est.exact, Some(Rational::new(1, 8)));
         assert_eq!(est.method, Method::Exact);
         assert_eq!(est.samples, 0);
@@ -313,7 +292,7 @@ mod tests {
     fn dual_product_on_disjoint_disjunctions() {
         // (z0 > 0) ∨ (z1 > 0): ν = 1 − (1 − ½)(1 − ½) = 3/4, exactly.
         let f = QfFormula::or([atom(z(0), ConstraintOp::Gt), atom(z(1), ConstraintOp::Gt)]);
-        let (est, trace) = measure(&f, rewritten_options()).unwrap();
+        let (est, trace) = measure(&f, MeasureOptions::default()).unwrap();
         assert_eq!(est.exact, Some(Rational::new(3, 4)));
         assert_eq!(est.method, Method::Exact);
         assert_eq!(trace.factors, 2);
@@ -324,7 +303,7 @@ mod tests {
             atom(z(1), ConstraintOp::Gt),
             atom(z(2), ConstraintOp::Gt),
         ]);
-        let est = CertaintyEngine::new(rewritten_options()).nu(&g).unwrap();
+        let est = CertaintyEngine::new(MeasureOptions::default()).nu(&g).unwrap();
         assert_eq!(est.exact, Some(Rational::new(7, 8)));
     }
 
@@ -335,7 +314,7 @@ mod tests {
             atom(z(0) * z(0) + z(1) * z(1), ConstraintOp::Gt),
             atom(z(2), ConstraintOp::Lt),
         ]);
-        let (est, trace) = measure(&f, rewritten_options()).unwrap();
+        let (est, trace) = measure(&f, MeasureOptions::default()).unwrap();
         assert_eq!(est.exact, Some(Rational::new(1, 2)));
         assert_eq!(trace.dim_before, 3);
         assert_eq!(trace.dim_after, 1);
@@ -347,14 +326,14 @@ mod tests {
         // factors to measure at all.
         let contradiction =
             QfFormula::and([atom(z(0), ConstraintOp::Gt), atom(z(0), ConstraintOp::Le)]);
-        let (est, trace) = measure(&contradiction, rewritten_options()).unwrap();
+        let (est, trace) = measure(&contradiction, MeasureOptions::default()).unwrap();
         assert_eq!(est.exact, Some(Rational::ZERO));
         assert_eq!(trace.factors, 0);
         // z0 > 0 ∧ z0 < 0 is not a complement pair (complement of > is
         // ≤); it survives normalization and the 1-D exact evaluator
         // still lands on zero.
         let near = QfFormula::and([atom(z(0), ConstraintOp::Gt), atom(z(0), ConstraintOp::Lt)]);
-        let (est, trace) = measure(&near, rewritten_options()).unwrap();
+        let (est, trace) = measure(&near, MeasureOptions::default()).unwrap();
         assert_eq!(est.exact, Some(Rational::ZERO));
         assert_eq!(trace.factors, 1);
         assert_eq!(trace.exact_factors, 1);
@@ -365,8 +344,8 @@ mod tests {
         let hard = atom(z(0) * z(0) + z(0) * z(1) - z(2), ConstraintOp::Lt);
         let easy = atom(z(3), ConstraintOp::Gt);
         let f = QfFormula::and([hard, easy]);
-        let mut options = rewritten_options();
-        options.method = MethodChoice::ExactOnly;
+        let options =
+            MeasureOptions { method: MethodChoice::ExactOnly, ..MeasureOptions::default() };
         assert!(matches!(measure(&f, options), Err(MeasureError::ExactUnavailable { .. })));
     }
 
@@ -382,8 +361,7 @@ mod tests {
             atom(z(1) - z(3), ConstraintOp::Gt),
         ]);
         let f = QfFormula::and([atom(z(0), ConstraintOp::Gt), sampled.clone()]);
-        let mut options = rewritten_options();
-        options.method = MethodChoice::Afpras;
+        let options = MeasureOptions::default();
         let (est, trace) = measure(&f, options.clone()).unwrap();
         assert_eq!(trace.factors, 2);
         assert_eq!(trace.exact_factors, 1);

@@ -53,13 +53,13 @@ pub struct CertaintyEstimate {
     /// ignored when comparing estimates for identity.
     pub cached: bool,
     /// `true` iff the rewrite pipeline (`qarith-rewrite` simplification
-    /// and independence decomposition, `MeasureOptions::rewrite`)
-    /// produced this estimate. Rewritten estimates keep the ε/δ guarantee
-    /// but are **not** bit-identical to unrewritten ones — the sampled
-    /// formula, its dimension, and the sample budget all change — so the
-    /// flag (and the rewrite options folded into
-    /// `MeasureOptions::fingerprint`) says which pipeline a value came
-    /// from.
+    /// and independence decomposition, the `Auto` and `ExactOnly`
+    /// routes) produced this estimate. Rewritten estimates keep the ε/δ
+    /// guarantee but are **not** bit-identical to the forced arms'
+    /// unrewritten ones — the sampled formula, its dimension, and the
+    /// sample budget all change — so the flag (and the method folded
+    /// into `MeasureOptions::fingerprint`) says which pipeline a value
+    /// came from.
     pub rewritten: bool,
 }
 

@@ -14,7 +14,13 @@
 //!   Proposition 6.2 for FO(<));
 //! * **2-D linear** ([`arcs2d`]) — `ν` is an angular measure, exact up to
 //!   `f64` arc arithmetic (this evaluates the paper's intro example and
-//!   the arctangent values of Proposition 6.1).
+//!   the arctangent values of Proposition 6.1);
+//! * **2–3 variables with linear or monomial leading forms**
+//!   ([`sphere3d`]) — `ν` is a sum of polyhedral-cone solid angles,
+//!   exact up to `f64` angle arithmetic.
+//!
+//! [`try_exact`] is the one evaluator set: the engine's `Auto` and
+//! `ExactOnly` routes apply it to every factor of a rewritten formula.
 
 pub mod arcs2d;
 pub mod order;
@@ -26,76 +32,23 @@ use qarith_numeric::Rational;
 
 use crate::estimate::CertaintyEstimate;
 
-/// Which exact evaluator handles a formula. Routing is ordered: the
-/// order fragment wins over the 2-D arc evaluator when both apply
-/// (rational beats closed-form `f64`).
-enum ExactRoute {
-    /// Variable-free: `ν ∈ {0, 1}` by direct evaluation.
-    Dim0,
-    /// One variable: only the directions `±1` exist.
-    Dim1,
-    /// The order fragment (`n` variables): exact cell counting.
-    Order(usize),
-    /// Two-variable linear: exact arc arithmetic.
-    Arcs2d,
-}
-
-/// The single routing decision shared by [`try_exact`] and
-/// [`exact_applicable`] — keeping them one definition is what the batch
-/// engine's bit-identity argument relies on.
-fn exact_route(phi: &QfFormula, order_limit: usize) -> Option<ExactRoute> {
-    let n = phi.vars().len();
-    match n {
-        0 => Some(ExactRoute::Dim0),
-        1 => Some(ExactRoute::Dim1),
-        _ if n <= order_limit && order::is_order_formula(phi) => Some(ExactRoute::Order(n)),
-        2 if arcs2d::is_linear_formula(phi) => Some(ExactRoute::Arcs2d),
-        _ => None,
-    }
-}
-
-/// Would an exact evaluator handle this formula? Used by the batch
-/// engine to pick a cache-key granularity without computing the measure.
-/// Conservative in one direction only: [`try_exact`] can still return
-/// `None` when the order-fragment permutation count overflows, which
-/// there merely costs a dedup opportunity, never correctness.
-pub fn exact_applicable(phi: &QfFormula, order_limit: usize) -> bool {
-    exact_route(phi, order_limit).is_some()
-}
-
-/// The wider evaluator set used by the rewrite pipeline's factor
-/// routing: everything [`try_exact`] covers, plus the spherical
-/// solid-angle evaluator ([`sphere3d`]) for 2–3-variable factors whose
-/// atoms have linear or monomial leading forms (it declines anything
-/// else). Kept out of [`try_exact`] deliberately: the unrewritten
-/// `Auto` route's evaluator set is frozen (its estimates are pinned
-/// bit-for-bit by the golden suites), while rewritten estimates are
-/// already a separately-fingerprinted family.
-pub fn try_exact_extended(phi: &QfFormula, order_limit: usize) -> Option<CertaintyEstimate> {
-    try_exact(phi, order_limit).or_else(|| {
-        let n = phi.vars().len();
-        (2..=3)
-            .contains(&n)
-            .then(|| sphere3d::exact_sphere_measure(phi))
-            .flatten()
-            .map(|v| CertaintyEstimate::exact_real(v, n))
-    })
-}
-
 /// Attempts an exact evaluation; returns `None` when no exact method
-/// applies. `order_limit` bounds the cell enumeration (the number of
-/// cells is `n!·(n+1)·…`; 8 variables ≈ 3.3M cells is the practical
-/// ceiling).
+/// applies. Routing is ordered: the order fragment wins over the 2-D arc
+/// evaluator when both apply (rational beats closed-form `f64`), and the
+/// solid-angle evaluator takes 2–3-variable formulas the others leave.
+/// `order_limit` bounds the cell enumeration (the number of cells is
+/// `n!·(n+1)·…`; 8 variables ≈ 3.3M cells is the practical ceiling).
 pub fn try_exact(phi: &QfFormula, order_limit: usize) -> Option<CertaintyEstimate> {
-    match exact_route(phi, order_limit)? {
-        ExactRoute::Dim0 => {
+    let n = phi.vars().len();
+    let closed = match n {
+        0 => {
             let truth = phi.eval_f64(&[]);
             Some(CertaintyEstimate::exact_rational(
                 if truth { Rational::ONE } else { Rational::ZERO },
                 0,
             ))
         }
-        ExactRoute::Dim1 => {
+        1 => {
             // ν = (limit at +∞ + limit at −∞) / 2, evaluated on the
             // dense 1-D direction space.
             let dense = densify(phi);
@@ -103,13 +56,21 @@ pub fn try_exact(phi: &QfFormula, order_limit: usize) -> Option<CertaintyEstimat
             let neg = formula_limit_truth(&dense, &[-1.0]) as u32;
             Some(CertaintyEstimate::exact_rational(Rational::new((pos + neg) as i128, 2), 1))
         }
-        ExactRoute::Order(n) => {
+        _ if n <= order_limit && order::is_order_formula(phi) => {
             order::exact_order_measure(phi).map(|r| CertaintyEstimate::exact_rational(r, n))
         }
-        ExactRoute::Arcs2d => {
+        2 if arcs2d::is_linear_formula(phi) => {
             Some(CertaintyEstimate::exact_real(arcs2d::exact_arc_measure(phi), 2))
         }
-    }
+        _ => None,
+    };
+    closed.or_else(|| {
+        (2..=3)
+            .contains(&n)
+            .then(|| sphere3d::exact_sphere_measure(phi))
+            .flatten()
+            .map(|v| CertaintyEstimate::exact_real(v, n))
+    })
 }
 
 /// Renames the formula's variables onto `0..n` so direction vectors can be
@@ -173,8 +134,13 @@ mod tests {
 
     #[test]
     fn high_degree_unsupported_beyond_dim_one() {
-        // 3 variables, quadratic: no exact method.
-        let phi = atom(z(0) * z(1) - z(2), ConstraintOp::Lt);
+        // 3 variables, a multi-term quadratic top: no exact method.
+        let phi = atom(z(0) * z(0) + z(0) * z(1) - z(2), ConstraintOp::Lt);
         assert!(try_exact(&phi, 8).is_none());
+        // A monomial top is in reach of the solid-angle evaluator: the
+        // sign of z0·z1 is negative on half the sphere.
+        let phi = atom(z(0) * z(1) - z(2), ConstraintOp::Lt);
+        let est = try_exact(&phi, 8).unwrap();
+        assert!((est.value - 0.5).abs() < 1e-12, "{}", est.value);
     }
 }

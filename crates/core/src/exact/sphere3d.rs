@@ -282,7 +282,9 @@ fn build(f: &QfFormula, normals: &mut Vec<[i128; 3]>) -> Option<Node> {
     Some(match f {
         QfFormula::True => Node::True,
         QfFormula::False => Node::False,
-        QfFormula::Not(_) => unreachable!("densify outputs NNF-compatible trees"),
+        // Negations push down onto atoms (the NNF of a negation has none
+        // at its root).
+        QfFormula::Not(_) => return build(&f.nnf(), normals),
         QfFormula::Atom(a) => {
             let top = a.poly().degree();
             if top == 0 {
@@ -457,6 +459,17 @@ mod tests {
             atom(z(2), ConstraintOp::Gt),
         ]);
         close(exact_sphere_measure(&f).unwrap(), 0.125);
+    }
+
+    #[test]
+    fn negated_connectives_are_pushed_down() {
+        // ¬(octant): everything but one eighth of the sphere.
+        let octant = QfFormula::and([
+            atom(z(0), ConstraintOp::Gt),
+            atom(z(1), ConstraintOp::Gt),
+            atom(z(2), ConstraintOp::Gt),
+        ]);
+        close(exact_sphere_measure(&octant.negated()).unwrap(), 7.0 / 8.0);
     }
 
     #[test]

@@ -79,12 +79,11 @@
 //!   by canonical formula and options fingerprint, sharded and bounded
 //!   by a byte budget alone (a database write cannot make an entry
 //!   wrong, so none is dropped for one);
-//! * [`decompose`] — the rewrite pipeline's executor
-//!   (`MeasureOptions::rewrite`): `qarith-rewrite` simplifies and
-//!   splits formulas into variable-disjoint factors, whose asymptotic
-//!   events are independent under the direction measure; factors are
-//!   routed to exact evaluators wherever possible and the measures
-//!   multiply;
+//! * [`decompose`] — the rewrite pipeline's executor on the `Auto` and
+//!   `ExactOnly` routes: `qarith-rewrite` simplifies and splits formulas
+//!   into variable-disjoint factors, whose asymptotic events are
+//!   independent under the direction measure; factors are routed to
+//!   exact evaluators wherever possible and the measures multiply;
 //! * [`conditional`] — the §10 extension: conditional measures
 //!   `ν(φ | ρ)` under scale-insensitive attribute constraints
 //!   (sign/ratio restrictions);
@@ -118,4 +117,3 @@ pub use pipeline::{
     AnswerWithCertainty, BatchOptions, BatchOutcome, BatchPlan, BatchStats, CertaintyEngine,
     MeasureOptions, MethodChoice,
 };
-pub use qarith_rewrite::RewriteOptions;

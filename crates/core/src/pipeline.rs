@@ -6,12 +6,18 @@
 //! estimating confidences) in one engine, with automatic method
 //! selection:
 //!
-//! | situation | method |
+//! | method | route |
 //! |---|---|
-//! | generic query (no arithmetic) | zero-one law (naive evaluation) |
-//! | ground formula with an exact evaluator (dim ≤ 1, order fragment, 2-D linear) | exact |
-//! | CQ(+,<) when multiplicative guarantees are requested | FPRAS (Thm 7.1) |
-//! | everything else | AFPRAS (Thm 8.1) |
+//! | `Auto`, generic query (no arithmetic) | zero-one law (naive evaluation) |
+//! | `Auto` | rewrite ([`qarith_rewrite::rewrite`]), exact evaluators per factor ([`crate::exact::try_exact`]), AFPRAS (Thm 8.1) on the residual |
+//! | `ExactOnly` | as `Auto`, failing where a residual remains |
+//! | `Afpras` | AFPRAS on the ground formula (Thm 8.1) |
+//! | `Fpras` | FPRAS on the ground formula (Thm 7.1) |
+//!
+//! The route depends on the method alone. `Auto` measures exactly
+//! wherever a closed form exists (Props 6.1–6.2) and samples the rest;
+//! the forced `Afpras` and `Fpras` arms are the paper's algorithms as
+//! published and never rewrite.
 //!
 //! Every measurement — a whole plan's ν-cache misses, or the one
 //! formula of [`CertaintyEngine::nu`] — runs through one loop. A router
@@ -23,19 +29,19 @@
 //! residuals included.
 
 use std::borrow::Cow;
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use qarith_constraints::asymptotic::CompiledFormula;
-use qarith_constraints::canonical::{self, Granularity, KeyEncoder, Origin};
+use qarith_constraints::canonical::{self, Granularity, KeyEncoder};
 use qarith_constraints::QfFormula;
 use qarith_engine::cq::{self, CandidateAnswer, CqOptions};
 use qarith_engine::{ground, ActiveDomain};
 use qarith_numeric::Rational;
 use qarith_query::Query;
-use qarith_rewrite::{ae_simplify, rewrite, Combination, RewriteOptions, RewriteOutcome};
+use qarith_rewrite::{rewrite, Combination, RewriteOptions};
 use qarith_trace::{Stage, StageSink};
 use qarith_types::{Database, Sort, Tuple, Value};
 
@@ -43,26 +49,31 @@ use crate::afpras::{estimate_nu_compiled_many, AfprasOptions, SampleCount};
 use crate::decompose::{self, combine, RewriteStats, RewriteTrace};
 use crate::error::MeasureError;
 use crate::estimate::CertaintyEstimate;
-use crate::exact::{exact_applicable, try_exact};
 use crate::fpras::{fpras_estimate, FprasOptions};
 use crate::nucache::NuCache;
 use crate::zero_one::zero_one_measure;
 
-/// Which measure algorithm to use.
+/// Which measure algorithm to use; it alone selects the route (see the
+/// module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum MethodChoice {
-    /// Exact where possible, AFPRAS otherwise (zero-one shortcut for
-    /// generic queries).
+    /// Rewrite, evaluate every factor an exact evaluator covers, and
+    /// sample the residual with the AFPRAS (zero-one shortcut for
+    /// generic queries). Estimates are flagged
+    /// [`CertaintyEstimate::rewritten`].
     #[default]
     Auto,
-    /// Force the additive scheme (Theorem 8.1) even when an exact
-    /// evaluator applies — useful for benchmarking.
+    /// Force the additive scheme (Theorem 8.1) on the ground formula,
+    /// unrewritten, even when an exact evaluator applies — the paper's
+    /// benchmark arm.
     Afpras,
-    /// Force the multiplicative scheme (Theorem 7.1); errors with
-    /// [`MeasureError::NotLinear`] beyond CQ(+,<).
+    /// Force the multiplicative scheme (Theorem 7.1) on the ground
+    /// formula, unrewritten; errors with [`MeasureError::NotLinear`]
+    /// beyond CQ(+,<).
     Fpras,
-    /// Exact evaluation only; errors with
-    /// [`MeasureError::ExactUnavailable`] when no exact method applies.
+    /// `Auto` without the sampler: errors with
+    /// [`MeasureError::ExactUnavailable`] when a factor of the rewritten
+    /// formula has no exact evaluator.
     ExactOnly,
 }
 
@@ -104,12 +115,9 @@ pub struct MeasureOptions {
     pub cq: CqOptions,
     /// Batch measurement (canonical dedup).
     pub batch: BatchOptions,
-    /// The `qarith-rewrite` pipeline: ν-preserving simplification and
-    /// independence decomposition ahead of measurement. Disabled by
-    /// default — rewritten estimates carry the same ε/δ guarantee but
-    /// are not bit-identical to unrewritten ones, so the switch is part
-    /// of [`MeasureOptions::fingerprint`] and of each estimate's
-    /// provenance ([`CertaintyEstimate::rewritten`]).
+    /// Unread: [`MethodChoice`] alone decides whether a formula is
+    /// rewritten. The field stays only because the repository benchmark
+    /// (`perfbench/src/check.rs`) names it in a struct literal.
     pub rewrite: RewriteOptions,
 }
 
@@ -132,12 +140,6 @@ impl MeasureOptions {
     pub fn with_epsilon(mut self, epsilon: f64) -> MeasureOptions {
         self.afpras.epsilon = epsilon;
         self.fpras.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the rewrite configuration (e.g. [`RewriteOptions::full`]).
-    pub fn with_rewrite(mut self, rewrite: RewriteOptions) -> MeasureOptions {
-        self.rewrite = rewrite;
         self
     }
 
@@ -167,9 +169,6 @@ impl MeasureOptions {
         self.fpras.dnf_limit.hash(&mut h);
         self.fpras.seed.hash(&mut h);
         self.exact_order_limit.hash(&mut h);
-        // Rewriting changes which formula is sampled, hence the bits of
-        // the estimate.
-        self.rewrite.hash(&mut h);
         h.finish()
     }
 }
@@ -214,9 +213,9 @@ pub struct BatchStats {
     pub dedup_hits: usize,
     /// Groups served by the engine's persistent [`NuCache`].
     pub cache_hits: usize,
-    /// Rewrite-pipeline accounting (all zeros unless
-    /// [`MeasureOptions::rewrite`] is enabled; covers freshly measured
-    /// groups only — cache hits skip measurement).
+    /// Rewrite-pipeline accounting: the groups `Auto` and `ExactOnly`
+    /// measured this call (all zeros under the forced `Afpras` and
+    /// `Fpras` arms, which never rewrite; cache hits skip measurement).
     pub rewrite: RewriteStats,
 }
 
@@ -248,16 +247,15 @@ pub struct BatchOutcome {
     pub stats: BatchStats,
 }
 
-/// A unit of measurement work: a bare formula under the configured
-/// method, or — with rewriting enabled — a rewrite outcome (prepared
-/// once per canonical class while building a plan's group key, so the
-/// pass pipeline never runs twice on a formula). Plan formulas are
+/// A unit of measurement work: a formula, measured under the configured
+/// method (rewritten on the `Auto`/`ExactOnly` routes only when the
+/// group is measured, never while a plan is built). Plan formulas are
 /// `Arc`-shared with the candidates they came from — plans hold
 /// references, not copies; [`CertaintyEngine::nu`] borrows its argument.
 #[derive(Clone, Debug)]
 enum Work<'a> {
-    /// Measure this formula verbatim under the configured method (dedup
-    /// off: nothing is shared, nothing is canonicalized).
+    /// Measure this formula verbatim (dedup off: nothing is shared,
+    /// nothing is canonicalized).
     Formula(Arc<QfFormula>),
     /// The formula of one [`CertaintyEngine::nu`] call, measured
     /// verbatim.
@@ -266,8 +264,6 @@ enum Work<'a> {
     /// formula, the group's first member — built only when the group is
     /// measured, and bit-identical to measuring any member.
     Canonical(Arc<QfFormula>),
-    /// Measure this prepared decomposition (rewrite pipeline).
-    Prepared(Box<RewriteOutcome>),
 }
 
 /// The router's verdict on one group ([`CertaintyEngine::route`]).
@@ -296,21 +292,6 @@ type GroupKey = Option<Arc<[u8]>>;
 /// A measured group's estimate, or the error that stopped the batch.
 pub(crate) type GroupResult = Result<CertaintyEstimate, MeasureError>;
 
-/// What one structural class contributes to a plan: its group key and,
-/// with rewriting on, its prepared rewrite outcome.
-type ClassKey = (Box<[u8]>, Option<Box<RewriteOutcome>>);
-
-/// How [`CertaintyEngine::prepare_batch`] keys a candidate.
-#[derive(Clone, Copy)]
-enum Keying {
-    /// Straight from the ground formula, at this granularity.
-    Direct(Granularity),
-    /// Through its structural class: the key depends on per-class work
-    /// (`Auto`'s route selection, the rewrite pipeline), which runs once
-    /// per class.
-    PerClass,
-}
-
 /// Where a candidate's estimate comes from.
 #[derive(Clone, Copy, Debug)]
 enum Slot {
@@ -323,23 +304,23 @@ enum Slot {
 }
 
 /// The front half of a batch measurement, prepared once and executable
-/// many times: per-candidate keying, deduplication into formula groups,
-/// and (with rewriting enabled) the per-class rewrite outcome.
+/// many times: per-candidate keying and deduplication into formula
+/// groups.
 ///
 /// [`CertaintyEngine::prepare_batch`] builds a plan;
 /// [`CertaintyEngine::execute_plan`] runs the back half — ν-cache
 /// lookup, measurement of the misses, rehydration — against the
 /// engine's *current* cache state. A long-lived service keeps plans in
 /// a plan cache (see `qarith-serve`) so repeat traffic skips parsing,
-/// grounding, keying, and rewriting entirely, going straight
-/// to per-group ν lookup.
+/// grounding and keying entirely, going straight to per-group ν lookup;
+/// only a ν miss rewrites.
 ///
 /// A plan embeds the candidate tuples and ground formulas it was built
-/// from; executing it with an engine whose
-/// [`MeasureOptions::fingerprint`] differs from the building engine's
-/// is safe (the fingerprint is re-read at execution time) but wastes
-/// the dedup granularity chosen at preparation time, so services
-/// prepare and execute with the same options.
+/// from, grouped at the building engine's key granularity, so services
+/// prepare and execute with the same options: the fingerprint is
+/// re-read at execution time, but a plan grouped asymptotically (forced
+/// `Afpras`) and executed on another method would share one measurement
+/// across formulas that method's evaluators tell apart.
 #[derive(Clone, Debug)]
 pub struct BatchPlan {
     /// The input candidates, in input order (owned: answers are
@@ -406,26 +387,15 @@ impl CertaintyEngine {
     /// `ν(φ)` for a quantifier-free formula over the reals, using the
     /// configured method: a one-group run of the measurement loop.
     ///
-    /// With [`MeasureOptions::rewrite`] enabled, every method choice
-    /// routes through the rewrite pipeline ([`qarith_rewrite::rewrite`]
-    /// and [`crate::decompose`]): simplification, independence
-    /// decomposition, exact routing per factor, one sampled residual,
-    /// product combination. Otherwise `Auto` and `ExactOnly` first apply
-    /// the measure-preserving a.e. simplification (the frozen
-    /// `ae_simplified` behavior, now served by
-    /// [`qarith_rewrite::ae_simplify`]), which strips measure-zero
-    /// equality branches (ground formulas are full of them) and often
-    /// unlocks an exact evaluator; `Afpras`/`Fpras` run on the formula
-    /// as given — they exist to benchmark the paper's algorithms
-    /// faithfully.
+    /// `Auto` and `ExactOnly` route through the rewrite pipeline
+    /// ([`qarith_rewrite::rewrite`] and [`crate::decompose`]):
+    /// simplification, independence decomposition, exact routing per
+    /// factor, one sampled residual, product combination. `Afpras` and
+    /// `Fpras` run on the formula as given — they exist to benchmark the
+    /// paper's algorithms faithfully.
     pub fn nu(&self, phi: &QfFormula) -> Result<CertaintyEstimate, MeasureError> {
-        let work = if self.options.rewrite.enabled {
-            Work::Prepared(Box::new(rewrite(phi)))
-        } else {
-            Work::Borrowed(phi)
-        };
         let mut result = None;
-        self.measure_groups([(&mut result, &work)], &mut RewriteStats::default());
+        self.measure_groups([(&mut result, &Work::Borrowed(phi))], &mut RewriteStats::default());
         filled(result)
     }
 
@@ -470,120 +440,42 @@ impl CertaintyEngine {
         Ok(answers)
     }
 
-    /// How candidates are keyed under the engine's options. The
-    /// structural key is bit-safe everywhere; the coarser asymptotic key
-    /// is used only on the *sampling* route, where asymptotic-truth-equal
-    /// formulas evaluate identically per direction (see
-    /// `qarith_constraints::canonical`). The geometric FPRAS and the
-    /// exact evaluators key structurally: their `f64` intermediates are
-    /// scale-sensitive. `Auto` chooses per structural class, and with
-    /// rewriting on every method keys per class
-    /// ([`CertaintyEngine::prepare_class`]).
-    fn keying(&self) -> Keying {
-        if self.options.rewrite.enabled {
-            return Keying::PerClass;
-        }
+    /// The key granularity of the engine's method. The structural key
+    /// is bit-safe everywhere; the coarser asymptotic key only on the
+    /// forced AFPRAS arm, where asymptotic-truth-equal formulas evaluate
+    /// identically per direction (see `qarith_constraints::canonical`).
+    /// Every other method keys structurally: the FPRAS and the exact
+    /// evaluators `Auto` and `ExactOnly` apply to rewritten factors have
+    /// scale-sensitive `f64` intermediates, so only structurally equal
+    /// formulas may share their results.
+    fn granularity(&self) -> Granularity {
         match self.options.method {
-            MethodChoice::Afpras => Keying::Direct(Granularity::Asymptotic),
-            MethodChoice::Fpras | MethodChoice::ExactOnly => {
-                Keying::Direct(Granularity::Structural)
+            MethodChoice::Afpras => Granularity::Asymptotic,
+            MethodChoice::Auto | MethodChoice::Fpras | MethodChoice::ExactOnly => {
+                Granularity::Structural
             }
-            MethodChoice::Auto => Keying::PerClass,
         }
-    }
-
-    /// The group key of one structural class — given a member `phi` and
-    /// the class's structural key — plus, with rewriting on, the class's
-    /// prepared rewrite outcome.
-    ///
-    /// Without rewriting this is `Auto`'s route selection on the
-    /// structural form: the asymptotic key when no exact evaluator
-    /// applies to its a.e. simplification (the sampling route), the
-    /// structural key otherwise. The two granularities carry different
-    /// leading tags, so they never collide under `Auto`'s one
-    /// fingerprint.
-    ///
-    /// With rewriting enabled the key is computed on the **rewritten**
-    /// form (the encoder renumbers it afresh, since simplification can
-    /// drop variables): that is what gets measured, so that is what
-    /// identifies the result. On the `Auto`/`Afpras` routes the
-    /// rewritten pipeline uses the asymptotic granularity throughout:
-    /// sampled residuals evaluate per-direction limit truth (invariant
-    /// across an asymptotic class), and the factor evaluators the
-    /// decomposition routes to are asymptotically determined too — the
-    /// order-fragment and dimension-≤1 evaluators return the identical
-    /// rational for every class member, and the 2-D arc evaluator
-    /// computes the identical arc set, so members can differ from a
-    /// standalone evaluation at most in the final ulp of the closed-form
-    /// `f64` (the shared value is the class representative's; the ε
-    /// guarantee is unaffected). `Fpras`/`ExactOnly` key structurally,
-    /// as without rewriting. Rewritten keys are tagged
-    /// [`Origin::Rewritten`], apart from ground ones on top of the
-    /// fingerprint separation.
-    fn prepare_class(
-        &self,
-        phi: &QfFormula,
-        structural: &[u8],
-        encoder: &mut KeyEncoder,
-    ) -> ClassKey {
-        let canon = canonical::renumbered(phi);
-        if self.options.rewrite.enabled {
-            let out = rewrite(&canon);
-            let granularity = match self.options.method {
-                MethodChoice::Auto | MethodChoice::Afpras => Granularity::Asymptotic,
-                MethodChoice::Fpras | MethodChoice::ExactOnly => Granularity::Structural,
-            };
-            let key = encoder.encode(&out.formula, granularity, Origin::Rewritten).into();
-            return (key, Some(Box::new(out)));
-        }
-        let sampling = match self.options.method {
-            MethodChoice::Afpras => true,
-            MethodChoice::Fpras | MethodChoice::ExactOnly => false,
-            MethodChoice::Auto => {
-                !exact_applicable(&ae_simplify(&canon), self.options.exact_order_limit)
-            }
-        };
-        let key = if sampling {
-            encoder.encode(phi, Granularity::Asymptotic, Origin::Ground).into()
-        } else {
-            structural.into()
-        };
-        (key, None)
     }
 
     /// The router: finishes a group without the additive sampler, or
-    /// names the formula to sample and how to finish its estimate. Bare
-    /// formulas route by the configured method, prepared rewrite
-    /// outcomes through [`decompose::route`], which also returns the
-    /// group's rewrite trace.
+    /// names the formula to sample and how to finish its estimate. The
+    /// forced arms measure the formula as given; `Auto` and `ExactOnly`
+    /// rewrite it and route the outcome through [`decompose::route`],
+    /// which also returns the group's rewrite trace.
     fn route<'a>(&self, work: &'a Work<'_>) -> (Route<'a>, Option<RewriteTrace>) {
         let phi = match work {
             Work::Formula(phi) => Cow::Borrowed(&**phi),
             Work::Borrowed(phi) => Cow::Borrowed(*phi),
             Work::Canonical(phi) => Cow::Owned(canonical::renumbered(phi)),
-            Work::Prepared(out) => {
-                let (route, trace) = decompose::route(out, &self.options);
-                return (route, Some(trace));
-            }
         };
-        let limit = self.options.exact_order_limit;
-        let route = match self.options.method {
-            MethodChoice::Auto => {
-                let simplified = ae_simplify(&phi);
-                match try_exact(&simplified, limit) {
-                    Some(exact) => Route::Done(Ok(exact)),
-                    None => Route::Sample(Cow::Owned(simplified), Finish::AsIs),
-                }
+        match self.options.method {
+            MethodChoice::Afpras => (Route::Sample(phi, Finish::AsIs), None),
+            MethodChoice::Fpras => (Route::Done(fpras_estimate(&phi, &self.options.fpras)), None),
+            MethodChoice::Auto | MethodChoice::ExactOnly => {
+                let (route, trace) = decompose::route(&rewrite(&phi), &self.options);
+                (route, Some(trace))
             }
-            MethodChoice::Afpras => Route::Sample(phi, Finish::AsIs),
-            MethodChoice::Fpras => Route::Done(fpras_estimate(&phi, &self.options.fpras)),
-            MethodChoice::ExactOnly => Route::Done(try_exact(&ae_simplify(&phi), limit).ok_or(
-                MeasureError::ExactUnavailable {
-                    reason: "formula is not order/2-D-linear and has dimension > 1",
-                },
-            )),
-        };
-        (route, None)
+        }
     }
 
     /// The one measurement loop. Routes each group in the given order and
@@ -643,7 +535,7 @@ impl CertaintyEngine {
                 Finish::AsIs => est,
                 Finish::Combine(mut parts, combination) => {
                     parts.push(est);
-                    combine(&parts, combination, &self.options)
+                    combine(&parts, combination, &self.options.afpras)
                 }
             }));
         }
@@ -666,12 +558,14 @@ impl CertaintyEngine {
     ///    [`CertaintyEstimate::cached`] marking values that were shared
     ///    rather than recomputed.
     ///
-    /// For a fixed seed the answers are **bit-identical** to the plain
-    /// sequential per-candidate loop (`dedup: false`): the
-    /// measured representative is the structural canonical form, which
-    /// every evaluator treats exactly like the original formula, and
-    /// asymptotic grouping is restricted to the sampling route where
-    /// group members evaluate identically at every direction
+    /// For a fixed seed and every method the answers are
+    /// **bit-identical** to the plain sequential per-candidate loop
+    /// (`dedup: false`) and to [`CertaintyEngine::nu`] on each
+    /// candidate's formula: the measured representative is the
+    /// structural canonical form, which every evaluator and the rewrite
+    /// pipeline treat exactly like the original formula, and asymptotic
+    /// grouping is restricted to the forced AFPRAS arm, where group
+    /// members evaluate identically at every direction
     /// (`tests/method_consistency.rs` locks this in). Errors surface as
     /// the first failing candidate's error, as in the sequential loop.
     pub fn measure_batch(
@@ -687,27 +581,21 @@ impl CertaintyEngine {
     }
 
     /// The front half of [`CertaintyEngine::measure_batch`], runnable
-    /// once per query template: key every uncertain candidate, dedup
-    /// into groups, and (with rewriting on) prepare the per-class
-    /// rewrite outcome. The resulting [`BatchPlan`] contains no
-    /// measurements — execute it with [`CertaintyEngine::execute_plan`],
-    /// as often as needed.
+    /// once per query template: key every uncertain candidate once, at
+    /// the method's granularity, and dedup into groups. The resulting
+    /// [`BatchPlan`] contains no measurements — execute it with
+    /// [`CertaintyEngine::execute_plan`], as often as needed.
     pub fn prepare_batch(&self, candidates: Vec<CandidateAnswer>) -> BatchPlan {
-        // Groups: the work to measure (with dedup on, the first member's
-        // structural form, built when measured — bit-identical to every
-        // member's — or, with rewriting on, the class's prepared rewrite
-        // outcome; with dedup off, each formula verbatim) plus the
-        // ν-cache key (`None` with dedup off: nothing is shared).
+        // Groups: the work to measure (with dedup on, the first member,
+        // whose structural form is built when measured — bit-identical
+        // to every member's; with dedup off, each formula verbatim) plus
+        // the ν-cache key (`None` with dedup off: nothing is shared).
         let mut groups: Vec<(Work, GroupKey)> = Vec::new();
         let mut by_key: HashMap<Arc<[u8]>, usize> = HashMap::new();
         let mut slots: Vec<Slot> = Vec::with_capacity(candidates.len());
         let (mut certain, mut dedup_hits) = (0, 0);
         let mut encoder = KeyEncoder::new();
-        let keying = self.keying();
-        // Structural key → the class's group key and prepared outcome:
-        // route selection (the whole rewrite pipeline when enabled) runs
-        // once per structural class, not per candidate.
-        let mut classes: HashMap<Box<[u8]>, ClassKey> = HashMap::new();
+        let granularity = self.granularity();
 
         for cand in &candidates {
             if cand.certain {
@@ -720,39 +608,16 @@ impl CertaintyEngine {
                 slots.push(Slot::Group(groups.len() - 1, true));
                 continue;
             }
-            let (key, prepared): (&[u8], Option<&RewriteOutcome>) = match keying {
-                Keying::Direct(granularity) => {
-                    (encoder.encode(&cand.formula, granularity, Origin::Ground), None)
-                }
-                Keying::PerClass => {
-                    let structural =
-                        encoder.encode(&cand.formula, Granularity::Structural, Origin::Ground);
-                    let class = match classes.entry(structural.into()) {
-                        Entry::Occupied(e) => e.into_mut(),
-                        Entry::Vacant(e) => {
-                            let class = self.prepare_class(&cand.formula, e.key(), &mut encoder);
-                            e.insert(class)
-                        }
-                    };
-                    (&class.0, class.1.as_deref())
-                }
-            };
+            let key = encoder.encode(&cand.formula, granularity);
             match by_key.get(key) {
                 Some(&gi) => {
                     dedup_hits += 1;
                     slots.push(Slot::Group(gi, false));
                 }
                 None => {
-                    // The prepared outcome is cloned only here — once per
-                    // group, not per candidate (dedup hits need the key
-                    // alone).
-                    let work = match prepared {
-                        Some(out) => Work::Prepared(Box::new(out.clone())),
-                        None => Work::Canonical(Arc::clone(&cand.formula)),
-                    };
                     let key: Arc<[u8]> = key.into();
                     by_key.insert(Arc::clone(&key), groups.len());
-                    groups.push((work, Some(key)));
+                    groups.push((Work::Canonical(Arc::clone(&cand.formula)), Some(key)));
                     slots.push(Slot::Group(groups.len() - 1, true));
                 }
             }
@@ -852,7 +717,11 @@ impl CertaintyEngine {
 
     /// The non-conjunctive route of [`CertaintyEngine::answers`]:
     /// active-domain enumeration of head tuples (exponential in the head
-    /// arity), keeping candidates whose measure exceeds `min_certainty`.
+    /// arity). Every head tuple is grounded and the ground formulas are
+    /// measured in one [`CertaintyEngine::measure_batch`], so they share
+    /// dedup, the ν-cache and one sampling pass; candidates whose measure
+    /// exceeds `min_certainty` are kept. Errors surface in head order: a
+    /// measurement error of an earlier head precedes a grounding error.
     fn answers_enumerated(
         &self,
         query: &Query,
@@ -860,41 +729,53 @@ impl CertaintyEngine {
         min_certainty: f64,
     ) -> Result<Vec<AnswerWithCertainty>, MeasureError> {
         let dom = ActiveDomain::collect(db, query, &[]);
-        let mut out = Vec::new();
-        let mut candidate = Vec::with_capacity(query.arity());
-        self.enumerate(query, db, &dom, &mut candidate, min_certainty, &mut out)?;
-        Ok(out)
-    }
-
-    fn enumerate(
-        &self,
-        query: &Query,
-        db: &Database,
-        dom: &ActiveDomain,
-        candidate: &mut Vec<Value>,
-        min_certainty: f64,
-        out: &mut Vec<AnswerWithCertainty>,
-    ) -> Result<(), MeasureError> {
-        let Some(head_var) = query.free_vars().get(candidate.len()) else {
-            // Every head position is bound.
-            let tuple = Tuple::new(candidate.clone());
-            let phi = ground::ground(query, db, &tuple)?;
-            let certainty = self.nu(&phi)?;
-            if exceeds_min_certainty(&certainty, min_certainty) {
-                out.push(AnswerWithCertainty { tuple, certainty, formula: Arc::new(phi) });
+        let mut heads = Vec::new();
+        enumerate_heads(query, &dom, &mut Vec::with_capacity(query.arity()), &mut heads);
+        let mut candidates = Vec::with_capacity(heads.len());
+        let mut grounding = Ok(());
+        for tuple in heads {
+            match ground::ground(query, db, &tuple) {
+                Ok(phi) => candidates.push(CandidateAnswer {
+                    tuple,
+                    formula: Arc::new(phi),
+                    derivations: 1,
+                    certain: false,
+                    truncated: false,
+                }),
+                Err(e) => {
+                    grounding = Err(e);
+                    break;
+                }
             }
-            return Ok(());
-        };
-        let domain: &[Value] = match head_var.sort {
-            Sort::Base => dom.base(),
-            Sort::Num => dom.num(),
-        };
-        for v in domain {
-            candidate.push(v.clone());
-            self.enumerate(query, db, dom, candidate, min_certainty, out)?;
-            candidate.pop();
         }
-        Ok(())
+        let mut answers = self.measure_batch(candidates)?.answers;
+        grounding?;
+        answers.retain(|a| exceeds_min_certainty(&a.certainty, min_certainty));
+        Ok(answers)
+    }
+}
+
+/// Every head tuple over the active domain, in lexicographic domain
+/// order: `candidate` holds the positions bound so far.
+fn enumerate_heads(
+    query: &Query,
+    dom: &ActiveDomain,
+    candidate: &mut Vec<Value>,
+    out: &mut Vec<Tuple>,
+) {
+    let Some(head_var) = query.free_vars().get(candidate.len()) else {
+        // Every head position is bound.
+        out.push(Tuple::new(candidate.clone()));
+        return;
+    };
+    let domain: &[Value] = match head_var.sort {
+        Sort::Base => dom.base(),
+        Sort::Num => dom.num(),
+    };
+    for v in domain {
+        candidate.push(v.clone());
+        enumerate_heads(query, dom, candidate, out);
+        candidate.pop();
     }
 }
 
@@ -945,6 +826,7 @@ fn rehydrate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qarith_constraints::{Atom, ConstraintOp, Polynomial, Var};
     use qarith_query::{Arg, BaseTerm, CompareOp, Formula, NumTerm, TypedVar};
     use qarith_types::{Column, NumNullId, Relation, RelationSchema};
 
@@ -1066,7 +948,6 @@ mod tests {
     }
 
     fn renamed_pair() -> (CandidateAnswer, CandidateAnswer) {
-        use qarith_constraints::{Atom, ConstraintOp, Polynomial, Var};
         // Same shape over different nulls and different constants: the
         // asymptotic key merges them on the sampling route.
         let mk = |v: u32, c: i64| {
@@ -1120,71 +1001,89 @@ mod tests {
         }
     }
 
+    fn gt(p: Polynomial) -> QfFormula {
+        QfFormula::atom(Atom::new(p, ConstraintOp::Gt))
+    }
+
+    fn lt(p: Polynomial) -> QfFormula {
+        QfFormula::atom(Atom::new(p, ConstraintOp::Lt))
+    }
+
+    fn z(i: u32) -> Polynomial {
+        Polynomial::var(Var(i))
+    }
+
+    /// A 3-D formula that still samples after rewriting: its multi-term
+    /// quadratic top defeats every exact evaluator.
+    fn cross(a: u32, b: u32, c: u32) -> QfFormula {
+        QfFormula::or([QfFormula::and([gt(z(a) * z(a) + z(a) * z(b)), lt(z(c))]), gt(z(a) - z(c))])
+    }
+
     #[test]
     fn shared_fanout_is_bit_identical() {
-        use qarith_constraints::{Atom, ConstraintOp, Polynomial, Var};
-        let atom = |p: Polynomial| QfFormula::atom(Atom::new(p, ConstraintOp::Gt));
-        let z = |i: u32| Polynomial::var(Var(i));
-        // Four distinct canonical classes: one 1-D, one 2-D linear
-        // (exact-applicable under Auto), two 2-D nonlinear sharing a
-        // sampled dimension. Rewriting routes all four to exact
-        // evaluators, so two 3-D classes follow whose rewritten
-        // residuals still sample: `cross` alone, and a disjoint
-        // half-line (an exact factor) times another `cross`. (Their
-        // multi-term quadratic tops defeat every exact evaluator.)
-        let lt = |p: Polynomial| QfFormula::atom(Atom::new(p, ConstraintOp::Lt));
-        let cross = |a: u32, b: u32, c: u32| {
-            QfFormula::or([
-                QfFormula::and([atom(z(a) * z(a) + z(a) * z(b)), lt(z(c))]),
-                atom(z(a) - z(c)),
-            ])
-        };
+        // Four distinct canonical classes the rewrite route evaluates
+        // exactly — one 1-D, one 2-D linear, two 2-D nonlinear with
+        // monomial tops — then two 3-D classes whose rewritten residuals
+        // still sample: `cross` alone, and a disjoint half-line (an
+        // exact factor) times another `cross`.
         let candidates = vec![
-            uncertain_candidate(atom(z(0)), 1),
-            uncertain_candidate(atom(z(0) + z(1)), 2),
-            uncertain_candidate(atom(z(0) * z(1)), 3),
-            uncertain_candidate(atom(z(0) * z(1) + z(0)), 4),
+            uncertain_candidate(gt(z(0)), 1),
+            uncertain_candidate(gt(z(0) + z(1)), 2),
+            uncertain_candidate(gt(z(0) * z(1)), 3),
+            uncertain_candidate(gt(z(0) * z(1) + z(0)), 4),
             uncertain_candidate(cross(0, 1, 2), 5),
-            uncertain_candidate(QfFormula::and([atom(z(3)), cross(0, 2, 1)]), 6),
+            uncertain_candidate(QfFormula::and([gt(z(3)), cross(0, 2, 1)]), 6),
         ];
 
-        for (method, rewrite) in [
-            (MethodChoice::Afpras, RewriteOptions::default()),
-            (MethodChoice::Auto, RewriteOptions::default()),
-            (MethodChoice::Afpras, RewriteOptions::full()),
-            (MethodChoice::Auto, RewriteOptions::full()),
-        ] {
+        for method in [MethodChoice::Afpras, MethodChoice::Auto] {
             // The reference is a one-group run of the loop per formula,
             // which shares no direction pass with any other group.
-            let engine = CertaintyEngine::new(MeasureOptions {
-                method,
-                rewrite,
-                ..MeasureOptions::default()
-            });
+            let engine =
+                CertaintyEngine::new(MeasureOptions { method, ..MeasureOptions::default() });
             let s = engine.measure_batch(candidates.clone()).unwrap();
-            assert_eq!(s.stats.groups, 6, "{method:?}, {rewrite:?}: six canonical classes");
+            assert_eq!(s.stats.groups, 6, "{method:?}: six canonical classes");
             for (x, cand) in s.answers.iter().zip(&candidates) {
                 let direct = engine.nu(&cand.formula).unwrap();
                 assert_eq!(
                     fingerprint_of(&x.certainty),
                     fingerprint_of(&direct),
-                    "{method:?}, {rewrite:?}: shared fan-out must not change a bit"
+                    "{method:?}: shared fan-out must not change a bit"
                 );
             }
-            // Auto resolved the 1-D and 2-D-linear classes exactly,
-            // inline.
-            if (method, rewrite.enabled) == (MethodChoice::Auto, false) {
-                assert!(s.answers[0].certainty.exact.is_some(), "1-D class routed exact");
-                assert!(s.answers[2].certainty.exact.is_none(), "nonlinear class sampled");
-            }
-            if rewrite.enabled {
+            if method == MethodChoice::Auto {
                 assert!(s.answers[..4].iter().all(|a| a.certainty.samples == 0));
                 assert!(
                     s.answers[4..].iter().all(|a| a.certainty.samples > 0),
-                    "{method:?}: the rewritten residuals sample in the shared pass"
+                    "the rewritten residuals sample in the shared pass"
                 );
             }
         }
+    }
+
+    #[test]
+    fn auto_keys_rescaled_formulas_apart() {
+        // z0 − z1 < 0 and 2·z2 − 2·z3 < 0 share an asymptotic key, but
+        // the exact evaluators are scale-sensitive: under `Auto` each is
+        // its own group, measured like its own `nu()`.
+        let two = Polynomial::constant(Rational::from_int(2));
+        let candidates = vec![
+            uncertain_candidate(lt(z(0) - z(1)), 1),
+            uncertain_candidate(lt(two.clone() * z(2) - two * z(3)), 2),
+        ];
+        let engine = CertaintyEngine::default();
+        let batch = engine.measure_batch(candidates.clone()).unwrap();
+        assert_eq!(batch.stats.groups, 2, "structural keys tell the two apart");
+        assert_eq!(batch.stats.measured, 2);
+        for (answer, cand) in batch.answers.iter().zip(&candidates) {
+            let solo = engine.nu(&cand.formula).unwrap();
+            let identity = |e: &CertaintyEstimate| (fingerprint_of(e), e.rewritten);
+            assert_eq!(identity(&answer.certainty), identity(&solo), "{}", cand.formula);
+            assert!(solo.rewritten);
+        }
+        // The order evaluator's rational for the first; the arc
+        // evaluator's closed form, with no rational, for the second.
+        assert_eq!(batch.answers[0].certainty.exact, Some(Rational::new(1, 2)));
+        assert_eq!(batch.answers[1].certainty.exact, None);
     }
 
     #[test]
@@ -1222,7 +1121,6 @@ mod tests {
 
     #[test]
     fn batch_handles_certain_and_errors() {
-        use qarith_constraints::{Atom, ConstraintOp, Polynomial, Var};
         let certain = CandidateAnswer {
             tuple: Tuple::new(vec![Value::int(0)]),
             formula: Arc::new(QfFormula::True),
@@ -1230,19 +1128,13 @@ mod tests {
             certain: true,
             truncated: false,
         };
-        let nonlinear = uncertain_candidate(
-            QfFormula::atom(Atom::new(
-                Polynomial::var(Var(0)) * Polynomial::var(Var(1)),
-                ConstraintOp::Lt,
-            )),
-            1,
-        );
+        let nonlinear = uncertain_candidate(lt(z(0) * z(1)), 1);
         // FPRAS rejects nonlinear formulas: the batch surfaces the error.
         let engine = CertaintyEngine::new(MeasureOptions {
             method: MethodChoice::Fpras,
             ..MeasureOptions::default()
         });
-        let err = engine.measure_batch(vec![certain.clone(), nonlinear.clone()]).unwrap_err();
+        let err = engine.measure_batch(vec![certain.clone(), nonlinear]).unwrap_err();
         assert!(matches!(err, MeasureError::NotLinear));
         // Certain candidates never sample.
         let ok = engine.measure_batch(vec![certain]).unwrap();
@@ -1253,10 +1145,7 @@ mod tests {
         // Under `Auto` with ε = 0 the AFPRAS options are invalid, but
         // they are checked only when a group needs sampling: a plan of
         // exact-routed groups still succeeds.
-        let half_line = uncertain_candidate(
-            QfFormula::atom(Atom::new(Polynomial::var(Var(0)), ConstraintOp::Gt)),
-            2,
-        );
+        let half_line = uncertain_candidate(gt(z(0)), 2);
         let engine = CertaintyEngine::new(MeasureOptions::default().with_epsilon(0.0));
         let exact = engine.measure_batch(vec![half_line.clone()]).unwrap();
         assert_eq!(exact.answers[0].certainty.exact, Some(Rational::new(1, 2)));
@@ -1264,7 +1153,8 @@ mod tests {
         // only the exact group reaches the ν-cache.
         let cache = Arc::new(NuCache::default());
         let engine = engine.with_cache(cache.clone());
-        let err = engine.measure_batch(vec![half_line, nonlinear]).unwrap_err();
+        let sampled = uncertain_candidate(cross(0, 1, 2), 3);
+        let err = engine.measure_batch(vec![half_line, sampled]).unwrap_err();
         assert!(matches!(err, MeasureError::BadTolerance { .. }));
         assert_eq!(cache.stats().entries, 1, "only the exact group is cached");
     }

@@ -30,7 +30,7 @@
 //! derivations through unrelated nulls produce variable-disjoint
 //! disjuncts.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use qarith_constraints::{QfFormula, Var};
 
@@ -77,23 +77,18 @@ pub fn decompose(phi: &QfFormula) -> Decomposition {
     };
 
     // Union-find over part indices, merged through shared variables.
+    // A merge attaches the larger root under the smaller, so every root
+    // is the first part of its component.
     let mut parent: Vec<usize> = (0..parts.len()).collect();
-    fn find(parent: &mut [usize], mut i: usize) -> usize {
-        while parent[i] != i {
-            parent[i] = parent[parent[i]]; // path halving
-            i = parent[i];
-        }
-        i
-    }
     let mut owner: HashMap<Var, usize> = HashMap::new();
     for (i, p) in parts.iter().enumerate() {
         for v in p.vars() {
             match owner.get(&v) {
                 Some(&j) => {
                     let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    // Attach to the smaller root so component order
-                    // follows first occurrence.
-                    parent[ri.max(rj)] = ri.min(rj);
+                    if let Some(root) = parent.get_mut(ri.max(rj)) {
+                        *root = ri.min(rj);
+                    }
                 }
                 None => {
                     owner.insert(v, i);
@@ -102,22 +97,32 @@ pub fn decompose(phi: &QfFormula) -> Decomposition {
         }
     }
 
-    // Group parts by root, in first-occurrence order.
-    let mut slot_of_root: HashMap<usize, usize> = HashMap::new();
-    let mut groups: Vec<Vec<QfFormula>> = Vec::new();
+    // Group parts by root: ascending roots are first-occurrence order.
+    let mut components: BTreeMap<usize, Vec<QfFormula>> = BTreeMap::new();
     for (i, p) in parts.iter().enumerate() {
-        let root = find(&mut parent, i);
-        let slot = *slot_of_root.entry(root).or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[slot].push(p.clone());
+        components.entry(find(&mut parent, i)).or_default().push(p.clone());
     }
     let rebuild = match combination {
         Combination::Product => QfFormula::and,
         Combination::DualProduct => QfFormula::or,
     };
-    Decomposition { combination, factors: groups.into_iter().map(rebuild).collect() }
+    Decomposition { combination, factors: components.into_values().map(rebuild).collect() }
+}
+
+/// The root of `i`'s set in the union-find forest `parent`, halving the
+/// path on the way up.
+fn find(parent: &mut [usize], mut i: usize) -> usize {
+    while let Some(&up) = parent.get(i) {
+        if up == i {
+            break;
+        }
+        let grand = parent.get(up).copied().unwrap_or(up);
+        if let Some(link) = parent.get_mut(i) {
+            *link = grand;
+        }
+        i = grand;
+    }
+    i
 }
 
 #[cfg(test)]

@@ -18,9 +18,9 @@
 //!    (`qarith_constraints::asymptotic::constant_limit_sign`): atoms
 //!    whose limit sign is constant over (almost) all directions collapse
 //!    to `True`/`False`, which the smart constructors absorb through
-//!    `And`/`Or`. The measure-zero equality/disequality elimination of
-//!    the historical `QfFormula::ae_simplified` is the weak special case
-//!    ([`ae_simplify`], bit-identical to the now-deprecated shim).
+//!    `And`/`Or`. Every surviving equality becomes `false` and every
+//!    disequality `true`: a polynomial that is not identically zero is
+//!    eventually zero only along a null set of directions.
 //! 2. **Boolean normalization** ([`simplify`]) — flattening (inherited
 //!    from the smart constructors), child deduplication, complement
 //!    annihilation (`α ∧ ¬α ⇝ false`), and absorption
@@ -39,13 +39,14 @@
 //! truth at *every* direction, pass 1 at almost every direction (a null
 //! set cannot change a probability). What rewriting does **not**
 //! preserve is the bit pattern of a Monte-Carlo estimate — the sampled
-//! formula and its dimension change — which is why `qarith-core` folds
-//! the [`RewriteOptions`] switch into the options fingerprint and flags
-//! rewritten estimates in their provenance.
+//! formula and its dimension change — so `qarith-core` flags rewritten
+//! estimates in their provenance.
 //!
-//! [`rewrite`] runs all three passes; `qarith-core`'s `CertaintyEngine`
-//! runs it when `MeasureOptions::rewrite` is enabled, ahead of keying,
-//! so the ν-cache keys pick up the rewritten form.
+//! [`rewrite`] runs all three passes. `qarith-core`'s `CertaintyEngine`
+//! runs it on every `Auto` and `ExactOnly` measurement, on a ν-cache
+//! miss, after keying: the cache keys the formula as grounded. Its
+//! forced `Afpras` and `Fpras` arms measure the ground formula
+//! unrewritten, as the paper's algorithms do.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,7 +57,6 @@ mod simplify;
 
 pub use decompose::{decompose, Combination, Decomposition};
 pub use options::RewriteOptions;
-pub use simplify::ae_simplify;
 
 use qarith_constraints::QfFormula;
 
@@ -90,7 +90,7 @@ pub struct RewriteOutcome {
 /// decomposing. The result is in NNF and has the same `ν` as the input.
 /// Idempotent: `simplify(simplify(φ)) == simplify(φ)`.
 pub fn simplify(phi: &QfFormula) -> QfFormula {
-    let mut cur = simplify::simplify_atoms(&phi.nnf(), true);
+    let mut cur = simplify::simplify_atoms(&phi.nnf());
     // Normalization is bottom-up, so a single pass handles nested
     // opportunities; the fixpoint loop covers the rare cascades where an
     // absorption at one level exposes a new one above it.
@@ -212,18 +212,5 @@ mod tests {
         assert_eq!(t.formula, QfFormula::True);
         assert!(t.decomposition.factors.is_empty());
         assert_eq!(t.dim_after, 0);
-    }
-
-    #[test]
-    fn legacy_ae_configuration_matches_the_frozen_shim() {
-        let eq = atom(z(0) - z(1), ConstraintOp::Eq);
-        let f = QfFormula::and([
-            QfFormula::or([eq.clone(), atom(z(0), ConstraintOp::Lt)]),
-            eq.negated(),
-            atom(z(2) * z(2) - z(3), ConstraintOp::Le),
-        ]);
-        #[allow(deprecated)]
-        let shim = f.ae_simplified();
-        assert_eq!(ae_simplify(&f), shim);
     }
 }

@@ -1,33 +1,13 @@
-//! The rewrite pipeline's switch.
+//! The retired rewrite switch.
 
-/// Whether `qarith-core` runs the rewrite pipeline ([`crate::rewrite`])
-/// ahead of measurement. Folded into `MeasureOptions::fingerprint` by
-/// `qarith-core`: rewriting changes the bits of an estimate, so the two
-/// settings never share ν-cache entries.
+/// A switch that nothing reads: `qarith-core` rewrites on every `Auto`
+/// and `ExactOnly` measurement and never on the forced `Afpras` and
+/// `Fpras` arms, whatever this says, and leaves it out of the options
+/// fingerprint. The type stays only because the repository benchmark
+/// (`perfbench/src/check.rs`) names it in a struct literal; it goes
+/// once that benchmark stops naming it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct RewriteOptions {
-    /// Master switch. When `false` the engine runs the historical
-    /// pipeline (the frozen `ae_simplified` behavior on the `Auto` and
-    /// `ExactOnly` routes, formulas measured whole) and produces
-    /// bit-identical estimates to releases without this crate.
+    /// Unread.
     pub enabled: bool,
-}
-
-impl RewriteOptions {
-    /// Rewriting on — the configuration benchmarks and the smoke suites
-    /// run.
-    pub fn full() -> RewriteOptions {
-        RewriteOptions { enabled: true }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_are_off_but_fully_configured() {
-        assert!(!RewriteOptions::default().enabled);
-        assert!(RewriteOptions::full().enabled);
-    }
 }

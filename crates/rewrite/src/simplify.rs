@@ -3,44 +3,34 @@
 use std::collections::HashSet;
 
 use qarith_constraints::asymptotic::constant_limit_truth;
-use qarith_constraints::QfFormula;
+use qarith_constraints::{ConstraintOp, QfFormula};
 
-/// The measure-zero simplification alone: NNF, then every surviving
-/// equality atom becomes `false` and every disequality `true` (for a
-/// polynomial that is not identically zero, the directions along which
-/// it is eventually zero form a null set — see Lemma 8.3 and the module
-/// docs of `qarith_constraints::asymptotic`).
-///
-/// Bit-identical to the deprecated `QfFormula::ae_simplified`: same
-/// traversal, same smart constructors, so callers migrating from the
-/// shim observe no change at all.
-pub fn ae_simplify(phi: &QfFormula) -> QfFormula {
-    simplify_atoms(&phi.nnf(), false)
-}
-
-/// Per-atom folding over an NNF formula. With `fold` the exact ℚ
-/// interval analysis decides atoms whose limit sign is constant over
-/// almost all directions; the equality/disequality null-set rule always
-/// applies. Constants propagate through the smart constructors.
-pub(crate) fn simplify_atoms(f: &QfFormula, fold: bool) -> QfFormula {
+/// Per-atom folding over an NNF formula. The exact ℚ interval analysis
+/// decides atoms whose limit sign is constant over almost all
+/// directions; of the rest, every equality becomes `false` and every
+/// disequality `true` (for a polynomial that is not identically zero,
+/// the directions along which it is eventually zero form a null set —
+/// see Lemma 8.3 and the module docs of
+/// `qarith_constraints::asymptotic`). Constants propagate through the
+/// smart constructors.
+pub(crate) fn simplify_atoms(f: &QfFormula) -> QfFormula {
     match f {
         QfFormula::True => QfFormula::True,
         QfFormula::False => QfFormula::False,
-        QfFormula::Atom(a) => {
-            if fold {
-                if let Some(truth) = constant_limit_truth(a) {
-                    return if truth { QfFormula::True } else { QfFormula::False };
-                }
-            }
-            match a.op() {
-                qarith_constraints::ConstraintOp::Eq => QfFormula::False,
-                qarith_constraints::ConstraintOp::Ne => QfFormula::True,
+        QfFormula::Atom(a) => match constant_limit_truth(a) {
+            Some(true) => QfFormula::True,
+            Some(false) => QfFormula::False,
+            None => match a.op() {
+                ConstraintOp::Eq => QfFormula::False,
+                ConstraintOp::Ne => QfFormula::True,
                 _ => QfFormula::Atom(a.clone()),
-            }
-        }
-        QfFormula::Not(_) => unreachable!("runs on NNF"),
-        QfFormula::And(parts) => QfFormula::and(parts.iter().map(|p| simplify_atoms(p, fold))),
-        QfFormula::Or(parts) => QfFormula::or(parts.iter().map(|p| simplify_atoms(p, fold))),
+            },
+        },
+        // NNF input has no Not nodes; stay total anyway (the NNF of a
+        // negation has none at its root).
+        QfFormula::Not(_) => simplify_atoms(&f.nnf()),
+        QfFormula::And(parts) => QfFormula::and(parts.iter().map(simplify_atoms)),
+        QfFormula::Or(parts) => QfFormula::or(parts.iter().map(simplify_atoms)),
     }
 }
 
@@ -111,7 +101,7 @@ fn rebuild(children: impl Iterator<Item = QfFormula>, conjunction: bool) -> QfFo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qarith_constraints::{Atom, ConstraintOp, Polynomial, Var};
+    use qarith_constraints::{Atom, Polynomial, Var};
 
     fn z(i: u32) -> Polynomial {
         Polynomial::var(Var(i))
@@ -121,21 +111,38 @@ mod tests {
         QfFormula::atom(Atom::new(p, op))
     }
 
+    fn lt(p: Polynomial) -> QfFormula {
+        atom(p, ConstraintOp::Lt)
+    }
+
     #[test]
-    fn ae_simplify_semantics() {
+    fn equalities_fold_to_their_almost_everywhere_truth() {
+        // (z0 = z1) ∨ (z0 < 0) ⇝ z0 < 0.
         let eq = atom(z(0) - z(1), ConstraintOp::Eq);
-        let f = QfFormula::or([eq.clone(), atom(z(0), ConstraintOp::Lt)]);
-        assert_eq!(ae_simplify(&f), atom(z(0), ConstraintOp::Lt));
-        assert_eq!(ae_simplify(&eq), QfFormula::False);
-        assert_eq!(ae_simplify(&eq.negated()), QfFormula::True);
+        let f = QfFormula::or([eq.clone(), lt(z(0))]);
+        assert_eq!(simplify_atoms(&f.nnf()), lt(z(0)));
+        // A negated equality is a disequality, almost everywhere true.
+        let f = QfFormula::and([eq.clone().negated(), lt(z(0))]);
+        assert_eq!(simplify_atoms(&f.nnf()), lt(z(0)));
+        // A bare equality collapses to false; a bare disequality to true.
+        assert_eq!(simplify_atoms(&eq), QfFormula::False);
+        assert_eq!(simplify_atoms(&eq.negated().nnf()), QfFormula::True);
+        // Negations are pushed down first: ¬(z0 < 0 ∧ z1 = 0) is
+        // (z0 ≥ 0) ∨ (z1 ≠ 0), almost everywhere true.
+        let f = QfFormula::and([lt(z(0)), atom(z(1), ConstraintOp::Eq)]).negated();
+        assert_eq!(simplify_atoms(&f), QfFormula::True);
+    }
+
+    #[test]
+    fn sign_varying_inequalities_stay_intact() {
+        let f = QfFormula::and([lt(z(0) + z(1)), atom(z(0) * z(1), ConstraintOp::Gt)]);
+        assert_eq!(simplify_atoms(&f.nnf()), f);
     }
 
     #[test]
     fn fold_decides_even_power_atoms() {
         let f = atom(z(0) * z(0) + z(1) * z(1), ConstraintOp::Ge);
-        assert_eq!(simplify_atoms(&f.nnf(), true), QfFormula::True);
-        // Without fold the atom survives (it is neither Eq nor Ne).
-        assert_eq!(simplify_atoms(&f.nnf(), false), f);
+        assert_eq!(simplify_atoms(&f.nnf()), QfFormula::True);
     }
 
     #[test]

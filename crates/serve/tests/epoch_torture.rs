@@ -22,8 +22,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use qarith_core::afpras::{AfprasOptions, SampleCount};
-use qarith_core::{MeasureOptions, MethodChoice};
 use qarith_datagen::WorkloadScale;
 use qarith_serve::{QueryResponse, QueryService, ServeConfig};
 use qarith_types::{Database, NumNullId, Value, WriteBatch};
@@ -43,17 +41,7 @@ fn test_db() -> Database {
 }
 
 fn test_service(db: Database) -> QueryService {
-    let options = MeasureOptions {
-        method: MethodChoice::Afpras,
-        afpras: AfprasOptions {
-            epsilon: 0.25,
-            samples: SampleCount::Paper,
-            seed: 77,
-            ..AfprasOptions::default()
-        },
-        ..MeasureOptions::default()
-    };
-    QueryService::new(db, ServeConfig { options, ..ServeConfig::default() })
+    QueryService::new(db, ServeConfig::paper_afpras(0.25, 77))
 }
 
 /// The answer bits of a response: tuple, certainty, samples, dimension.

@@ -27,8 +27,7 @@
 //!   it changed.
 
 use proptest::prelude::*;
-use qarith_core::afpras::{AfprasOptions, SampleCount};
-use qarith_core::{MeasureOptions, MethodChoice, NuCacheConfig};
+use qarith_core::{MethodChoice, NuCacheConfig};
 use qarith_datagen::WorkloadScale;
 use qarith_serve::{database_digest, QueryResponse, QueryService, ServeConfig};
 use qarith_types::{
@@ -36,40 +35,25 @@ use qarith_types::{
     WriteBatch, WriteOp,
 };
 
-/// Forced AFPRAS under a fixed seed, so certainty bits are sensitive to
-/// any pipeline difference (exact evaluators would mask stale-cache
-/// bugs behind closed forms).
-fn paper_options(epsilon: f64, seed: u64) -> MeasureOptions {
-    MeasureOptions {
-        method: MethodChoice::Afpras,
-        afpras: AfprasOptions {
-            epsilon,
-            samples: SampleCount::Paper,
-            seed,
-            ..AfprasOptions::default()
-        },
-        ..MeasureOptions::default()
-    }
-}
-
+/// The paper's serving regime — forced AFPRAS under a fixed seed, so
+/// certainty bits are sensitive to any pipeline difference (exact
+/// evaluators would mask stale-cache bugs behind closed forms) — with a
+/// 64 MiB ν-cache.
 fn serve_config(epsilon: f64) -> ServeConfig {
     ServeConfig {
-        options: paper_options(epsilon, 77),
         cache: NuCacheConfig { shards: 4, budget_bytes: 64 << 20 },
-        ..ServeConfig::default()
+        ..ServeConfig::paper_afpras(epsilon, 77)
     }
 }
 
 /// The measurement regimes the cold-rebuild property runs under, one
-/// per kind of ν-cache key a write must not make wrong: forced AFPRAS
-/// (asymptotic keys), `Auto` with rewriting on (the exact routes, and
-/// the `ra:`/`rs:` keys of rewritten groups), and forced FPRAS
-/// (structural keys).
+/// per route a write must not make wrong: forced AFPRAS (asymptotic
+/// keys), `Auto` (structural keys; the rewrite pipeline and the exact
+/// evaluators), and forced FPRAS (structural keys).
 fn proptest_configs() -> [ServeConfig; 3] {
     let afpras = serve_config(0.25);
     let mut auto = afpras.clone();
     auto.options.method = MethodChoice::Auto;
-    auto.options.rewrite.enabled = true;
     let mut fpras = afpras.clone();
     fpras.options.method = MethodChoice::Fpras;
     fpras.options = fpras.options.with_epsilon(0.25);

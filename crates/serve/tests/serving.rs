@@ -9,8 +9,7 @@
 
 use std::sync::Arc;
 
-use qarith_core::afpras::{AfprasOptions, SampleCount};
-use qarith_core::{MeasureOptions, MethodChoice, NuCacheConfig};
+use qarith_core::NuCacheConfig;
 use qarith_datagen::{QueryFamily, WorkloadScale};
 use qarith_serve::{QueryResponse, QueryService, ServeConfig};
 use qarith_types::Database;
@@ -25,28 +24,14 @@ fn workload_sql() -> Vec<String> {
     QueryFamily::all().iter().flat_map(QueryFamily::queries).map(|q| q.sql).collect()
 }
 
-/// Paper-style measurement options: forced AFPRAS under a fixed seed,
-/// so certainty bits are sensitive to *any* pipeline difference (the
-/// exact evaluators would mask ordering/caching bugs behind closed
-/// forms).
-fn paper_options(epsilon: f64, seed: u64) -> MeasureOptions {
-    MeasureOptions {
-        method: MethodChoice::Afpras,
-        afpras: AfprasOptions {
-            epsilon,
-            samples: SampleCount::Paper,
-            seed,
-            ..AfprasOptions::default()
-        },
-        ..MeasureOptions::default()
-    }
-}
-
+/// The paper's serving regime (forced AFPRAS under a fixed seed, so
+/// certainty bits are sensitive to *any* pipeline difference — the exact
+/// evaluators would mask ordering/caching bugs behind closed forms) with
+/// the given ν-cache budget.
 fn config_with_budget(budget_bytes: usize) -> ServeConfig {
     ServeConfig {
-        options: paper_options(0.1, 77),
         cache: NuCacheConfig { shards: 4, budget_bytes },
-        ..ServeConfig::default()
+        ..ServeConfig::paper_afpras(0.1, 77)
     }
 }
 

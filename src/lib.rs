@@ -133,7 +133,7 @@ pub mod prelude {
     pub use qarith_core::{
         AnswerWithCertainty, BatchOptions, BatchOutcome, BatchPlan, BatchStats, CacheStats,
         CertaintyEngine, CertaintyEstimate, MeasureOptions, Method, MethodChoice, NuCache,
-        NuCacheConfig, RewriteOptions, RewriteStats,
+        NuCacheConfig, RewriteStats,
     };
     pub use qarith_datagen::{QueryFamily, Workload, WorkloadQuery, WorkloadScale, WorkloadSpec};
     pub use qarith_engine::cq::CqOptions;

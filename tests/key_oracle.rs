@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 
 use proptest::prelude::*;
 
-use qarith::constraints::canonical::{renumbered, Granularity, KeyEncoder, Origin};
+use qarith::constraints::canonical::{renumbered, Granularity, KeyEncoder};
 use qarith::constraints::{Atom, ConstraintOp, Monomial, Polynomial, QfFormula, Var};
 use qarith::datagen::{QueryFamily, WorkloadScale, WorkloadSpec};
 use qarith::engine::cq::{self, CqOptions};
@@ -104,7 +104,7 @@ fn assert_same_classes(formulas: &[QfFormula]) -> [usize; 2] {
         let mut by_key: BTreeMap<Vec<u8>, (String, usize)> = BTreeMap::new();
         let mut by_text: BTreeMap<String, (Vec<u8>, usize)> = BTreeMap::new();
         for (i, phi) in formulas.iter().enumerate() {
-            let key = encoder.encode(phi, granularity, Origin::Ground).to_vec();
+            let key = encoder.encode(phi, granularity).to_vec();
             let text = oracle(phi, granularity);
             let (seen_text, first) = by_key.entry(key.clone()).or_insert((text.clone(), i));
             assert_eq!(
@@ -331,8 +331,8 @@ proptest! {
         let mut encoder = KeyEncoder::new();
         for granularity in GRANULARITIES {
             for (a, b) in [(&f, &twin), (&f, &other), (&twin, &cousin), (&other, &cousin)] {
-                let keys_equal = encoder.encode(a, granularity, Origin::Ground).to_vec()
-                    == encoder.encode(b, granularity, Origin::Ground);
+                let keys_equal = encoder.encode(a, granularity).to_vec()
+                    == encoder.encode(b, granularity);
                 let texts_equal = oracle(a, granularity) == oracle(b, granularity);
                 prop_assert_eq!(keys_equal, texts_equal, "{:?}: {} vs {}", granularity, a, b);
             }
@@ -361,8 +361,8 @@ fn the_variants_exercise_both_outcomes() {
         let rename = renaming(&mut mix);
         let twin = variant(&f, &mut mix, &rename);
         for (slot, granularity) in GRANULARITIES.into_iter().enumerate() {
-            let equal = encoder.encode(&f, granularity, Origin::Ground).to_vec()
-                == encoder.encode(&twin, granularity, Origin::Ground);
+            let equal =
+                encoder.encode(&f, granularity).to_vec() == encoder.encode(&twin, granularity);
             assert_eq!(equal, oracle(&f, granularity) == oracle(&twin, granularity));
             seen[slot][usize::from(equal)] = true;
         }

@@ -285,6 +285,15 @@ fn batch_matches_sequential_on_the_sales_workload() {
                     );
                 }
             }
+            if method == MethodChoice::Auto {
+                // The rewritten route: each answer is its candidate's own
+                // `nu()`, and every measured answer says it was rewritten.
+                for (cand, y) in candidates.iter().zip(&b) {
+                    let solo = sequential.nu(&cand.formula).unwrap();
+                    assert_eq!(bits(&solo), bits(&y.certainty), "{name} / nu / {}", cand.tuple);
+                    assert!(cand.certain || y.certainty.rewritten, "{name} / {}", cand.tuple);
+                }
+            }
         }
         let stats = starved_cache.stats();
         assert!(stats.evictions > 0, "{method:?}: the starved cache must evict: {stats:?}");

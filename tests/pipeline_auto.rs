@@ -152,8 +152,16 @@ fn universal_queries_route_through_enumeration() {
         &db.catalog(),
     )
     .unwrap();
-    let engine = CertaintyEngine::new(MeasureOptions::default());
+    let cache = std::sync::Arc::new(NuCache::default());
+    let engine = CertaintyEngine::new(MeasureOptions::default()).with_cache(cache.clone());
     let answers = engine.answers(&q, &db, 0.0).unwrap();
+    // The enumerated heads are measured as one batch through the
+    // engine's ν-cache: a repeat call measures nothing.
+    let misses = cache.stats().misses;
+    assert!(misses > 0, "the first call measured its heads");
+    let again = engine.answers(&q, &db, 0.0).unwrap();
+    assert_eq!(cache.stats().misses, misses, "the second call is served from the ν-cache");
+    assert_eq!(again.len(), answers.len());
     // "a" qualifies certainly; "b" with μ = 1/2; "c" never. The head also
     // ranges over sellers with no failing offer trivially — but every
     // base value in the domain is a seller here.

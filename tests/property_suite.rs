@@ -171,7 +171,7 @@ proptest! {
     fn ae_simplification_preserves_nu_on_order_formulas(f in formula(2)) {
         // Restrict to order-checkable shapes: compare exact measures when
         // both sides qualify.
-        let g = qarith::rewrite::ae_simplify(&f);
+        let g = qarith::rewrite::simplify(&f);
         if order::is_order_formula(&f) && order::is_order_formula(&g) {
             let a = order::exact_order_measure(&f).unwrap();
             let b = order::exact_order_measure(&g).unwrap();

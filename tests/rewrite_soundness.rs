@@ -1,31 +1,31 @@
-//! Soundness of the `qarith-rewrite` pipeline: rewritten measurements
-//! agree with unrewritten ones, and the independence-decomposition
-//! product rule is pinned on hand-computed disjoint wedges.
+//! Soundness of the `qarith-rewrite` pipeline: the rewritten `Auto`
+//! route agrees with the paper's unrewritten arms, and the
+//! independence-decomposition product rule is pinned on hand-computed
+//! disjoint wedges.
 //!
 //! Three families of properties:
 //!
-//! 1. **Cross-pipeline agreement** — for proptest-generated formulas,
-//!    `ν` measured with the rewrite pipeline enabled agrees with the
-//!    unrewritten measurement within the sum of the two error budgets
-//!    plus slack, for the exact/FPRAS/AFPRAS routes alike; and when
-//!    both sides land on exact evaluators the values agree to rounding.
+//! 1. **Cross-route agreement** — for proptest-generated formulas, `ν`
+//!    measured on the rewritten `Auto` route agrees with the forced
+//!    AFPRAS and FPRAS arms on the formula as given, within the sum of
+//!    the two error budgets plus slack; and where an exact evaluator
+//!    covers the unrewritten formula the values agree to rounding.
 //! 2. **Product rule** — decomposition-product estimates (exact factors
 //!    times one jointly sampled residual) agree with whole-formula
 //!    estimates, and hand-computed disjoint wedges pin the exact
 //!    products.
-//! 3. **Pass semantics** — `qarith_rewrite::ae_simplify` reproduces the
-//!    deprecated `QfFormula::ae_simplified` shim bit for bit, and the
-//!    full pass pipeline preserves per-direction limit truth on the
-//!    Boolean-identity passes.
+//! 3. **Pass semantics** — the simplification passes preserve
+//!    per-direction limit truth outside a null set.
 
 use proptest::prelude::*;
 
 use qarith::constraints::asymptotic::formula_limit_truth;
 use qarith::constraints::{Atom, ConstraintOp, Polynomial, QfFormula, Var};
 use qarith::core::afpras::AfprasOptions;
+use qarith::core::exact::try_exact;
 use qarith::engine::cq::CandidateAnswer;
 use qarith::prelude::*;
-use qarith::rewrite::{ae_simplify, simplify};
+use qarith::rewrite::simplify;
 
 fn z(i: u32) -> Polynomial {
     Polynomial::var(Var(i))
@@ -73,69 +73,73 @@ fn linear_formula(max_vars: u32) -> impl Strategy<Value = QfFormula> {
     })
 }
 
-fn engine(method: MethodChoice, rewrite: bool) -> CertaintyEngine {
-    let mut options = MeasureOptions { method, ..MeasureOptions::default() };
-    if rewrite {
-        options = options.with_rewrite(RewriteOptions::full());
-    }
-    CertaintyEngine::new(options)
+fn engine(method: MethodChoice) -> CertaintyEngine {
+    CertaintyEngine::new(MeasureOptions { method, ..MeasureOptions::default() })
+}
+
+/// The same options on the rewritten `Auto` route.
+fn auto(options: &MeasureOptions) -> CertaintyEngine {
+    CertaintyEngine::new(MeasureOptions { method: MethodChoice::Auto, ..options.clone() })
 }
 
 // ---------------------------------------------------------------------
-// 1. Rewritten ν agrees with unrewritten ν across methods
+// 1. Rewritten ν agrees with the paper's unrewritten arms
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Auto route: both sides carry (at worst) the default AFPRAS ε =
-    /// 0.05 additive budget; 2ε + slack covers two independent runs.
+    /// Auto against forced AFPRAS: both sides carry (at worst) the
+    /// default AFPRAS ε = 0.05 additive budget; 2ε + slack covers two
+    /// independent runs.
     #[test]
     fn rewritten_auto_agrees(f in linear_formula(4)) {
-        let plain = engine(MethodChoice::Auto, false).nu(&f).unwrap();
-        let rewritten = engine(MethodChoice::Auto, true).nu(&f).unwrap();
+        let plain = engine(MethodChoice::Afpras).nu(&f).unwrap();
+        let rewritten = engine(MethodChoice::Auto).nu(&f).unwrap();
         prop_assert!(rewritten.rewritten, "provenance flag must be set");
         prop_assert!(!plain.rewritten);
         prop_assert!(
             (plain.value - rewritten.value).abs() < 2.0 * 0.05 + 0.02,
             "plain {} vs rewritten {} on {}", plain.value, rewritten.value, f
         );
-        // Exact-on-both-sides cases agree to closed-form rounding.
-        if plain.method == Method::Exact && rewritten.method == Method::Exact {
+        // Where an exact evaluator covers the unrewritten formula, an
+        // exact rewritten value agrees with it to closed-form rounding.
+        if let (Some(exact), Method::Exact) = (try_exact(&f, 7), rewritten.method) {
             prop_assert!(
-                (plain.value - rewritten.value).abs() < 1e-9,
-                "exact drift: {} vs {} on {}", plain.value, rewritten.value, f
+                (exact.value - rewritten.value).abs() < 1e-9,
+                "exact drift: {} vs {} on {}", exact.value, rewritten.value, f
             );
         }
     }
 
-    /// Forced AFPRAS with and without rewriting.
+    /// Forced AFPRAS against the rewritten route at the same options.
     #[test]
     fn rewritten_afpras_agrees(f in linear_formula(3), seed in 0u64..300) {
-        let mut options = MeasureOptions {
+        let options = MeasureOptions {
             method: MethodChoice::Afpras,
             afpras: AfprasOptions { epsilon: 0.04, delta: 0.01, seed, ..AfprasOptions::default() },
             ..MeasureOptions::default()
         };
         let plain = CertaintyEngine::new(options.clone()).nu(&f).unwrap();
-        options = options.with_rewrite(RewriteOptions::full());
-        let rewritten = CertaintyEngine::new(options).nu(&f).unwrap();
+        let rewritten = auto(&options).nu(&f).unwrap();
         prop_assert!(
             (plain.value - rewritten.value).abs() < 2.0 * 0.04 + 0.03,
             "plain {} vs rewritten {} on {}", plain.value, rewritten.value, f
         );
     }
 
-    /// Forced FPRAS with and without rewriting (linear formulas only —
-    /// FPRAS's domain).
+    /// Forced FPRAS against the rewritten route (linear formulas only —
+    /// FPRAS's domain), both at ε = 0.08.
     #[test]
     fn rewritten_fpras_agrees(f in linear_formula(3), seed in 0u64..300) {
-        let mut options = MeasureOptions { method: MethodChoice::Fpras, ..MeasureOptions::default() };
-        options.fpras.epsilon = 0.08;
+        let mut options = MeasureOptions {
+            method: MethodChoice::Fpras,
+            ..MeasureOptions::default().with_epsilon(0.08)
+        };
         options.fpras.seed = seed;
+        options.afpras.seed = seed;
         let plain = CertaintyEngine::new(options.clone()).nu(&f).unwrap();
-        options = options.with_rewrite(RewriteOptions::full());
-        let rewritten = CertaintyEngine::new(options).nu(&f).unwrap();
+        let rewritten = auto(&options).nu(&f).unwrap();
         // Multiplicative budgets on [0,1] values: additive gap ≤ ε each,
         // plus heuristic-volume slack (as in tests/method_consistency.rs).
         prop_assert!(
@@ -175,8 +179,7 @@ proptest! {
             ..MeasureOptions::default()
         };
         let plain = CertaintyEngine::new(base.clone()).nu(&f).unwrap();
-        let residual = CertaintyEngine::new(base.with_rewrite(RewriteOptions::full()))
-            .nu(&f).unwrap();
+        let residual = auto(&base).nu(&f).unwrap();
 
         prop_assert!((plain.value - residual.value).abs() < 2.0 * 0.05 + 0.03,
             "residual {} vs plain {} on {}", residual.value, plain.value, f);
@@ -188,8 +191,7 @@ proptest! {
     fn rewritten_batch_matches_rewritten_nu(
         formulas in prop::collection::vec(linear_formula(3), 1..5),
     ) {
-        let eng = engine(MethodChoice::Auto, true)
-            .with_cache(std::sync::Arc::new(NuCache::default()));
+        let eng = engine(MethodChoice::Auto).with_cache(std::sync::Arc::new(NuCache::default()));
         let candidates: Vec<CandidateAnswer> = formulas.iter().enumerate().map(|(i, f)| {
             CandidateAnswer {
                 tuple: Tuple::new(vec![Value::int(i as i64)]),
@@ -202,11 +204,9 @@ proptest! {
         let batch = eng.measure_batch(candidates.clone()).unwrap();
         for (cand, ans) in candidates.iter().zip(&batch.answers) {
             let solo = eng.nu(&cand.formula).unwrap();
-            // Asymptotic-class members may share a group whose exact
-            // closed forms differ from a standalone evaluation in the
-            // final ulp (documented in the batch engine); values are
-            // equal to rounding.
-            prop_assert!((solo.value - ans.certainty.value).abs() < 1e-9,
+            // Groups key structurally, so a group measures what each
+            // member's own `nu` measures.
+            prop_assert_eq!(solo.value.to_bits(), ans.certainty.value.to_bits(),
                 "batch {} vs solo {} on {}", ans.certainty.value, solo.value, cand.formula);
             prop_assert!(ans.certainty.rewritten);
         }
@@ -218,27 +218,19 @@ proptest! {
         }
     }
 
-    /// `ae_simplify` is bit-identical to the frozen deprecated shim, and
-    /// the Boolean-normalization passes preserve limit truth pointwise.
+    /// The simplification passes preserve limit truth at every
+    /// direction outside a null set.
     #[test]
     fn passes_preserve_semantics(
         f in linear_formula(3),
         dir in prop::collection::vec(-1.0f64..1.0, 6),
     ) {
-        #[allow(deprecated)]
-        let shim = f.ae_simplified();
-        prop_assert_eq!(ae_simplify(&f), shim);
-
-        // Normalization-only simplification (no a.e. atom surgery beyond
-        // the shared ae pass) keeps the limit truth at every direction
-        // where no equality atom is on its boundary — proptest directions
-        // are generic, so just compare outcomes through the ae-simplified
-        // forms on both sides.
+        // Atom folding and the equality rule change the limit truth only
+        // on a null set of directions, and normalization nowhere;
+        // proptest directions are generic, so the two sides agree.
         let simplified = simplify(&f);
-        let baseline = ae_simplify(&f);
-        // `simplified` additionally folds/normalizes; both are ν-equal,
-        // and on generic directions the limit truths agree.
-        let a = formula_limit_truth(&baseline, &dir);
+        let baseline = &f;
+        let a = formula_limit_truth(baseline, &dir);
         let b = formula_limit_truth(&simplified, &dir);
         if a != b {
             // Disagreement is only possible on the measure-zero boundary
@@ -246,7 +238,7 @@ proptest! {
             let nudged: Vec<f64> =
                 dir.iter().enumerate().map(|(i, x)| x + 1e-4 * (i as f64 + 1.0) * 0.7317).collect();
             prop_assert_eq!(
-                formula_limit_truth(&baseline, &nudged),
+                formula_limit_truth(baseline, &nudged),
                 formula_limit_truth(&simplified, &nudged),
                 "persistent drift on {}", f
             );
@@ -266,7 +258,7 @@ fn disjoint_wedge_products_are_exact() {
         atom(z(1), ConstraintOp::Gt),
         atom(z(2), ConstraintOp::Gt),
     ]);
-    let est = engine(MethodChoice::Auto, true).nu(&f).unwrap();
+    let est = engine(MethodChoice::Auto).nu(&f).unwrap();
     assert_eq!(est.exact, Some(Rational::new(1, 8)));
     assert_eq!(est.method, Method::Exact);
     assert_eq!(est.samples, 0, "no sampling on fully exact factors");
@@ -280,7 +272,7 @@ fn disjoint_wedge_products_are_exact() {
         ])
     };
     let f = QfFormula::and([wedge(0, 1, 1), wedge(2, 3, 3)]);
-    let est = engine(MethodChoice::Auto, true).nu(&f).unwrap();
+    let est = engine(MethodChoice::Auto).nu(&f).unwrap();
     let closed =
         |alpha: f64| ((alpha).atan() + std::f64::consts::PI / 2.0) / (2.0 * std::f64::consts::PI);
     let expected = closed(1.0) * closed(3.0);
@@ -296,7 +288,7 @@ fn disjoint_wedge_products_are_exact() {
         atom(z(0), ConstraintOp::Gt),
         QfFormula::and([atom(z(1), ConstraintOp::Gt), atom(z(2), ConstraintOp::Gt)]),
     ]);
-    let est = engine(MethodChoice::Auto, true).nu(&f).unwrap();
+    let est = engine(MethodChoice::Auto).nu(&f).unwrap();
     assert_eq!(est.exact, Some(Rational::new(5, 8)));
 }
 
@@ -308,7 +300,7 @@ fn trivial_atom_elimination_reduces_dimension() {
         atom(z(0) * z(0) + z(1) * z(1) + c(1), ConstraintOp::Gt),
         atom(z(2), ConstraintOp::Gt),
     ]);
-    let est = engine(MethodChoice::Auto, true).nu(&f).unwrap();
+    let est = engine(MethodChoice::Auto).nu(&f).unwrap();
     assert_eq!(est.exact, Some(Rational::new(1, 2)));
     assert_eq!(est.dimension, 1, "folded atoms drop their variables");
 
@@ -317,25 +309,22 @@ fn trivial_atom_elimination_reduces_dimension() {
         atom(c(-1) * z(0) * z(0) - c(5), ConstraintOp::Gt),
         atom(z(1), ConstraintOp::Gt),
     ]);
-    let est = engine(MethodChoice::Auto, true).nu(&f).unwrap();
+    let est = engine(MethodChoice::Auto).nu(&f).unwrap();
     assert_eq!(est.exact, Some(Rational::ZERO));
     assert_eq!(est.samples, 0);
 }
 
 #[test]
 fn exact_only_route_uses_factor_decomposition() {
-    // Whole formula: 4 variables, beyond the frozen exact evaluators and
-    // the order fragment (coefficients ≠ ±1); factored: two 2-D linear
+    // Whole formula: 4 variables, beyond every exact evaluator and the
+    // order fragment (coefficients ≠ ±1); factored: two 2-D linear
     // pieces, each exact.
     let f = QfFormula::and([
         atom(c(3) * z(0) - c(2) * z(1), ConstraintOp::Le),
         atom(c(5) * z(2) - c(7) * z(3), ConstraintOp::Ge),
     ]);
-    assert!(
-        engine(MethodChoice::ExactOnly, false).nu(&f).is_err(),
-        "unrewritten exact-only cannot handle the joint formula"
-    );
-    let est = engine(MethodChoice::ExactOnly, true).nu(&f).unwrap();
+    assert!(try_exact(&f, 7).is_none(), "no exact evaluator covers the joint formula");
+    let est = engine(MethodChoice::ExactOnly).nu(&f).unwrap();
     assert_eq!(est.method, Method::Exact);
     assert!((est.value - 0.25).abs() < 1e-9, "two independent halfplanes: 1/2 · 1/2");
 }

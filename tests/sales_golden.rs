@@ -1,20 +1,23 @@
 //! Golden end-to-end test of the §9 sales pipeline at tiny scale.
 //!
 //! SQL text → lowering (with `LIMIT` carried through
-//! `LoweredQuery::cq_options`) → CQ execution → batch measurement, with
-//! a fixed generator seed, pins:
+//! `LoweredQuery::cq_options`) → CQ execution → batch measurement on the
+//! default `Auto` route, with a fixed generator seed, pins:
 //!
 //! * the candidate count and order per query (LIMIT handling included);
 //! * each candidate's certainty — the exact rational where an exact
-//!   evaluator applies, the deterministic closed-form `f64` (2-D arc
-//!   arithmetic) within 1e-9 elsewhere.
+//!   evaluator returns one, otherwise the deterministic `f64` within
+//!   1e-9;
+//! * that every measured answer carries rewrite provenance, and that
+//!   the workload exercises the decomposition (a formula splits into
+//!   ≥ 2 factors, and a factor routes to an exact evaluator).
 //!
-//! Most values below come from exact evaluators (closed forms); a few
-//! high-dimensional candidates take the AFPRAS with the default fixed
-//! seed, which is equally deterministic. A pipeline refactor that
-//! changes candidate generation, LIMIT semantics, grounding, ae-
-//! simplification, method routing, or the evaluators themselves will
-//! show up here as a concrete value diff.
+//! Nearly every value below comes from an exact evaluator (closed
+//! forms); one 4-variable candidate takes the AFPRAS with the default
+//! fixed seed, which is equally deterministic. A pipeline refactor that
+//! changes candidate generation, LIMIT semantics, grounding, rewriting,
+//! method routing, or the evaluators themselves will show up here as a
+//! concrete value diff.
 
 use qarith::datagen::sales::{paper_queries, sales_catalog, sales_database, SalesScale};
 use qarith::engine::cq;
@@ -26,7 +29,8 @@ const SEED: u64 = 2020;
 enum Golden {
     /// Exact rational `n/d` (order fragment, dimensions ≤ 1, μ = 1).
     Exact(i128, i128),
-    /// Deterministic closed-form `f64` (2-D arc arithmetic).
+    /// Deterministic `f64`: a closed form (arc or solid-angle
+    /// arithmetic) or a seeded AFPRAS estimate.
     Real(f64),
 }
 
@@ -37,19 +41,19 @@ fn goldens() -> [(&'static str, Vec<(&'static str, Golden)>); 3] {
             vec![
                 ("(\"seg0\")", Golden::Exact(1, 1)),
                 ("(\"seg1\")", Golden::Real(0.8822115384615384)),
-                ("(\"seg2\")", Golden::Real(0.7788461538461539)),
+                ("(\"seg2\")", Golden::Real(0.7695380072993939)),
                 ("(\"seg4\")", Golden::Real(0.5088945016203392)),
-                ("(\"seg5\")", Golden::Real(0.75)),
+                ("(\"seg5\")", Golden::Exact(3, 4)),
                 ("(\"seg6\")", Golden::Real(0.535311910781589)),
                 ("(\"seg7\")", Golden::Exact(1, 1)),
                 ("(\"seg8\")", Golden::Real(0.5847914346785765)),
-                ("(\"seg9\")", Golden::Real(0.7427884615384616)),
+                ("(\"seg9\")", Golden::Real(0.7271091621791853)),
                 ("(\"seg10\")", Golden::Real(0.748466491134487)),
                 ("(\"seg11\")", Golden::Real(0.540523353320516)),
                 ("(\"seg12\")", Golden::Exact(1, 1)),
                 ("(\"seg13\")", Golden::Exact(1, 1)),
                 ("(\"seg14\")", Golden::Exact(1, 1)),
-                ("(\"seg15\")", Golden::Real(0.49038461538461536)),
+                ("(\"seg15\")", Golden::Real(0.5)),
                 ("(\"seg16\")", Golden::Exact(1, 2)),
                 ("(\"seg18\")", Golden::Exact(1, 1)),
                 ("(\"seg19\")", Golden::Real(0.7489850162140236)),
@@ -58,8 +62,8 @@ fn goldens() -> [(&'static str, Vec<(&'static str, Golden)>); 3] {
         (
             "Never Knowingly Undersold",
             vec![
-                ("(58)", Golden::Real(0.7259615384615384)),
-                ("(93)", Golden::Real(0.75)),
+                ("(58)", Golden::Real(0.6733389741290502)),
+                ("(93)", Golden::Real(0.7500000000000001)),
                 ("(22)", Golden::Exact(1, 2)),
                 ("(30)", Golden::Real(0.5)),
                 ("(18)", Golden::Exact(1, 2)),
@@ -68,7 +72,7 @@ fn goldens() -> [(&'static str, Vec<(&'static str, Golden)>); 3] {
                 ("(77)", Golden::Real(0.5749607145025666)),
                 ("(74)", Golden::Exact(1, 2)),
                 ("(99)", Golden::Exact(1, 2)),
-                ("(60)", Golden::Real(0.49038461538461536)),
+                ("(60)", Golden::Real(0.5)),
                 ("(7)", Golden::Exact(1, 2)),
                 ("(47)", Golden::Exact(1, 2)),
                 ("(63)", Golden::Exact(1, 2)),
@@ -76,7 +80,7 @@ fn goldens() -> [(&'static str, Vec<(&'static str, Golden)>); 3] {
                 ("(34)", Golden::Exact(1, 2)),
                 ("(98)", Golden::Exact(1, 2)),
                 ("(21)", Golden::Exact(1, 2)),
-                ("(23)", Golden::Real(0.7211538461538461)),
+                ("(23)", Golden::Real(0.75)),
                 ("(75)", Golden::Exact(1, 2)),
                 ("(84)", Golden::Exact(1, 2)),
                 ("(19)", Golden::Real(0.5000000000000001)),
@@ -91,7 +95,7 @@ fn goldens() -> [(&'static str, Vec<(&'static str, Golden)>); 3] {
                 ("(50)", Golden::Exact(1, 2)),
                 ("(56)", Golden::Exact(1, 2)),
                 ("(4)", Golden::Exact(1, 2)),
-                ("(64)", Golden::Real(0.5048076923076923)),
+                ("(64)", Golden::Real(0.5)),
                 ("(19)", Golden::Exact(1, 2)),
                 ("(26)", Golden::Exact(1, 2)),
                 ("(63)", Golden::Exact(1, 2)),
@@ -123,17 +127,25 @@ fn tiny_scale_pipeline_is_pinned() {
     let engine = CertaintyEngine::new(MeasureOptions::default());
 
     let expected = goldens();
+    let (mut factored, mut exact_factors) = (0, 0);
     for ((name, sql), (golden_name, rows)) in paper_queries().into_iter().zip(expected) {
         assert_eq!(name, golden_name, "query order is part of the pin");
         let lowered = qarith::sql::compile(sql, &catalog).unwrap();
         assert_eq!(lowered.limit, Some(25), "{name}: LIMIT 25 must survive lowering");
         let candidates = cq::execute(&lowered.query, &db, &lowered.cq_options()).unwrap();
         assert!(candidates.len() <= 25, "{name}: candidate-counting LIMIT caps distinct results");
-        let answers = engine.measure_batch(candidates).unwrap().answers;
+        let outcome = engine.measure_batch(candidates).unwrap();
+        factored += outcome.stats.rewrite.factored;
+        exact_factors += outcome.stats.rewrite.exact_factors;
+        let answers = outcome.answers;
         assert_eq!(answers.len(), rows.len(), "{name}: candidate count drifted");
 
         for (answer, (tuple, golden)) in answers.iter().zip(&rows) {
             assert_eq!(&answer.tuple.to_string(), tuple, "{name}: candidate order drifted");
+            assert!(
+                answer.certainty.is_certain() || answer.certainty.rewritten,
+                "{name} {tuple}: measured answers must carry rewrite provenance"
+            );
             match golden {
                 Golden::Exact(n, d) => {
                     assert_eq!(
@@ -162,26 +174,25 @@ fn tiny_scale_pipeline_is_pinned() {
             }
         }
     }
+    assert!(factored >= 1, "at least one workload formula decomposes into ≥ 2 factors");
+    assert!(exact_factors >= 1, "at least one factor routes to an exact evaluator");
 }
 
-/// The rewrite pipeline on the same workload: every estimate stays
-/// within ε of the pinned golden values (rewritten estimates are not
-/// bit-identical — the sampled formula, budget, and evaluator routing
-/// change — but the additive guarantee must hold against the pinned
-/// truth), and the decomposition demonstrably fires: at least one
-/// workload formula splits into ≥ 2 variable-disjoint factors with a
-/// factor routed to an exact evaluator.
+/// The rewritten `Auto` route under an AFPRAS seed other than the
+/// pinned one: every estimate stays within ε of the pinned golden
+/// values (sampled estimates are not bit-identical across seeds, but
+/// the additive guarantee must hold against the pinned truth), and the
+/// rewrite provenance and decomposition do not depend on the seed.
 #[test]
 fn rewritten_estimates_stay_within_epsilon_of_goldens() {
     const EPSILON: f64 = 0.05;
     let db = sales_database(&SalesScale::tiny(), SEED);
     let catalog = sales_catalog();
-    let engine = CertaintyEngine::new(
-        MeasureOptions::default().with_epsilon(EPSILON).with_rewrite(RewriteOptions::full()),
-    );
+    let mut options = MeasureOptions::default().with_epsilon(EPSILON);
+    options.afpras.seed = options.afpras.seed.wrapping_add(1);
+    let engine = CertaintyEngine::new(options);
 
-    let mut factored = 0usize;
-    let mut exact_factors = 0usize;
+    let (mut factored, mut exact_factors, mut sampled) = (0, 0, 0);
     for ((name, sql), (golden_name, rows)) in paper_queries().into_iter().zip(goldens()) {
         assert_eq!(name, golden_name);
         let lowered = qarith::sql::compile(sql, &catalog).unwrap();
@@ -192,13 +203,12 @@ fn rewritten_estimates_stay_within_epsilon_of_goldens() {
         assert_eq!(outcome.answers.len(), rows.len(), "{name}: candidate count drifted");
         for (answer, (tuple, golden)) in outcome.answers.iter().zip(&rows) {
             assert_eq!(&answer.tuple.to_string(), tuple, "{name}: candidate order drifted");
+            sampled += usize::from(answer.certainty.samples > 0);
             // Exact goldens are ground truth: the rewritten estimate's
-            // own ε budget is the whole allowance. `Real` goldens
-            // include values the default engine *sampled* (ε = 0.05,
-            // δ = 0.25), so both sides carry a budget and the bounds
-            // compose additively — and indeed one NU golden sits
-            // ~0.053 from the (now exactly computable) truth, inside
-            // its allowed δ-failure slack.
+            // own ε budget is the whole allowance. A `Real` golden may
+            // itself be a seeded AFPRAS sample (ε = 0.05, δ = 0.25), so
+            // both sides carry a budget and the bounds compose
+            // additively.
             let (pinned, tolerance) = match golden {
                 Golden::Exact(n, d) => (Rational::new(*n, *d).to_f64(), EPSILON),
                 Golden::Real(v) => (*v, 2.0 * EPSILON),
@@ -214,6 +224,7 @@ fn rewritten_estimates_stay_within_epsilon_of_goldens() {
             );
         }
     }
+    assert!(sampled >= 1, "a sampled answer keeps the ε bound from being a tautology");
     assert!(factored >= 1, "at least one workload formula decomposes into ≥ 2 factors");
     assert!(exact_factors >= 1, "at least one factor routes to an exact evaluator");
 }
