@@ -282,12 +282,24 @@ fn char_or_lifetime(bytes: &[u8], pos: usize, line: &mut u32) -> (Tok, usize) {
                 (Tok::Lifetime, q)
             }
         }
-        Some(_) => {
-            // `'('` style single-char literal.
-            let close = if bytes.get(p + 1) == Some(&b'\'') { p + 2 } else { p + 1 };
+        Some(&c) => {
+            // `'('` or `'é'` style single-char literal: step over the
+            // whole character, so the scan stays on a char boundary.
+            let end = p + utf8_len(c);
+            let close = if bytes.get(end) == Some(&b'\'') { end + 1 } else { end };
             (Tok::Char, close)
         }
         None => (Tok::Char, p),
+    }
+}
+
+/// The length of the UTF-8 character whose first byte is `lead`.
+fn utf8_len(lead: u8) -> usize {
+    match lead {
+        0xF0..=0xFF => 4,
+        0xE0..=0xEF => 3,
+        0xC0..=0xDF => 2,
+        _ => 1,
     }
 }
 
@@ -372,6 +384,8 @@ fn g<'a>(x: &'a str) {}"##;
         assert!(words.contains(&"g".to_string()));
         // The lifetime 'a must not swallow `(x` as a char literal.
         assert!(words.contains(&"x".to_string()));
+        // A non-ASCII char literal is one token, and what follows lexes.
+        assert_eq!(idents("let c = 'é'; let d = '→'; after()"), ["let", "c", "let", "d", "after"]);
     }
 
     #[test]

@@ -40,14 +40,16 @@ impl NetClient {
     /// pipelining primitive; follow with [`NetClient::receive`] per
     /// send, in order).
     pub fn send(&mut self, request: &Request) -> io::Result<()> {
-        let payload = frame::encode_request(request);
-        let bytes = payload.as_bytes();
-        let len = u32::try_from(bytes.len()).map_err(|_| {
-            io::Error::new(io::ErrorKind::InvalidInput, "request exceeds u32 bytes")
+        self.send_frame(&frame::encode_request(request))
+    }
+
+    /// Writes one frame in one write: on a `TCP_NODELAY` socket a
+    /// separate length-prefix write would leave as a segment of its own.
+    fn send_frame(&mut self, payload: &str) -> io::Result<()> {
+        let framed = frame::framed(payload.as_bytes()).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "payload exceeds u32 bytes")
         })?;
-        self.stream.write_all(&len.to_be_bytes())?;
-        self.stream.write_all(bytes)?;
-        Ok(())
+        self.stream.write_all(&framed)
     }
 
     /// Reads and decodes one reply frame. A server-side grammar break
@@ -80,12 +82,7 @@ impl NetClient {
     pub fn write(&mut self, batch: &WriteBatch) -> io::Result<Decoded> {
         let payload = frame::encode_write(batch)
             .map_err(|msg| io::Error::new(io::ErrorKind::InvalidInput, msg))?;
-        let bytes = payload.as_bytes();
-        let len = u32::try_from(bytes.len()).map_err(|_| {
-            io::Error::new(io::ErrorKind::InvalidInput, "write batch exceeds u32 bytes")
-        })?;
-        self.stream.write_all(&len.to_be_bytes())?;
-        self.stream.write_all(bytes)?;
+        self.send_frame(&payload)?;
         self.receive()
     }
 }

@@ -32,8 +32,7 @@
 //! answered with `err kind=proto` naming the served value rather than
 //! silently serving different-precision answers. Unknown keys are
 //! `proto` errors too: a client asking for an option this server does
-//! not implement must hear "no", not get defaults. (The deadline knob
-//! of ROADMAP item 5 will land as a new key here.)
+//! not implement must hear "no", not get defaults.
 //!
 //! # Write payload
 //!
@@ -83,6 +82,12 @@
 //! decoder tolerates the absence of all three (pre-tracing and
 //! pre-write servers never sent them).
 //!
+//! Only the header line is rendered per request when the plan came
+//! from the plan cache and the execution measured nothing: everything
+//! after it then depends on the plan alone, so it is rendered once into
+//! the plan-cache entry's render slot and re-sent from there
+//! ([`encode_reply`]). The bytes are those of a fresh render.
+//!
 //! `bits` is the IEEE-754 bit pattern of ν and is the authoritative
 //! value — the torture and bit-identity suites compare it against
 //! in-process execution; `nu` is the same number for human eyes.
@@ -107,12 +112,25 @@
 //!
 //! [`ServeError`]: qarith_serve::ServeError
 
+use std::fmt::Write as _;
+
 use qarith_numeric::Rational;
 use qarith_serve::{QueryResponse, WriteOutcome};
 use qarith_types::{Value, WriteBatch, WriteOp};
 
 /// Bytes of the frame length prefix.
 pub const HEADER_LEN: usize = 4;
+
+/// One frame: the 4-byte big-endian length of `payload`, then the
+/// payload, in one buffer, so that it goes out in one write. `None`
+/// when the length does not fit the prefix.
+pub fn framed(payload: &[u8]) -> Option<Vec<u8>> {
+    let len = u32::try_from(payload.len()).ok()?;
+    let mut framed = Vec::with_capacity(HEADER_LEN + payload.len());
+    framed.extend_from_slice(&len.to_be_bytes());
+    framed.extend_from_slice(payload);
+    Some(framed)
+}
 
 /// Magic leading the request header line.
 pub const REQUEST_MAGIC: &str = "qarith-query/1";
@@ -470,16 +488,39 @@ pub struct Reply {
 }
 
 /// Encodes a success reply from a served [`QueryResponse`].
+///
+/// Only the header line varies per request. When the response carries
+/// its plan's render slot ([`QueryResponse::render_slot`]), the rest of
+/// the reply is rendered into the slot on first use and copied from it
+/// afterwards; either way the bytes equal a fresh render.
 pub fn encode_reply(response: &QueryResponse) -> String {
-    let mut out = format!(
-        "{REPLY_MAGIC} ok answers={} kind=point plan_cached={} epoch={} db={:016x} rid={}\nfp {}\n",
+    let fresh;
+    let body = match &response.render_slot {
+        Some(slot) => slot.get_or_init(|| reply_body(response)),
+        None => {
+            fresh = reply_body(response);
+            &fresh
+        }
+    };
+    // The header line takes about 120 bytes.
+    let mut out = String::with_capacity(128 + body.len());
+    let _ = writeln!(
+        out,
+        "{REPLY_MAGIC} ok answers={} kind=point plan_cached={} epoch={} db={:016x} rid={}",
         response.answers.len(),
         u8::from(response.plan_cached),
         response.epoch,
         response.db_digest,
         response.request_id,
-        response.fingerprint,
     );
+    out.push_str(body);
+    out
+}
+
+/// The reply after its header line: the `fp` line, one `a` line per
+/// answer, and the `stats` line.
+fn reply_body(response: &QueryResponse) -> String {
+    let mut out = format!("fp {}\n", response.fingerprint);
     for answer in &response.answers {
         let c = &answer.certainty;
         let mut flags = String::new();

@@ -491,11 +491,7 @@ fn write_all_ticking(shared: &Shared, stream: &mut TcpStream, bytes: &[u8]) -> R
 /// clients join. The cost is counting a reply whose write then fails;
 /// that connection is torn down anyway, and the stat stays monotone.
 fn write_frame(shared: &Shared, stream: &mut TcpStream, payload: &str) -> Result<(), ()> {
-    let bytes = payload.as_bytes();
-    let Ok(len) = u32::try_from(bytes.len()) else { return Err(()) };
-    let mut framed = Vec::with_capacity(frame::HEADER_LEN + bytes.len());
-    framed.extend_from_slice(&len.to_be_bytes());
-    framed.extend_from_slice(bytes);
+    let Some(framed) = frame::framed(payload.as_bytes()) else { return Err(()) };
     shared.frames_out.fetch_add(1, Ordering::Relaxed);
     write_all_ticking(shared, stream, &framed)?;
     Ok(())

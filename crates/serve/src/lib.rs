@@ -22,7 +22,12 @@
 //!   normalized SQL fingerprint of [`qarith_sql::fingerprint`]; repeat
 //!   traffic (however it spells whitespace, keyword case, aliases, or
 //!   literals) skips the whole front half and goes straight to
-//!   per-group ν lookup via [`CertaintyEngine::execute_plan`].
+//!   per-group ν lookup via [`CertaintyEngine::execute_plan`]. A text
+//!   sent again skips parse and fingerprint too (a text memo bounded by
+//!   [`ServeConfig::max_plans`]), and a cached plan whose groups all
+//!   hit the ν-cache hands the wire encoder its render slot
+//!   ([`QueryResponse::render_slot`]), so its reply block is rendered
+//!   once.
 //! * **A bounded, sharded ν-cache** — the one [`NuCache`] of
 //!   `qarith-core`, sized by [`ServeConfig::cache`]: N independently
 //!   locked shards with per-shard LRU eviction under a memory budget.
@@ -87,7 +92,7 @@ pub mod service;
 pub use admission::{AdmissionGate, AdmissionPermit, AdmissionStats};
 pub use epoch::{Snapshot, WriteOutcome};
 pub use error::ServeError;
-pub use service::{QueryResponse, QueryService, ServeConfig, ServiceStats};
+pub use service::{QueryResponse, QueryService, RenderSlot, ServeConfig, ServiceStats};
 
 /// The content digest that names an epoch's database
 /// ([`Snapshot::digest`], [`QueryResponse::db_digest`]). One function,

@@ -1,8 +1,8 @@
 //! The long-lived query service: prepared plans over a shared engine.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use qarith_core::afpras::{AfprasOptions, SampleCount};
 use qarith_core::{
@@ -40,6 +40,11 @@ pub struct ServeConfig {
     /// exists to prevent. Like ν-cache eviction, plan eviction is
     /// cost-only: plans are deterministic functions of the template,
     /// so a rebuilt plan is interchangeable with the evicted one.
+    ///
+    /// The same cap bounds the text memo (exact SQL text → fingerprint,
+    /// filled by texts that hit a cached plan; see
+    /// [`QueryService`] step 2), so distinct spellings cannot grow it
+    /// without bound either.
     pub max_plans: usize,
     /// Slow-query capture threshold in nanoseconds; requests whose
     /// end-to-end time reaches it are recorded in the bounded
@@ -159,6 +164,10 @@ impl ServiceStats {
     }
 }
 
+/// A plan-cache entry's write-once slot for the rendered reply block
+/// ([`QueryResponse::render_slot`]).
+pub type RenderSlot = Arc<OnceLock<String>>;
+
 /// One served answer set.
 #[derive(Clone, Debug)]
 pub struct QueryResponse {
@@ -183,6 +192,20 @@ pub struct QueryResponse {
     /// Content digest of that epoch's database — the bit-pinning
     /// identity the torture tests match against published epochs.
     pub db_digest: u64,
+    /// The plan-cache entry's write-once render slot: the reply block
+    /// after the header line (the `fp` line, the answer lines and the
+    /// `stats` line of the wire grammar in `qarith-net`'s `frame`
+    /// module), rendered by the first request that gets the slot and
+    /// re-sent by every later one. Present only when the plan came from
+    /// the plan cache and this execution measured nothing: every
+    /// group's ν then came from the ν-cache, which holds a
+    /// deterministic function of its key, so the fingerprint, each
+    /// answer with its provenance flags, and the batch counters depend
+    /// on the plan alone. The slot lives and dies with its plan entry:
+    /// a write that keeps the plan keeps the slot, and a rebuilt plan
+    /// starts an empty one. Only the wire encoder fills it; `None`
+    /// means render from the fields above.
+    pub render_slot: Option<RenderSlot>,
 }
 
 /// A long-lived, thread-safe query-serving engine: one epoch-versioned
@@ -193,14 +216,20 @@ pub struct QueryResponse {
 /// Per request ([`QueryService::query`]):
 ///
 /// 1. **admission** — block until the in-flight gate has room;
-/// 2. **fingerprint** — parse the SQL text once
-///    ([`qarith_sql::parse_select`]) and normalize the statement
-///    ([`qarith_sql::fingerprint::fingerprint`]);
+/// 2. **fingerprint** — look the exact SQL text up in the text memo;
+///    on a miss, parse it once ([`qarith_sql::parse_select`]) and
+///    normalize the statement ([`qarith_sql::fingerprint::fingerprint`]).
+///    A text is memoized once it has hit a cached plan, so a repeated
+///    text skips parse and fingerprint; at most
+///    [`ServeConfig::max_plans`] texts are memoized, and a poisoned
+///    memo counts as a miss (every entry is a deterministic function of
+///    its text, so losing it costs a parse, never an answer);
 /// 3. **snapshot** — pin the current epoch ([`crate::epoch`]): the
 ///    whole request executes against one immutable database;
 /// 4. **plan** — look the fingerprint up in the plan cache and check
 ///    that the plan is exact on the pinned epoch; on a miss, lower the
-///    parsed statement → generate candidates, recording the join's read
+///    parsed statement (parsing it there if the memo skipped the
+///    parse) → generate candidates, recording the join's read
 ///    footprint ([`cq::execute_recorded`]) → prepare the batch
 ///    ([`CertaintyEngine::prepare_batch`]) and publish the plan;
 /// 5. **execute** — run the plan's back half
@@ -244,7 +273,11 @@ pub struct QueryService {
     catalog: Catalog,
     engine: CertaintyEngine,
     cache: Arc<NuCache>,
-    plans: RwLock<HashMap<String, PlanEntry>>,
+    plans: RwLock<PlanCache>,
+    /// The text memo: exact SQL text → fingerprint, for texts that hit
+    /// a cached plan (the `TextMemo` lock class; its guards are never
+    /// held while another guard is taken).
+    texts: RwLock<HashMap<String, String>>,
     max_plans: usize,
     plan_tick: AtomicU64,
     gate: AdmissionGate,
@@ -332,11 +365,15 @@ impl BatchTotals {
 /// order. A request on any other epoch treats the entry as a miss, and
 /// its rebuild replaces the entry if it is the fresher one.
 /// `last_used` is an atomic so hits can refresh it under the read lock
-/// (the common path never takes the write lock); `checked` moves only
-/// under the write lock, in the writer's sweep.
+/// (the common path never takes the write lock); `checked` and
+/// `indexed` move only under the write lock.
 #[derive(Debug)]
 struct PlanEntry {
     plan: Arc<BatchPlan>,
+    /// The plan's rendered reply block ([`QueryResponse::render_slot`]),
+    /// made on the plan's first hit: a plan that is never hit again
+    /// (per-request literals) allocates none.
+    render_slot: OnceLock<RenderSlot>,
     /// What the plan's join read ([`cq::execute_recorded`]).
     footprint: ReadFootprint,
     /// The epoch of the snapshot the plan was built on.
@@ -344,12 +381,83 @@ struct PlanEntry {
     /// The last epoch the footprint was checked through.
     checked: u64,
     last_used: AtomicU64,
+    /// The stamp [`PlanCache::recency`] lists this entry under; never
+    /// later than `last_used`.
+    indexed: u64,
 }
 
 impl PlanEntry {
     /// `true` iff the plan is exact on `epoch`.
     fn serves(&self, epoch: u64) -> bool {
         self.built <= epoch && epoch <= self.checked
+    }
+}
+
+/// The cached plans by fingerprint, plus a recency index that finds
+/// the least recently used one in O(log n) instead of a scan.
+///
+/// A hit refreshes its entry's `last_used` under the read lock and
+/// leaves the index alone, so the index lists each entry under a stamp
+/// no later than its current one. Stamps are unique (each is one
+/// `plan_tick` increment), and a stamp a hit stores after the index
+/// last moved is later than every stamp stored before. So the first
+/// listed entry is the least recent one exactly when its stamp has not
+/// moved since it was listed; otherwise eviction re-lists it under its
+/// current stamp and looks again. Each hit costs at most one re-listing.
+#[derive(Debug, Default)]
+struct PlanCache {
+    entries: HashMap<Arc<str>, PlanEntry>,
+    /// `indexed` stamp → fingerprint, one record per entry.
+    recency: BTreeMap<u64, Arc<str>>,
+}
+
+impl PlanCache {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn get(&self, fingerprint: &str) -> Option<&PlanEntry> {
+        self.entries.get(fingerprint)
+    }
+
+    /// Inserts a new entry, listed under its `indexed` stamp.
+    fn insert(&mut self, fingerprint: &str, entry: PlanEntry) {
+        let key: Arc<str> = Arc::from(fingerprint);
+        self.recency.insert(entry.indexed, key.clone());
+        self.entries.insert(key, entry);
+    }
+
+    fn remove(&mut self, fingerprint: &str) -> Option<PlanEntry> {
+        let entry = self.entries.remove(fingerprint)?;
+        self.recency.remove(&entry.indexed);
+        Some(entry)
+    }
+
+    /// Removes and returns the least recently used entry.
+    fn pop_lru(&mut self) -> Option<PlanEntry> {
+        while let Some((stamp, key)) = self.recency.pop_first() {
+            let Some(entry) = self.entries.get_mut(&key) else { continue };
+            let current = entry.last_used.load(Ordering::Relaxed);
+            if current == stamp {
+                return self.entries.remove(&key);
+            }
+            entry.indexed = current;
+            self.recency.insert(current, key);
+        }
+        None
+    }
+
+    /// Keeps the entries `keep` accepts (it may update them), and
+    /// unlists the rest.
+    fn retain(&mut self, mut keep: impl FnMut(&mut PlanEntry) -> bool) {
+        let recency = &mut self.recency;
+        self.entries.retain(|_, entry| {
+            let kept = keep(entry);
+            if !kept {
+                recency.remove(&entry.indexed);
+            }
+            kept
+        });
     }
 }
 
@@ -370,7 +478,8 @@ impl QueryService {
             catalog,
             engine,
             cache,
-            plans: RwLock::new(HashMap::new()),
+            plans: RwLock::new(PlanCache::default()),
+            texts: RwLock::new(HashMap::new()),
             max_plans: config.max_plans.max(1),
             plan_tick: AtomicU64::new(0),
             gate: AdmissionGate::new(config.max_in_flight),
@@ -429,21 +538,35 @@ impl QueryService {
         };
         self.queries.fetch_add(1, Ordering::Relaxed);
         // Parse once: the statement is fingerprinted here and, on a plan
-        // miss, lowered by `build_plan`.
+        // miss, lowered by `build_plan`. A memoized text skips both.
         let (stmt, fingerprint) = {
             let _span = trace.span(Stage::Fingerprint);
-            let stmt = qarith_sql::parse_select(sql)?;
-            let fingerprint = qarith_sql::fingerprint::fingerprint(&stmt);
-            (stmt, fingerprint)
+            match self.memoized(sql) {
+                Some(fingerprint) => (None, fingerprint),
+                None => {
+                    let stmt = qarith_sql::parse_select(sql)?;
+                    let fingerprint = qarith_sql::fingerprint::fingerprint(&stmt);
+                    (Some(stmt), fingerprint)
+                }
+            }
         };
+        let memo_missed = stmt.is_some();
         // Pin the epoch once: plan validation, candidate generation,
         // and measurement all see this one immutable database, however
         // many epochs writers publish meanwhile.
         let snap = self.snapshot()?;
-        let (plan, plan_cached) = self.plan_for(&stmt, &fingerprint, &snap, trace)?;
+        let (plan, render_slot) = self.plan_for(sql, stmt, &fingerprint, &snap, trace)?;
+        let plan_cached = render_slot.is_some();
+        if plan_cached && memo_missed {
+            // Only texts that hit a plan are memoized, so texts whose
+            // literals change per request never fill the memo.
+            let _span = trace.span(Stage::Fingerprint);
+            self.memoize(sql, &fingerprint);
+        }
         let outcome = self.engine.execute_plan(&plan, trace)?;
         self.totals.absorb(&outcome.stats);
         Ok(QueryResponse {
+            render_slot: render_slot.filter(|_| outcome.stats.measured == 0),
             answers: outcome.answers,
             stats: outcome.stats,
             plan_cached,
@@ -452,6 +575,27 @@ impl QueryService {
             epoch: snap.epoch,
             db_digest: snap.digest,
         })
+    }
+
+    /// The memoized fingerprint of this exact text. A poisoned memo
+    /// counts as a miss.
+    fn memoized(&self, sql: &str) -> Option<String> {
+        self.texts.read().ok()?.get(sql).cloned()
+    }
+
+    /// Memoizes `sql` → `fingerprint`, dropping an arbitrary entry
+    /// first when the memo already holds `max_plans` texts (which one
+    /// goes changes what the next request costs, never what it
+    /// answers). A poisoned memo is left as it is.
+    fn memoize(&self, sql: &str, fingerprint: &str) {
+        let Ok(mut texts) = self.texts.write() else { return };
+        if texts.len() >= self.max_plans && !texts.contains_key(sql) {
+            let victim = texts.keys().next().cloned();
+            if let Some(victim) = victim {
+                texts.remove(&victim);
+            }
+        }
+        texts.insert(sql.to_string(), fingerprint.to_string());
     }
 
     /// Applies one [`WriteBatch`], publishing the next epoch. Writers
@@ -578,7 +722,7 @@ impl QueryService {
         let delta = WriteDelta::new(&before.db, &after.db, &batch.ops);
         let mut plans = self.plans.write().map_err(|_| ServeError::LockPoisoned("plan cache"))?;
         let resident = plans.len();
-        plans.retain(|_, entry| {
+        plans.retain(|entry| {
             if entry.checked >= after.epoch {
                 return true;
             }
@@ -592,22 +736,27 @@ impl QueryService {
     }
 
     /// Plan-cache lookup with build-on-miss, epoch validation, and
-    /// LRU eviction under [`ServeConfig::max_plans`]. Racing builders
-    /// for one fingerprint each build (plans are deterministic given
-    /// the relation contents, so copies built against one snapshot are
-    /// interchangeable); the first publication wins and the rest adopt
-    /// it. When the resident plan is not exact on this request's epoch,
-    /// the fresher of the two stays: a build on an epoch after the
-    /// resident plan's last checked one replaces it, and a build on an
-    /// epoch before that serves its own request without being
-    /// published.
+    /// LRU eviction under [`ServeConfig::max_plans`]. Returns the plan
+    /// and, iff it came from the plan cache, its entry's render slot.
+    /// `stmt` is the parsed `sql`, or `None` when the text memo skipped
+    /// the parse; a miss then parses `sql` to lower it.
+    ///
+    /// Racing builders for one fingerprint each build (plans are
+    /// deterministic given the relation contents, so copies built
+    /// against one snapshot are interchangeable); the first publication
+    /// wins and the rest adopt it. When the resident plan is not exact
+    /// on this request's epoch, the fresher of the two stays: a build on
+    /// an epoch after the resident plan's last checked one replaces it,
+    /// and a build on an epoch before that serves its own request
+    /// without being published.
     fn plan_for(
         &self,
-        stmt: &SelectStatement,
+        sql: &str,
+        stmt: Option<SelectStatement>,
         fingerprint: &str,
         snap: &Snapshot,
         trace: &mut RequestTrace,
-    ) -> Result<(Arc<BatchPlan>, bool), ServeError> {
+    ) -> Result<(Arc<BatchPlan>, Option<RenderSlot>), ServeError> {
         // A poisoned plan-cache lock means an earlier request panicked
         // while publishing; the map may hold a half-finished update, so
         // fail this request cleanly rather than trusting it (the
@@ -624,7 +773,8 @@ impl QueryService {
                     entry
                         .last_used
                         .store(self.plan_tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-                    return Ok((entry.plan.clone(), true));
+                    let render_slot = entry.render_slot.get_or_init(RenderSlot::default);
+                    return Ok((entry.plan.clone(), Some(render_slot.clone())));
                 }
                 // Not exact on our epoch: the write that published our
                 // epoch has not swept this entry yet, or the entry was
@@ -633,47 +783,53 @@ impl QueryService {
             }
         }
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
+        let stmt = match stmt {
+            Some(stmt) => stmt,
+            None => {
+                let _span = trace.span(Stage::Fingerprint);
+                qarith_sql::parse_select(sql)?
+            }
+        };
         // Build outside any lock: candidate generation and preparation
         // are the expensive half, and other templates must keep flowing.
-        let (built, footprint) = self.build_plan(stmt, snap, trace)?;
+        let (built, footprint) = self.build_plan(&stmt, snap, trace)?;
         let built = Arc::new(built);
         let tick = self.plan_tick.fetch_add(1, Ordering::Relaxed);
         let _span = trace.span(Stage::PlanLookup);
+        // Declared before the guard, so dropped after it: freeing the
+        // plans this publication displaces holds no lock.
+        let mut displaced = Vec::new();
         let mut plans = self.plans.write().map_err(poisoned)?;
         if let Some(entry) = plans.get(fingerprint) {
             if entry.serves(snap.epoch) {
-                return Ok((entry.plan.clone(), false));
+                return Ok((entry.plan.clone(), None));
             }
             if entry.checked > snap.epoch {
                 // The resident plan serves newer readers; ours serves
                 // this request alone.
-                return Ok((built, false));
+                return Ok((built, None));
             }
             // The resident plan was last checked before our epoch:
             // ours replaces it.
-            plans.remove(fingerprint);
+            displaced.extend(plans.remove(fingerprint));
         }
-        // Evict least-recently-used templates down to cap − 1. The
-        // O(n) scan is fine: it runs only on publication, which is
-        // already the expensive (plan-building) path, and n ≤ cap.
+        // Evict least-recently-used templates down to cap − 1.
         while plans.len() >= self.max_plans {
-            let victim = plans
-                .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| k.clone());
-            let Some(victim) = victim else { break };
-            plans.remove(&victim);
+            let Some(victim) = plans.pop_lru() else { break };
+            displaced.push(victim);
             self.plan_evictions.fetch_add(1, Ordering::Relaxed);
         }
         let entry = PlanEntry {
             plan: built.clone(),
+            render_slot: OnceLock::new(),
             footprint,
             built: snap.epoch,
             checked: snap.epoch,
             last_used: AtomicU64::new(tick),
+            indexed: tick,
         };
-        plans.insert(fingerprint.to_string(), entry);
-        Ok((built, false))
+        plans.insert(fingerprint, entry);
+        Ok((built, None))
     }
 
     /// The front half, template-granular: lower the parsed statement
@@ -842,8 +998,7 @@ mod tests {
     fn an_older_reader_does_not_evict_a_newer_plan() {
         let service = QueryService::new(db(), ServeConfig::default());
         let sql = "SELECT R.id FROM R WHERE R.x > R.y";
-        let stmt = qarith_sql::parse_select(sql).expect("parses");
-        let fingerprint = qarith_sql::fingerprint::fingerprint(&stmt);
+        let fingerprint = qarith_sql::sql_fingerprint(sql).expect("parses");
         service.query(sql).expect("epoch 0 query");
         let epoch0 = service.snapshot().expect("epoch 0");
 
@@ -855,14 +1010,122 @@ mod tests {
         assert!(service.query(sql).expect("epoch 1 hit").plan_cached);
 
         let mut trace = service.begin_trace();
-        let (old_plan, cached) =
-            service.plan_for(&stmt, &fingerprint, &epoch0, &mut trace).expect("epoch 0 plan");
-        assert!(!cached);
+        let (old_plan, render_slot) =
+            service.plan_for(sql, None, &fingerprint, &epoch0, &mut trace).expect("epoch 0 plan");
+        assert!(render_slot.is_none(), "a build is no hit");
         assert_eq!(old_plan.candidates(), 1, "built on epoch 0's one row");
         assert_eq!(service.stats().plan_invalidations, 1, "the epoch-1 plan stays resident");
 
         let after = service.query(sql).expect("epoch 1 query");
         assert!(after.plan_cached, "the next epoch-1 reader still hits");
         assert_eq!(after.answers.len(), 2);
+    }
+
+    fn memo_len(service: &QueryService) -> usize {
+        service.texts.read().expect("memo").len()
+    }
+
+    /// Spellings of one template share one plan; each spelling is
+    /// memoized once it hits that plan, and the memo never holds more
+    /// than `max_plans` texts.
+    #[test]
+    fn the_text_memo_keeps_hitting_texts_within_the_plan_cap() {
+        let config = ServeConfig { max_plans: 2, ..ServeConfig::default() };
+        let service = QueryService::new(db(), config);
+        let spelling = |n: usize| format!("SELECT R.id FROM R{} WHERE R.x > R.y", " ".repeat(n));
+        let first = service.query(&spelling(1)).expect("build");
+        assert!(!first.plan_cached);
+        assert_eq!(memo_len(&service), 0, "a build does not memoize its text");
+        for n in 1..6 {
+            let response = service.query(&spelling(n)).expect("hit");
+            assert!(response.plan_cached, "every spelling hits the one plan");
+            assert_eq!(response.fingerprint, first.fingerprint);
+            assert_eq!(memo_len(&service), n.min(2), "the memo stays within max_plans");
+        }
+        let memoized = service.texts.read().expect("memo").keys().next().cloned();
+        let memoized = memoized.expect("a memoized text");
+        let again = service.query(&memoized).expect("memo hit");
+        assert!(again.plan_cached);
+        assert_eq!(again.fingerprint, first.fingerprint);
+        assert_eq!(service.stats().plans, 1);
+        assert_eq!(service.stats().plan_misses, 1);
+    }
+
+    /// A memoized text whose plan was evicted parses again to rebuild,
+    /// and answers as a cold service does.
+    #[test]
+    fn a_memo_hit_whose_plan_was_evicted_rebuilds_cold_answers() {
+        let tiny = || {
+            qarith_datagen::sales::sales_database(&qarith_datagen::WorkloadScale::Tiny.params(), 7)
+        };
+        let config = ServeConfig { max_plans: 2, ..ServeConfig::paper_afpras(0.1, 77) };
+        let service = QueryService::new(tiny(), config.clone());
+        let templates = [
+            "SELECT P.id FROM Products P WHERE P.dis >= 0.9 LIMIT 5",
+            "SELECT P.id FROM Products P WHERE P.rrp >= 80 LIMIT 5",
+            "SELECT P.seg FROM Products P WHERE P.rrp >= 20 LIMIT 5",
+        ];
+        service.query(templates[0]).expect("build");
+        assert!(service.query(templates[0]).expect("hit").plan_cached);
+        service.query(templates[1]).expect("build");
+        service.query(templates[2]).expect("build, evicting the first template");
+        assert_eq!(service.stats().plan_evictions, 1);
+        assert!(service.memoized(templates[0]).is_some(), "the evicted template's text stays");
+
+        let rebuilt = service.query(templates[0]).expect("memo hit, plan miss");
+        assert!(!rebuilt.plan_cached);
+        let cold = QueryService::new(tiny(), config).query(templates[0]).expect("cold");
+        let bits = |r: &QueryResponse| -> Vec<(String, u64)> {
+            r.answers.iter().map(|a| (a.tuple.to_string(), a.certainty.value.to_bits())).collect()
+        };
+        assert!(!cold.answers.is_empty());
+        assert_eq!(bits(&rebuilt), bits(&cold));
+        assert_eq!(rebuilt.fingerprint, cold.fingerprint);
+    }
+
+    /// The recency index evicts exactly the least recently used plan:
+    /// over a seeded stream of eight templates through a four-plan
+    /// cache, every request hits iff an exact LRU model holds its
+    /// template.
+    #[test]
+    fn plan_eviction_follows_an_exact_lru_model() {
+        let config = ServeConfig { max_plans: 4, ..ServeConfig::default() };
+        let service = QueryService::new(db(), config);
+        let sql = |t: u64| format!("SELECT R.id FROM R WHERE R.x > R.y + {t}");
+        let mut model: Vec<u64> = Vec::new(); // least recent first
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for i in 0..400 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let t = (state >> 33) % 8;
+            let expected = model.contains(&t);
+            let response = service.query(&sql(t)).expect("served");
+            assert_eq!(response.plan_cached, expected, "request {i}, template {t}");
+            model.retain(|&m| m != t);
+            model.push(t);
+            if model.len() > 4 {
+                model.remove(0);
+            }
+        }
+        let stats = service.stats();
+        assert_eq!(stats.plans, 4);
+        assert_eq!(stats.plan_evictions, stats.plan_misses - 4);
+    }
+
+    /// A non-ASCII string literal matches the row a write stored.
+    #[test]
+    fn a_non_ascii_string_literal_selects_its_row() {
+        let schema = RelationSchema::new("S", vec![Column::base("id"), Column::base("seg")])
+            .expect("schema");
+        let mut s = Relation::empty(schema);
+        s.insert_values(vec![Value::int(1), Value::str("café")]).expect("row");
+        s.insert_values(vec![Value::int(2), Value::str("cafe")]).expect("row");
+        let mut db = Database::new();
+        db.add_relation(s).expect("relation");
+        let service = QueryService::new(db, ServeConfig::default());
+        let response = service.query("SELECT S.id FROM S WHERE S.seg = 'café'").expect("served");
+        let ids: Vec<String> = response.answers.iter().map(|a| a.tuple.to_string()).collect();
+        assert_eq!(ids, ["(1)"]);
     }
 }

@@ -76,174 +76,122 @@ pub struct Spanned {
 }
 
 /// Tokenizes SQL text.
+///
+/// Every token but a quoted literal is ASCII, so the scan steps over
+/// bytes and reads them through `get`; a literal is sliced whole
+/// between its quotes, so non-ASCII text inside it stays intact.
 pub fn lex(input: &str) -> Result<Vec<Spanned>, SqlError> {
     let bytes = input.as_bytes();
+    let at = |j: usize| bytes.get(j).copied();
     let mut out = Vec::new();
     let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        let start = i;
-        match c {
-            c if c.is_whitespace() => {
+    while let Some(b) = at(i) {
+        let (token, next) = match b {
+            b if char::from(b).is_whitespace() => {
                 i += 1;
+                continue;
             }
-            ',' => {
-                out.push(Spanned { token: Token::Comma, position: start });
-                i += 1;
+            // SQL comments: `-- …` up to the end of the line.
+            b'-' if at(i + 1) == Some(b'-') => {
+                i += input.get(i..).and_then(|rest| rest.find('\n')).unwrap_or(bytes.len() - i);
+                continue;
             }
-            '(' => {
-                out.push(Spanned { token: Token::LParen, position: start });
-                i += 1;
+            b',' => (Token::Comma, i + 1),
+            b'(' => (Token::LParen, i + 1),
+            b')' => (Token::RParen, i + 1),
+            // A dot starting a number (.5) vs a qualifier dot.
+            b'.' if at(i + 1).is_some_and(|c| c.is_ascii_digit()) => lex_number(input, i),
+            b'.' => (Token::Dot, i + 1),
+            b'*' => (Token::Star, i + 1),
+            b'+' => (Token::Plus, i + 1),
+            b'-' => (Token::Minus, i + 1),
+            b'/' => (Token::Slash, i + 1),
+            b'=' => (Token::Eq, i + 1),
+            b'!' if at(i + 1) == Some(b'=') => (Token::Ne, i + 2),
+            b'<' => match at(i + 1) {
+                Some(b'=') => (Token::Le, i + 2),
+                Some(b'>') => (Token::Ne, i + 2),
+                _ => (Token::Lt, i + 1),
+            },
+            b'>' if at(i + 1) == Some(b'=') => (Token::Ge, i + 2),
+            b'>' => (Token::Gt, i + 1),
+            b'\'' => lex_string(input, i)?,
+            b if b.is_ascii_digit() => lex_number(input, i),
+            b if b.is_ascii_alphabetic() || b == b'_' => lex_word(input, i),
+            _ => {
+                // `i` is on a character boundary: every token before it
+                // ended on an ASCII byte or a closing quote.
+                let found = input.get(i..).and_then(|rest| rest.chars().next());
+                return Err(SqlError::Lex {
+                    position: i,
+                    found: found.unwrap_or(char::REPLACEMENT_CHARACTER),
+                });
             }
-            ')' => {
-                out.push(Spanned { token: Token::RParen, position: start });
-                i += 1;
-            }
-            '.' => {
-                // A dot starting a number (.5) vs a qualifier dot.
-                if i + 1 < bytes.len() && bytes[i + 1].is_ascii_digit() {
-                    let (tok, next) = lex_number(input, i);
-                    out.push(Spanned { token: tok, position: start });
-                    i = next;
-                } else {
-                    out.push(Spanned { token: Token::Dot, position: start });
-                    i += 1;
-                }
-            }
-            '*' => {
-                out.push(Spanned { token: Token::Star, position: start });
-                i += 1;
-            }
-            '+' => {
-                out.push(Spanned { token: Token::Plus, position: start });
-                i += 1;
-            }
-            '-' => {
-                // SQL comments: `-- …`
-                if i + 1 < bytes.len() && bytes[i + 1] == b'-' {
-                    while i < bytes.len() && bytes[i] != b'\n' {
-                        i += 1;
-                    }
-                } else {
-                    out.push(Spanned { token: Token::Minus, position: start });
-                    i += 1;
-                }
-            }
-            '/' => {
-                out.push(Spanned { token: Token::Slash, position: start });
-                i += 1;
-            }
-            '=' => {
-                out.push(Spanned { token: Token::Eq, position: start });
-                i += 1;
-            }
-            '!' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(Spanned { token: Token::Ne, position: start });
-                    i += 2;
-                } else {
-                    return Err(SqlError::Lex { position: i, found: '!' });
-                }
-            }
-            '<' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(Spanned { token: Token::Le, position: start });
-                    i += 2;
-                } else if i + 1 < bytes.len() && bytes[i + 1] == b'>' {
-                    out.push(Spanned { token: Token::Ne, position: start });
-                    i += 2;
-                } else {
-                    out.push(Spanned { token: Token::Lt, position: start });
-                    i += 1;
-                }
-            }
-            '>' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(Spanned { token: Token::Ge, position: start });
-                    i += 2;
-                } else {
-                    out.push(Spanned { token: Token::Gt, position: start });
-                    i += 1;
-                }
-            }
-            '\'' => {
-                let mut s = String::new();
-                let mut j = i + 1;
-                loop {
-                    if j >= bytes.len() {
-                        return Err(SqlError::Lex { position: i, found: '\'' });
-                    }
-                    if bytes[j] == b'\'' {
-                        if j + 1 < bytes.len() && bytes[j + 1] == b'\'' {
-                            s.push('\'');
-                            j += 2;
-                        } else {
-                            j += 1;
-                            break;
-                        }
-                    } else {
-                        s.push(bytes[j] as char);
-                        j += 1;
-                    }
-                }
-                out.push(Spanned { token: Token::Str(s), position: start });
-                i = j;
-            }
-            c if c.is_ascii_digit() => {
-                let (tok, next) = lex_number(input, i);
-                out.push(Spanned { token: tok, position: start });
-                i = next;
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut j = i + 1;
-                while j < bytes.len()
-                    && ((bytes[j] as char).is_ascii_alphanumeric() || bytes[j] == b'_')
-                {
-                    j += 1;
-                }
-                let word = &input[i..j];
-                let token = match word.to_ascii_uppercase().as_str() {
-                    "SELECT" => Token::Keyword(Keyword::Select),
-                    "FROM" => Token::Keyword(Keyword::From),
-                    "WHERE" => Token::Keyword(Keyword::Where),
-                    "AND" => Token::Keyword(Keyword::And),
-                    "OR" => Token::Keyword(Keyword::Or),
-                    "NOT" => Token::Keyword(Keyword::Not),
-                    "LIMIT" => Token::Keyword(Keyword::Limit),
-                    "AS" => Token::Keyword(Keyword::As),
-                    _ => Token::Ident(word.to_string()),
-                };
-                out.push(Spanned { token, position: start });
-                i = j;
-            }
-            other => return Err(SqlError::Lex { position: i, found: other }),
-        }
+        };
+        out.push(Spanned { token, position: i });
+        i = next;
     }
     Ok(out)
 }
 
+/// The single-quoted literal whose opening quote is at `start`: the
+/// text between the quotes with each `''` unescaped to `'`, and the
+/// offset just past the closing quote.
+fn lex_string(input: &str, start: usize) -> Result<(Token, usize), SqlError> {
+    let mut text = String::new();
+    let mut from = start + 1;
+    loop {
+        let rest = input.get(from..).unwrap_or_default();
+        let Some((piece, after)) = rest.split_once('\'') else {
+            return Err(SqlError::Lex { position: start, found: '\'' });
+        };
+        text.push_str(piece);
+        let quote = from + piece.len();
+        if !after.starts_with('\'') {
+            return Ok((Token::Str(text), quote + 1));
+        }
+        text.push('\'');
+        from = quote + 2;
+    }
+}
+
 fn lex_number(input: &str, start: usize) -> (Token, usize) {
     let bytes = input.as_bytes();
+    let digit = |j: usize| bytes.get(j).is_some_and(u8::is_ascii_digit);
     let mut j = start;
     let mut seen_dot = false;
-    while j < bytes.len() {
-        let b = bytes[j];
-        if b.is_ascii_digit() {
+    loop {
+        if digit(j) {
             j += 1;
-        } else if b == b'.' && !seen_dot {
+        } else if !seen_dot && bytes.get(j) == Some(&b'.') && digit(j + 1) {
             // Only treat the dot as part of the number if a digit follows
             // (so `25.foo` lexes as 25, '.', foo).
-            if j + 1 < bytes.len() && bytes[j + 1].is_ascii_digit() {
-                seen_dot = true;
-                j += 1;
-            } else {
-                break;
-            }
+            seen_dot = true;
+            j += 1;
         } else {
             break;
         }
     }
-    (Token::Number(input[start..j].to_string()), j)
+    (Token::Number(input.get(start..j).unwrap_or_default().to_string()), j)
+}
+
+/// A keyword or an identifier: ASCII letters, digits and `_`.
+fn lex_word(input: &str, start: usize) -> (Token, usize) {
+    let rest = input.get(start..).unwrap_or_default();
+    let len = rest.bytes().take_while(|b| b.is_ascii_alphanumeric() || *b == b'_').count();
+    let word = rest.get(..len).unwrap_or_default();
+    let token = match word.to_ascii_uppercase().as_str() {
+        "SELECT" => Token::Keyword(Keyword::Select),
+        "FROM" => Token::Keyword(Keyword::From),
+        "WHERE" => Token::Keyword(Keyword::Where),
+        "AND" => Token::Keyword(Keyword::And),
+        "OR" => Token::Keyword(Keyword::Or),
+        "NOT" => Token::Keyword(Keyword::Not),
+        "LIMIT" => Token::Keyword(Keyword::Limit),
+        "AS" => Token::Keyword(Keyword::As),
+        _ => Token::Ident(word.to_string()),
+    };
+    (token, start + len)
 }
 
 #[cfg(test)]
@@ -295,7 +243,22 @@ mod tests {
     fn strings_with_escapes() {
         assert_eq!(toks("'abc'"), vec![Token::Str("abc".into())]);
         assert_eq!(toks("'it''s'"), vec![Token::Str("it's".into())]);
+        assert_eq!(toks("''''"), vec![Token::Str("'".into())]);
+        assert_eq!(toks("''"), vec![Token::Str(String::new())]);
         assert!(lex("'unterminated").is_err());
+        assert_eq!(toks("'ends in a quote'''"), vec![Token::Str("ends in a quote'".into())]);
+        assert!(lex("'ends in an escape''").is_err());
+    }
+
+    #[test]
+    fn non_ascii_literals_stay_whole() {
+        assert_eq!(toks("'café'"), vec![Token::Str("café".into())]);
+        assert_eq!(
+            toks("'l''été' = x"),
+            vec![Token::Str("l'été".into()), Token::Eq, Token::Ident("x".into())]
+        );
+        let positions: Vec<usize> = lex("'日本' , y").unwrap().iter().map(|t| t.position).collect();
+        assert_eq!(positions, [0, 9, 11], "positions are byte offsets");
     }
 
     #[test]
@@ -314,5 +277,9 @@ mod tests {
     #[test]
     fn bad_character() {
         assert!(matches!(lex("a # b"), Err(SqlError::Lex { found: '#', .. })));
+        assert_eq!(lex("a ! b"), Err(SqlError::Lex { position: 2, found: '!' }));
+        // The character as written, not its first byte read as Latin-1.
+        assert_eq!(lex("café"), Err(SqlError::Lex { position: 3, found: 'é' }));
+        assert_eq!(lex("x = 1 → 2"), Err(SqlError::Lex { position: 6, found: '→' }));
     }
 }

@@ -72,10 +72,11 @@ impl Parser {
 
     fn ident(&mut self, what: &'static str) -> Result<String, SqlError> {
         match self.peek() {
-            Some(Token::Ident(_)) => match self.advance() {
-                Some(Token::Ident(s)) => Ok(s),
-                _ => unreachable!(),
-            },
+            Some(Token::Ident(s)) => {
+                let s = s.clone();
+                self.pos += 1;
+                Ok(s)
+            }
             _ => Err(self.err(what)),
         }
     }
@@ -257,14 +258,16 @@ impl Parser {
     // atom := number | string | column | ( expr )
     fn atom(&mut self) -> Result<SqlExpr, SqlError> {
         match self.peek() {
-            Some(Token::Number(_)) => match self.advance() {
-                Some(Token::Number(n)) => Ok(SqlExpr::Number(n)),
-                _ => unreachable!(),
-            },
-            Some(Token::Str(_)) => match self.advance() {
-                Some(Token::Str(s)) => Ok(SqlExpr::Str(s)),
-                _ => unreachable!(),
-            },
+            Some(Token::Number(n)) => {
+                let n = n.clone();
+                self.pos += 1;
+                Ok(SqlExpr::Number(n))
+            }
+            Some(Token::Str(s)) => {
+                let s = s.clone();
+                self.pos += 1;
+                Ok(SqlExpr::Str(s))
+            }
             Some(Token::Ident(_)) => Ok(SqlExpr::Column(self.column_ref()?)),
             Some(Token::LParen) => {
                 self.advance();
@@ -301,6 +304,18 @@ mod tests {
                 assert!(matches!(*r, SqlPredicate::Compare(_, CompareOp::Le, _)));
             }
             other => panic!("expected AND, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn string_literals_round_trip() {
+        for (written, value) in [("'café'", "café"), ("'it''s'", "it's")] {
+            let stmt = parse_select(&format!("SELECT M.rrp FROM Market M WHERE M.seg = {written}"))
+                .unwrap();
+            match stmt.predicate.unwrap() {
+                SqlPredicate::Compare(_, CompareOp::Eq, SqlExpr::Str(s)) => assert_eq!(s, value),
+                other => panic!("expected a string comparison, got {other:?}"),
+            }
         }
     }
 

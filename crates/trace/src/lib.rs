@@ -61,12 +61,14 @@ pub use span::{LatencyStats, RequestTrace, Span, StageSummary, Tracer, TracerSpa
 pub enum Stage {
     /// Time queued at the admission gate before a permit was granted.
     AdmissionWait,
-    /// SQL canonicalization into the plan-cache fingerprint.
+    /// The text-memo probe, and on a memo miss SQL parsing and
+    /// canonicalization into the plan-cache fingerprint (a memo hit
+    /// that misses the plan cache parses here too, to lower).
     Fingerprint,
     /// Plan-cache probe and (on hit) LRU refresh, on either lock mode.
     PlanLookup,
-    /// Grounding and batch preparation: parse/lower, candidate
-    /// generation, canonicalization, interning, dedup, key building.
+    /// Grounding and batch preparation: lowering, candidate
+    /// generation, canonicalization, dedup, key building.
     Prepare,
     /// ν-cache consultation for every group key in the plan.
     NuLookup,
@@ -132,9 +134,9 @@ impl Stage {
     pub fn what(self) -> &'static str {
         match self {
             Stage::AdmissionWait => "time queued at the admission gate before a permit",
-            Stage::Fingerprint => "SQL canonicalization into the plan-cache fingerprint",
+            Stage::Fingerprint => "text-memo probe, or SQL parse and plan-cache fingerprint",
             Stage::PlanLookup => "plan-cache probe and LRU refresh",
-            Stage::Prepare => "grounding and batch preparation (parse, candidates, dedup, keys)",
+            Stage::Prepare => "grounding and batch preparation (lower, candidates, dedup, keys)",
             Stage::NuLookup => "nu-cache consultation for every group in the plan",
             Stage::Measure => "measuring the nu-cache misses, including cache publication",
             Stage::Rehydrate => "rehydrating measured groups onto per-candidate answers",
