@@ -76,9 +76,12 @@
 //!   one shared direction pass over a plan's sampled misses,
 //!   [`CertaintyEngine::measure_batch`]);
 //! * [`nucache`] — the ν-cache: memoized, bit-identical measures keyed
-//!   by canonical formula and options fingerprint, sharded and bounded
+//!   by options fingerprint and canonical formula, sharded and bounded
 //!   by a byte budget alone (a database write cannot make an entry
 //!   wrong, so none is dropped for one);
+//! * [`lru`] — the one bounded least-recently-used map behind every
+//!   serving cache: the ν-cache's shards and `qarith-serve`'s plan
+//!   cache and text memo;
 //! * [`decompose`] — the rewrite pipeline's executor on the `Auto` and
 //!   `ExactOnly` routes: `qarith-rewrite` simplifies and splits formulas
 //!   into variable-disjoint factors, whose asymptotic events are
@@ -101,6 +104,7 @@ mod estimate;
 pub mod exact;
 pub mod fpras;
 pub mod lattice;
+pub mod lru;
 pub mod nucache;
 pub mod pipeline;
 pub mod reductions;

@@ -6,30 +6,36 @@
 //! both Monte-Carlo schemes derive their RNG streams from the configured
 //! seed. That makes ν safe to memoize — the cached value is bit-identical
 //! to what a fresh run would produce — provided the key captures
-//! everything the computation depends on:
+//! everything the computation depends on. A key is one byte string:
 //!
-//! * a **formula group key**: the bytes a
+//! * an **options fingerprint** first, 8 bytes of
+//!   [`crate::MeasureOptions::fingerprint`], which hashes the method
+//!   choice and every option that can influence the output bits (ε, δ,
+//!   seeds, thread counts, sampling policy, DNF budget, order limit);
+//! * then a **formula group key**: the bytes a
 //!   [`qarith_constraints::canonical::KeyEncoder`] builds (the
 //!   structural key in general; the batch engine substitutes the coarser
 //!   asymptotic key on the sampling route, where it is
 //!   evaluation-equivalent — see `pipeline`). Equal keys are equal
-//!   canonical forms, compared byte for byte — never a hash;
-//! * an **options fingerprint** hashing the method choice and every
-//!   option that can influence the output bits (ε, δ, seeds, thread
-//!   counts, sampling policy, DNF budget, order limit).
+//!   canonical forms under equal options, compared byte for byte —
+//!   never a hash.
+//!
+//! [`crate::CertaintyEngine::prepare_batch`] writes both parts once per
+//! group, so a plan's keys carry the fingerprint of the engine that
+//! prepared it and a lookup is one probe with the key alone.
 //!
 //! [`NuCache`] is the one cache every route attaches, from a single
 //! `fig1` run to a serving process that runs for weeks:
 //!
 //! * **Sharding** — entries are distributed over N independently locked
-//!   shards by a hash of the group key, so concurrent lookups of
-//!   different formulas contend only `1/N` of the time. The shard
-//!   choice affects *placement only*: which shard holds a key can never
-//!   influence the value returned for it.
-//! * **Bounded memory** — each shard enforces `budget_bytes / shards`
-//!   with least-recently-used eviction (every hit refreshes recency).
-//!   The resident size is accounted per entry as key bytes + estimate
-//!   size + a fixed bookkeeping overhead.
+//!   shards by a hash of the key, so concurrent lookups of different
+//!   formulas contend only `1/N` of the time. The shard choice affects
+//!   *placement only*: which shard holds a key can never influence the
+//!   value returned for it.
+//! * **Bounded memory** — each shard is one [`Lru`] map holding at most
+//!   `budget_bytes / shards`, with least-recently-used eviction (every
+//!   hit refreshes recency). The resident size is accounted per entry
+//!   as key bytes + estimate size + a fixed bookkeeping overhead.
 //! * **Observability** — hit/miss/entry/eviction/byte counters exported
 //!   through the workspace's `as_pairs` convention
 //!   ([`CacheStats::as_pairs`]), like every other stats block in
@@ -49,17 +55,19 @@
 //! tests and `tests/method_consistency.rs` lock this in by forcing a
 //! tiny budget and comparing bits.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::estimate::CertaintyEstimate;
+use crate::lru::Lru;
 
 /// Fixed per-entry bookkeeping charge (map nodes, the recency index,
 /// and the `Arc<[u8]>` header) on top of key and estimate bytes. The
 /// point of the budget is a reliable *order of magnitude*, not
-/// allocator-exact accounting.
-const ENTRY_OVERHEAD_BYTES: usize = 96;
+/// allocator-exact accounting. With the key's 8-byte options
+/// fingerprint that makes 96 fixed bytes per entry, the charge the
+/// gated `resident_bytes` counters were recorded under.
+const ENTRY_OVERHEAD_BYTES: usize = 88;
 
 /// Configuration of a [`NuCache`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,16 +106,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Fraction of lookups served from the cache (0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// The counters as stable `(name, value)` pairs, in declaration
     /// order — the machine-readable export `serve_bench` serializes
     /// into `BENCH_*.json`. Names are part of the JSON schema: renaming
@@ -124,76 +122,11 @@ impl CacheStats {
     }
 }
 
-/// One stored estimate.
-struct Entry {
-    estimate: CertaintyEstimate,
-    /// Position in the shard's recency index.
-    tick: u64,
-    /// Accounted size (subtracted back on eviction).
-    bytes: usize,
-}
-
-/// One shard: a two-level map (group key → fingerprint → entry, so
-/// lookups probe with `&[u8]` and never allocate) plus a recency index.
-/// The key `Arc<[u8]>` is shared between map and index, so a recency
-/// touch moves 16 bytes, not the key.
-#[derive(Default)]
-struct ShardInner {
-    map: HashMap<Arc<[u8]>, HashMap<u64, Entry>>,
-    /// tick → (group key, fingerprint); the smallest tick is the least
-    /// recently used entry. Ticks are unique within a shard.
-    recency: BTreeMap<u64, (Arc<[u8]>, u64)>,
-    next_tick: u64,
-    resident_bytes: usize,
-    evictions: u64,
-}
-
-impl ShardInner {
-    fn touch(&mut self, key: &Arc<[u8]>, fingerprint: u64) {
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        let entry = self.map.get_mut(key).and_then(|by_fp| by_fp.get_mut(&fingerprint));
-        // Callers pass a key they just found under this same lock, so
-        // the entry is present; tolerating absence anyway (a skipped
-        // recency refresh) keeps the request path panic-free.
-        let Some(entry) = entry else { return };
-        let old = std::mem::replace(&mut entry.tick, tick);
-        self.recency.remove(&old);
-        self.recency.insert(tick, (key.clone(), fingerprint));
-    }
-
-    fn evict_to(&mut self, budget: usize) {
-        while self.resident_bytes > budget {
-            let Some((_, (key, fingerprint))) = self.recency.pop_first() else { break };
-            let Some(by_fp) = self.map.get_mut(&key) else { continue };
-            if let Some(entry) = by_fp.remove(&fingerprint) {
-                self.resident_bytes -= entry.bytes;
-                self.evictions += 1;
-            }
-            if by_fp.is_empty() {
-                self.map.remove(&key);
-            }
-        }
-    }
-}
-
-// ShardInner has no Debug (key-byte maps are noise); summarize instead.
-impl std::fmt::Debug for ShardInner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardInner")
-            .field("entries", &self.recency.len())
-            .field("resident_bytes", &self.resident_bytes)
-            .field("evictions", &self.evictions)
-            .finish()
-    }
-}
-
 /// A bounded, sharded, LRU-evicting memo table for `ν` results. See
 /// the module docs for the policy and its soundness argument.
 #[derive(Debug)]
 pub struct NuCache {
-    shards: Vec<Mutex<ShardInner>>,
-    per_shard_budget: usize,
+    shards: Vec<Mutex<Lru<Arc<[u8]>, CertaintyEstimate>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -210,39 +143,34 @@ impl NuCache {
     pub fn new(config: NuCacheConfig) -> NuCache {
         let shards = config.shards.max(1);
         NuCache {
-            shards: (0..shards).map(|_| Mutex::new(ShardInner::default())).collect(),
-            per_shard_budget: config.budget_bytes / shards,
+            shards: (0..shards)
+                .map(|_| Mutex::new(Lru::new(config.budget_bytes / shards)))
+                .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Looks up the estimate for a formula group key under an options
-    /// fingerprint. Served entries are marked
+    /// Looks up the estimate for a key (options fingerprint, then group
+    /// key; see the module docs). Served entries are marked
     /// [`CertaintyEstimate::cached`].
-    pub fn get(&self, group_key: &[u8], fingerprint: u64) -> Option<CertaintyEstimate> {
+    pub fn get(&self, key: &[u8]) -> Option<CertaintyEstimate> {
         // Poison policy: a poisoned shard degrades to a permanent miss.
         // This is sound for the same reason eviction is — every entry
         // is a deterministic function of its key, so losing access to a
         // shard costs recomputation, never correctness. Requests keep
         // flowing at 15/16ths capacity instead of failing.
-        let Ok(mut inner) = self.shard_of(group_key).lock() else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
+        let found = match self.shard_of(key).lock() {
+            Ok(mut shard) => shard.get(key).cloned(),
+            Err(_) => None,
         };
-        let found = inner.map.get_key_value(group_key).and_then(|(key, by_fp)| {
-            by_fp.get(&fingerprint).map(|e| (key.clone(), e.estimate.clone()))
-        });
         match found {
-            Some((key, mut estimate)) => {
-                inner.touch(&key, fingerprint);
-                drop(inner);
+            Some(mut estimate) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 estimate.cached = true;
                 Some(estimate)
             }
             None => {
-                drop(inner);
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
@@ -252,31 +180,15 @@ impl NuCache {
     /// Records an estimate, evicting least-recently-used entries past
     /// the shard's budget. Last write wins; racing writers hold
     /// bit-identical values by construction.
-    pub fn insert(&self, group_key: &[u8], fingerprint: u64, estimate: CertaintyEstimate) {
-        let bytes = NuCache::entry_bytes(group_key);
+    pub fn insert(&self, key: &[u8], estimate: CertaintyEstimate) {
+        let bytes = NuCache::entry_bytes(key);
         // Poisoned shard: drop the insert (see `get` — the shard is a
         // permanent miss, so storing into it would never be observed).
-        let Ok(mut inner) = self.shard_of(group_key).lock() else { return };
-        let key: Arc<[u8]> = match inner.map.get_key_value(group_key) {
-            Some((key, _)) => key.clone(),
-            None => Arc::from(group_key),
+        // What the insert displaces is freed after the guard.
+        let _displaced = match self.shard_of(key).lock() {
+            Ok(mut shard) => shard.insert(Arc::from(key), estimate, bytes),
+            Err(_) => return,
         };
-        let tick = inner.next_tick;
-        inner.next_tick += 1;
-        let replaced = inner
-            .map
-            .entry(key.clone())
-            .or_default()
-            .insert(fingerprint, Entry { estimate, tick, bytes });
-        if let Some(old) = replaced {
-            // Replacement: racing writers hold bit-identical values, so
-            // only the recency/accounting bookkeeping changes.
-            inner.resident_bytes -= old.bytes;
-            inner.recency.remove(&old.tick);
-        }
-        inner.resident_bytes += bytes;
-        inner.recency.insert(tick, (key, fingerprint));
-        inner.evict_to(self.per_shard_budget);
     }
 
     /// Current aggregate counters.
@@ -291,10 +203,10 @@ impl NuCache {
             // A poisoned shard is skipped: its entries are unreachable
             // (lookups treat it as a permanent miss), so not counting
             // them matches what requests observe.
-            let Ok(inner) = shard.lock() else { continue };
-            stats.entries += inner.recency.len() as u64;
-            stats.resident_bytes += inner.resident_bytes as u64;
-            stats.evictions += inner.evictions;
+            let Ok(shard) = shard.lock() else { continue };
+            stats.entries += shard.len() as u64;
+            stats.resident_bytes += shard.cost() as u64;
+            stats.evictions += shard.evictions();
         }
         stats
     }
@@ -303,8 +215,8 @@ impl NuCache {
     /// required (placement is invisible in results), but a fixed
     /// function keeps eviction traces reproducible for a fixed request
     /// order, which the serving tests rely on.
-    fn shard_of(&self, group_key: &[u8]) -> &Mutex<ShardInner> {
-        let h = qarith_numeric::Fnv1a64::digest(group_key);
+    fn shard_of(&self, key: &[u8]) -> &Mutex<Lru<Arc<[u8]>, CertaintyEstimate>> {
+        let h = qarith_numeric::Fnv1a64::digest(key);
         // analyze: allow(panic-index, reason = "h % len < len by construction, and len >= 1 is forced in new()")
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
@@ -330,12 +242,12 @@ mod tests {
     #[test]
     fn get_insert_roundtrip_marks_cached() {
         let cache = NuCache::default();
-        assert!(cache.get(b"k", 7).is_none());
-        cache.insert(b"k", 7, est(1, 2));
-        let got = cache.get(b"k", 7).expect("present");
+        assert!(cache.get(b"k").is_none());
+        cache.insert(b"k", est(1, 2));
+        let got = cache.get(b"k").expect("present");
         assert_eq!(got.exact, Some(Rational::new(1, 2)));
         assert!(got.cached);
-        assert!(cache.get(b"k", 8).is_none(), "fingerprint is part of the key");
+        assert!(cache.get(b"kk").is_none(), "keys match byte for byte");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
         assert_eq!(stats.evictions, 0);
@@ -348,18 +260,18 @@ mod tests {
         let config = NuCacheConfig { shards: 1, budget_bytes: 4 * per_entry };
         let cache = NuCache::new(config);
         for i in 0..4 {
-            cache.insert(&key(i), 0, est(1, i as i128 + 1));
+            cache.insert(&key(i), est(1, i as i128 + 1));
         }
         assert_eq!(cache.stats().evictions, 0);
         // Touch key 0 so key 1 becomes the LRU victim.
-        assert!(cache.get(&key(0), 0).is_some());
-        cache.insert(&key(4), 0, est(1, 5));
+        assert!(cache.get(&key(0)).is_some());
+        cache.insert(&key(4), est(1, 5));
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert!(stats.resident_bytes <= config.budget_bytes as u64);
-        assert!(cache.get(&key(1), 0).is_none(), "LRU entry evicted");
-        assert!(cache.get(&key(0), 0).is_some(), "recently used entry survives");
-        assert!(cache.get(&key(4), 0).is_some(), "new entry resident");
+        assert!(cache.get(&key(1)).is_none(), "LRU entry evicted");
+        assert!(cache.get(&key(0)).is_some(), "recently used entry survives");
+        assert!(cache.get(&key(4)).is_some(), "new entry resident");
     }
 
     #[test]
@@ -370,8 +282,8 @@ mod tests {
         let cache = NuCache::new(config);
         for round in 0..3 {
             for i in 0..16 {
-                cache.insert(&key(i), 9, est(1, i as i128 + 1));
-                let got = cache.get(&key(i), 9).expect("just inserted (fits one entry)");
+                cache.insert(&key(i), est(1, i as i128 + 1));
+                let got = cache.get(&key(i)).expect("just inserted (fits one entry)");
                 assert_eq!(got.exact, Some(Rational::new(1, i as i128 + 1)), "round {round}");
             }
         }
@@ -384,7 +296,7 @@ mod tests {
     fn replacement_does_not_leak_accounting() {
         let cache = NuCache::new(NuCacheConfig { shards: 1, budget_bytes: 1 << 20 });
         for _ in 0..100 {
-            cache.insert(b"same", 1, est(1, 3));
+            cache.insert(b"same", est(1, 3));
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
@@ -400,8 +312,8 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..50 {
                         let key = format!("t{t}-{i}").into_bytes();
-                        cache.insert(&key, 0, est(1, 4));
-                        assert!(cache.get(&key, 0).is_some());
+                        cache.insert(&key, est(1, 4));
+                        assert!(cache.get(&key).is_some());
                     }
                 });
             }

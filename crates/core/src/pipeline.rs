@@ -285,7 +285,8 @@ pub(crate) enum Finish {
     Combine(Vec<CertaintyEstimate>, Combination),
 }
 
-/// A group's ν-cache key: the bytes of a [`KeyEncoder`] key, shared
+/// A group's ν-cache key: the preparing engine's options fingerprint
+/// (8 bytes) followed by the bytes of a [`KeyEncoder`] key, shared
 /// between the plan and the dedup map. `None` with dedup off.
 type GroupKey = Option<Arc<[u8]>>;
 
@@ -316,11 +317,14 @@ enum Slot {
 /// only a ν miss rewrites.
 ///
 /// A plan embeds the candidate tuples and ground formulas it was built
-/// from, grouped at the building engine's key granularity, so services
-/// prepare and execute with the same options: the fingerprint is
-/// re-read at execution time, but a plan grouped asymptotically (forced
-/// `Afpras`) and executed on another method would share one measurement
-/// across formulas that method's evaluators tell apart.
+/// from, grouped at the building engine's key granularity, and its
+/// ν-cache keys carry the options fingerprint of the engine that
+/// prepared it. So services prepare and execute with the same engine:
+/// a plan executed under other options would look up (and publish)
+/// estimates under the preparing engine's fingerprint, and a plan
+/// grouped asymptotically (forced `Afpras`) and executed on another
+/// method would share one measurement across formulas that method's
+/// evaluators tell apart.
 #[derive(Clone, Debug)]
 pub struct BatchPlan {
     /// The input candidates, in input order (owned: answers are
@@ -596,6 +600,8 @@ impl CertaintyEngine {
         let (mut certain, mut dedup_hits) = (0, 0);
         let mut encoder = KeyEncoder::new();
         let granularity = self.granularity();
+        let fingerprint = self.options.fingerprint().to_le_bytes();
+        let mut key = Vec::new();
 
         for cand in &candidates {
             if cand.certain {
@@ -608,14 +614,16 @@ impl CertaintyEngine {
                 slots.push(Slot::Group(groups.len() - 1, true));
                 continue;
             }
-            let key = encoder.encode(&cand.formula, granularity);
-            match by_key.get(key) {
+            key.clear();
+            key.extend_from_slice(&fingerprint);
+            key.extend_from_slice(encoder.encode(&cand.formula, granularity));
+            match by_key.get(key.as_slice()) {
                 Some(&gi) => {
                     dedup_hits += 1;
                     slots.push(Slot::Group(gi, false));
                 }
                 None => {
-                    let key: Arc<[u8]> = key.into();
+                    let key: Arc<[u8]> = key.as_slice().into();
                     by_key.insert(Arc::clone(&key), groups.len());
                     groups.push((Work::Canonical(Arc::clone(&cand.formula)), Some(key)));
                     slots.push(Slot::Group(groups.len() - 1, true));
@@ -663,7 +671,6 @@ impl CertaintyEngine {
         plan: &BatchPlan,
         mut sink: Option<&mut (dyn StageSink + '_)>,
     ) -> (Vec<GroupResult>, BatchStats) {
-        let fingerprint = self.options.fingerprint();
         let mut stats = BatchStats {
             candidates: plan.candidates.len(),
             certain: plan.certain,
@@ -681,7 +688,7 @@ impl CertaintyEngine {
             .groups
             .iter()
             .map(|(_, key)| match (self.cache.as_ref(), key) {
-                (Some(cache), Some(key)) => cache.get(key, fingerprint).map(Ok),
+                (Some(cache), Some(key)) => cache.get(key).map(Ok),
                 _ => None,
             })
             .collect();
@@ -705,7 +712,7 @@ impl CertaintyEngine {
         if let Some(cache) = self.cache.as_ref() {
             for (((_, key), result), fresh) in plan.groups.iter().zip(&results).zip(fresh) {
                 if let (true, Ok(est), Some(key)) = (fresh, result, key) {
-                    cache.insert(key, fingerprint, est.clone());
+                    cache.insert(key, est.clone());
                 }
             }
         }

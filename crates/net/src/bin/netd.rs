@@ -131,10 +131,10 @@ fn main() -> ExitCode {
         );
     }
 
-    // Wait for a drain command. EOF on stdin is NOT a drain: a
-    // backgrounded `netd &` inherits a closed stdin immediately, and
-    // killing it on launch would be rude — park instead.
-    let mut saw_eof = false;
+    // Wait for a drain command. EOF on stdin (or a read error) is NOT a
+    // drain: a backgrounded `netd &` inherits a closed stdin
+    // immediately, and killing it on launch would be rude — park
+    // instead.
     for line in std::io::stdin().lock().lines() {
         match line {
             Ok(cmd) if matches!(cmd.trim(), "quit" | "drain" | "stop") => {
@@ -142,13 +142,9 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             Ok(_) => {} // unknown chatter; keep serving
-            Err(_) => {
-                saw_eof = true;
-                break;
-            }
+            Err(_) => break,
         }
     }
-    let _ = saw_eof; // lines() also just ends on clean EOF
     loop {
         std::thread::sleep(Duration::from_secs(3600));
     }

@@ -196,6 +196,27 @@ fn rejected_sql_and_option_errors_are_structured_and_survivable() {
 }
 
 #[test]
+fn a_deeply_nested_query_is_a_sql_error_and_the_connection_survives() {
+    let server = start_server();
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    // 3,000 nested parentheses (6 KB): the parser refuses them at its
+    // depth bound instead of recursing 3,000 times on the connection
+    // thread's stack.
+    let deep = format!(
+        "SELECT P.id FROM Products P WHERE {}P.rrp > 1{}",
+        "(".repeat(3_000),
+        ")".repeat(3_000)
+    );
+    match client.query(&deep).expect("reply") {
+        Decoded::Error { kind, .. } => assert_eq!(kind, ErrorKind::Sql),
+        other => panic!("expected sql error, got {other:?}"),
+    }
+    let reference = server.service().query("SELECT P.id FROM Products P").expect("reference");
+    let wire = client.query("SELECT P.id FROM Products P").expect("wire");
+    assert_bit_identical(&wire, &reference);
+}
+
+#[test]
 fn pipelined_requests_come_back_in_order_and_bit_identical() {
     let server = start_server();
     let sql = workload_sql();

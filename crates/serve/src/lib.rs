@@ -24,7 +24,9 @@
 //!   literals) skips the whole front half and goes straight to
 //!   per-group ν lookup via [`CertaintyEngine::execute_plan`]. A text
 //!   sent again skips parse and fingerprint too (a text memo bounded by
-//!   [`ServeConfig::max_plans`]), and a cached plan whose groups all
+//!   [`ServeConfig::max_plans`]; it and the plan cache are
+//!   least-recently-used [`qarith_core::lru::Lru`] maps, as is each
+//!   ν-cache shard), and a cached plan whose groups all
 //!   hit the ν-cache hands the wire encoder its render slot
 //!   ([`QueryResponse::render_slot`]), so its reply block is rendered
 //!   once.

@@ -1,10 +1,10 @@
 //! The long-lived query service: prepared plans over a shared engine.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use qarith_core::afpras::{AfprasOptions, SampleCount};
+use qarith_core::lru::Lru;
 use qarith_core::{
     AnswerWithCertainty, BatchPlan, BatchStats, CacheStats, CertaintyEngine, MeasureOptions,
     MethodChoice, NuCache, NuCacheConfig,
@@ -273,18 +273,18 @@ pub struct QueryService {
     catalog: Catalog,
     engine: CertaintyEngine,
     cache: Arc<NuCache>,
-    plans: RwLock<PlanCache>,
+    /// The cached plans by fingerprint, at most
+    /// [`ServeConfig::max_plans`] of them (the `PlanCache` lock class).
+    plans: Mutex<Lru<Arc<str>, PlanEntry>>,
     /// The text memo: exact SQL text → fingerprint, for texts that hit
-    /// a cached plan (the `TextMemo` lock class; its guards are never
-    /// held while another guard is taken).
-    texts: RwLock<HashMap<String, String>>,
-    max_plans: usize,
-    plan_tick: AtomicU64,
+    /// a cached plan, at most [`ServeConfig::max_plans`] of them (the
+    /// `TextMemo` lock class; its guards are never held while another
+    /// guard is taken).
+    texts: Mutex<Lru<Arc<str>, String>>,
     gate: AdmissionGate,
     queries: AtomicU64,
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
-    plan_evictions: AtomicU64,
     writes: AtomicU64,
     write_ops: AtomicU64,
     plan_invalidations: AtomicU64,
@@ -356,18 +356,14 @@ impl BatchTotals {
 }
 
 /// A cached plan — the fully prepared template (parse → lower →
-/// ground → canonicalize/dedup → rewrite, run once) — plus its recency
-/// stamp, the read footprint its join recorded, and the epochs it is
-/// exact on. A plan embeds candidates generated from the rows its join
-/// visited; it is exact on every epoch from `built` through `checked`,
-/// because each write since `built` was checked against the footprint
+/// ground → canonicalize/dedup → rewrite, run once) — plus the read
+/// footprint its join recorded and the epochs it is exact on. A plan
+/// embeds candidates generated from the rows its join visited; it is
+/// exact on every epoch from `built` through `checked`, because each
+/// write since `built` was checked against the footprint
 /// ([`ReadFootprint::affected_by`]) and left those rows in place and in
 /// order. A request on any other epoch treats the entry as a miss, and
 /// its rebuild replaces the entry if it is the fresher one.
-/// `last_used` is an atomic so hits can refresh it under the read lock
-/// (the common path never takes the write lock); `checked` and
-/// `indexed` move only under the write lock.
-#[derive(Debug)]
 struct PlanEntry {
     plan: Arc<BatchPlan>,
     /// The plan's rendered reply block ([`QueryResponse::render_slot`]),
@@ -380,84 +376,12 @@ struct PlanEntry {
     built: u64,
     /// The last epoch the footprint was checked through.
     checked: u64,
-    last_used: AtomicU64,
-    /// The stamp [`PlanCache::recency`] lists this entry under; never
-    /// later than `last_used`.
-    indexed: u64,
 }
 
 impl PlanEntry {
     /// `true` iff the plan is exact on `epoch`.
     fn serves(&self, epoch: u64) -> bool {
         self.built <= epoch && epoch <= self.checked
-    }
-}
-
-/// The cached plans by fingerprint, plus a recency index that finds
-/// the least recently used one in O(log n) instead of a scan.
-///
-/// A hit refreshes its entry's `last_used` under the read lock and
-/// leaves the index alone, so the index lists each entry under a stamp
-/// no later than its current one. Stamps are unique (each is one
-/// `plan_tick` increment), and a stamp a hit stores after the index
-/// last moved is later than every stamp stored before. So the first
-/// listed entry is the least recent one exactly when its stamp has not
-/// moved since it was listed; otherwise eviction re-lists it under its
-/// current stamp and looks again. Each hit costs at most one re-listing.
-#[derive(Debug, Default)]
-struct PlanCache {
-    entries: HashMap<Arc<str>, PlanEntry>,
-    /// `indexed` stamp → fingerprint, one record per entry.
-    recency: BTreeMap<u64, Arc<str>>,
-}
-
-impl PlanCache {
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn get(&self, fingerprint: &str) -> Option<&PlanEntry> {
-        self.entries.get(fingerprint)
-    }
-
-    /// Inserts a new entry, listed under its `indexed` stamp.
-    fn insert(&mut self, fingerprint: &str, entry: PlanEntry) {
-        let key: Arc<str> = Arc::from(fingerprint);
-        self.recency.insert(entry.indexed, key.clone());
-        self.entries.insert(key, entry);
-    }
-
-    fn remove(&mut self, fingerprint: &str) -> Option<PlanEntry> {
-        let entry = self.entries.remove(fingerprint)?;
-        self.recency.remove(&entry.indexed);
-        Some(entry)
-    }
-
-    /// Removes and returns the least recently used entry.
-    fn pop_lru(&mut self) -> Option<PlanEntry> {
-        while let Some((stamp, key)) = self.recency.pop_first() {
-            let Some(entry) = self.entries.get_mut(&key) else { continue };
-            let current = entry.last_used.load(Ordering::Relaxed);
-            if current == stamp {
-                return self.entries.remove(&key);
-            }
-            entry.indexed = current;
-            self.recency.insert(current, key);
-        }
-        None
-    }
-
-    /// Keeps the entries `keep` accepts (it may update them), and
-    /// unlists the rest.
-    fn retain(&mut self, mut keep: impl FnMut(&mut PlanEntry) -> bool) {
-        let recency = &mut self.recency;
-        self.entries.retain(|_, entry| {
-            let kept = keep(entry);
-            if !kept {
-                recency.remove(&entry.indexed);
-            }
-            kept
-        });
     }
 }
 
@@ -478,15 +402,12 @@ impl QueryService {
             catalog,
             engine,
             cache,
-            plans: RwLock::new(PlanCache::default()),
-            texts: RwLock::new(HashMap::new()),
-            max_plans: config.max_plans.max(1),
-            plan_tick: AtomicU64::new(0),
+            plans: Mutex::new(Lru::new(config.max_plans.max(1))),
+            texts: Mutex::new(Lru::new(config.max_plans.max(1))),
             gate: AdmissionGate::new(config.max_in_flight),
             queries: AtomicU64::new(0),
             plan_hits: AtomicU64::new(0),
             plan_misses: AtomicU64::new(0),
-            plan_evictions: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             write_ops: AtomicU64::new(0),
             plan_invalidations: AtomicU64::new(0),
@@ -577,25 +498,21 @@ impl QueryService {
         })
     }
 
-    /// The memoized fingerprint of this exact text. A poisoned memo
-    /// counts as a miss.
+    /// The memoized fingerprint of this exact text, now the most
+    /// recently used one. A poisoned memo counts as a miss.
     fn memoized(&self, sql: &str) -> Option<String> {
-        self.texts.read().ok()?.get(sql).cloned()
+        self.texts.lock().ok()?.get(sql).cloned()
     }
 
-    /// Memoizes `sql` → `fingerprint`, dropping an arbitrary entry
-    /// first when the memo already holds `max_plans` texts (which one
-    /// goes changes what the next request costs, never what it
-    /// answers). A poisoned memo is left as it is.
+    /// Memoizes `sql` → `fingerprint`, evicting the least recently used
+    /// text when the memo already holds `max_plans` (which one goes
+    /// changes what the next request costs, never what it answers). A
+    /// poisoned memo is left as it is.
     fn memoize(&self, sql: &str, fingerprint: &str) {
-        let Ok(mut texts) = self.texts.write() else { return };
-        if texts.len() >= self.max_plans && !texts.contains_key(sql) {
-            let victim = texts.keys().next().cloned();
-            if let Some(victim) = victim {
-                texts.remove(&victim);
-            }
-        }
-        texts.insert(sql.to_string(), fingerprint.to_string());
+        let _displaced = match self.texts.lock() {
+            Ok(mut texts) => texts.insert(Arc::from(sql), fingerprint.to_string(), 1),
+            Err(_) => return,
+        };
     }
 
     /// Applies one [`WriteBatch`], publishing the next epoch. Writers
@@ -720,9 +637,8 @@ impl QueryService {
         // The per-relation first changed rows, worked out once and
         // outside the lock.
         let delta = WriteDelta::new(&before.db, &after.db, &batch.ops);
-        let mut plans = self.plans.write().map_err(|_| ServeError::LockPoisoned("plan cache"))?;
-        let resident = plans.len();
-        plans.retain(|entry| {
+        let mut plans = self.plans.lock().map_err(|_| ServeError::LockPoisoned("plan cache"))?;
+        let dropped = plans.retain(|entry| {
             if entry.checked >= after.epoch {
                 return true;
             }
@@ -732,7 +648,8 @@ impl QueryService {
             entry.checked = after.epoch;
             true
         });
-        Ok((resident - plans.len()) as u64)
+        drop(plans);
+        Ok(dropped.len() as u64)
     }
 
     /// Plan-cache lookup with build-on-miss, epoch validation, and
@@ -767,12 +684,9 @@ impl QueryService {
         }
         {
             let _span = trace.span(Stage::PlanLookup);
-            if let Some(entry) = self.plans.read().map_err(poisoned)?.get(fingerprint) {
+            if let Some(entry) = self.plans.lock().map_err(poisoned)?.get(fingerprint) {
                 if entry.serves(snap.epoch) {
                     self.plan_hits.fetch_add(1, Ordering::Relaxed);
-                    entry
-                        .last_used
-                        .store(self.plan_tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
                     let render_slot = entry.render_slot.get_or_init(RenderSlot::default);
                     return Ok((entry.plan.clone(), Some(render_slot.clone())));
                 }
@@ -794,41 +708,31 @@ impl QueryService {
         // are the expensive half, and other templates must keep flowing.
         let (built, footprint) = self.build_plan(&stmt, snap, trace)?;
         let built = Arc::new(built);
-        let tick = self.plan_tick.fetch_add(1, Ordering::Relaxed);
         let _span = trace.span(Stage::PlanLookup);
-        // Declared before the guard, so dropped after it: freeing the
-        // plans this publication displaces holds no lock.
-        let mut displaced = Vec::new();
-        let mut plans = self.plans.write().map_err(poisoned)?;
-        if let Some(entry) = plans.get(fingerprint) {
-            if entry.serves(snap.epoch) {
-                return Ok((entry.plan.clone(), None));
+        // The plans this publication displaces (a resident plan last
+        // checked before our epoch, which ours replaces, and the least
+        // recently used ones past the cap) are freed after the guard.
+        let _displaced = {
+            let mut plans = self.plans.lock().map_err(poisoned)?;
+            if let Some(entry) = plans.get(fingerprint) {
+                if entry.serves(snap.epoch) {
+                    return Ok((entry.plan.clone(), None));
+                }
+                if entry.checked > snap.epoch {
+                    // The resident plan serves newer readers; ours
+                    // serves this request alone.
+                    return Ok((built, None));
+                }
             }
-            if entry.checked > snap.epoch {
-                // The resident plan serves newer readers; ours serves
-                // this request alone.
-                return Ok((built, None));
-            }
-            // The resident plan was last checked before our epoch:
-            // ours replaces it.
-            displaced.extend(plans.remove(fingerprint));
-        }
-        // Evict least-recently-used templates down to cap − 1.
-        while plans.len() >= self.max_plans {
-            let Some(victim) = plans.pop_lru() else { break };
-            displaced.push(victim);
-            self.plan_evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        let entry = PlanEntry {
-            plan: built.clone(),
-            render_slot: OnceLock::new(),
-            footprint,
-            built: snap.epoch,
-            checked: snap.epoch,
-            last_used: AtomicU64::new(tick),
-            indexed: tick,
+            let entry = PlanEntry {
+                plan: built.clone(),
+                render_slot: OnceLock::new(),
+                footprint,
+                built: snap.epoch,
+                checked: snap.epoch,
+            };
+            plans.insert(Arc::from(fingerprint), entry, 1)
         };
-        plans.insert(fingerprint, entry);
         Ok((built, None))
     }
 
@@ -863,15 +767,17 @@ impl QueryService {
 
     /// Service-level counters.
     pub fn stats(&self) -> ServiceStats {
+        // Counters must never panic; a poisoned cache reports 0 resident
+        // and evicted plans (requests themselves fail with
+        // `LockPoisoned`, which is the visible signal).
+        let (plans, plan_evictions) =
+            self.plans.lock().map_or((0, 0), |p| (p.len() as u64, p.evictions()));
         ServiceStats {
             queries: self.queries.load(Ordering::Relaxed),
             plan_hits: self.plan_hits.load(Ordering::Relaxed),
             plan_misses: self.plan_misses.load(Ordering::Relaxed),
-            // Counters must never panic; a poisoned cache reports 0
-            // resident plans (requests themselves fail with
-            // `LockPoisoned`, which is the visible signal).
-            plans: self.plans.read().map_or(0, |p| p.len() as u64),
-            plan_evictions: self.plan_evictions.load(Ordering::Relaxed),
+            plans,
+            plan_evictions,
             // Same policy for the epoch gauge on a poisoned store.
             epoch: self.snapshot().map_or(0, |s| s.epoch),
             writes: self.writes.load(Ordering::Relaxed),
@@ -1022,7 +928,7 @@ mod tests {
     }
 
     fn memo_len(service: &QueryService) -> usize {
-        service.texts.read().expect("memo").len()
+        service.texts.lock().expect("memo").len()
     }
 
     /// Spellings of one template share one plan; each spelling is
@@ -1042,13 +948,39 @@ mod tests {
             assert_eq!(response.fingerprint, first.fingerprint);
             assert_eq!(memo_len(&service), n.min(2), "the memo stays within max_plans");
         }
-        let memoized = service.texts.read().expect("memo").keys().next().cloned();
-        let memoized = memoized.expect("a memoized text");
-        let again = service.query(&memoized).expect("memo hit");
+        assert!(service.memoized(&spelling(3)).is_none(), "the least recent texts went");
+        assert!(service.memoized(&spelling(4)).is_some());
+        let again = service.query(&spelling(5)).expect("memo hit");
         assert!(again.plan_cached);
         assert_eq!(again.fingerprint, first.fingerprint);
         assert_eq!(service.stats().plans, 1);
         assert_eq!(service.stats().plan_misses, 1);
+    }
+
+    /// The memo evicts the least recently used text: with room for two,
+    /// a spelling re-read between fills outlives eight other memoized
+    /// spellings of its template. Each service hashes its texts with
+    /// fresh keys, so running on eight services would also catch a memo
+    /// that evicts in hash order (it keeps the re-read text only where
+    /// that text happens to hash late).
+    #[test]
+    fn the_text_memo_keeps_a_text_that_is_re_read() {
+        let spelling = |n: usize| format!("SELECT R.id FROM R{} WHERE R.x > R.y", " ".repeat(n));
+        let kept = spelling(1);
+        for _ in 0..8 {
+            let config = ServeConfig { max_plans: 2, ..ServeConfig::default() };
+            let service = QueryService::new(db(), config);
+            service.query(&kept).expect("build");
+            service.query(&kept).expect("hit, memoized");
+            for n in 2..10 {
+                assert!(service.query(&spelling(n)).expect("hit, memoized").plan_cached);
+                assert!(service.memoized(&kept).is_some(), "kept through spelling {n}");
+                assert!(service.query(&kept).expect("memo hit").plan_cached);
+            }
+            assert_eq!(memo_len(&service), 2);
+            assert!(service.memoized(&spelling(8)).is_none(), "eight fills evicted seven texts");
+            assert_eq!(service.stats().plan_misses, 1);
+        }
     }
 
     /// A memoized text whose plan was evicted parses again to rebuild,
@@ -1083,7 +1015,7 @@ mod tests {
         assert_eq!(rebuilt.fingerprint, cold.fingerprint);
     }
 
-    /// The recency index evicts exactly the least recently used plan:
+    /// The plan cache evicts exactly the least recently used plan:
     /// over a seeded stream of eight templates through a four-plan
     /// cache, every request hits iff an exact LRU model holds its
     /// template.
@@ -1111,6 +1043,36 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.plans, 4);
         assert_eq!(stats.plan_evictions, stats.plan_misses - 4);
+    }
+
+    /// A statement nested to the parser's bound serves, and one nested
+    /// past it is a SQL error, for parentheses, unary minus, `+` chains
+    /// and `AND` chains (the served conjunctive fragment has no `NOT` or
+    /// `OR`; the parser's tests bound those) — at thousands of levels
+    /// too, on a test thread's default stack.
+    #[test]
+    fn statements_nested_to_the_bound_serve_and_deeper_ones_are_sql_errors() {
+        let service = QueryService::new(db(), ServeConfig::default());
+        let sql = |construct: &str, n: usize| {
+            let predicate = match construct {
+                "(" => format!("{}R.x > R.y{}", "(".repeat(n), ")".repeat(n)),
+                "-" => format!("R.x > {}R.y", "- ".repeat(n)),
+                "+" => format!("R.x{} > R.y", " + R.y".repeat(n)),
+                _ => format!("R.x > R.y{}", " AND R.x > R.y".repeat(n)),
+            };
+            format!("SELECT R.id FROM R WHERE {predicate}")
+        };
+        for construct in ["(", "-", "+", "AND"] {
+            let served = service.query(&sql(construct, qarith_sql::MAX_DEPTH));
+            assert!(served.is_ok(), "{construct}: {served:?}");
+            for n in [qarith_sql::MAX_DEPTH + 1, 3_000] {
+                let refused = service.query(&sql(construct, n));
+                assert!(
+                    matches!(refused, Err(ServeError::Sql(qarith_sql::SqlError::Parse { .. }))),
+                    "{construct} × {n}: {refused:?}"
+                );
+            }
+        }
     }
 
     /// A non-ASCII string literal matches the row a write stored.

@@ -50,7 +50,7 @@ pub use ast::{SelectStatement, SqlExpr, SqlPredicate, TableRef};
 pub use error::SqlError;
 pub use fingerprint::sql_fingerprint;
 pub use lower::{lower, LoweredQuery};
-pub use parser::parse_select;
+pub use parser::{parse_select, MAX_DEPTH};
 
 use qarith_query::Query;
 use qarith_types::Catalog;

@@ -4,18 +4,39 @@ use crate::ast::{ColumnRef, SelectStatement, SqlExpr, SqlPredicate, TableRef};
 use crate::error::SqlError;
 use crate::lexer::{lex, Keyword, Spanned, Token};
 
+/// The most levels a `WHERE` predicate may nest: each parenthesis,
+/// `NOT`, unary minus and binary operator is one level above its
+/// operands, and a chain such as `a + b + c` or `p AND q AND r` nests
+/// one level per operator (it parses left-deep). Parsing, lowering,
+/// fingerprinting and dropping a statement each recurse once per level,
+/// so this bound, not the text's length, fixes how much stack a request
+/// takes; a statement past it is a [`SqlError::Parse`], found before the
+/// parser recurses past the bound.
+pub const MAX_DEPTH: usize = 64;
+
+/// What a statement past [`MAX_DEPTH`] gets as its parse error.
+const TOO_DEEP: &str = "a predicate nested at most 64 levels deep";
+
 /// Parses one `SELECT` statement.
 pub fn parse_select(input: &str) -> Result<SelectStatement, SqlError> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     let stmt = p.select()?;
     p.expect_eof()?;
     Ok(stmt)
 }
 
+/// A parsed predicate or expression and its height in levels (see
+/// [`MAX_DEPTH`]); a column or literal has height 0.
+type Parsed<T> = Result<(T, usize), SqlError>;
+
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Parentheses, `NOT`s and unary minuses around the current token:
+    /// levels the statement has already nested, so its height is at
+    /// least this.
+    depth: usize,
 }
 
 impl Parser {
@@ -70,6 +91,27 @@ impl Parser {
         }
     }
 
+    /// The height of a node one level above operands at most `height`
+    /// high, or the depth error past [`MAX_DEPTH`].
+    fn level(&self, height: usize) -> Result<usize, SqlError> {
+        if height < MAX_DEPTH {
+            Ok(height + 1)
+        } else {
+            Err(self.err(TOO_DEEP))
+        }
+    }
+
+    /// Parses with `inner` one nesting level deeper (inside a
+    /// parenthesis, `NOT` or unary minus), failing instead of recursing
+    /// past [`MAX_DEPTH`].
+    fn nested<T>(&mut self, inner: impl FnOnce(&mut Parser) -> Parsed<T>) -> Parsed<T> {
+        self.depth = self.level(self.depth)?;
+        let parsed = inner(self);
+        self.depth -= 1;
+        let (node, height) = parsed?;
+        Ok((node, self.level(height)?))
+    }
+
     fn ident(&mut self, what: &'static str) -> Result<String, SqlError> {
         match self.peek() {
             Some(Token::Ident(s)) => {
@@ -99,7 +141,7 @@ impl Parser {
         }
         let predicate = if matches!(self.peek(), Some(Token::Keyword(Keyword::Where))) {
             self.advance();
-            Some(self.predicate()?)
+            Some(self.predicate()?.0)
         } else {
             None
         };
@@ -143,25 +185,27 @@ impl Parser {
     }
 
     // predicate := conjunct (OR conjunct)*
-    fn predicate(&mut self) -> Result<SqlPredicate, SqlError> {
-        let mut lhs = self.conjunct()?;
+    fn predicate(&mut self) -> Parsed<SqlPredicate> {
+        let (mut lhs, mut height) = self.conjunct()?;
         while matches!(self.peek(), Some(Token::Keyword(Keyword::Or))) {
             self.advance();
-            let rhs = self.conjunct()?;
+            let (rhs, h) = self.conjunct()?;
+            height = self.level(height.max(h))?;
             lhs = SqlPredicate::Or(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
     // conjunct := factor (AND factor)*
-    fn conjunct(&mut self) -> Result<SqlPredicate, SqlError> {
-        let mut lhs = self.factor()?;
+    fn conjunct(&mut self) -> Parsed<SqlPredicate> {
+        let (mut lhs, mut height) = self.factor()?;
         while matches!(self.peek(), Some(Token::Keyword(Keyword::And))) {
             self.advance();
-            let rhs = self.factor()?;
+            let (rhs, h) = self.factor()?;
+            height = self.level(height.max(h))?;
             lhs = SqlPredicate::And(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
     // factor := NOT factor | comparison
@@ -169,116 +213,120 @@ impl Parser {
     // an arithmetic expression. We try the predicate reading first and
     // backtrack (the token stream is already materialized, so this is
     // cheap).
-    fn factor(&mut self) -> Result<SqlPredicate, SqlError> {
+    fn factor(&mut self) -> Parsed<SqlPredicate> {
         if matches!(self.peek(), Some(Token::Keyword(Keyword::Not))) {
             self.advance();
-            return Ok(SqlPredicate::Not(Box::new(self.factor()?)));
+            let (inner, height) = self.nested(Parser::factor)?;
+            return Ok((SqlPredicate::Not(Box::new(inner)), height));
         }
         if self.peek() == Some(&Token::LParen) {
             let mark = self.pos;
             self.advance();
-            if let Ok(inner) = self.predicate() {
-                if self.eat(&Token::RParen) {
-                    // Nested predicate … unless a comparison operator
-                    // follows, in which case the parens wrapped an
-                    // arithmetic expression like `(a + b) < c`.
-                    if !matches!(
-                        self.peek(),
-                        Some(Token::Eq | Token::Ne | Token::Lt | Token::Le | Token::Gt | Token::Ge)
-                    ) {
-                        return Ok(inner);
-                    }
+            match self.nested(Parser::predicate) {
+                // Nested predicate … unless a comparison operator follows,
+                // in which case the parens wrapped an arithmetic
+                // expression like `(a + b) < c`.
+                Ok(inner) if self.eat(&Token::RParen) && self.compare_op().is_none() => {
+                    return Ok(inner)
                 }
+                // The expression reading nests the same parentheses and
+                // chains, so it could only fail too.
+                Err(e @ SqlError::Parse { expected: TOO_DEEP, .. }) => return Err(e),
+                _ => {}
             }
             self.pos = mark; // backtrack: parse as comparison
         }
         self.comparison()
     }
 
-    fn comparison(&mut self) -> Result<SqlPredicate, SqlError> {
-        let lhs = self.expr()?;
-        let op = match self.peek() {
-            Some(Token::Eq) => CompareOp::Eq,
-            Some(Token::Ne) => CompareOp::Ne,
-            Some(Token::Lt) => CompareOp::Lt,
-            Some(Token::Le) => CompareOp::Le,
-            Some(Token::Gt) => CompareOp::Gt,
-            Some(Token::Ge) => CompareOp::Ge,
-            _ => return Err(self.err("a comparison operator")),
+    fn compare_op(&self) -> Option<CompareOp> {
+        Some(match self.peek()? {
+            Token::Eq => CompareOp::Eq,
+            Token::Ne => CompareOp::Ne,
+            Token::Lt => CompareOp::Lt,
+            Token::Le => CompareOp::Le,
+            Token::Gt => CompareOp::Gt,
+            Token::Ge => CompareOp::Ge,
+            _ => return None,
+        })
+    }
+
+    fn comparison(&mut self) -> Parsed<SqlPredicate> {
+        let (lhs, lhs_height) = self.expr()?;
+        let Some(op) = self.compare_op() else {
+            return Err(self.err("a comparison operator"));
         };
         self.advance();
-        let rhs = self.expr()?;
-        Ok(SqlPredicate::Compare(lhs, op, rhs))
+        let (rhs, rhs_height) = self.expr()?;
+        Ok((SqlPredicate::Compare(lhs, op, rhs), lhs_height.max(rhs_height)))
     }
 
     // expr := term ((+|-) term)*
-    fn expr(&mut self) -> Result<SqlExpr, SqlError> {
-        let mut lhs = self.term()?;
+    fn expr(&mut self) -> Parsed<SqlExpr> {
+        let (mut lhs, mut height) = self.term()?;
         loop {
-            match self.peek() {
-                Some(Token::Plus) => {
-                    self.advance();
-                    lhs = SqlExpr::Add(Box::new(lhs), Box::new(self.term()?));
-                }
-                Some(Token::Minus) => {
-                    self.advance();
-                    lhs = SqlExpr::Sub(Box::new(lhs), Box::new(self.term()?));
-                }
-                _ => return Ok(lhs),
-            }
+            let op = match self.peek() {
+                Some(Token::Plus) => SqlExpr::Add,
+                Some(Token::Minus) => SqlExpr::Sub,
+                _ => return Ok((lhs, height)),
+            };
+            self.advance();
+            let (rhs, h) = self.term()?;
+            height = self.level(height.max(h))?;
+            lhs = op(Box::new(lhs), Box::new(rhs));
         }
     }
 
     // term := unary ((*|/) unary)*
-    fn term(&mut self) -> Result<SqlExpr, SqlError> {
-        let mut lhs = self.unary()?;
+    fn term(&mut self) -> Parsed<SqlExpr> {
+        let (mut lhs, mut height) = self.unary()?;
         loop {
-            match self.peek() {
-                Some(Token::Star) => {
-                    self.advance();
-                    lhs = SqlExpr::Mul(Box::new(lhs), Box::new(self.unary()?));
-                }
-                Some(Token::Slash) => {
-                    self.advance();
-                    lhs = SqlExpr::Div(Box::new(lhs), Box::new(self.unary()?));
-                }
-                _ => return Ok(lhs),
-            }
+            let op = match self.peek() {
+                Some(Token::Star) => SqlExpr::Mul,
+                Some(Token::Slash) => SqlExpr::Div,
+                _ => return Ok((lhs, height)),
+            };
+            self.advance();
+            let (rhs, h) = self.unary()?;
+            height = self.level(height.max(h))?;
+            lhs = op(Box::new(lhs), Box::new(rhs));
         }
     }
 
     // unary := - unary | atom
-    fn unary(&mut self) -> Result<SqlExpr, SqlError> {
+    fn unary(&mut self) -> Parsed<SqlExpr> {
         if self.eat(&Token::Minus) {
-            return Ok(SqlExpr::Neg(Box::new(self.unary()?)));
+            let (inner, height) = self.nested(Parser::unary)?;
+            return Ok((SqlExpr::Neg(Box::new(inner)), height));
         }
         self.atom()
     }
 
     // atom := number | string | column | ( expr )
-    fn atom(&mut self) -> Result<SqlExpr, SqlError> {
-        match self.peek() {
+    fn atom(&mut self) -> Parsed<SqlExpr> {
+        let leaf = match self.peek() {
             Some(Token::Number(n)) => {
                 let n = n.clone();
                 self.pos += 1;
-                Ok(SqlExpr::Number(n))
+                SqlExpr::Number(n)
             }
             Some(Token::Str(s)) => {
                 let s = s.clone();
                 self.pos += 1;
-                Ok(SqlExpr::Str(s))
+                SqlExpr::Str(s)
             }
-            Some(Token::Ident(_)) => Ok(SqlExpr::Column(self.column_ref()?)),
+            Some(Token::Ident(_)) => SqlExpr::Column(self.column_ref()?),
             Some(Token::LParen) => {
                 self.advance();
-                let inner = self.expr()?;
+                let inner = self.nested(Parser::expr)?;
                 if !self.eat(&Token::RParen) {
                     return Err(self.err("a closing ')'"));
                 }
-                Ok(inner)
+                return Ok(inner);
             }
-            _ => Err(self.err("an expression")),
-        }
+            _ => return Err(self.err("an expression")),
+        };
+        Ok((leaf, 0))
     }
 }
 
@@ -404,6 +452,60 @@ mod tests {
             Err(SqlError::Parse { expected: "an integer LIMIT", .. })
         ));
         assert!(parse_select("SELECT x FROM T extra garbage, here").is_err());
+    }
+
+    /// A predicate nested `n` levels deep by each construct the depth
+    /// bound counts.
+    fn nested(construct: &str, n: usize) -> String {
+        let predicate = match construct {
+            "(" => format!("{}a = 1{}", "(".repeat(n), ")".repeat(n)),
+            "(expr)" => format!("a < {}b{}", "(".repeat(n), ")".repeat(n)),
+            "NOT" => format!("{}a = 1", "NOT ".repeat(n)),
+            "-" => format!("a < {}b", "- ".repeat(n)),
+            "+" => format!("a{} < 1", " + b".repeat(n)),
+            "*" => format!("a{} < 1", " * b".repeat(n)),
+            "AND" => format!("a = 1{}", " AND a = 1".repeat(n)),
+            "OR" => format!("a = 1{}", " OR a = 1".repeat(n)),
+            other => panic!("no construct {other}"),
+        };
+        format!("SELECT x FROM T WHERE {predicate}")
+    }
+
+    fn too_deep(parsed: Result<SelectStatement, SqlError>) -> bool {
+        matches!(parsed, Err(SqlError::Parse { expected: TOO_DEEP, .. }))
+    }
+
+    /// Every construct parses at `MAX_DEPTH` levels and is the depth
+    /// error one level past it, and thousands of levels fail the same
+    /// way without exhausting the test thread's stack.
+    #[test]
+    fn each_construct_nests_to_the_bound_and_no_further() {
+        assert!(TOO_DEEP.contains(&format!(" {MAX_DEPTH} ")), "the message names the bound");
+        for construct in ["(", "(expr)", "NOT", "-", "+", "*", "AND", "OR"] {
+            let at_bound = parse_select(&nested(construct, MAX_DEPTH));
+            assert!(at_bound.is_ok(), "{construct}: {at_bound:?}");
+            for n in [MAX_DEPTH + 1, 3_000, 10_000] {
+                assert!(too_deep(parse_select(&nested(construct, n))), "{construct} × {n}");
+            }
+        }
+    }
+
+    /// Levels add up across constructs: a chain over a nested first
+    /// operand sits on top of that operand, so 32 parentheses and 32
+    /// operators fit and a 33rd operator does not, however the chain
+    /// tree leans.
+    #[test]
+    fn levels_add_up_across_constructs() {
+        let sql = |parens: usize, ops: usize| {
+            let first = format!("{}a{}", "(".repeat(parens), ")".repeat(parens));
+            format!("SELECT x FROM T WHERE {first}{} < 1", " + b".repeat(ops))
+        };
+        assert!(parse_select(&sql(32, 32)).is_ok());
+        assert!(too_deep(parse_select(&sql(32, 33))));
+        assert!(too_deep(parse_select(&sql(33, 32))));
+        let mixed = |n: usize| format!("SELECT x FROM T WHERE {}a < b", "NOT (".repeat(n));
+        assert!(too_deep(parse_select(&(mixed(33) + &")".repeat(33)))));
+        assert!(parse_select(&(mixed(32) + &")".repeat(32))).is_ok());
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod span;
 
 pub use hist::{bucket_bound, bucket_index, Histogram, HistogramSnapshot, BUCKETS, FINITE_BUCKETS};
 pub use slowlog::{SlowLog, SlowRecord};
-pub use span::{LatencyStats, RequestTrace, Span, StageSummary, Tracer, TracerSpan};
+pub use span::{LatencyStats, RequestTrace, Span, StageSummary, Tracer};
 
 /// The canonical per-request stages, in pipeline order. Each stage is
 /// one histogram family on `/metrics` (`qarith_stage_<name>_seconds`)

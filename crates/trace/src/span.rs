@@ -92,13 +92,6 @@ impl Tracer {
         }
     }
 
-    /// An RAII guard recording directly into this tracer's histogram
-    /// for `stage` on drop — for timings outside any single request
-    /// (e.g. maintenance work).
-    pub fn span(&self, stage: Stage) -> TracerSpan<'_> {
-        TracerSpan { tracer: self, stage, start: Instant::now() }
-    }
-
     /// Finishes a request: folds every non-zero stage duration plus
     /// the end-to-end total into the histograms, and captures a
     /// [`SlowRecord`] when the total crosses the threshold. Returns the
@@ -133,7 +126,7 @@ impl Tracer {
     }
 
     /// Adds one observation to the histogram of `stage`.
-    pub fn record(&self, stage: Stage, nanos: u64) {
+    fn record(&self, stage: Stage, nanos: u64) {
         if let Some(h) = self.stages.get(stage.index()) {
             h.record(nanos);
         }
@@ -220,21 +213,6 @@ impl Drop for Span<'_> {
     fn drop(&mut self) {
         let nanos = nanos_since(self.start);
         self.trace.add(self.stage, nanos);
-    }
-}
-
-/// RAII guard from [`Tracer::span`]: records straight into the
-/// tracer's histogram for its stage on drop.
-#[derive(Debug)]
-pub struct TracerSpan<'a> {
-    tracer: &'a Tracer,
-    stage: Stage,
-    start: Instant,
-}
-
-impl Drop for TracerSpan<'_> {
-    fn drop(&mut self) {
-        self.tracer.record(self.stage, nanos_since(self.start));
     }
 }
 
