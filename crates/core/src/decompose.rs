@@ -191,9 +191,10 @@ pub(crate) fn combine(
         Combination::DualProduct => parts
             .iter()
             .try_fold(Rational::ONE, |acc, p| {
-                p.exact.as_ref().and_then(|r| acc.checked_mul(&(Rational::ONE - *r)).ok())
+                let complement = Rational::ONE.checked_sub(p.exact.as_ref()?).ok()?;
+                acc.checked_mul(&complement).ok()
             })
-            .map(|complement| Rational::ONE - complement),
+            .and_then(|complement| Rational::ONE.checked_sub(&complement).ok()),
     };
 
     // Ascending-order multiplication: f64 products are order-sensitive,

@@ -22,7 +22,8 @@
 //!
 //! [`crate::CertaintyEngine::prepare_batch`] writes both parts once per
 //! group, so a plan's keys carry the fingerprint of the engine that
-//! prepared it and a lookup is one probe with the key alone.
+//! prepared it and a lookup is one probe with the key alone. An insert
+//! shares the plan's `Arc<[u8]>` key instead of copying it.
 //!
 //! [`NuCache`] is the one cache every route attaches, from a single
 //! `fig1` run to a serving process that runs for weeks:
@@ -178,15 +179,17 @@ impl NuCache {
     }
 
     /// Records an estimate, evicting least-recently-used entries past
-    /// the shard's budget. Last write wins; racing writers hold
-    /// bit-identical values by construction.
-    pub fn insert(&self, key: &[u8], estimate: CertaintyEstimate) {
+    /// the shard's budget. The entry shares the caller's key (a plan's
+    /// group key) instead of copying it; it is still charged the key's
+    /// length. Last write wins; racing writers hold bit-identical values
+    /// by construction.
+    pub fn insert(&self, key: &Arc<[u8]>, estimate: CertaintyEstimate) {
         let bytes = NuCache::entry_bytes(key);
         // Poisoned shard: drop the insert (see `get` — the shard is a
         // permanent miss, so storing into it would never be observed).
         // What the insert displaces is freed after the guard.
         let _displaced = match self.shard_of(key).lock() {
-            Ok(mut shard) => shard.insert(Arc::from(key), estimate, bytes),
+            Ok(mut shard) => shard.insert(Arc::clone(key), estimate, bytes),
             Err(_) => return,
         };
     }
@@ -235,15 +238,19 @@ mod tests {
         CertaintyEstimate::exact_rational(Rational::new(v, d), 1)
     }
 
-    fn key(i: usize) -> Vec<u8> {
-        format!("a:group-key-{i:04}").into_bytes()
+    fn key(i: usize) -> Arc<[u8]> {
+        Arc::from(format!("a:group-key-{i:04}").into_bytes())
+    }
+
+    fn bytes(key: &[u8]) -> Arc<[u8]> {
+        Arc::from(key)
     }
 
     #[test]
     fn get_insert_roundtrip_marks_cached() {
         let cache = NuCache::default();
         assert!(cache.get(b"k").is_none());
-        cache.insert(b"k", est(1, 2));
+        cache.insert(&bytes(b"k"), est(1, 2));
         let got = cache.get(b"k").expect("present");
         assert_eq!(got.exact, Some(Rational::new(1, 2)));
         assert!(got.cached);
@@ -251,6 +258,22 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
         assert_eq!(stats.evictions, 0);
+    }
+
+    #[test]
+    fn an_entry_shares_the_callers_key() {
+        let cache = NuCache::default();
+        let key = key(0);
+        cache.insert(&key, est(1, 2));
+        // The caller's handle, plus the shard's map and recency index:
+        // three handles on one allocation, where a copy would leave one.
+        assert_eq!(Arc::strong_count(&key), 3, "the entry holds the caller's allocation");
+        // Still charged the key's length.
+        assert_eq!(cache.stats().resident_bytes, NuCache::entry_bytes(&key) as u64);
+        cache.insert(&key, est(1, 2));
+        assert_eq!(Arc::strong_count(&key), 3, "a replacement releases the handles it displaces");
+        drop(cache);
+        assert_eq!(Arc::strong_count(&key), 1);
     }
 
     #[test]
@@ -296,7 +319,7 @@ mod tests {
     fn replacement_does_not_leak_accounting() {
         let cache = NuCache::new(NuCacheConfig { shards: 1, budget_bytes: 1 << 20 });
         for _ in 0..100 {
-            cache.insert(b"same", est(1, 3));
+            cache.insert(&bytes(b"same"), est(1, 3));
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
@@ -311,7 +334,7 @@ mod tests {
                 let cache = &cache;
                 scope.spawn(move || {
                     for i in 0..50 {
-                        let key = format!("t{t}-{i}").into_bytes();
+                        let key: Arc<[u8]> = Arc::from(format!("t{t}-{i}").into_bytes());
                         cache.insert(&key, est(1, 4));
                         assert!(cache.get(&key).is_some());
                     }

@@ -38,14 +38,23 @@
 //!   or to the leaf after active-domain enumeration. A slot is read only
 //!   where the plan has bound it, so backtracking unbinds nothing.
 //!
-//! A numerical value stays a [`Rational`] while only constant cells and
+//! A filter, and a numerical argument checked against its cell, is
+//! decided first on a fast path: `lhs − rhs` on unreduced `i128`
+//! fractions, with checked operations and no gcd, which yields the sign
+//! or declines, on a null cell and on any overflow. Where it declines,
+//! the reduced evaluation runs, and it is the reference. There a
+//! numerical value stays a [`Rational`] while only constant cells and
 //! constants made it, and becomes the [`Polynomial`] over the null
 //! variables once a null enters. On constants each `+ − ×` performs the
 //! same checked rational operation, in the same order, that polynomial
 //! arithmetic performs on constant polynomials (none when an operand is
 //! zero, the polynomial with no terms), so a constant filter is decided
 //! by the same sign, overflows with the same error, and only a filter
-//! that touches a null builds its residual atom. The join therefore
+//! that touches a null builds its residual atom. Every intermediate the
+//! reduced evaluation forms is at most its unreduced counterpart in
+//! magnitude, so a sign the fast path returns is the reduced sign, and
+//! every overflow is still reported by the reduced evaluation (the
+//! argument is on the private `Frac` type). The join therefore
 //! returns the candidates, formulas, derivation counts, footprints and
 //! errors that evaluating every term with `term_to_polynomial` (as
 //! [`crate::ground`] does) would give; `tests/join_golden.rs` pins them.
@@ -738,13 +747,92 @@ impl Slots {
     }
 }
 
-/// A numerical value in the join: a rational while only constants
-/// made it, the polynomial over the null variables once a null enters.
-/// On constants each operation performs exactly the checked rational
-/// operation that polynomial arithmetic performs on constant
-/// polynomials (none when an operand is zero, the polynomial with no
-/// terms), so a value's polynomial form, and every overflow, is the
-/// one [`crate::env::term_to_polynomial`] produces.
+/// A null-free value on the join's fast path: `num/den` with `den > 0`
+/// and `num ≠ i128::MIN`, never reduced. Every operation is checked and
+/// returns `None` on overflow or an `i128::MIN` numerator, and then the
+/// filter falls back to the reduced evaluation ([`Num`]), which decides
+/// it or returns its error.
+///
+/// Why a sign the fast path returns is the reduced evaluation's sign,
+/// and why that evaluation then cannot fail:
+///
+/// * an unreduced pair is an integer multiple of the reduced one: if
+///   `n/d = a/b` with `d, b > 0` and `gcd(a, b) = 1`, then `b | d`, so
+///   `(n, d) = k·(a, b)` for an integer `k ≥ 1`;
+/// * the reduced evaluation forms each product, sum and denominator of
+///   [`Rational::checked_add`] and [`Rational::checked_mul`] from the
+///   reduced operands, divided by gcds (cross-reduction) and before
+///   `checked_new` divides again, so each is its unreduced counterpart
+///   here divided by a positive integer: same sign, at most the same
+///   magnitude. A difference `l − r` forms `l + (−r)` on both paths,
+///   and the zero shortcuts of [`Num`] form nothing;
+/// * so if no unreduced intermediate overflows, no reduced one does.
+///   `checked_new` refuses an `i128::MIN` numerator, and a reduced
+///   numerator can only be `i128::MIN` where its unreduced counterpart
+///   is, which the fast path refuses too. Both evaluations then reach
+///   the same value, so the same sign.
+///
+/// A null cell, an unbound or base slot and every overflow decline, so
+/// the reduced evaluation stays the only path for a filter that touches
+/// a null and the one that produces every error.
+#[derive(Clone, Copy)]
+struct Frac {
+    num: i128,
+    den: i128,
+}
+
+impl Frac {
+    /// A constant cell's value (`None` for a null or base cell).
+    fn of(cell: &Value) -> Option<Frac> {
+        match cell {
+            Value::Num(r) => Some(Frac::from(r)),
+            Value::NumNull(_) | Value::Base(_) | Value::BaseNull(_) => None,
+        }
+    }
+
+    fn new(num: i128, den: i128) -> Option<Frac> {
+        (num != i128::MIN).then_some(Frac { num, den })
+    }
+
+    fn plus(self, rhs: Frac) -> Option<Frac> {
+        let num = self.num.checked_mul(rhs.den)?.checked_add(rhs.num.checked_mul(self.den)?)?;
+        Frac::new(num, self.den.checked_mul(rhs.den)?)
+    }
+
+    fn minus(self, rhs: Frac) -> Option<Frac> {
+        self.plus(rhs.negated())
+    }
+
+    fn times(self, rhs: Frac) -> Option<Frac> {
+        Frac::new(self.num.checked_mul(rhs.num)?, self.den.checked_mul(rhs.den)?)
+    }
+
+    /// Total: `num` is never `i128::MIN`.
+    fn negated(self) -> Frac {
+        Frac { num: -self.num, den: self.den }
+    }
+
+    fn signum(self) -> i32 {
+        self.num.signum() as i32
+    }
+}
+
+impl From<&Rational> for Frac {
+    fn from(r: &Rational) -> Frac {
+        Frac { num: r.numer(), den: r.denom() }
+    }
+}
+
+/// A numerical value in the join's reduced evaluation: a rational while
+/// only constants made it, the polynomial over the null variables once
+/// a null enters. A filter or argument check runs it where the fast
+/// path ([`Frac`]) declines: on a null, and on a constant value whose
+/// unreduced form overflows. It is the reference: on constants each
+/// operation performs exactly the checked rational operation that
+/// polynomial arithmetic performs on constant polynomials (none when an
+/// operand is zero, the polynomial with no terms), so a value's
+/// polynomial form, and every overflow, is the one
+/// [`crate::env::term_to_polynomial`] produces.
 enum Num {
     Const(Rational),
     Poly(Polynomial),
@@ -919,6 +1007,13 @@ impl<'a> Executor<'a> {
                     }
                 }
                 ArgStep::Equal(term) => {
+                    let fast = self.frac(term).and_then(|t| t.minus(Frac::of(cell)?));
+                    if let Some(difference) = fast {
+                        if difference.signum() != 0 {
+                            return Ok(false);
+                        }
+                        continue;
+                    }
                     let Some(value) = Num::of(cell) else { return Ok(false) };
                     match self.eval(term)?.minus(value)? {
                         Num::Const(c) if c.is_zero() => {}
@@ -939,6 +1034,12 @@ impl<'a> Executor<'a> {
     /// `false` at the first that is violated; residual atoms are pushed.
     fn decide(&mut self, filters: &'a [Filter]) -> Result<bool, EngineError> {
         for filter in filters {
+            if let Some(sign) = self.fast_sign(&filter.lhs, &filter.rhs) {
+                if !filter.op.holds(sign) {
+                    return Ok(false);
+                }
+                continue;
+            }
             match self.eval(&filter.lhs)?.minus(self.eval(&filter.rhs)?)? {
                 Num::Const(c) => {
                     if !filter.op.holds(c.signum()) {
@@ -956,6 +1057,24 @@ impl<'a> Executor<'a> {
             }
         }
         Ok(true)
+    }
+
+    /// The sign of `lhs − rhs` on the fast path (see [`Frac`]); `None`
+    /// where it declines.
+    fn fast_sign(&self, lhs: &Term, rhs: &Term) -> Option<i32> {
+        Some(self.frac(lhs)?.minus(self.frac(rhs)?)?.signum())
+    }
+
+    /// `term`'s unreduced value, `None` where the fast path declines.
+    fn frac(&self, term: &Term) -> Option<Frac> {
+        match term {
+            Term::Const(r) => Some(Frac::from(r)),
+            Term::Slot(slot) => Frac::of(self.slots.get(*slot).copied().flatten()?),
+            Term::Add(a, b) => self.frac(a)?.plus(self.frac(b)?),
+            Term::Sub(a, b) => self.frac(a)?.minus(self.frac(b)?),
+            Term::Mul(a, b) => self.frac(a)?.times(self.frac(b)?),
+            Term::Neg(a) => Some(self.frac(a)?.negated()),
+        }
     }
 
     fn eval(&self, term: &Term) -> Result<Num, EngineError> {
@@ -1891,6 +2010,204 @@ mod index_tests {
         assert_eq!(
             run_against_rebuilt(&q, &db),
             [(Value::int(1), 1), (Value::int(2), 2), (base_null(0), 1)]
+        );
+    }
+}
+
+/// The join's fast path ([`Frac`]) against its reduced evaluation
+/// ([`Num`]), on null-free filters.
+#[cfg(test)]
+mod fast_path {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Slots `x0 … x2`, each bound to a constant cell.
+    const SLOTS: usize = 3;
+
+    /// `lhs − rhs` decided both ways, with slot `xi` bound to
+    /// `cells[i]`: the fast path's sign, and the reduced evaluation's
+    /// sign or error.
+    fn both(
+        lhs: &NumTerm,
+        rhs: &NumTerm,
+        cells: &[Value],
+    ) -> (Option<i32>, Result<i32, EngineError>) {
+        let mut slots = Slots::default();
+        for i in 0..cells.len() {
+            slots.bind_var(&Ident::from(format!("x{i}")));
+        }
+        let (lhs, rhs) = (slots.term(lhs, &mut Vec::new()), slots.term(rhs, &mut Vec::new()));
+        let join = CompiledJoin {
+            steps: Vec::new(),
+            uncovered: Vec::new(),
+            leaf_filters: Vec::new(),
+            head: Vec::new(),
+            names: slots.names,
+        };
+        let opts = CqOptions::default();
+        let exec = Executor {
+            join: &join,
+            opts: &opts,
+            slots: cells.iter().map(Some).collect(),
+            residuals: Vec::new(),
+            rows_emitted: 0,
+            order: Vec::new(),
+            candidates: HashMap::new(),
+            done: false,
+            scanned: 0,
+            probes: Vec::new(),
+            rows: 0,
+        };
+        let reduced = exec.eval(&lhs).and_then(|l| l.minus(exec.eval(&rhs)?)).map(|d| match d {
+            Num::Const(c) => c.signum(),
+            Num::Poly(p) => panic!("a null-free filter reduced to the polynomial {p:?}"),
+        });
+        (exec.fast_sign(&lhs, &rhs), reduced)
+    }
+
+    /// A component's magnitude: a small decimal's digits, a power of ten
+    /// up to 10^38, or a value within a few units of `i128::MAX`.
+    fn magnitude() -> impl Strategy<Value = i128> {
+        prop_oneof![
+            0i128..=1_000,
+            0i128..=1_000_000,
+            (0u32..=38).prop_map(|k| 10i128.pow(k)),
+            (0i128..=4).prop_map(|j| i128::MAX - j),
+        ]
+    }
+
+    fn rational() -> impl Strategy<Value = Rational> {
+        let den = prop_oneof![Just(1i128), magnitude().prop_map(|d| d.max(1))];
+        (magnitude(), 0u8..2, den).prop_map(|(num, negative, den)| {
+            let num = if negative == 1 { -num } else { num };
+            Rational::checked_new(num, den).expect("|num| <= i128::MAX and den >= 1")
+        })
+    }
+
+    /// `+ − × neg` trees of depth at most 4 over constants and slots.
+    fn term() -> BoxedStrategy<NumTerm> {
+        let leaf = prop_oneof![
+            rational().prop_map(NumTerm::Const),
+            (0..SLOTS).prop_map(|i| NumTerm::var(&format!("x{i}"))),
+        ];
+        leaf.prop_recursive(4, 32, 2, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone())
+                    .prop_map(|(a, b)| NumTerm::Add(Box::new(a), Box::new(b))),
+                (inner.clone(), inner.clone())
+                    .prop_map(|(a, b)| NumTerm::Sub(Box::new(a), Box::new(b))),
+                (inner.clone(), inner.clone())
+                    .prop_map(|(a, b)| NumTerm::Mul(Box::new(a), Box::new(b))),
+                inner.prop_map(|a| NumTerm::Neg(Box::new(a))),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// A sign the fast path returns is the reduced evaluation's,
+        /// and wherever the reduced evaluation fails (an overflow, at
+        /// the `i128` edge), the fast path declines.
+        #[test]
+        fn a_fast_sign_is_the_reduced_sign(
+            lhs in term(),
+            rhs in term(),
+            cells in prop::collection::vec(rational(), SLOTS),
+        ) {
+            let cells: Vec<Value> = cells.into_iter().map(Value::Num).collect();
+            match both(&lhs, &rhs, &cells) {
+                (Some(fast), Ok(reduced)) => prop_assert_eq!(
+                    fast, reduced, "{:?} - {:?} over {:?}", lhs, rhs, cells
+                ),
+                (Some(fast), Err(e)) => prop_assert!(
+                    false,
+                    "fast sign {} where the reduced evaluation fails with {:?}: {:?} - {:?} over {:?}",
+                    fast, e, lhs, rhs, cells
+                ),
+                (None, _) => {}
+            }
+        }
+    }
+
+    /// A random tree with exactly `leaves` leaves, each a slot or a
+    /// constant whose components are at most 10^9 in magnitude, any node
+    /// possibly negated.
+    fn small_tree(rng: &mut StdRng, leaves: usize) -> NumTerm {
+        const BOUND: i128 = 1_000_000_000;
+        let tree = if leaves == 1 {
+            if rng.gen_bool(0.5) {
+                NumTerm::var(&format!("x{}", rng.gen_range(0..SLOTS)))
+            } else {
+                NumTerm::Const(small_rational(rng, BOUND))
+            }
+        } else {
+            let left = rng.gen_range(1..leaves);
+            let (a, b) =
+                (Box::new(small_tree(rng, left)), Box::new(small_tree(rng, leaves - left)));
+            match rng.gen_range(0..3) {
+                0 => NumTerm::Add(a, b),
+                1 => NumTerm::Sub(a, b),
+                _ => NumTerm::Mul(a, b),
+            }
+        };
+        if rng.gen_bool(0.25) {
+            NumTerm::Neg(Box::new(tree))
+        } else {
+            tree
+        }
+    }
+
+    /// A rational whose numerator and denominator are at most `bound` in
+    /// magnitude, at the bound often.
+    fn small_rational(rng: &mut StdRng, bound: i128) -> Rational {
+        let component = |rng: &mut StdRng| match rng.gen_range(0..4) {
+            0 => bound,
+            1 => bound - 1,
+            2 => 1,
+            _ => rng.gen_range(1..=bound),
+        };
+        let num = if rng.gen_bool(0.1) { 0 } else { component(rng) };
+        let num = if rng.gen_bool(0.5) { -num } else { num };
+        Rational::new(num, component(rng))
+    }
+
+    /// The fast path is not one that declines everything: it decides
+    /// every filter over at most four leaves (both sides together, so at
+    /// most three levels below the comparison) whose components are at
+    /// most 10^9 in magnitude. The final numerator is then a sum of at
+    /// most four products of four components, at most 4·10^36, and the
+    /// denominator at most 10^36, both inside `i128` (about 1.7·10^38).
+    #[test]
+    fn the_fast_path_decides_every_filter_over_database_scale_values() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_f7ac);
+        for case in 0..20_000 {
+            let cells: Vec<Value> =
+                (0..SLOTS).map(|_| Value::Num(small_rational(&mut rng, 1_000_000_000))).collect();
+            let total = rng.gen_range(2..=4);
+            let left = rng.gen_range(1..total);
+            let lhs = small_tree(&mut rng, left);
+            let rhs = small_tree(&mut rng, total - left);
+            let (fast, reduced) = both(&lhs, &rhs, &cells);
+            assert!(fast.is_some(), "case {case}: declined {lhs:?} - {rhs:?} over {cells:?}");
+            assert_eq!(fast, reduced.ok(), "case {case}: {lhs:?} - {rhs:?} over {cells:?}");
+        }
+    }
+
+    /// The overflow `join_golden` pins: `10^38·x ≥ −10^38` at `x = 1`
+    /// overflows only in the final subtraction, so the fast path must
+    /// form it (and its denominator product) and decline.
+    #[test]
+    fn an_overflow_in_the_final_subtraction_declines() {
+        let e38 = NumTerm::Const(Rational::from_int(10).checked_pow(38).expect("fits"));
+        let lhs = NumTerm::var("x0").mul(e38.clone());
+        let (fast, reduced) = both(&lhs, &e38.neg(), &[Value::num(1)]);
+        assert_eq!(fast, None);
+        assert_eq!(
+            format!("{:?}", reduced.expect_err("overflows")),
+            r#"Numeric(Overflow { op: "add" })"#
         );
     }
 }

@@ -217,6 +217,25 @@ fn a_deeply_nested_query_is_a_sql_error_and_the_connection_survives() {
 }
 
 #[test]
+fn negation_and_disjunction_are_sql_errors_and_the_connection_survives() {
+    let server = start_server();
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    for predicate in ["NOT P.rrp > 1", "P.rrp > 1 OR P.rrp < 1"] {
+        match client
+            .query(&format!("SELECT P.id FROM Products P WHERE {predicate}"))
+            .expect("reply")
+        {
+            Decoded::Error { kind, .. } => assert_eq!(kind, ErrorKind::Sql, "{predicate}"),
+            other => panic!("expected sql error for {predicate}, got {other:?}"),
+        }
+    }
+    let sql = "SELECT P.id FROM Products P WHERE P.rrp > 1";
+    let reference = server.service().query(sql).expect("reference");
+    let wire = client.query(sql).expect("wire");
+    assert_bit_identical(&wire, &reference);
+}
+
+#[test]
 fn pipelined_requests_come_back_in_order_and_bit_identical() {
     let server = start_server();
     let sql = workload_sql();

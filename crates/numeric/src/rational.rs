@@ -48,6 +48,7 @@ impl Rational {
     /// Panics if `den == 0` or either argument is `i128::MIN`. Use
     /// [`Rational::checked_new`] for a fallible constructor.
     pub fn new(num: i128, den: i128) -> Rational {
+        // analyze: allow(panic-expect, reason = "documented panicking constructor for literals in tests and examples; no request-path code calls it, and request paths use checked_new")
         Rational::checked_new(num, den).expect("invalid rational")
     }
 
@@ -200,23 +201,22 @@ impl Rational {
         if s.is_empty() {
             return Err(err("empty input"));
         }
-        let (sign, s) = match s.as_bytes()[0] {
-            b'+' => (1i128, &s[1..]),
-            b'-' => (-1i128, &s[1..]),
+        let (sign, s) = match (s.strip_prefix('+'), s.strip_prefix('-')) {
+            (Some(rest), _) => (1i128, rest),
+            (_, Some(rest)) => (-1i128, rest),
             _ => (1i128, s),
         };
         if s.is_empty() {
             return Err(err("sign without digits"));
         }
         // Split off exponent.
-        let (mantissa, exp) = match s.find(['e', 'E']) {
-            Some(pos) => {
-                let exp_str = &s[pos + 1..];
+        let (mantissa, exp) = match s.split_once(['e', 'E']) {
+            Some((mantissa, exp_str)) => {
                 let exp: i32 = exp_str.parse().map_err(|_| err("malformed exponent"))?;
-                if exp.abs() > 30 {
+                if exp.unsigned_abs() > 30 {
                     return Err(err("exponent out of supported range"));
                 }
-                (&s[..pos], exp)
+                (mantissa, exp)
             }
             None => (s, 0),
         };
@@ -308,14 +308,41 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Compare a/b vs c/d via a*d vs c*b, with a widening fallback
-        // through f64 only when i128 would overflow (not reachable for
-        // reduced database-scale values, but kept total for safety).
+        // a/b vs c/d is a·d vs c·b, since b, d > 0. Where a cross
+        // product overflows i128, the signs decide, and otherwise the
+        // magnitudes |a|·d and |c|·b as exact 256-bit products.
         match (self.num.checked_mul(other.den), other.num.checked_mul(self.den)) {
             (Some(l), Some(r)) => l.cmp(&r),
-            _ => self.to_f64().partial_cmp(&other.to_f64()).expect("rational to_f64 is never NaN"),
+            _ => match self.num.signum().cmp(&other.num.signum()) {
+                Ordering::Equal => {
+                    // Both denominators are positive, so `unsigned_abs`
+                    // is their value.
+                    let l = wide_mul(self.num.unsigned_abs(), other.den.unsigned_abs());
+                    let r = wide_mul(other.num.unsigned_abs(), self.den.unsigned_abs());
+                    if self.num < 0 {
+                        r.cmp(&l)
+                    } else {
+                        l.cmp(&r)
+                    }
+                }
+                by_sign => by_sign,
+            },
         }
     }
+}
+
+/// The exact product `x·y` as `(high, low)` 128-bit halves, from four
+/// 64×64-bit partial products; tuples of halves order as the products.
+fn wide_mul(x: u128, y: u128) -> (u128, u128) {
+    const LOW: u128 = u64::MAX as u128;
+    let (x1, x0) = (x >> 64, x & LOW);
+    let (y1, y0) = (y >> 64, y & LOW);
+    let low = x0 * y0;
+    let (cross1, cross2) = (x0 * y1, x1 * y0);
+    // Each term is below 2^64, so the sum is below 2^66.
+    let middle = (low >> 64) + (cross1 & LOW) + (cross2 & LOW);
+    let high = x1 * y1 + (cross1 >> 64) + (cross2 >> 64) + (middle >> 64);
+    (high, (middle << 64) | (low & LOW))
 }
 
 macro_rules! panicking_binop {
@@ -323,12 +350,14 @@ macro_rules! panicking_binop {
         impl $trait for Rational {
             type Output = Rational;
             fn $method(self, rhs: Rational) -> Rational {
+                // analyze: allow(panic-macro, reason = "the std::ops impls are documented to panic on overflow; no request-path code uses them, and request paths call the checked_* forms")
                 self.$checked(&rhs).unwrap_or_else(|e| panic!("rational {} failed: {e}", $opname))
             }
         }
         impl $trait<&Rational> for Rational {
             type Output = Rational;
             fn $method(self, rhs: &Rational) -> Rational {
+                // analyze: allow(panic-macro, reason = "the std::ops impls are documented to panic on overflow; no request-path code uses them, and request paths call the checked_* forms")
                 self.$checked(rhs).unwrap_or_else(|e| panic!("rational {} failed: {e}", $opname))
             }
         }
@@ -386,6 +415,8 @@ impl fmt::Debug for Rational {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn construction_normalizes() {
@@ -440,6 +471,82 @@ mod tests {
     }
 
     #[test]
+    fn ordering_is_exact_where_cross_products_overflow() {
+        // Both cross products overflow i128, and the two values are
+        // the same f64: 1 + 1/(M−2) against 1 + 1/(M−1).
+        let m = i128::MAX;
+        let (a, b) = (Rational::new(m - 1, m - 2), Rational::new(m, m - 1));
+        assert_ne!(a, b);
+        assert_eq!(a.cmp(&b), Ordering::Greater);
+        assert_eq!(b.cmp(&a), Ordering::Less);
+        assert_eq!((-a).cmp(&-b), Ordering::Less);
+        let set: BTreeSet<Rational> = [a, b, a].into_iter().collect();
+        assert_eq!(set.into_iter().collect::<Vec<_>>(), [b, a]);
+        assert_eq!(wide_mul(u128::MAX, u128::MAX), (u128::MAX - 1, 1));
+    }
+
+    /// `a/b` against `c/d` (`b, d > 0`) without products: compare the
+    /// floors, then the fractional parts through their reciprocals,
+    /// which reverses the order.
+    fn cmp_by_floors(mut a: i128, mut b: i128, mut c: i128, mut d: i128) -> Ordering {
+        let mut reversed = false;
+        loop {
+            let order = match (a.div_euclid(b).cmp(&c.div_euclid(d)), a % b == 0, c % d == 0) {
+                (Ordering::Equal, true, true) => Ordering::Equal,
+                (Ordering::Equal, true, false) => Ordering::Less,
+                (Ordering::Equal, false, true) => Ordering::Greater,
+                (Ordering::Equal, false, false) => {
+                    (a, b, c, d) = (b, a.rem_euclid(b), d, c.rem_euclid(d));
+                    reversed = !reversed;
+                    continue;
+                }
+                (by_floor, _, _) => by_floor,
+            };
+            return if reversed { order.reverse() } else { order };
+        }
+    }
+
+    /// Components near the `i128` edge, at powers of ten, and small.
+    fn edge_rational() -> impl Strategy<Value = Rational> {
+        let magnitude = || {
+            prop_oneof![
+                1i128..=1_000,
+                (0u32..=38).prop_map(|k| 10i128.pow(k)),
+                (0i128..=3).prop_map(|j| i128::MAX - j),
+                (0i128..=3).prop_map(|j| i128::MAX / 2 - j),
+            ]
+        };
+        (magnitude(), 0u8..3, magnitude()).prop_map(|(num, sign, den)| {
+            let num = match sign {
+                0 => -num,
+                1 => 0,
+                _ => num,
+            };
+            Rational::new(num, den)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn ordering_is_exact_at_the_i128_edge(
+            a in edge_rational(),
+            b in edge_rational(),
+            same in 0u8..4,
+        ) {
+            let b = if same == 0 { a } else { b };
+            let order = a.cmp(&b);
+            prop_assert_eq!(order, b.cmp(&a).reverse(), "{} vs {}", a, b);
+            prop_assert_eq!(order == Ordering::Equal, a == b, "{} vs {}", a, b);
+            prop_assert_eq!(order, cmp_by_floors(a.num, a.den, b.num, b.den), "{} vs {}", a, b);
+            if let Ok(difference) = a.checked_sub(&b) {
+                prop_assert_eq!(order, difference.signum().cmp(&0), "{} vs {}", a, b);
+            }
+        }
+    }
+
+    #[test]
     fn display_formats() {
         assert_eq!(Rational::new(7, 10).to_string(), "7/10");
         assert_eq!(Rational::new(-7, 10).to_string(), "-7/10");
@@ -464,7 +571,7 @@ mod tests {
 
     #[test]
     fn parse_decimal_rejects_garbage() {
-        for bad in ["", "-", ".", "1.2.3", "abc", "1e", "--1", "1e99"] {
+        for bad in ["", "-", ".", "1.2.3", "abc", "1e", "--1", "1e99", "1e-2147483648"] {
             assert!(Rational::parse_decimal(bad).is_err(), "should reject {bad:?}");
         }
     }

@@ -10,7 +10,8 @@ use qarith_core::{
     MethodChoice, NuCache, NuCacheConfig,
 };
 use qarith_engine::cq::{self, ReadFootprint, WriteDelta};
-use qarith_sql::SelectStatement;
+use qarith_engine::EngineError;
+use qarith_sql::{SelectStatement, SqlError};
 use qarith_trace::{LatencyStats, RequestTrace, SlowRecord, Stage, Tracer};
 use qarith_types::{Catalog, Database, WriteBatch};
 
@@ -752,8 +753,17 @@ impl QueryService {
     ) -> Result<(BatchPlan, ReadFootprint), ServeError> {
         let _span = trace.span(Stage::Prepare);
         let lowered = qarith_sql::lower(stmt, &self.catalog)?;
+        // A `NOT` or `OR` lowers, and the join refuses it before reading
+        // a row: the request's shape is at fault, so it is a SQL error.
         let (candidates, footprint, rows) =
-            cq::execute_recorded(&lowered.query, &snap.db, &lowered.cq_options())?;
+            cq::execute_recorded(&lowered.query, &snap.db, &lowered.cq_options()).map_err(|e| {
+                match e {
+                    EngineError::NotConjunctive { construct } => {
+                        ServeError::Sql(SqlError::Unsupported { construct })
+                    }
+                    e => ServeError::from(e),
+                }
+            })?;
         self.join_rows.fetch_add(rows, Ordering::Relaxed);
         let plan = self.engine.prepare_batch(candidates);
         self.key_nodes.fetch_add(plan.key_nodes(), Ordering::Relaxed);
@@ -1073,6 +1083,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `NOT` and `OR` parse and lower, and the join refuses them: the
+    /// service answers `err kind=sql` naming the construct, not a
+    /// measurement error, and keeps serving.
+    #[test]
+    fn negation_and_disjunction_are_sql_errors() {
+        let service = QueryService::new(db(), ServeConfig::default());
+        for (predicate, construct) in
+            [("NOT R.x > R.y", "negation"), ("R.x > R.y OR R.y > R.x", "disjunction")]
+        {
+            let refused = service.query(&format!("SELECT R.id FROM R WHERE {predicate}"));
+            match refused {
+                Err(e @ ServeError::Sql(SqlError::Unsupported { .. })) => {
+                    assert_eq!(e.kind(), "sql");
+                    assert!(e.to_string().contains(construct), "{e}");
+                }
+                other => panic!("{predicate}: {other:?}"),
+            }
+        }
+        assert!(service.query("SELECT R.id FROM R WHERE R.x > R.y").is_ok());
     }
 
     /// A non-ASCII string literal matches the row a write stored.

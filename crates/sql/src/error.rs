@@ -53,6 +53,14 @@ pub enum SqlError {
     },
     /// Query validation (against the catalog) failed after lowering.
     Query(QueryError),
+    /// The statement lowers, but uses a construct the serving layer
+    /// does not answer: it serves conjunctive queries, so a `NOT` or an
+    /// `OR` in `WHERE` is refused.
+    Unsupported {
+        /// The construct, as the conjunctive-query executor names it
+        /// (`"negation"`, `"disjunction"`).
+        construct: &'static str,
+    },
 }
 
 impl fmt::Display for SqlError {
@@ -79,6 +87,12 @@ impl fmt::Display for SqlError {
                 write!(f, "sort mismatch in {context}")
             }
             SqlError::Query(e) => write!(f, "query validation failed: {e}"),
+            SqlError::Unsupported { construct } => {
+                write!(
+                    f,
+                    "unsupported construct: {construct} (only conjunctive queries are served)"
+                )
+            }
         }
     }
 }
